@@ -18,7 +18,7 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     // Smoke mode (SIDER_BENCH_SMOKE=1): fewer samples on the same dataset,
     // identical artifact schema — cheap enough for a CI schema check.
-    let samples = if sider_bench::smoke_mode() { 3 } else { 10 };
+    let samples = if sider_loadgen::smoke_mode() { 3 } else { 10 };
     group.sample_size(samples);
 
     let dataset = sider_data::synthetic::xhat5(1000, 42);
@@ -114,7 +114,7 @@ fn staged_sessions(base: &EdaSession, next_cluster: &[usize], samples: usize) ->
 /// comparison (wall time, sweep counts, eigendecompositions) to
 /// `BENCH_pipeline.json` in the working directory.
 fn write_cold_vs_warm_json(base: &EdaSession, next_cluster: &[usize]) {
-    let samples = if sider_bench::smoke_mode() { 3 } else { 10 };
+    let samples = if sider_loadgen::smoke_mode() { 3 } else { 10 };
     let opts = FitOpts::default();
 
     let mut warm_sweeps = 0usize;

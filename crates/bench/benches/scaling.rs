@@ -61,9 +61,10 @@
 //!
 //! Set `SIDER_BENCH_SMOKE=1` for the reduced CI grid (same JSON schema).
 
-use sider_bench::{median_duration, smoke_mode, time};
+use sider_bench::{median_duration, time};
 use sider_json::Json;
 use sider_linalg::{sym_eigen, vector, woodbury, Matrix, SymEigen};
+use sider_loadgen::smoke_mode;
 use sider_maxent::params::ClassParams;
 use sider_maxent::{BackgroundDistribution, RefreshStats};
 use sider_par::ThreadPool;

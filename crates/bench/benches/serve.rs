@@ -51,7 +51,7 @@ use sider_core::EdaSession;
 use sider_json::Json;
 use sider_loadgen::{http_exchange, run, smoke_mode, LoadConfig};
 use sider_par::ThreadPool;
-use sider_server::{AcceptMode, Server, ServerConfig};
+use sider_server::{Server, ServerConfig};
 use sider_store::StoreConfig;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -76,8 +76,8 @@ fn main() {
     let mut workload: Option<LoadConfig> = None;
     // The mixed-workload rows at each stripe count, plus a churn row: the
     // same striped workload with short-lived aborted/empty connections
-    // injected alongside every request, which the event-driven accept
-    // loop must absorb without a single failed real request.
+    // injected alongside every request, which the event loop must absorb
+    // without a single failed real request.
     let scenarios: Vec<(usize, &str)> = STRIPE_COUNTS
         .iter()
         .map(|&s| (s, "mixed"))
@@ -113,7 +113,6 @@ fn main() {
             ("stripes", Json::from(stripes)),
             ("threads_per_stripe", Json::from(1usize)),
             ("scenario", Json::from(scenario)),
-            ("accept", Json::from(AcceptMode::Events.as_str())),
             ("report", report.to_json()),
         ];
         if let Some(follower) = follower {
@@ -189,7 +188,6 @@ fn run_against(
         threads: Some(1),
         stripes,
         store,
-        accept: AcceptMode::Events,
         ship_addr: replication.then(|| "127.0.0.1:0".to_string()),
         ..ServerConfig::default()
     })
@@ -210,7 +208,6 @@ fn run_against(
             threads: Some(1),
             stripes,
             store: Some(StoreConfig::new(bench_dir.join("follower"))),
-            accept: AcceptMode::Events,
             follow: Some(ship_addr.expect("leader ship addr").to_string()),
             ..ServerConfig::default()
         })

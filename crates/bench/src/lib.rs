@@ -19,16 +19,6 @@
 
 use std::time::{Duration, Instant};
 
-/// True when the benches should run in reduced "smoke" mode (set
-/// `SIDER_BENCH_SMOKE=1`): small datasets, few samples, same artifact
-/// schema — cheap enough for CI, still exercising every code path.
-pub fn smoke_mode() -> bool {
-    matches!(
-        std::env::var("SIDER_BENCH_SMOKE").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
-}
-
 /// Time a closure, returning its result and the wall-clock duration.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();

@@ -30,7 +30,6 @@ pub mod report;
 pub mod selection;
 pub mod session;
 pub mod sim_user;
-pub mod snapshot;
 pub mod view;
 pub mod wire;
 

@@ -14,8 +14,9 @@
 //! * **fit options** ([`fit_opts_to_json`] / [`fit_opts_from_json`]) —
 //!   every field optional, missing fields take [`FitOpts::default`];
 //! * **session snapshots** ([`snapshot_to_json`] / [`snapshot_from_json`])
-//!   — the JSON twin of the line-oriented [`crate::snapshot`] text format:
-//!   knowledge statements only, replayable against the same dataset;
+//!   — the one snapshot format (the server's export/replay body and the
+//!   CLI's `*_session.json`): knowledge statements only, replayable
+//!   against the same dataset;
 //! * **suggestions** ([`suggest_request_to_json`] /
 //!   [`suggest_request_from_json`], [`suggest_response_to_json`] /
 //!   [`suggest_response_from_json`]) — the guided-exploration vocabulary:
@@ -607,11 +608,13 @@ pub fn knowledge_to_json(k: &KnowledgeRecord) -> Json {
     Json::obj(obj)
 }
 
-/// Serialize the session's accumulated knowledge — the JSON twin of
-/// [`crate::snapshot::save`]. Replaying the statements against the same
-/// dataset reconstructs the same constraints; one
+/// Serialize the session's accumulated knowledge (paper §III: the
+/// analyst reuses previously saved groupings). Only the statements are
+/// stored, not the fitted parameters: replaying them against the same
+/// dataset reconstructs the same constraints, and one
 /// [`EdaSession::update_background`] then reproduces the same background
-/// distribution.
+/// distribution — cold, even when the donor was fitted warm over several
+/// rounds.
 pub fn snapshot_to_json(session: &EdaSession) -> Json {
     Json::obj([
         ("format", Json::from("sider-session")),
@@ -635,6 +638,11 @@ pub fn snapshot_to_json(session: &EdaSession) -> Json {
 /// same dataset (checked by shape). The background is *not* refitted —
 /// call [`EdaSession::update_background`] afterwards. Returns the number
 /// of statements applied.
+///
+/// Application is **atomic**: statements replay into a scratch copy of
+/// the session, so a snapshot that fails mid-way (unknown kind, bad row,
+/// ragged axes) leaves the live session — constraints, warm solver and
+/// fitted background — untouched.
 pub fn snapshot_from_json(session: &mut EdaSession, v: &Json) -> Result<usize> {
     if v.require_str("format").map_err(bad)? != "sider-session" {
         return Err(bad("not a sider-session snapshot"));
@@ -771,31 +779,79 @@ mod tests {
         assert!(view_from_json(&Json::parse(r#"{"method":"UMAP"}"#).unwrap()).is_err());
     }
 
+    fn tight() -> FitOpts {
+        FitOpts::with_tolerance(1e-8, 5000)
+    }
+
+    /// Replay `donor`'s snapshot (through its JSON text) into a fresh
+    /// session, fit once, and check both backgrounds agree to `tol` (the
+    /// information content to `tol`, but never tighter than 1e-9).
+    fn assert_replay_reproduces(donor: &EdaSession, opts: &FitOpts, applied: usize, tol: f64) {
+        let reparsed = Json::parse(&snapshot_to_json(donor).dump()).unwrap();
+        let mut restored = session();
+        assert_eq!(
+            snapshot_from_json(&mut restored, &reparsed).unwrap(),
+            applied
+        );
+        assert_eq!(restored.n_constraints(), donor.n_constraints());
+        restored.update_background(opts).unwrap();
+        for row in [0usize, 10, 11, 60, 100, 120] {
+            for (a, b) in donor
+                .background()
+                .mean(row)
+                .iter()
+                .zip(restored.background().mean(row))
+            {
+                assert!((a - b).abs() < tol, "row {row}: {a} vs {b}");
+            }
+            assert!(
+                donor
+                    .background()
+                    .cov(row)
+                    .max_abs_diff(restored.background().cov(row))
+                    < tol,
+                "row {row}"
+            );
+        }
+        let nats_tol = tol.max(1e-9);
+        assert!((donor.information_nats() - restored.information_nats()).abs() < nats_tol);
+    }
+
     #[test]
     fn snapshot_roundtrip_reproduces_background() {
+        // A donor fitted once: the replay is the same cold fit.
         let mut original = session();
         original.add_margin_constraints().unwrap();
         original.add_cluster_constraint(&[0, 1, 2, 3, 4]).unwrap();
         let axes = Matrix::from_rows(&[vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]]);
         original.add_twod_constraint(&[10, 11, 12], &axes).unwrap();
         original.update_background(&FitOpts::default()).unwrap();
+        assert_replay_reproduces(&original, &FitOpts::default(), 3, 1e-12);
 
-        let json = snapshot_to_json(&original);
-        let reparsed = Json::parse(&json.dump()).unwrap();
-        let mut restored = session();
-        assert_eq!(snapshot_from_json(&mut restored, &reparsed).unwrap(), 3);
-        assert_eq!(restored.n_constraints(), original.n_constraints());
-        restored.update_background(&FitOpts::default()).unwrap();
-        for row in [0usize, 11, 100] {
-            assert!(
-                original
-                    .background()
-                    .cov(row)
-                    .max_abs_diff(restored.background().cov(row))
-                    < 1e-12
-            );
-        }
-        assert!((original.information_nats() - restored.information_nats()).abs() < 1e-9);
+        // A donor fitted the interactive way — an update (warm after the
+        // first) between statements — against a one-shot cold replay.
+        let mut donor = session();
+        donor.add_margin_constraints().unwrap();
+        donor.update_background(&tight()).unwrap();
+        donor
+            .add_cluster_constraint(&(0..20).collect::<Vec<_>>())
+            .unwrap();
+        donor.update_background(&tight()).unwrap();
+        donor
+            .add_cluster_constraint(&(50..75).collect::<Vec<_>>())
+            .unwrap();
+        donor.update_background(&tight()).unwrap();
+        assert!(donor.has_warm_solver());
+        assert_replay_reproduces(&donor, &tight(), 3, 1e-4);
+
+        // An empty knowledge list applies nothing and leaves the session
+        // clean.
+        let empty = Json::parse(&snapshot_to_json(&session()).dump()).unwrap();
+        assert_eq!(empty.require_arr("knowledge").unwrap().len(), 0);
+        let mut s = session();
+        assert_eq!(snapshot_from_json(&mut s, &empty).unwrap(), 0);
+        assert_eq!(s.n_constraints(), 0);
+        assert!(!s.is_dirty());
     }
 
     #[test]
@@ -854,17 +910,46 @@ mod tests {
     fn snapshot_apply_is_atomic() {
         // A snapshot whose *last* statement is malformed must leave the
         // target session untouched — not half-applied.
-        let text = r#"{"format":"sider-session","version":1,
-            "dataset":{"name":"x","n":150,"d":3},
-            "knowledge":[{"kind":"margin"},
-                         {"kind":"cluster","rows":[0,1,2]},
-                         {"kind":"frobnicate"}]}"#;
-        let parsed = Json::parse(text).unwrap();
-        let mut s = session();
-        assert!(snapshot_from_json(&mut s, &parsed).is_err());
-        assert_eq!(s.n_constraints(), 0);
-        assert_eq!(s.knowledge().len(), 0);
-        assert!(!s.is_dirty());
+        let doc = |bad: &str| {
+            let text = format!(
+                r#"{{"format":"sider-session","version":1,
+                    "dataset":{{"name":"x","n":150,"d":3}},
+                    "knowledge":[{{"kind":"margin"}},
+                                 {{"kind":"cluster","rows":[0,1,2]}},
+                                 {bad}]}}"#
+            );
+            Json::parse(&text).unwrap()
+        };
+        let failing = [
+            // unknown statement kind
+            doc(r#"{"kind":"frobnicate"}"#),
+            // out-of-range row
+            doc(r#"{"kind":"cluster","rows":[0,999]}"#),
+            // ragged axes: the second axis is cut mid-way
+            doc(r#"{"kind":"twod","rows":[1,2],"axes":[[1,0,0],[0,1]]}"#),
+        ];
+        for parsed in &failing {
+            let mut s = session();
+            assert!(snapshot_from_json(&mut s, parsed).is_err());
+            assert_eq!(s.n_constraints(), 0);
+            assert_eq!(s.knowledge().len(), 0);
+            assert!(!s.is_dirty());
+        }
+
+        // …and a session with fitted warm state keeps all of it, bit for
+        // bit.
+        let mut warm = session();
+        warm.add_margin_constraints().unwrap();
+        warm.update_background(&FitOpts::default()).unwrap();
+        let nats = warm.information_nats();
+        for parsed in &failing {
+            assert!(snapshot_from_json(&mut warm, parsed).is_err());
+            assert_eq!(warm.n_constraints(), 6);
+            assert_eq!(warm.knowledge().len(), 1);
+            assert!(!warm.is_dirty());
+            assert!(warm.has_warm_solver());
+            assert_eq!(warm.information_nats().to_bits(), nats.to_bits());
+        }
     }
 
     #[test]

@@ -48,8 +48,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Environment variable that switches `sider loadgen` (and the serve
-/// bench) into a seconds-not-minutes smoke workload.
+/// Environment variable that switches `sider loadgen` and every bench
+/// (serve, scaling, pipeline) into a seconds-not-minutes smoke workload.
 pub const SMOKE_ENV_VAR: &str = "SIDER_BENCH_SMOKE";
 
 /// Which API endpoint a scheduled request exercises.
@@ -196,9 +196,18 @@ impl LoadConfig {
     }
 }
 
-/// Whether [`SMOKE_ENV_VAR`] asks for the smoke workload.
+/// Whether [`SMOKE_ENV_VAR`] asks for the smoke workload: small
+/// datasets, few samples, the same artifact schema — cheap enough for
+/// CI, still exercising every code path. The one switch every bench and
+/// `sider loadgen` read. `1`, `true` or `yes` turn it on (the rule the
+/// CLI's boolean flags use); anything else leaves it off.
 pub fn smoke_mode() -> bool {
-    std::env::var(SMOKE_ENV_VAR).is_ok_and(|v| !v.is_empty() && v != "0")
+    smoke_requested(std::env::var(SMOKE_ENV_VAR).ok().as_deref())
+}
+
+/// The value rule of [`smoke_mode`], apart from the process environment.
+fn smoke_requested(value: Option<&str>) -> bool {
+    matches!(value, Some("1" | "true" | "yes"))
 }
 
 /// Precompute the mixed-phase schedule: `config.requests` requests over
@@ -626,6 +635,17 @@ mod tests {
             suggest: 0.0,
             fault: None,
         }
+    }
+
+    #[test]
+    fn smoke_switch_is_on_only_for_1_true_yes() {
+        for on in ["1", "true", "yes"] {
+            assert!(smoke_requested(Some(on)), "{on:?}");
+        }
+        for off in ["false", "0", "", "no", "TRUE"] {
+            assert!(!smoke_requested(Some(off)), "{off:?}");
+        }
+        assert!(!smoke_requested(None));
     }
 
     #[test]

@@ -290,7 +290,6 @@ fn health(manager: &SessionManager) -> ApiResult {
             // Serving-edge telemetry. Run-dependent (connection counts
             // move with traffic), which is fine: /health is the one
             // endpoint excluded from byte-determinism transcripts.
-            ("accept_loop", Json::from(manager.accept_loop())),
             ("open_connections", Json::from(manager.open_connections())),
             ("role", Json::from(manager.role().as_str())),
             ("replication", replication_health(manager)),
@@ -503,7 +502,7 @@ fn list_sessions(manager: &SessionManager) -> ApiResult {
         .map(|slot| {
             // Non-blocking: a session held by a long-running request (a
             // cold refit can take minutes) is reported as a `busy` stub
-            // instead of stalling the whole listing — and the gate slot
+            // instead of stalling the whole listing — and the worker
             // serving it — behind that session's mutex.
             Ok(match slot.try_lock()? {
                 Some(session) => session_summary(&session, &slot),
@@ -1070,17 +1069,14 @@ mod tests {
     }
 
     #[test]
-    fn health_reports_accept_loop_and_open_connections() {
+    fn health_reports_open_connections() {
         let m = manager();
         let body = json(&handle(&m, &request("GET", "/health", "")));
-        assert_eq!(body.require_str("accept_loop").unwrap(), "threads");
         assert_eq!(body.require_num("open_connections").unwrap(), 0.0);
 
-        m.set_accept_loop("events");
         m.conn_opened();
         m.conn_opened();
         let body = json(&handle(&m, &request("GET", "/health", "")));
-        assert_eq!(body.require_str("accept_loop").unwrap(), "events");
         assert_eq!(body.require_num("open_connections").unwrap(), 2.0);
         m.conn_closed();
         let body = json(&handle(&m, &request("GET", "/health", "")));

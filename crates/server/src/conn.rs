@@ -1,5 +1,5 @@
-//! Per-connection state machine + timer wheel for the event-driven
-//! accept loop.
+//! Per-connection state machine + timer wheel for the event loop that
+//! serves every client connection.
 //!
 //! A [`Conn`] owns one non-blocking stream and walks it through the
 //! protocol's phases — **Reading** (incremental [`RequestParser`] over
@@ -7,9 +7,14 @@
 //! worker; no I/O interest), **Writing** (draining pre-serialized
 //! response bytes across partial writes). The state machine is generic
 //! over `Read + Write` so fault-injection tests drive it with scripted
-//! in-memory streams instead of sockets, and the protocol stays exactly
-//! the threaded loop's: one request, one `Connection: close` response —
-//! which is why transcripts remain byte-identical across accept loops.
+//! in-memory streams instead of sockets. The protocol is one request, one
+//! `Connection: close` response, whose bytes are exactly
+//! [`Response::to_bytes`] of what the handler returned.
+//!
+//! This module owns the two per-connection time budgets: [`READ_DEADLINE`]
+//! for a whole request and [`WRITE_DEADLINE`] for a whole response. A
+//! slowloris client trickling (or sipping) one byte at a time is closed
+//! when its budget runs out, however steadily it sends.
 //!
 //! Deadlines live in a [`TimerWheel`] keyed by `(token, generation)`:
 //! every phase transition bumps the connection's generation, so a timer
@@ -26,13 +31,24 @@ use std::time::Duration;
 /// coarse is fine, the deadlines are tens of seconds.
 pub const TICK: Duration = Duration::from_millis(100);
 
-/// Request read deadline in ticks (30 s, matching
-/// [`crate::http::REQUEST_READ_DEADLINE`]).
-pub const READ_DEADLINE_TICKS: u64 = 300;
+/// Total time budget for reading one request (request line + headers +
+/// body), counted from accept.
+pub const READ_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Response write deadline in ticks (60 s, matching
-/// [`crate::http::RESPONSE_WRITE_DEADLINE`]).
-pub const WRITE_DEADLINE_TICKS: u64 = 600;
+/// Total time budget for writing one response, counted from the moment
+/// the socket first refuses more bytes.
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(60);
+
+/// [`READ_DEADLINE`] in ticks.
+pub const READ_DEADLINE_TICKS: u64 = ticks(READ_DEADLINE);
+
+/// [`WRITE_DEADLINE`] in ticks.
+pub const WRITE_DEADLINE_TICKS: u64 = ticks(WRITE_DEADLINE);
+
+/// Whole ticks in `budget`, rounded up.
+const fn ticks(budget: Duration) -> u64 {
+    budget.as_millis().div_ceil(TICK.as_millis()) as u64
+}
 
 /// Which protocol phase a connection is in.
 #[derive(Debug)]
@@ -524,17 +540,5 @@ mod tests {
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].0, conn.token);
         assert_ne!(expired[0].1, conn.gen, "expired entry is stale");
-    }
-
-    #[test]
-    fn deadline_ticks_match_blocking_deadlines() {
-        assert_eq!(
-            TICK * READ_DEADLINE_TICKS as u32,
-            crate::http::REQUEST_READ_DEADLINE
-        );
-        assert_eq!(
-            TICK * WRITE_DEADLINE_TICKS as u32,
-            crate::http::RESPONSE_WRITE_DEADLINE
-        );
     }
 }

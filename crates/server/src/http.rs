@@ -1,4 +1,4 @@
-//! Minimal HTTP/1.1 plumbing: request parsing and response writing.
+//! Minimal HTTP/1.1 plumbing: request parsing and response serialization.
 //!
 //! Scope is deliberately small — exactly what a JSON API over TCP needs:
 //! request line + headers + `Content-Length` body in, status line +
@@ -9,10 +9,10 @@
 //!
 //! Parsing is built around [`RequestParser`], a resumable push parser:
 //! bytes are `feed`-ed in whatever fragments the transport produces and
-//! `poll` returns a complete [`Request`] once one is framed. The blocking
-//! entry points ([`Request::read_from`] / [`Request::read_from_deadline`])
-//! are thin pull loops over the same state machine, so the threaded and
-//! event-driven accept loops share one grammar — and one set of limits.
+//! `poll` returns a complete [`Request`] once one is framed.
+//! [`Response::to_bytes`] serializes a response into one buffer. Neither
+//! touches a socket: the event loop's [`crate::conn::Conn`] moves the
+//! bytes and enforces the read and write deadlines.
 //!
 //! Responses never include a `Date` header or any other
 //! run-dependent field — response bytes are a pure function of the request
@@ -20,8 +20,7 @@
 //! whole responses byte for byte across thread counts.
 
 use sider_json::Json;
-use std::io::{BufRead, Write};
-use std::time::Instant;
+use std::io::Write;
 
 /// Parsing limit: maximal total header block size.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -30,22 +29,11 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// largest legitimate payload).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
-/// Total time budget for reading one request (request line + headers +
-/// body). Per-syscall socket timeouts only bound each individual `read`,
-/// so a slowloris client trickling one byte at a time would otherwise hold
-/// a handler thread — and its connection-gate slot — indefinitely.
-pub const REQUEST_READ_DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
-
-/// Total time budget for writing one response. The mirror image of
-/// [`REQUEST_READ_DEADLINE`]: a client that reads a large response a few
-/// bytes at a time resets the per-syscall write timeout on every sip and
-/// would otherwise pin the handler thread for hours.
-pub const RESPONSE_WRITE_DEADLINE: std::time::Duration = std::time::Duration::from_secs(60);
-
 /// Why a request could not be served at the HTTP layer.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Socket error (client went away, timeout, …).
+    /// The stream ended before a request was framed (the client went
+    /// away mid-request).
     Io(std::io::Error),
     /// The bytes were not a well-formed HTTP/1.1 request.
     Malformed(String),
@@ -60,12 +48,6 @@ impl std::fmt::Display for HttpError {
             HttpError::Malformed(msg) => write!(f, "malformed request: {msg}"),
             HttpError::TooLarge(msg) => write!(f, "request too large: {msg}"),
         }
-    }
-}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
     }
 }
 
@@ -85,47 +67,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// Read one request from a buffered stream with no overall deadline
-    /// (suitable for trusted or in-memory readers; the network server uses
-    /// [`Request::read_from_deadline`]).
-    pub fn read_from(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-        Request::read_from_deadline(reader, None)
-    }
-
-    /// Read one request, failing with a timeout [`HttpError::Io`] once
-    /// `deadline` passes — checked between reads, so together with a
-    /// per-syscall socket timeout it bounds the total time a slow client
-    /// can hold the handler thread.
-    pub fn read_from_deadline(
-        reader: &mut impl BufRead,
-        deadline: Option<Instant>,
-    ) -> Result<Request, HttpError> {
-        let mut parser = RequestParser::new();
-        loop {
-            check_deadline(deadline)?;
-            if let Some(request) = parser.poll()? {
-                return Ok(request);
-            }
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                parser.feed_eof();
-                // With EOF signalled, the parser either frames a final
-                // request (EOF terminates a trailing unterminated line,
-                // matching the historical byte-at-a-time reader) or fails.
-                return match parser.poll()? {
-                    Some(request) => Ok(request),
-                    None => Err(HttpError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-request",
-                    ))),
-                };
-            }
-            let n = chunk.len();
-            parser.feed(chunk);
-            reader.consume(n);
-        }
-    }
-
     /// First header with the given (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
@@ -297,8 +238,8 @@ impl RequestParser {
     /// Returns the line (terminator stripped) plus the absolute offset of
     /// its terminating `\n` — the offset any malformed-line error is
     /// attributed to. `Ok(None)` means more bytes are needed. At EOF a
-    /// trailing unterminated line is returned as if terminated (matching
-    /// the historical blocking reader); an empty buffer at EOF fails.
+    /// trailing unterminated line is returned as if terminated; an empty
+    /// buffer at EOF fails.
     fn take_line(&mut self) -> Result<Option<(String, usize)>, HttpError> {
         // Overlong-line check runs *before* looking for the terminator so
         // the failure offset is independent of whether the terminator has
@@ -485,45 +426,6 @@ impl RequestParser {
     }
 }
 
-/// `write_all` with a deadline check between syscalls. `Write::write_all`
-/// loops internally, so on its own a receiver draining a few bytes per
-/// per-syscall timeout window could stretch one call indefinitely.
-fn write_all_deadline(
-    writer: &mut impl Write,
-    mut buf: &[u8],
-    deadline: Option<Instant>,
-) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "response write deadline exceeded",
-            ));
-        }
-        match writer.write(buf)? {
-            0 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "connection closed mid-response",
-                ))
-            }
-            n => buf = &buf[n..],
-        }
-    }
-    Ok(())
-}
-
-/// Timeout error once the request deadline has passed.
-fn check_deadline(deadline: Option<Instant>) -> Result<(), HttpError> {
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(HttpError::Io(std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            "request read deadline exceeded",
-        )));
-    }
-    Ok(())
-}
-
 /// An HTTP response ready to serialize.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -595,50 +497,18 @@ impl Response {
         .expect("writing to a Vec cannot fail");
         out.extend_from_slice(&self.body);
     }
-
-    /// Serialize the status line, headers and body onto a stream.
-    pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
-        self.write_to_deadline(writer, None)
-    }
-
-    /// Like [`Response::write_to`] but giving up with a timeout error once
-    /// `deadline` passes — checked between write syscalls, so together
-    /// with a per-syscall socket timeout it bounds the total time a
-    /// slow-reading client can hold the handler thread.
-    pub fn write_to_deadline(
-        &self,
-        writer: &mut impl Write,
-        deadline: Option<Instant>,
-    ) -> std::io::Result<()> {
-        self.write_to_deadline_buffered(writer, deadline, &mut Vec::new())
-    }
-
-    /// The serialize path proper: head and body are assembled into
-    /// `scratch` (cleared, not reallocated when its capacity suffices)
-    /// and flushed with **one** gather-free `write_all` — so a small
-    /// response leaves in a single syscall/TCP segment instead of a
-    /// head write plus a body write, and the connection handler can
-    /// reuse one buffer for every response it serves instead of
-    /// allocating a fresh head `String` per request.
-    pub fn write_to_deadline_buffered(
-        &self,
-        writer: &mut impl Write,
-        deadline: Option<Instant>,
-        scratch: &mut Vec<u8>,
-    ) -> std::io::Result<()> {
-        self.to_bytes(scratch);
-        write_all_deadline(writer, scratch, deadline)?;
-        writer.flush()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// One whole stream: every byte, then EOF.
     fn parse(raw: &str) -> Result<Request, HttpError> {
-        Request::read_from(&mut BufReader::new(raw.as_bytes()))
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        parser.feed_eof();
+        Ok(parser.poll()?.expect("at EOF the parser frames or fails"))
     }
 
     #[test]
@@ -708,22 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_times_out() {
-        // The data is all there, but the deadline already passed — the
-        // parser must give up instead of continuing to read.
-        let raw = "POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\nok";
-        let deadline = std::time::Instant::now() - std::time::Duration::from_secs(1);
-        let result =
-            Request::read_from_deadline(&mut BufReader::new(raw.as_bytes()), Some(deadline));
-        match result {
-            Err(HttpError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::TimedOut),
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        // Without a deadline the same bytes parse fine.
-        assert_eq!(parse(raw).unwrap().body, b"ok");
-    }
-
-    #[test]
     fn incremental_feed_frames_a_request() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
         let mut parser = RequestParser::new();
@@ -763,55 +617,13 @@ mod tests {
     }
 
     #[test]
-    fn expired_write_deadline_times_out() {
-        let resp = Response::json(200, &Json::obj([("ok", Json::from(true))]));
-        let deadline = std::time::Instant::now() - std::time::Duration::from_secs(1);
-        let err = resp
-            .write_to_deadline(&mut Vec::new(), Some(deadline))
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-        // Without a deadline the same response writes fine.
-        let mut out = Vec::new();
-        resp.write_to(&mut out).unwrap();
-        assert!(out.starts_with(b"HTTP/1.1 200 OK\r\n"));
-    }
-
-    #[test]
-    fn buffered_write_matches_unbuffered_and_reuses_scratch() {
-        let resp = Response::json(200, &Json::obj([("ok", Json::from(true))]));
-        let mut plain = Vec::new();
-        resp.write_to(&mut plain).unwrap();
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        resp.write_to_deadline_buffered(&mut out, None, &mut scratch)
-            .unwrap();
-        assert_eq!(out, plain, "buffered bytes must be identical");
-        let cap = scratch.capacity();
-        let mut again = Vec::new();
-        resp.write_to_deadline_buffered(&mut again, None, &mut scratch)
-            .unwrap();
-        assert_eq!(again, plain);
-        assert_eq!(scratch.capacity(), cap, "reuse must not reallocate");
-    }
-
-    #[test]
-    fn to_bytes_matches_write_to() {
-        let resp = Response::json(201, &Json::obj([("id", Json::from("s1"))]));
-        let mut streamed = Vec::new();
-        resp.write_to(&mut streamed).unwrap();
-        let mut assembled = Vec::new();
-        resp.to_bytes(&mut assembled);
-        assert_eq!(assembled, streamed);
-    }
-
-    #[test]
     fn response_bytes_are_deterministic() {
         let resp = Response::json(200, &Json::obj([("ok", Json::from(true))]));
         let mut a = Vec::new();
-        let mut b = Vec::new();
-        resp.write_to(&mut a).unwrap();
-        resp.write_to(&mut b).unwrap();
-        assert_eq!(a, b);
+        let mut b = vec![b'x'; 4];
+        resp.to_bytes(&mut a);
+        resp.to_bytes(&mut b);
+        assert_eq!(a, b, "to_bytes clears its buffer first");
         let text = String::from_utf8(a).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));

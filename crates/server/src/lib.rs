@@ -12,16 +12,19 @@
 //!   sessions (`SIDER_STRIPES` independent shards, each with its own
 //!   slot map + lock, `Arc<ThreadPool>`, and store subdirectory; dense
 //!   global IDs, capacity cap, idle eviction);
-//! * [`http`] — minimal blocking HTTP/1.1 parsing/serialization
-//!   (one request per connection, fixed header set, no dates — responses
-//!   are byte-deterministic);
+//! * [`http`] — minimal HTTP/1.1: a resumable request parser and
+//!   response serialization (one request per connection, fixed header
+//!   set, no dates — responses are byte-deterministic);
 //! * [`api`] — the route table mapping the protocol onto sessions:
 //!   create/list/delete, knowledge statements, `next_view` (PCA/ICA, JSON
 //!   or rendered SVG), warm `update_background` with [`RefreshStats`]
 //!   counters in the response, undo, snapshot export/replay;
-//! * [`Server`] — the blocking accept loop: one handler thread per
-//!   connection, gated to a small multiple of the pool size so a flood of
-//!   clients queues at the socket instead of oversubscribing the host.
+//! * [`Server`] — the serving edge: one readiness-driven thread
+//!   ([`poller`] + the [`conn`] state machine) multiplexes every
+//!   connection and hands complete requests to a worker pool sized at a
+//!   small multiple of the solver pools, so open sockets are bounded only
+//!   by file descriptors while solver concurrency stays bounded. It needs
+//!   a unix host (epoll on Linux, `poll(2)` elsewhere).
 //!
 //! The warm-started solver engine (PR 1) is what makes the service
 //! interactive: the first `update` on a session fits cold, every later
@@ -59,10 +62,9 @@ pub mod replication;
 use manager::{SessionManager, DEFAULT_IDLE_TIMEOUT, DEFAULT_MAX_SESSIONS};
 use sider_par::ThreadPool;
 use sider_store::{Store, StoreConfig};
-use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Environment variable with the default listen address.
@@ -78,57 +80,11 @@ pub const STRIPES_ENV_VAR: &str = sider_store::stripes::STRIPES_ENV_VAR;
 /// The address used when neither `--addr` nor `SIDER_ADDR` is given.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:8080";
 
-/// Environment variable selecting the accept loop (`events` | `threads`).
-pub const ACCEPT_ENV_VAR: &str = "SIDER_ACCEPT";
-
 /// Environment variable with the replication listen address (leader).
 pub const SHIP_ADDR_ENV_VAR: &str = "SIDER_SHIP_ADDR";
 
 /// Environment variable with the leader to replicate from (follower).
 pub const FOLLOW_ENV_VAR: &str = "SIDER_FOLLOW";
-
-/// Which accept loop fronts the server.
-///
-/// Both loops speak the identical one-request-per-connection protocol and
-/// produce byte-identical responses (the e2e suite pins this); they
-/// differ only in how many sockets can be *open* at once:
-///
-/// * [`AcceptMode::Events`] (default) — a single readiness-driven thread
-///   multiplexes every connection ([`poller`] + [`conn`]); completed
-///   requests run on a worker pool, so open connections are bounded only
-///   by file descriptors.
-/// * [`AcceptMode::Threads`] — the PR-3 blocking loop: one handler
-///   thread per connection, gated at `2 × total pool threads`. Kept
-///   compiled and selectable (`SIDER_ACCEPT=threads`) as the escape
-///   hatch and as the reference implementation the event loop is
-///   transcript-checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AcceptMode {
-    /// Readiness-based event loop (epoll / `poll(2)`).
-    #[default]
-    Events,
-    /// Blocking thread-per-connection loop.
-    Threads,
-}
-
-impl AcceptMode {
-    /// The wire/env spelling (`"events"` / `"threads"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AcceptMode::Events => "events",
-            AcceptMode::Threads => "threads",
-        }
-    }
-
-    /// Parse an env/CLI value; anything but `events`/`threads` errors.
-    pub fn parse(raw: &str) -> Result<AcceptMode, String> {
-        match raw {
-            "events" => Ok(AcceptMode::Events),
-            "threads" => Ok(AcceptMode::Threads),
-            _ => Err(format!("accept mode {raw:?}: expected events|threads")),
-        }
-    }
-}
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -148,9 +104,6 @@ pub struct ServerConfig {
     pub stripes: usize,
     /// Durable store configuration (`None` = in-memory sessions only).
     pub store: Option<StoreConfig>,
-    /// Which accept loop serves connections (default [`AcceptMode::Events`];
-    /// `SIDER_ACCEPT=threads` selects the legacy blocking loop).
-    pub accept: AcceptMode,
     /// Replication listen address (`--ship-addr` / `SIDER_SHIP_ADDR`):
     /// when set (and a store is configured) the server leads, streaming
     /// its WAL to any follower that connects. Port `0` picks a port.
@@ -174,7 +127,6 @@ impl Default for ServerConfig {
             threads: None,
             stripes: 1,
             store: None,
-            accept: AcceptMode::default(),
             ship_addr: None,
             follow: None,
             promote: false,
@@ -221,12 +173,6 @@ impl ServerConfig {
                 config.store = Some(StoreConfig::new(dir).with_env_overrides()?);
             }
         }
-        if let Ok(raw) = std::env::var(ACCEPT_ENV_VAR) {
-            if !raw.is_empty() {
-                config.accept =
-                    AcceptMode::parse(&raw).map_err(|e| format!("{ACCEPT_ENV_VAR}: {e}"))?;
-            }
-        }
         if let Ok(addr) = std::env::var(SHIP_ADDR_ENV_VAR) {
             if !addr.is_empty() {
                 config.ship_addr = Some(addr);
@@ -241,55 +187,12 @@ impl ServerConfig {
     }
 }
 
-/// Counting gate bounding concurrent connection-handler threads.
-#[derive(Debug)]
-struct Gate {
-    active: Mutex<usize>,
-    freed: Condvar,
-    limit: usize,
-}
-
-impl Gate {
-    fn new(limit: usize) -> Self {
-        Gate {
-            active: Mutex::new(0),
-            freed: Condvar::new(),
-            limit: limit.max(1),
-        }
-    }
-
-    fn acquire(&self) {
-        let mut active = self.active.lock().expect("gate lock");
-        while *active >= self.limit {
-            active = self.freed.wait(active).expect("gate wait");
-        }
-        *active += 1;
-    }
-
-    fn release(&self) {
-        *self.active.lock().expect("gate lock") -= 1;
-        self.freed.notify_one();
-    }
-}
-
-/// Releases a gate slot on drop, so a panicking handler thread cannot
-/// leak its slot and starve the accept loop.
-struct GateSlot(Arc<Gate>);
-
-impl Drop for GateSlot {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
 /// The HTTP server: a bound listener plus the session registry.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
     manager: Arc<SessionManager>,
-    gate: Arc<Gate>,
     stop: Arc<AtomicBool>,
-    accept: AcceptMode,
     /// Bound replication listener (leader with `--ship-addr`); taken by
     /// [`Server::run`] when the ship accept thread starts.
     ship_listener: Option<TcpListener>,
@@ -315,10 +218,7 @@ impl ShutdownHandle {
 
 impl Server {
     /// Bind the listen socket and build the (striped) session registry:
-    /// one `ThreadPool` of `config.threads` per stripe. The connection
-    /// gate is sized at `2 × total pool threads` (at least 4): enough to
-    /// keep every core busy while excess clients queue in the OS accept
-    /// backlog.
+    /// one `ThreadPool` of `config.threads` per stripe.
     ///
     /// With a store configured this **recovers first**: every session in
     /// the data dir — every `stripe-{k}/` subdirectory when striped — is
@@ -329,7 +229,6 @@ impl Server {
     /// valid; asking for `stripes > 1` migrates a flat dir in place, and
     /// reopening a striped dir with a different count is refused.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let accept = config.accept;
         let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         // Replication preconditions. The replica marker is honored
         // *before* anything is opened: serving a replica dir as a leader
@@ -365,8 +264,6 @@ impl Server {
                 })
             })
             .collect();
-        let total_threads: usize = pools.iter().map(|p| p.threads()).sum();
-        let gate = Arc::new(Gate::new((total_threads * 2).max(4)));
         let broken = |e: sider_store::StoreError| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
         };
@@ -404,7 +301,6 @@ impl Server {
                 }
             }
         };
-        manager.set_accept_loop(accept.as_str());
         // Torn-tail report: recovery truncated these WAL tails (the op
         // that never finished being acknowledged). Printed at bind so an
         // operator sees data loss before the first connection; the same
@@ -450,9 +346,7 @@ impl Server {
         Ok(Server {
             listener,
             manager: Arc::new(manager),
-            gate,
             stop: Arc::new(AtomicBool::new(false)),
-            accept,
             ship_listener,
             ship_heartbeat: config.ship_heartbeat,
         })
@@ -484,40 +378,41 @@ impl Server {
         }
     }
 
-    /// Serve until [`ShutdownHandle::shutdown`] is called, using the
-    /// accept loop selected at configuration time ([`AcceptMode`]).
+    /// Serve until [`ShutdownHandle::shutdown`] is called.
     ///
-    /// Both loops share the session registry, the route table, the
-    /// deadline budgets and the one-request-per-connection protocol, so
-    /// responses are byte-identical regardless of mode — the e2e suite
-    /// pins exactly that. On non-unix platforms `Events` falls back to
-    /// the portable threaded loop.
+    /// Replication threads (the ship accept loop and/or the follower
+    /// link) start before the client event loop and are joined after it
+    /// exits; they share the same stop flag.
+    #[cfg(unix)]
     pub fn run(mut self) -> std::io::Result<()> {
-        // Replication threads (the ship accept loop and/or the follower
-        // link) start before the client accept loop and are joined after
-        // it exits; they share the same stop flag.
         let repl = replication::start(
             self.ship_listener.take(),
             &self.manager,
             &self.stop,
             self.ship_heartbeat,
         );
-        let result = match self.accept {
-            AcceptMode::Threads => self.run_threads(),
-            #[cfg(unix)]
-            AcceptMode::Events => self.run_events(),
-            #[cfg(not(unix))]
-            AcceptMode::Events => self.run_threads(),
-        };
+        let result = self.run_events();
         repl.join();
         result
     }
 
-    /// The low-frequency housekeeping thread both accept loops run:
+    /// Serving needs a readiness poller (epoll or `poll(2)`), which only
+    /// unix hosts have: elsewhere this fails with
+    /// [`std::io::ErrorKind::Unsupported`] and serves nothing.
+    #[cfg(not(unix))]
+    pub fn run(self) -> std::io::Result<()> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "sider serve needs a unix host (epoll or poll(2))",
+        ))
+    }
+
+    /// The low-frequency housekeeping thread beside the event loop:
     /// sweeps idle sessions every quarter idle-timeout (bounded to
     /// 250 ms … 60 s). Without it, eviction only happened lazily on
     /// create/list, so a server under pure read-only traffic (views,
     /// updates, session detail) never expired anything.
+    #[cfg(unix)]
     fn spawn_sweeper(&self) -> std::thread::JoinHandle<()> {
         let manager = Arc::clone(&self.manager);
         let stop = Arc::clone(&self.stop);
@@ -534,53 +429,15 @@ impl Server {
         })
     }
 
-    /// The blocking accept loop: accept, gate, and hand each connection
-    /// to a short-lived handler thread.
-    ///
-    /// Thread-per-connection remains a deliberate fit for *low fan-in*
-    /// workloads: one request is one exploration-loop step (a MaxEnt
-    /// refit, a projection pursuit), which costs milliseconds to seconds
-    /// — connection and thread overhead is noise, and the blocking model
-    /// is trivially debuggable. Its wall is **open sockets**: the gate
-    /// admits at most `2 × total pool threads` concurrent connections,
-    /// which is why the event loop is the default.
-    fn run_threads(self) -> std::io::Result<()> {
-        let sweeper = self.spawn_sweeper();
-        for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue, // transient accept error
-            };
-            self.gate.acquire();
-            let manager = Arc::clone(&self.manager);
-            let slot = GateSlot(Arc::clone(&self.gate));
-            manager.conn_opened();
-            let tally = ConnTally(Arc::clone(&manager));
-            std::thread::spawn(move || {
-                let _slot = slot; // released on drop, panic included
-                let _tally = tally; // open-connection count, ditto
-                handle_connection(&manager, stream);
-            });
-        }
-        // `stop` is set; wake the sweeper out of its park so shutdown
-        // does not wait out the sweep interval.
-        sweeper.thread().unpark();
-        let _ = sweeper.join();
-        Ok(())
-    }
-
     /// The readiness-driven accept loop (see [`poller`] and [`conn`]).
     ///
     /// One thread multiplexes the listener, a wake pipe and every client
     /// connection over a [`poller::Poller`]. Connections advance through
     /// the [`conn::Conn`] state machine on readiness; completed requests
-    /// are queued to a worker pool sized exactly like the threaded
-    /// loop's gate (`2 × total pool threads`, min 4), so *request*
-    /// concurrency — and with it solver-pool pressure — is unchanged
-    /// while *open sockets* are bounded only by file descriptors.
+    /// are queued to a worker pool of `2 × total pool threads` (min 4),
+    /// which bounds *request* concurrency — and with it solver-pool
+    /// pressure — while *open sockets* are bounded only by file
+    /// descriptors.
     /// Workers push finished responses to a completion list and write
     /// one byte to the wake pipe; the loop stages the bytes and drains
     /// them as the socket allows. Read/write deadlines live in a
@@ -596,6 +453,7 @@ impl Server {
         use std::os::unix::io::AsRawFd;
         use std::os::unix::net::UnixStream;
         use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::{Condvar, Mutex};
 
         const LISTENER: u64 = 0;
         const WAKER: u64 = 1;
@@ -836,47 +694,6 @@ impl Server {
     }
 }
 
-/// Decrements the manager's open-connection count on drop, so a
-/// panicking handler thread cannot skew the `/health` telemetry.
-struct ConnTally(Arc<SessionManager>);
-
-impl Drop for ConnTally {
-    fn drop(&mut self) {
-        self.0.conn_closed();
-    }
-}
-
-/// Read one request, dispatch it, write one response, close.
-///
-/// Two time bounds guard the handler thread (and its gate slot) against
-/// slow clients: a per-syscall socket timeout, and total deadlines for
-/// the whole request ([`http::REQUEST_READ_DEADLINE`]) and response
-/// ([`http::RESPONSE_WRITE_DEADLINE`]) — without the latter two, a
-/// slowloris client trickling (or sipping) one byte per syscall-timeout
-/// window would hold the slot indefinitely.
-fn handle_connection(manager: &SessionManager, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let deadline = std::time::Instant::now() + http::REQUEST_READ_DEADLINE;
-    let response = match http::Request::read_from_deadline(&mut reader, Some(deadline)) {
-        Ok(request) => api::handle(manager, &request),
-        Err(http::HttpError::Io(_)) => return, // client went away mid-request
-        Err(http::HttpError::Malformed(msg)) => http::Response::error(400, &msg),
-        Err(http::HttpError::TooLarge(msg)) => http::Response::error(413, &msg),
-    };
-    let mut stream = stream;
-    let deadline = std::time::Instant::now() + http::RESPONSE_WRITE_DEADLINE;
-    // One write buffer per connection, reused for every response it
-    // serves: head + body leave in a single syscall, and the serialize
-    // path stops allocating per request.
-    let mut scratch = Vec::new();
-    let _ = response.write_to_deadline_buffered(&mut stream, Some(deadline), &mut scratch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -903,23 +720,6 @@ mod tests {
         assert_eq!(server.manager().stripes(), 4);
         assert_eq!(server.manager().stripe_threads(), vec![1, 1, 1, 1]);
         assert_eq!(server.manager().total_threads(), 4);
-    }
-
-    #[test]
-    fn gate_limits_concurrency() {
-        let gate = Arc::new(Gate::new(2));
-        gate.acquire();
-        gate.acquire();
-        let g = Arc::clone(&gate);
-        let blocked = std::thread::spawn(move || {
-            g.acquire();
-            g.release();
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!blocked.is_finished(), "third acquire must block");
-        gate.release();
-        blocked.join().unwrap();
-        gate.release();
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! the degenerate case — `SIDER_STRIPES=1` reproduces the old behaviour
 //! exactly.
 //!
-//! Request handler threads provide the concurrency across sessions, each
-//! stripe's pool provides the data-parallelism within one session's
-//! fit/sample/project step, and nested dispatch in `sider_par` runs
-//! inline — so the layers compose without oversubscribing the machine.
+//! The event loop's request workers provide the concurrency across
+//! sessions, each stripe's pool provides the data-parallelism within one
+//! session's fit/sample/project step, and nested dispatch in `sider_par`
+//! runs inline — so the layers compose without oversubscribing the
+//! machine.
 //!
 //! Sessions are addressed by dense, monotonically increasing IDs
 //! (`s1`, `s2`, …) minted from one global atomic counter shared by all
@@ -178,11 +179,8 @@ pub struct SessionManager {
     idle_timeout: Duration,
     /// Global dense ID counter, shared by all stripes.
     next_id: AtomicU64,
-    /// Which accept loop fronts the manager (`"threads"` or `"events"`),
-    /// for the `/health` report. Set once by `Server::bind`.
-    accept_loop: Mutex<&'static str>,
-    /// Currently open client connections — maintained by whichever
-    /// accept loop is serving, reported by `/health`.
+    /// Currently open client connections — maintained by the event
+    /// loop, reported by `/health`.
     open_conns: AtomicUsize,
     /// Global live-session count: the capacity reserve. Kept in sync
     /// with the union of the stripe maps by pairing every insert/remove
@@ -240,7 +238,6 @@ impl SessionManager {
             max_sessions: max_sessions.max(1),
             idle_timeout,
             next_id: AtomicU64::new(1),
-            accept_loop: Mutex::new("threads"),
             open_conns: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
             replication: Mutex::new(Replication::leader()),
@@ -314,7 +311,6 @@ impl SessionManager {
             max_sessions: max_sessions.max(1),
             idle_timeout,
             next_id: AtomicU64::new(next_id),
-            accept_loop: Mutex::new("threads"),
             open_conns: AtomicUsize::new(0),
             live: AtomicUsize::new(live),
             replication: Mutex::new(Replication::leader()),
@@ -494,19 +490,9 @@ impl SessionManager {
         self.stripes.iter().map(|s| s.pool.threads()).collect()
     }
 
-    /// Total pool threads across stripes (sizes the connection gate).
+    /// Total pool threads across stripes (sizes the request worker pool).
     pub fn total_threads(&self) -> usize {
         self.stripes.iter().map(|s| s.pool.threads()).sum()
-    }
-
-    /// Record which accept loop fronts this manager (`/health` telemetry).
-    pub fn set_accept_loop(&self, mode: &'static str) {
-        *self.accept_loop.lock().expect("accept_loop lock") = mode;
-    }
-
-    /// The accept loop serving this manager (`"threads"` or `"events"`).
-    pub fn accept_loop(&self) -> &'static str {
-        *self.accept_loop.lock().expect("accept_loop lock")
     }
 
     /// A client connection was accepted.

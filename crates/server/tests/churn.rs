@@ -2,17 +2,16 @@
 //! waves of short-lived clients (close-per-request, keep-alive headers,
 //! mid-request aborts, slow-drip writers) must leave no leaked file
 //! descriptors behind, responses on deterministic routes must stay
-//! byte-identical to the threaded accept loop, and — unlike the old
-//! 2×threads connection gate — the event loop must sustain over a
-//! thousand simultaneously open connections while still serving fresh
-//! requests.
+//! byte-identical to the same routes fetched by one clean request before
+//! the churn, and the event loop must sustain over a thousand
+//! simultaneously open connections while still serving fresh requests.
 
 #![cfg(unix)]
 
-use sider_server::{AcceptMode, Server, ServerConfig, ShutdownHandle};
+use sider_server::{Server, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Serialises the tests in this file: both measure the process-wide fd
@@ -25,7 +24,7 @@ struct RunningServer {
     joiner: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
-fn start(threads: usize, accept: AcceptMode) -> RunningServer {
+fn start(threads: usize) -> RunningServer {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         max_sessions: 16,
@@ -33,7 +32,6 @@ fn start(threads: usize, accept: AcceptMode) -> RunningServer {
         threads: Some(threads),
         stripes: 4,
         store: None,
-        accept,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -133,7 +131,7 @@ fn status_of(raw: &[u8]) -> u16 {
 /// snapshot export, and two 404s — all byte-pinned even under concurrent
 /// load. (`GET /api/sessions` is deliberately absent: the listing uses
 /// `try_lock` and reports `busy` summaries that depend on what else is
-/// in flight, so it is not concurrency-invariant on either accept loop.)
+/// in flight, so it is not concurrency-invariant.)
 const WAVE_ROUTES: &[&str] = &[
     "/api/sessions/s1",
     "/api/sessions/s1/snapshot",
@@ -142,25 +140,31 @@ const WAVE_ROUTES: &[&str] = &[
 ];
 
 /// Waves of short-lived connections — close-per-request, keep-alive
-/// headers, mid-request aborts, slow-drip writers — interleaved against
-/// an event-loop server and a threaded twin. Responses on deterministic
-/// routes must match byte-for-byte, and the fd table must return to its
-/// baseline after every wave: no leaked sockets.
+/// headers, mid-request aborts, slow-drip writers. Every response on a
+/// deterministic route must equal that route's clean capture, taken from
+/// the same server before the first wave, byte for byte; and the fd
+/// table must return to its baseline after every wave: no leaked sockets.
 #[test]
-fn churn_waves_leak_no_fds_and_match_threaded_loop_byte_for_byte() {
+fn churn_waves_leak_no_fds_and_match_a_clean_capture_byte_for_byte() {
     let _guard = CHURN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let events = start(2, AcceptMode::Events);
-    let threads = start(2, AcceptMode::Threads);
+    let server = start(2);
 
-    // Seed both servers with the same session so reads have substance.
+    // Seed a session so reads have substance, then capture every wave
+    // route once with a clean request.
     let create = r#"{"dataset":"fig2","seed":7}"#;
-    let a = raw_request(events.addr, "POST", "/api/sessions", create);
-    let b = raw_request(threads.addr, "POST", "/api/sessions", create);
-    assert_eq!(status_of(&a), 201);
-    assert_eq!(a, b, "session creation must be byte-identical");
+    let created = raw_request(server.addr, "POST", "/api/sessions", create);
+    assert_eq!(status_of(&created), 201);
+    let clean: Arc<Vec<Vec<u8>>> = Arc::new(
+        WAVE_ROUTES
+            .iter()
+            .map(|path| raw_request(server.addr, "GET", path, ""))
+            .collect(),
+    );
+    let statuses: Vec<u16> = clean.iter().map(|raw| status_of(raw)).collect();
+    assert_eq!(statuses, [200, 200, 404, 404]);
 
-    // Let both servers finish reaping their setup connections before
-    // taking the fd baseline.
+    // Let the server finish reaping its setup connections before taking
+    // the fd baseline.
     std::thread::sleep(Duration::from_millis(200));
     let baseline = fd_count();
 
@@ -168,46 +172,40 @@ fn churn_waves_leak_no_fds_and_match_threaded_loop_byte_for_byte() {
         let mut clients = Vec::new();
         // Close-per-request clients, the bulk of the churn.
         for i in 0..60 {
-            let (ea, ta) = (events.addr, threads.addr);
+            let (addr, clean) = (server.addr, Arc::clone(&clean));
             clients.push(std::thread::spawn(move || {
-                let path = WAVE_ROUTES[i % WAVE_ROUTES.len()];
-                let got = raw_request(ea, "GET", path, "");
-                let want = raw_request(ta, "GET", path, "");
-                assert_eq!(got, want, "event/threaded mismatch on {path}");
+                let k = i % WAVE_ROUTES.len();
+                let got = raw_request(addr, "GET", WAVE_ROUTES[k], "");
+                assert_eq!(got, clean[k], "mismatch on {}", WAVE_ROUTES[k]);
             }));
         }
         // Keep-alive-header clients (server closes anyway).
         for i in 0..30 {
-            let (ea, ta) = (events.addr, threads.addr);
+            let (addr, clean) = (server.addr, Arc::clone(&clean));
             clients.push(std::thread::spawn(move || {
-                let path = WAVE_ROUTES[i % WAVE_ROUTES.len()];
-                let got = keep_alive_request(ea, path);
-                let want = keep_alive_request(ta, path);
-                let status = status_of(&got);
-                assert!(status == 200 || status == 404, "unexpected status {status}");
-                assert_eq!(got, want, "keep-alive mismatch on {path}");
+                let k = i % WAVE_ROUTES.len();
+                let got = keep_alive_request(addr, WAVE_ROUTES[k]);
+                assert_eq!(got, clean[k], "keep-alive mismatch on {}", WAVE_ROUTES[k]);
             }));
         }
         // Mid-request aborts: no response expected, no leak allowed.
         for _ in 0..30 {
-            let ea = events.addr;
-            clients.push(std::thread::spawn(move || abort_mid_request(ea)));
+            let addr = server.addr;
+            clients.push(std::thread::spawn(move || abort_mid_request(addr)));
         }
         // A couple of slow-drip writers riding EAGAIN cycles.
         for _ in 0..2 {
-            let (ea, ta) = (events.addr, threads.addr);
+            let (addr, clean) = (server.addr, Arc::clone(&clean));
             clients.push(std::thread::spawn(move || {
-                let got = slow_drip_request(ea, "/api/sessions/s1");
-                let want = raw_request(ta, "GET", "/api/sessions/s1", "");
-                assert_eq!(status_of(&got), 200);
-                assert_eq!(got, want, "slow-drip response must match");
+                let got = slow_drip_request(addr, WAVE_ROUTES[0]);
+                assert_eq!(got, clean[0], "slow-drip response must match");
             }));
         }
         for client in clients {
             client.join().expect("client thread");
         }
 
-        // Give both loops a beat to retire closed connections, then the
+        // Give the loop a beat to retire closed connections, then the
         // fd table must be flat: churn leaves nothing behind.
         std::thread::sleep(Duration::from_millis(300));
         let now = fd_count();
@@ -217,17 +215,16 @@ fn churn_waves_leak_no_fds_and_match_threaded_loop_byte_for_byte() {
         );
     }
 
-    events.stop();
-    threads.stop();
+    server.stop();
 }
 
-/// The threaded loop gated admission at 2× the pool size; the event loop
-/// must hold >1000 idle connections open simultaneously and still answer
-/// a fresh request promptly, with `/health` reporting the load.
+/// The event loop must hold >1000 idle connections open simultaneously
+/// and still answer a fresh request promptly, with `/health` reporting
+/// the load.
 #[test]
 fn event_loop_sustains_a_thousand_open_connections() {
     let _guard = CHURN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let server = start(2, AcceptMode::Events);
+    let server = start(2);
     // Serve one request before measuring the baseline: worker threads
     // (and their cloned wake-pipe fds) spawn inside `run`, so an early
     // fd count would mistake server startup for a leak.
@@ -255,10 +252,6 @@ fn event_loop_sustains_a_thousand_open_connections() {
         let health = raw_request(server.addr, "GET", "/health", "");
         assert_eq!(status_of(&health), 200);
         let text = String::from_utf8_lossy(&health).into_owned();
-        assert!(
-            text.contains("\"accept_loop\":\"events\""),
-            "health must report the events accept loop: {text}"
-        );
         let open = text
             .split("\"open_connections\":")
             .nth(1)
@@ -285,7 +278,7 @@ fn event_loop_sustains_a_thousand_open_connections() {
     );
 
     // With >1000 connections parked the server must still serve new
-    // arrivals — the old 2×threads admission gate is gone.
+    // arrivals: open connections hold no worker.
     let listing = raw_request(server.addr, "GET", "/api/sessions", "");
     assert_eq!(status_of(&listing), 200);
 

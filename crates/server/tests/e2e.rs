@@ -2,15 +2,21 @@
 //! full exploration loops against a running server and pins the
 //! determinism contract — identical request sequences produce
 //! **byte-identical** responses whether the server's pool has 1 thread or
-//! 4 (the HTTP twin of `session_bit_identical_across_pool_sizes`),
-//! whether the session manager runs 1 stripe or 4, and whether the
-//! serving edge is the event loop or the threaded loop. The scripts
-//! include guided-exploration `suggest` calls, so the recommendation
-//! engine's chunk-ordered scoring is pinned under the same contract.
+//! 4 (the HTTP twin of `session_bit_identical_across_pool_sizes`) and
+//! whether the session manager runs 1 stripe or 4. The serving edge adds
+//! and drops no bytes: a socket transcript equals the same steps run
+//! in-process through the parser, the route table and the serializer.
+//! The scripts include guided-exploration `suggest` calls, so the
+//! recommendation engine's chunk-ordered scoring is pinned under the
+//! same contract.
 
-use sider_server::{AcceptMode, Server, ServerConfig, ShutdownHandle};
+use sider_par::ThreadPool;
+use sider_server::http::RequestParser;
+use sider_server::manager::SessionManager;
+use sider_server::{api, Server, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 struct RunningServer {
@@ -19,12 +25,7 @@ struct RunningServer {
     joiner: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
-fn start_with(
-    threads: usize,
-    stripes: usize,
-    idle_timeout: Duration,
-    accept: AcceptMode,
-) -> RunningServer {
+fn start_striped(threads: usize, stripes: usize, idle_timeout: Duration) -> RunningServer {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         max_sessions: 16,
@@ -32,7 +33,6 @@ fn start_with(
         threads: Some(threads),
         stripes,
         store: None,
-        accept,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -46,10 +46,6 @@ fn start_with(
     }
 }
 
-fn start_striped(threads: usize, stripes: usize, idle_timeout: Duration) -> RunningServer {
-    start_with(threads, stripes, idle_timeout, AcceptMode::Events)
-}
-
 fn start(threads: usize, idle_timeout: Duration) -> RunningServer {
     start_striped(threads, 1, idle_timeout)
 }
@@ -61,6 +57,15 @@ impl RunningServer {
     }
 }
 
+/// The bytes of one scripted HTTP request.
+fn request_bytes(method: &str, path: &str, body: &str) -> Vec<u8> {
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: sider\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
 /// One scripted HTTP request; returns the raw response bytes (status
 /// line, headers and body — everything the server put on the wire).
 fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Vec<u8> {
@@ -68,12 +73,9 @@ fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Vec<u8
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: sider\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
+    stream
+        .write_all(&request_bytes(method, path, body))
+        .expect("write request");
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("read response");
     response
@@ -216,10 +218,10 @@ fn two_loop_iterations_byte_identical_across_pool_sizes() {
     }
 }
 
-/// A script spanning several sessions, so sessions actually land on
+/// Steps spanning several sessions, so sessions actually land on
 /// different stripes of a striped manager: interleaved creates, knowledge,
 /// updates, views and listings across four concurrent-ish dialogues.
-fn multi_session_script(addr: SocketAddr) -> Vec<Vec<u8>> {
+fn multi_session_steps() -> Vec<(&'static str, String, String)> {
     let mut steps: Vec<(&str, String, String)> = Vec::new();
     for seed in 1..=4u64 {
         steps.push((
@@ -259,6 +261,11 @@ fn multi_session_script(addr: SocketAddr) -> Vec<Vec<u8>> {
     steps.push(("GET", "/api/sessions".into(), String::new()));
     steps.push(("GET", "/api/sessions/s3/snapshot".into(), String::new()));
     steps
+}
+
+/// [`multi_session_steps`] over TCP, one connection per step.
+fn multi_session_script(addr: SocketAddr) -> Vec<Vec<u8>> {
+    multi_session_steps()
         .iter()
         .map(|(method, path, body)| raw_request(addr, method, path, body))
         .collect()
@@ -295,56 +302,41 @@ fn multi_session_transcript_byte_identical_across_stripe_counts() {
 }
 
 #[test]
-fn scripted_loop_byte_identical_across_accept_loops() {
-    // The tentpole's proof obligation: the event-driven serving edge is
-    // indistinguishable from the threaded loop on the wire — the full
-    // two-iteration exploration transcript matches byte for byte.
-    let run = |accept: AcceptMode| {
-        let server = start_with(2, 1, Duration::from_secs(3600), accept);
-        let responses = scripted_loop(server.addr);
-        server.stop();
-        responses
-    };
-    let events = run(AcceptMode::Events);
-    let threads = run(AcceptMode::Threads);
-    for (i, raw) in events.iter().enumerate() {
-        let status = status_of(raw);
+fn tcp_transcript_equals_in_process_handler_at_stripes_4() {
+    // The serving edge adds and drops no bytes: every response read off
+    // the socket equals the same request bytes fed through the parser,
+    // the route table and the serializer in-process, on a manager built
+    // as `Server::bind` builds it (4 stripes of 1 pool thread each).
+    let server = start_striped(1, 4, Duration::from_secs(3600));
+    let over_tcp = multi_session_script(server.addr);
+    server.stop();
+
+    let pools = (0..4).map(|_| Arc::new(ThreadPool::new(1))).collect();
+    let manager = SessionManager::striped(pools, 16, Duration::from_secs(3600));
+    let in_process: Vec<Vec<u8>> = multi_session_steps()
+        .iter()
+        .map(|(method, path, body)| {
+            let mut parser = RequestParser::new();
+            parser.feed(&request_bytes(method, path, body));
+            let request = parser.poll().expect("parses").expect("one request");
+            let mut bytes = Vec::new();
+            api::handle(&manager, &request).to_bytes(&mut bytes);
+            bytes
+        })
+        .collect();
+
+    assert_eq!(over_tcp.len(), in_process.len());
+    for (i, (a, b)) in over_tcp.iter().zip(&in_process).enumerate() {
+        let status = status_of(a);
         assert!(
             status == 200 || status == 201,
             "step {i} failed with {status}: {}",
-            body_of(raw)
+            body_of(a)
         );
-    }
-    assert_eq!(events.len(), threads.len());
-    for (i, (a, b)) in events.iter().zip(&threads).enumerate() {
         assert_eq!(
             a,
             b,
-            "step {i}: event-loop and threaded responses differ:\n{}\nvs\n{}",
-            body_of(a),
-            body_of(b)
-        );
-    }
-}
-
-#[test]
-fn striped_multi_session_transcript_byte_identical_across_accept_loops() {
-    // Accept loops × stripes: the striped manager behind the event loop
-    // must serve the same bytes as behind the threaded loop.
-    let run = |accept: AcceptMode| {
-        let server = start_with(1, 4, Duration::from_secs(3600), accept);
-        let responses = multi_session_script(server.addr);
-        server.stop();
-        responses
-    };
-    let events = run(AcceptMode::Events);
-    let threads = run(AcceptMode::Threads);
-    assert_eq!(events.len(), threads.len());
-    for (i, (a, b)) in events.iter().zip(&threads).enumerate() {
-        assert_eq!(
-            a,
-            b,
-            "step {i}: event-loop and threaded responses differ:\n{}\nvs\n{}",
+            "step {i}: socket and in-process responses differ:\n{}\nvs\n{}",
             body_of(a),
             body_of(b)
         );
@@ -438,7 +430,7 @@ fn concurrent_clients_explore_independent_sessions() {
 #[test]
 fn housekeeping_thread_evicts_without_create_or_list_traffic() {
     // No create/list request ever touches the manager after setup, so the
-    // old lazy sweep would never run — only the accept loop's
+    // old lazy sweep would never run — only the server's
     // housekeeping thread (sweeping every max(idle/4, 250ms)) can expire
     // the session.
     let server = start(1, Duration::from_millis(100));

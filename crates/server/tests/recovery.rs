@@ -6,11 +6,11 @@
 //! "Killed" here means the process stopped with no flushing of any kind:
 //! the server has no shutdown-time persistence hook to skip — every op
 //! hits the WAL fd *before* its response is sent (the response is the
-//! commit point) — so stopping the accept loop is indistinguishable, from
+//! commit point) — so stopping the server is indistinguishable, from
 //! the store's point of view, from `kill -9` after the last acknowledged
 //! response.
 
-use sider_server::{AcceptMode, Server, ServerConfig, ShutdownHandle};
+use sider_server::{Server, ServerConfig, ShutdownHandle};
 use sider_store::StoreConfig;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -28,15 +28,6 @@ fn start(threads: usize, data_dir: Option<&Path>) -> RunningServer {
 }
 
 fn start_striped(threads: usize, stripes: usize, data_dir: Option<&Path>) -> RunningServer {
-    start_with(threads, stripes, data_dir, AcceptMode::Events)
-}
-
-fn start_with(
-    threads: usize,
-    stripes: usize,
-    data_dir: Option<&Path>,
-    accept: AcceptMode,
-) -> RunningServer {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         max_sessions: 16,
@@ -44,7 +35,6 @@ fn start_with(
         threads: Some(threads),
         stripes,
         store: data_dir.map(StoreConfig::new),
-        accept,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -266,33 +256,6 @@ fn striped_recovery_is_byte_identical_to_the_unstriped_twin() {
     assert_transcripts_equal("1-vs-4 stripes", &s1, &s4);
     let s4cp = kill_and_recover_striped(1, 4, true, "s4cp");
     assert_transcripts_equal("1-vs-4 stripes (checkpointed)", &s1, &s4cp);
-}
-
-#[test]
-fn recovery_transcripts_identical_across_accept_loops() {
-    // Die under one accept loop, recover under the other: the WAL knows
-    // nothing about the serving edge, and the store-less twin comparison
-    // pins that neither does the wire.
-    let kill_and_recover_mixed = |first: AcceptMode, second: AcceptMode, tag: &str| {
-        let dir = temp_dir(tag);
-        let durable = start_with(1, 1, Some(&dir), first);
-        let mut transcript = run_steps(durable.addr, &script_prefix());
-        durable.kill();
-        let recovered = start_with(1, 1, Some(&dir), second);
-        transcript.extend(run_steps(recovered.addr, &script_suffix()));
-        recovered.kill();
-
-        let twin = start(1, None);
-        let mut expected = run_steps(twin.addr, &script_prefix());
-        expected.extend(run_steps(twin.addr, &script_suffix()));
-        twin.kill();
-        assert_transcripts_equal(tag, &transcript, &expected);
-        let _ = std::fs::remove_dir_all(&dir);
-        transcript
-    };
-    let forward = kill_and_recover_mixed(AcceptMode::Events, AcceptMode::Threads, "ev2th");
-    let reverse = kill_and_recover_mixed(AcceptMode::Threads, AcceptMode::Events, "th2ev");
-    assert_transcripts_equal("events-vs-threads recovery", &forward, &reverse);
 }
 
 #[test]

@@ -18,22 +18,21 @@
 //!     The same, on the paper's built-in datasets.
 //!
 //! sider serve [--addr HOST:PORT] [--max-sessions N] [--threads K]
-//!             [--stripes S] [--accept events|threads] [--data-dir DIR]
+//!             [--stripes S] [--data-dir DIR]
 //!             [--fsync always|never|N] [--checkpoint-every N]
 //!             [--ship-addr HOST:PORT] [--follow HOST:PORT] [--promote]
 //!     Run the HTTP/1.1 + JSON exploration service: many concurrent
 //!     sessions over S independent session-manager stripes, each with
 //!     its own execution pool of K threads, each session driving the
 //!     full loop (views, knowledge, warm background updates, snapshots,
-//!     SVG rendering). The serving edge defaults to the readiness-based
-//!     event loop (--accept events, no cap on open connections);
-//!     --accept threads selects the legacy blocking
-//!     thread-per-connection loop. With --data-dir the server is
-//!     durable: every mutating request is written through to a
-//!     per-session op-log (per-stripe `stripe-{k}/` subdirectories when
-//!     S > 1) and a restart recovers all sessions byte-identically.
+//!     SVG rendering). Connections are served by a readiness-based
+//!     event loop with no cap on open connections, so the server needs
+//!     a unix host (epoll on Linux, poll(2) elsewhere). With --data-dir
+//!     the server is durable: every mutating request is written through
+//!     to a per-session op-log (per-stripe `stripe-{k}/` subdirectories
+//!     when S > 1) and a restart recovers all sessions byte-identically.
 //!     Defaults honor SIDER_ADDR / SIDER_MAX_SESSIONS / SIDER_THREADS /
-//!     SIDER_STRIPES / SIDER_ACCEPT / SIDER_DATA_DIR / SIDER_FSYNC /
+//!     SIDER_STRIPES / SIDER_DATA_DIR / SIDER_FSYNC /
 //!     SIDER_CHECKPOINT_EVERY; see docs/ARCHITECTURE.md for the wire
 //!     protocol and on-disk format. With --ship-addr the (durable)
 //!     server is a replication leader: it streams every stripe's WAL
@@ -158,7 +157,7 @@ const USAGE: &str = "usage:
                  [--out DIR]
   sider demo     <fig2|xhat5|bnc|segmentation> [--out DIR]
   sider serve    [--addr HOST:PORT] [--max-sessions N] [--threads K]
-                 [--stripes S] [--accept events|threads] [--data-dir DIR]
+                 [--stripes S] [--data-dir DIR]
                  [--fsync always|never|N] [--checkpoint-every N]
                  [--ship-addr HOST:PORT] [--follow HOST:PORT] [--promote]
   sider suggest  (--data FILE.csv | --dataset fig2|xhat5|bnc|segmentation)
@@ -310,10 +309,12 @@ fn cmd_explore(cli: &Cli, ds: Dataset) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("final view written to {}", path.display());
 
-    // Persist the accumulated knowledge so the session can be replayed
-    // (`sider::core::snapshot::apply` on a fresh session).
-    let snap_path = out.join(format!("{name}_session.txt"));
-    std::fs::write(&snap_path, sider::core::snapshot::save(&session))
+    // Persist the accumulated knowledge so the session can be replayed:
+    // the file is the wire snapshot, so `POST /api/sessions/{id}/snapshot`
+    // (or `wire::snapshot_from_json` on a fresh session) takes it as is.
+    let snap_path = out.join(format!("{name}_session.json"));
+    let snapshot = sider::core::wire::snapshot_to_json(&session).dump() + "\n";
+    std::fs::write(&snap_path, snapshot)
         .map_err(|e| format!("cannot write {}: {e}", snap_path.display()))?;
     println!("session snapshot written to {}", snap_path.display());
     Ok(())
@@ -333,10 +334,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
         );
     }
     config.stripes = cli.get_or("stripes", config.stripes)?;
-    if let Some(mode) = cli.get("accept") {
-        config.accept =
-            sider::server::AcceptMode::parse(mode).map_err(|e| format!("--accept: {e}"))?;
-    }
     if let Some(dir) = cli.get("data-dir") {
         // --data-dir overrides SIDER_DATA_DIR but keeps the env-level
         // fsync/checkpoint tuning unless flags override those too.
@@ -389,13 +386,12 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     });
     let server = sider::server::Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;
     println!(
-        "sider serve: listening on http://{} ({} stripes × {} pool threads, {} session slots, {} recovered, {} accept loop)",
+        "sider serve: listening on http://{} ({} stripes × {} pool threads, {} session slots, {} recovered)",
         server.local_addr(),
         server.manager().stripes(),
         server.manager().pool().threads(),
         server.manager().max_sessions(),
         server.manager().len(),
-        server.manager().accept_loop(),
     );
     match durability {
         Some(line) => println!("sider serve: {line}"),
