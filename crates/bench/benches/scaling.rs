@@ -1,5 +1,4 @@
-//! Scaling scenario matrix for the parallel execution and incremental
-//! spectral-maintenance subsystems.
+//! Scaling scenario matrix for the parallel execution subsystem.
 //!
 //! For every scenario `n × d` in the grid, the round-trip hot paths —
 //! background **sampling**, spectral **refresh** of all classes,
@@ -12,25 +11,15 @@
 //! The refresh stage models one warm feedback round: every class's
 //! precision has moved by `k = clamp(d/8, 1, 4)` rank-1 directions
 //! since its spectrum was cached (a 2-D marking interaction perturbs 2–4
-//! directions per class — see `Solver::spectral_log`). It is timed in
-//! both modes:
+//! directions per class), so every class is cov-dirty and the refresh
+//! re-decomposes each one with `SymEigen::decompose` (`refresh_ns`, which
+//! enters `hot_total_ns`).
 //!
-//! * **incremental** — the shipped warm path: cached eigendecompositions
-//!   brought current by `k` rank-1 secular updates (`O(d²·k)` per class);
-//!   this is the `refresh_ns` that enters `hot_total_ns`;
-//! * **full** — the pre-incremental path (empty rank-1 log): a fresh
-//!   `O(d³)` Jacobi solve per class, recorded as `refresh_full_ns` and
-//!   summarized per scenario under `refresh_mode` with
-//!   `incremental_speedup = full / incremental`.
-//!
-//! Three claims are persisted to `BENCH_scaling.json`:
+//! Two claims are persisted to `BENCH_scaling.json`:
 //!
 //! * **serial win** — `serial_speedup_vs_pr1` compares the 1-thread run of
-//!   the new kernels (incremental refresh) against the PR-1 baseline
-//!   (allocation removal, loop order, rank-1 spectral maintenance);
-//! * **incremental win** — `refresh_mode.incremental_speedup`, the
-//!   algorithmic rank-1-vs-Jacobi ratio on identical inputs and identical
-//!   resulting distributions (within spectral tolerance);
+//!   the new kernels against the PR-1 baseline (allocation removal, loop
+//!   order, the early-exit Jacobi);
 //! * **parallel win** — `parallel_speedup_max_vs_1` compares max-thread vs
 //!   1-thread runs of the same kernels (only meaningful when the host
 //!   grants more than one CPU; `available_parallelism` is recorded so the
@@ -44,9 +33,9 @@
 //! `d < 32` the dispatch *is* Jacobi, so the ratio hovers around 1; at
 //! `d ≥ 32` it is the cold-refit win the CI schema check gates on.
 //!
-//! Every run also cross-checks that sampling (from the incrementally
-//! refreshed distribution), whitening, the fused whiten+moment kernel
-//! and PCA produce **bit-identical** outputs at every thread count
+//! Every run also cross-checks that sampling, whitening (of the cached and
+//! of the refreshed distribution), the fused whiten+moment kernel and PCA
+//! produce **bit-identical** outputs at every thread count
 //! (`bit_identical_across_threads`), which is the determinism contract
 //! of `sider_par`.
 //!
@@ -66,7 +55,7 @@ use sider_json::Json;
 use sider_linalg::{sym_eigen, vector, woodbury, Matrix, SymEigen};
 use sider_loadgen::smoke_mode;
 use sider_maxent::params::ClassParams;
-use sider_maxent::{BackgroundDistribution, RefreshStats};
+use sider_maxent::BackgroundDistribution;
 use sider_par::ThreadPool;
 use sider_projection::pca_directions_with;
 use sider_stats::Rng;
@@ -84,11 +73,10 @@ struct Scenario {
     d: usize,
 }
 
-/// Pending rank of the modeled feedback round. A 2-D marking interaction
-/// perturbs 2–4 quadratic directions per affected class (the two marked
-/// axes plus the margins aligned with them — see `Solver::spectral_log`),
-/// so the modeled rank grows gently with `d` and stays well inside the
-/// incremental-refresh budget `max(1, d/4)`.
+/// Rank of the modeled feedback round. A 2-D marking interaction perturbs
+/// 2–4 quadratic directions per affected class (the two marked axes plus
+/// the margins aligned with them), so the modeled rank grows gently with
+/// `d`.
 fn pending_rank(d: usize) -> usize {
     (d / 8).clamp(1, 4)
 }
@@ -97,14 +85,13 @@ struct StageTimes {
     threads: usize,
     sample: Duration,
     refresh: Duration,
-    refresh_full: Duration,
     whiten: Duration,
     pca: Duration,
     matmul: Duration,
 }
 
 impl StageTimes {
-    /// The acceptance metric: sampling + (incremental) refresh wall time.
+    /// The acceptance metric: sampling + refresh wall time.
     fn hot_total(&self) -> Duration {
         self.sample + self.refresh
     }
@@ -183,9 +170,7 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
     let w = Rng::seed_from_u64(7).standard_normal_matrix(d, d);
 
     // ---- The feedback round being refreshed: every class's precision
-    // moves by k rank-1 directions (as a warm solver fit logs them), so
-    // the full path re-decomposes from scratch while the incremental
-    // path replays the k moves against the cached spectrum. ----
+    // moves by k rank-1 directions, as a warm solver fit moves them. ----
     let k = pending_rank(d);
     let mut dir_rng = Rng::seed_from_u64(0xd1f ^ (n as u64) ^ ((d as u64) << 24));
     let pending: Vec<Vec<(Vec<f64>, f64)>> = (0..N_CLASSES)
@@ -216,16 +201,6 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
             p
         })
         .collect();
-    let rank1_log: Vec<Vec<(&[f64], f64)>> = pending
-        .iter()
-        .map(|moves| {
-            moves
-                .iter()
-                .map(|(dir, lam)| (dir.as_slice(), *lam))
-                .collect()
-        })
-        .collect();
-    let empty_log: Vec<Vec<(&[f64], f64)>> = Vec::new();
 
     // ---- PR-1 baseline: allocation-per-row sampling, non-early-exit
     // Jacobi refresh, both serial. The spectral factors are prepared
@@ -238,52 +213,6 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
         time(|| pr1_sample(&bg, &factors, &mut rng)).1
     });
     let baseline_refresh = median_of(reps, || time(|| pr1_refresh_all(&updated_params)).1);
-
-    // ---- Incremental-vs-full agreement (thread-independent, by the
-    // pool determinism contract — checked once, serially): the two modes
-    // must produce the same whitening transform (same spectrum within
-    // secular tolerance) for the speedup comparison to be meaningful,
-    // and the scenario must actually drive the fast path. ----
-    let serial = ThreadPool::serial();
-    let refresh_stats: RefreshStats;
-    {
-        let mut incr = bg.clone();
-        refresh_stats = incr.refresh_from_class_params_with(
-            class_of_row.clone(),
-            &updated_params,
-            &parents,
-            &mean_clean,
-            &cov_dirty,
-            &rank1_log,
-            &serial,
-        );
-        if refresh_stats.eigen_rank_updated != N_CLASSES {
-            eprintln!(
-                "scaling/{n}x{d}: incremental refresh did not take the fast path: {refresh_stats:?}"
-            );
-            std::process::exit(1);
-        }
-        let mut full = bg.clone();
-        full.refresh_from_class_params_with(
-            class_of_row.clone(),
-            &updated_params,
-            &parents,
-            &mean_clean,
-            &cov_dirty,
-            &empty_log,
-            &serial,
-        );
-        let mut rng = Rng::seed_from_u64(11);
-        let sampled = bg.sample_with(&mut rng, &serial);
-        let incr_whitened = incr.whiten_with(&sampled, &serial).unwrap();
-        let full_whitened = full.whiten_with(&sampled, &serial).unwrap();
-        let agree = incr_whitened.max_abs_diff(&full_whitened);
-        let agree_ok = agree.is_finite() && agree < 1e-6;
-        if !agree_ok {
-            eprintln!("scaling/{n}x{d}: incremental vs full refresh disagree by {agree}");
-            std::process::exit(1);
-        }
-    }
 
     // ---- Cold eigensolver: raw Jacobi vs the decompose dispatch on one
     // class precision (the O(d³) kernel behind every cold refresh and
@@ -325,56 +254,29 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
             let mut rng = Rng::seed_from_u64(11);
             time(|| bg.sample_with(&mut rng, &pool)).1
         });
+        // The last timed refresh is kept: its whitening output enters the
+        // bit-identity check below.
+        let mut refreshed = bg.clone();
         let refresh = median_of(reps, || {
-            let mut target = bg.clone();
+            refreshed = bg.clone();
             time(|| {
-                target.refresh_from_class_params_with(
+                refreshed.refresh_from_class_params_with(
                     class_of_row.clone(),
                     &updated_params,
                     &parents,
                     &mean_clean,
                     &cov_dirty,
-                    &rank1_log,
                     &pool,
                 )
             })
             .1
         });
-        let refresh_full = median_of(reps, || {
-            let mut target = bg.clone();
-            time(|| {
-                target.refresh_from_class_params_with(
-                    class_of_row.clone(),
-                    &updated_params,
-                    &parents,
-                    &mean_clean,
-                    &cov_dirty,
-                    &empty_log,
-                    &pool,
-                )
-            })
-            .1
-        });
-
-        // Materialize the incrementally refreshed distribution at this
-        // pool size: its whitening output enters the bit-identity check
-        // below (the full-mode agreement was established once above).
-        let mut incr = bg.clone();
-        incr.refresh_from_class_params_with(
-            class_of_row.clone(),
-            &updated_params,
-            &parents,
-            &mean_clean,
-            &cov_dirty,
-            &rank1_log,
-            &pool,
-        );
 
         let mut rng = Rng::seed_from_u64(11);
         let sampled = bg.sample_with(&mut rng, &pool);
         let whiten = median_of(reps, || time(|| bg.whiten_with(&sampled, &pool).unwrap()).1);
         let whitened = bg.whiten_with(&sampled, &pool).unwrap();
-        let refreshed_whitened = incr.whiten_with(&sampled, &pool).unwrap();
+        let refreshed_whitened = refreshed.whiten_with(&sampled, &pool).unwrap();
         let pca = median_of(reps, || {
             time(|| pca_directions_with(&whitened, &pool).unwrap()).1
         });
@@ -407,7 +309,6 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
             threads,
             sample,
             refresh,
-            refresh_full,
             whiten,
             pca,
             matmul,
@@ -431,10 +332,9 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
     let baseline_total = baseline_sample + baseline_refresh;
     let serial_speedup = ratio(baseline_total, t1.hot_total());
     let parallel_speedup = ratio(t1.hot_total(), tmax.hot_total());
-    let incremental_speedup = ratio(t1.refresh_full, t1.refresh);
 
     println!(
-        "scaling/{n}x{d}: pr1 {:.1}ms -> serial {:.1}ms ({serial_speedup:.2}x, refresh rank-{k} incr {incremental_speedup:.2}x vs full, cold eigen dc {dc_speedup:.2}x vs jacobi) -> {} threads {:.1}ms ({parallel_speedup:.2}x), recover {:.1}ms/{recover_ops} ops, bit_identical={bit_identical}",
+        "scaling/{n}x{d}: pr1 {:.1}ms -> serial {:.1}ms ({serial_speedup:.2}x, cold eigen dc {dc_speedup:.2}x vs jacobi) -> {} threads {:.1}ms ({parallel_speedup:.2}x), recover {:.1}ms/{recover_ops} ops, bit_identical={bit_identical}",
         baseline_total.as_secs_f64() * 1e3,
         t1.hot_total().as_secs_f64() * 1e3,
         tmax.threads,
@@ -446,11 +346,10 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
         .iter()
         .map(|r| {
             format!(
-                "        {{ \"threads\": {}, \"sample_ns\": {}, \"refresh_ns\": {}, \"refresh_full_ns\": {}, \"whiten_ns\": {}, \"pca_ns\": {}, \"matmul_ns\": {}, \"hot_total_ns\": {} }}",
+                "        {{ \"threads\": {}, \"sample_ns\": {}, \"refresh_ns\": {}, \"whiten_ns\": {}, \"pca_ns\": {}, \"matmul_ns\": {}, \"hot_total_ns\": {} }}",
                 r.threads,
                 r.sample.as_nanos(),
                 r.refresh.as_nanos(),
-                r.refresh_full.as_nanos(),
                 r.whiten.as_nanos(),
                 r.pca.as_nanos(),
                 r.matmul.as_nanos(),
@@ -458,13 +357,6 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
             )
         })
         .collect();
-    let refresh_mode = format!(
-        "{{ \"rank\": {k}, \"full_ns\": {}, \"incremental_ns\": {}, \"incremental_speedup\": {incremental_speedup:.3}, \"eigen_rank_updated\": {}, \"rank1_directions_applied\": {} }}",
-        t1.refresh_full.as_nanos(),
-        t1.refresh.as_nanos(),
-        refresh_stats.eigen_rank_updated,
-        refresh_stats.rank1_directions_applied,
-    );
     let store_json = format!(
         "{{ \"recover_ns\": {}, \"recover_ops\": {recover_ops}, \"wal_bytes\": {wal_bytes} }}",
         recover.as_nanos(),
@@ -476,7 +368,7 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
     );
     format!
         (
-        "    {{\n      \"n\": {n},\n      \"d\": {d},\n      \"baseline_pr1\": {{ \"sample_ns\": {}, \"refresh_ns\": {}, \"hot_total_ns\": {} }},\n      \"refresh_mode\": {refresh_mode},\n      \"eigen\": {eigen_json},\n      \"store\": {store_json},\n      \"runs\": [\n{}\n      ],\n      \"bit_identical_across_threads\": {bit_identical},\n      \"serial_speedup_vs_pr1\": {serial_speedup:.3},\n      \"parallel_speedup_max_vs_1\": {parallel_speedup:.3}\n    }}",
+        "    {{\n      \"n\": {n},\n      \"d\": {d},\n      \"baseline_pr1\": {{ \"sample_ns\": {}, \"refresh_ns\": {}, \"hot_total_ns\": {} }},\n      \"eigen\": {eigen_json},\n      \"store\": {store_json},\n      \"runs\": [\n{}\n      ],\n      \"bit_identical_across_threads\": {bit_identical},\n      \"serial_speedup_vs_pr1\": {serial_speedup:.3},\n      \"parallel_speedup_max_vs_1\": {parallel_speedup:.3}\n    }}",
         baseline_sample.as_nanos(),
         baseline_refresh.as_nanos(),
         baseline_total.as_nanos(),

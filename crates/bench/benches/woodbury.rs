@@ -16,7 +16,7 @@ fn spd(d: usize, rng: &mut Rng) -> Matrix {
 }
 
 fn bench_woodbury(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rank1_update");
+    let mut group = c.benchmark_group("covariance_rank1");
     for d in [16usize, 32, 64, 128] {
         let mut rng = Rng::seed_from_u64(d as u64);
         let prec = spd(d, &mut rng);

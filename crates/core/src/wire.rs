@@ -327,28 +327,20 @@ pub fn report_to_json(r: &ConvergenceReport) -> Json {
 }
 
 /// Serialize [`RefreshStats`] — what the last background refresh actually
-/// recomputed (the warm path's observable win). `eigen_rank_updated` /
-/// `rank1_directions_applied` count the incremental spectral-maintenance
-/// fast path: classes whose cached eigendecomposition was brought current
-/// by rank-1 updates instead of a fresh Jacobi solve.
+/// recomputed (the warm path's observable win).
 pub fn refresh_stats_to_json(s: &RefreshStats) -> Json {
     Json::obj([
         ("classes_total", Json::from(s.classes_total)),
         ("eigen_recomputed", Json::from(s.eigen_recomputed)),
         ("mean_updated", Json::from(s.mean_updated)),
         ("cloned_from_parent", Json::from(s.cloned_from_parent)),
-        ("eigen_rank_updated", Json::from(s.eigen_rank_updated)),
-        (
-            "rank1_directions_applied",
-            Json::from(s.rank1_directions_applied),
-        ),
     ])
 }
 
 /// Parse [`RefreshStats`] from a (possibly partial) object. Every missing
-/// counter defaults to 0, so payloads emitted before a counter existed —
-/// e.g. pre-incremental-refresh servers without `eigen_rank_updated` —
-/// still parse (backward compatibility across the wire).
+/// counter defaults to 0, and keys this version no longer knows are
+/// ignored, so payloads from older servers still parse (backward
+/// compatibility across the wire).
 pub fn refresh_stats_from_json(v: &Json) -> Result<RefreshStats> {
     if v.as_obj().is_none() {
         return Err(bad("refresh stats must be an object"));
@@ -364,8 +356,6 @@ pub fn refresh_stats_from_json(v: &Json) -> Result<RefreshStats> {
         eigen_recomputed: count("eigen_recomputed")?,
         mean_updated: count("mean_updated")?,
         cloned_from_parent: count("cloned_from_parent")?,
-        eigen_rank_updated: count("eigen_rank_updated")?,
-        rank1_directions_applied: count("rank1_directions_applied")?,
     })
 }
 

@@ -135,23 +135,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `refresh_stats_from_json ∘ refresh_stats_to_json = id` for every
-    /// counter combination, including the incremental-spectral fields.
+    /// counter combination.
     #[test]
     fn refresh_stats_payloads_roundtrip(
         total in 0usize..10_000,
         eig in 0usize..10_000,
         mean in 0usize..10_000,
         cloned in 0usize..10_000,
-        rank_upd in 0usize..10_000,
-        dirs in 0usize..100_000,
     ) {
         let stats = RefreshStats {
             classes_total: total,
             eigen_recomputed: eig,
             mean_updated: mean,
             cloned_from_parent: cloned,
-            eigen_rank_updated: rank_upd,
-            rank1_directions_applied: dirs,
         };
         let text = wire::refresh_stats_to_json(&stats).dump();
         let back = wire::refresh_stats_from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -248,16 +244,25 @@ fn suggest_request_defaults_and_validation() {
 
 #[test]
 fn refresh_stats_missing_fields_default_to_zero() {
-    // A payload from a server predating incremental spectral maintenance
-    // carries only the original four counters — the new ones must read 0.
-    let old = r#"{"classes_total":5,"cloned_from_parent":1,"eigen_recomputed":3,"mean_updated":2}"#;
-    let stats = wire::refresh_stats_from_json(&Json::parse(old).unwrap()).unwrap();
-    assert_eq!(stats.classes_total, 5);
-    assert_eq!(stats.eigen_recomputed, 3);
-    assert_eq!(stats.mean_updated, 2);
-    assert_eq!(stats.cloned_from_parent, 1);
-    assert_eq!(stats.eigen_rank_updated, 0);
-    assert_eq!(stats.rank1_directions_applied, 0);
+    let four = RefreshStats {
+        classes_total: 5,
+        eigen_recomputed: 3,
+        mean_updated: 2,
+        cloned_from_parent: 1,
+    };
+    // Today's payload, and one from a server that still had the rank-1
+    // refresh path and sent its two counters too: those keys are ignored.
+    for payload in [
+        r#"{"classes_total":5,"cloned_from_parent":1,"eigen_recomputed":3,"mean_updated":2}"#,
+        r#"{"classes_total":5,"cloned_from_parent":1,"eigen_rank_updated":1,"eigen_recomputed":3,"mean_updated":2,"rank1_directions_applied":2}"#,
+    ] {
+        let stats = wire::refresh_stats_from_json(&Json::parse(payload).unwrap()).unwrap();
+        assert_eq!(stats, four, "{payload}");
+    }
+    // A partial payload defaults its missing counters to 0.
+    let partial = r#"{"classes_total":4,"eigen_recomputed":1}"#;
+    let stats = wire::refresh_stats_from_json(&Json::parse(partial).unwrap()).unwrap();
+    assert_eq!((stats.mean_updated, stats.cloned_from_parent), (0, 0));
     // The empty object is the degenerate old payload: all-zero stats.
     assert_eq!(
         wire::refresh_stats_from_json(&Json::parse("{}").unwrap()).unwrap(),
@@ -271,8 +276,8 @@ fn refresh_stats_rejects_malformed_payloads() {
         "[]",
         "3",
         r#"{"classes_total":-1}"#,
-        r#"{"eigen_rank_updated":1.5}"#,
-        r#"{"rank1_directions_applied":"many"}"#,
+        r#"{"eigen_recomputed":1.5}"#,
+        r#"{"mean_updated":"many"}"#,
     ] {
         assert!(
             wire::refresh_stats_from_json(&Json::parse(bad).unwrap()).is_err(),

@@ -170,6 +170,19 @@ impl SymEigen {
         }
         out
     }
+
+    /// `‖VᵀV − I‖_max` — how far the eigenbasis has drifted from
+    /// orthonormality. Exact decompositions sit at round-off (`~1e−15`);
+    /// [`SymEigen::decompose`] probes a divide-and-conquer result with it
+    /// and falls back to Jacobi once it crosses
+    /// [`DecomposeOpts::drift_tol`](crate::DecomposeOpts::drift_tol).
+    pub fn orthogonality_drift(&self) -> f64 {
+        let n = self.values.len();
+        if n == 0 {
+            return 0.0;
+        }
+        self.vectors.gram().max_abs_diff(&Matrix::identity(n))
+    }
 }
 
 #[cfg(test)]
@@ -252,6 +265,7 @@ mod tests {
     fn empty_matrix_ok() {
         let e = sym_eigen(&Matrix::zeros(0, 0)).unwrap();
         assert!(e.values.is_empty());
+        assert_eq!(e.orthogonality_drift(), 0.0);
     }
 
     #[test]

@@ -7,20 +7,19 @@
 //!
 //! where `T₁̂`/`T₂̂` are the halves with β subtracted from the adjacent
 //! diagonal entries. In the eigenbasis of the solved halves this is the
-//! diagonal-plus-rank-1 problem of the private `secular` module — the same
-//! deflation + safeguarded-Newton kernel that powers
-//! [`SymEigen::rank1_update`] — so the merge costs `O(n·m²)` with `m` the
-//! non-deflated count, and leaves small enough for Jacobi are solved
-//! directly. Against cyclic Jacobi's `O(n³·sweeps)` this wins roughly the
-//! sweep count once `n` clears the dispatch threshold, and deflation makes
-//! clustered spectra cheaper still.
+//! diagonal-plus-rank-1 problem of the private `secular` module (deflation
+//! plus a safeguarded-Newton root solve), so the merge costs `O(n·m²)`
+//! with `m` the non-deflated count, and leaves small enough for Jacobi are
+//! solved directly. Against cyclic Jacobi's `O(n³·sweeps)` this wins
+//! roughly the sweep count once `n` clears the dispatch threshold, and
+//! deflation makes clustered spectra cheaper still.
 //!
 //! [`SymEigen::decompose`] is the policy entry point every call site in
 //! the workspace routes through: Jacobi below
 //! [`DecomposeOpts::dc_threshold`] (and as the fallback), D&C above it,
 //! accepted only if the [`SymEigen::orthogonality_drift`] probe stays
-//! within [`DecomposeOpts::drift_tol`] — the same probe-and-fall-back
-//! contract as the incremental update path in `sider_maxent`.
+//! within [`DecomposeOpts::drift_tol`], so callers never see a degraded
+//! basis.
 
 use crate::eigen::{sym_eigen, SymEigen};
 use crate::matrix::Matrix;

@@ -11,9 +11,8 @@
 //! * [`SymEigen`] — symmetric eigendecomposition, the workhorse behind
 //!   whitening (Eq. 14 of the paper) and PCA. [`SymEigen::decompose`]
 //!   dispatches between tridiagonal divide-and-conquer ([`tridiag`] +
-//!   [`eigen_dc`], sharing the secular kernel with
-//!   [`SymEigen::rank1_update`]) and the cyclic Jacobi small-`d` /
-//!   verification path ([`sym_eigen`]).
+//!   [`eigen_dc`], merging halves through the private `secular` kernel)
+//!   and the cyclic Jacobi small-`d` / verification path ([`sym_eigen`]).
 //! * [`Svd`] — singular value decomposition via one-sided Jacobi, used to
 //!   derive cluster-constraint directions (paper §II-A).
 //! * [`woodbury`] — Sherman–Morrison rank-1 covariance updates, the key
@@ -33,7 +32,6 @@
 pub mod cholesky;
 pub mod eigen;
 pub mod eigen_dc;
-pub mod eigen_update;
 pub mod error;
 pub mod lu;
 pub mod matrix;

@@ -1,21 +1,15 @@
 //! The diagonal-plus-rank-1 symmetric eigenproblem `D + ρ·z·zᵀ`.
 //!
-//! This is the shared inner kernel of two callers:
+//! This is the inner kernel of the merge step of the tridiagonal
+//! divide-and-conquer solver ([`crate::eigen_dc`]): after splitting `T` on
+//! an off-diagonal element, the two halves' eigendecompositions combine
+//! into exactly this problem with `ρ` the split coupling.
 //!
-//! * [`SymEigen::rank1_update`](crate::SymEigen::rank1_update) — the
-//!   Bunch–Nielsen–Sorensen incremental maintenance path, which rotates a
-//!   rank-1 perturbation into the current eigenbasis;
-//! * the merge step of the tridiagonal divide-and-conquer solver
-//!   ([`crate::eigen_dc`]) — after splitting `T` on an off-diagonal
-//!   element, the two halves' eigendecompositions combine into exactly
-//!   this problem with `ρ` the split coupling.
-//!
-//! Both reduce to: eigenvalues of `D + ρzzᵀ` are the roots of the
-//! *secular equation* `f(λ) = 1 + ρ·Σᵢ zᵢ²/(dᵢ − λ) = 0`, one root
-//! strictly interlaced in each gap of the (deflated) spectrum. The
-//! machinery lives here once — deflation, the two-pole-initialized
-//! safeguarded Newton, and the negated-problem path for `ρ < 0` — so the
-//! update and D&C paths cannot diverge.
+//! Its eigenvalues are the roots of the *secular equation*
+//! `f(λ) = 1 + ρ·Σᵢ zᵢ²/(dᵢ − λ) = 0`, one root strictly interlaced in
+//! each gap of the (deflated) spectrum. The machinery here is deflation,
+//! the two-pole-initialized safeguarded Newton, and the negated-problem
+//! path for `ρ < 0`.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -364,6 +358,7 @@ fn secular_f(delta: &[f64], z: &[f64], rho: f64, mu: f64) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eigen::{sym_eigen, SymEigen};
 
     #[test]
     fn closed_form_single_component() {
@@ -408,14 +403,43 @@ mod tests {
         }
     }
 
+    /// Solve `diag(d) + ρ·z·zᵀ` in the identity basis (`d` ascending)
+    /// and check it against a cyclic Jacobi solve of the explicit matrix:
+    /// each eigenvalue within `tol` relative to its own magnitude, the
+    /// basis orthonormal and reconstructing the matrix. Returns the
+    /// solution, eigenvalues ascending.
+    fn check_against_jacobi(d: &[f64], z: &[f64], rho: f64, tol: f64) -> SymEigen {
+        let n = d.len();
+        let mut target = Matrix::from_diag(d);
+        target.add_outer(rho, z, z);
+        let mut vectors = Matrix::identity(n);
+        let values = diag_plus_rank1_in_basis(d, &mut z.to_vec(), rho, &mut vectors)
+            .unwrap()
+            .unwrap_or_else(|| d.to_vec());
+        let jacobi = sym_eigen(&target).unwrap();
+        for (k, (got, want)) in values.iter().rev().zip(&jacobi.values).enumerate() {
+            assert!(
+                (got - want).abs() <= tol * want.abs().max(1.0),
+                "eigenvalue {k}: {got} vs Jacobi {want}"
+            );
+        }
+        let eig = SymEigen { values, vectors };
+        let scale = target.frobenius_norm().max(1.0);
+        let recon = eig.reconstruct().max_abs_diff(&target);
+        assert!(recon <= tol * scale, "V·Λ·Vᵀ off by {recon}");
+        assert!(eig.orthogonality_drift() <= tol, "basis drift");
+        eig
+    }
+
     #[test]
     fn full_deflation_reports_noop() {
         let d = [1.0, 2.0, 3.0];
-        let mut z = [0.0, 0.0, 0.0];
-        let mut v = Matrix::identity(3);
-        let out = diag_plus_rank1_in_basis(&d, &mut z, 1.0, &mut v).unwrap();
-        assert!(out.is_none());
-        assert_eq!(v, Matrix::identity(3));
+        for (mut z, rho) in [([0.0, 0.0, 0.0], 1.0), ([0.5, -1.0, 2.0], 0.0)] {
+            let mut v = Matrix::identity(3);
+            let out = diag_plus_rank1_in_basis(&d, &mut z, rho, &mut v).unwrap();
+            assert!(out.is_none());
+            assert_eq!(v, Matrix::identity(3));
+        }
     }
 
     #[test]
@@ -432,5 +456,40 @@ mod tests {
         assert!((vals[2] - 3.0).abs() < 1e-12);
         // Basis stays orthonormal through the Givens rotations.
         assert!(v.gram().max_abs_diff(&Matrix::identity(3)) < 1e-12);
+
+        // Partially repeated spectrum: two groups collapse, 9 stands alone.
+        let d = [2.0, 2.0, 2.0, 5.0, 5.0, 9.0];
+        let z = [0.5, -0.25, 0.125, 1.0, -0.5, 0.75];
+        check_against_jacobi(&d, &z, 1.5, 1e-10);
+    }
+
+    #[test]
+    fn zero_component_leaves_its_pair_bit_for_bit() {
+        // z₁ = 0 deflates: the pair (3, e₁) must survive exactly.
+        let eig = check_against_jacobi(&[1.0, 3.0, 7.0], &[2.0, 0.0, -1.0], 0.9, 1e-10);
+        let pos = eig
+            .values
+            .iter()
+            .position(|&v| v == 3.0)
+            .expect("deflated eigenvalue must survive exactly");
+        assert_eq!(eig.vectors.col(pos), vec![0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn tiny_rho_matches_jacobi() {
+        let d = [0.3, 0.9, 1.4, 2.2, 3.1];
+        let z = [0.4, -0.2, 0.35, -0.1, 0.25];
+        check_against_jacobi(&d, &z, 1e-13, 1e-10);
+    }
+
+    #[test]
+    fn wide_spread_keeps_small_eigenvalues_accurate() {
+        // A collapsed-direction-style spectrum (1e10 beside O(1), as
+        // clamped zero-variance constraints produce) must not smear the
+        // small eigenvalues through scale-absolute tolerances: the helper
+        // checks each eigenvalue relative to its own magnitude.
+        let d = [0.7, 1.0, 1.3, 1.9, 2.6, 1e10];
+        let z = [0.3, -0.4, 0.2, 0.45, -0.15, 0.25];
+        check_against_jacobi(&d, &z, 0.5, 1e-8);
     }
 }

@@ -39,11 +39,6 @@ struct ClassModel {
     sample_scale: Vec<f64>,
     /// Eigenvalues of the precision (descending), for entropy accounting.
     prec_evals: Vec<f64>,
-    /// Rank-1 eigen updates applied since the basis orthogonality was
-    /// last verified (either by a fresh Jacobi decomposition or by an
-    /// explicit drift check). Drives the periodic `‖UᵀU − I‖_max` probe
-    /// of the incremental refresh path.
-    rank1_since_check: usize,
 }
 
 /// The background distribution over `n × d` datasets (rows independent).
@@ -61,10 +56,8 @@ pub struct BackgroundDistribution {
 pub struct RefreshStats {
     /// Classes in the refreshed distribution.
     pub classes_total: usize,
-    /// Classes whose precision was re-eigendecomposed from scratch
-    /// ([`SymEigen::decompose`] calls) — cov-dirty classes whose pending
-    /// rank-1 log was empty, over the rank budget, or rejected by the
-    /// drift check.
+    /// Classes whose precision was re-eigendecomposed
+    /// ([`SymEigen::decompose`] calls) — the cov-dirty classes.
     pub eigen_recomputed: usize,
     /// Classes that only had their mean vector swapped (linear updates
     /// never touch `Σ`, so the cached spectral transforms stay valid).
@@ -72,13 +65,6 @@ pub struct RefreshStats {
     /// New classes that inherited their parent's cached decomposition
     /// after a partition split.
     pub cloned_from_parent: usize,
-    /// Classes whose cached eigendecomposition was brought current by
-    /// rank-1 updates (`O(d²·k)`) instead of a fresh Jacobi solve — the
-    /// incremental spectral-maintenance fast path.
-    pub eigen_rank_updated: usize,
-    /// Total rank-1 directions applied across all incrementally updated
-    /// classes in this refresh.
-    pub rank1_directions_applied: usize,
 }
 
 /// Precision eigenvalues below this are treated as "fully relaxed"
@@ -87,18 +73,11 @@ pub struct RefreshStats {
 const EVAL_FLOOR: f64 = 1e-12;
 
 impl ClassModel {
-    /// Build the model (including the `O(d³)` eigendecomposition of the
-    /// precision) from one class's fitted parameters.
+    /// Build the model from one class's fitted parameters: the `O(d³)`
+    /// eigendecomposition of the precision, and from its spectrum the
+    /// derived `whiten`/`sample_scale` transforms.
     fn compute(d: usize, p: &ClassParams) -> ClassModel {
         let eig = SymEigen::decompose(&p.prec).expect("precision eigen failed");
-        Self::from_eigen(d, p, eig)
-    }
-
-    /// Package parameters plus an already-known eigendecomposition of the
-    /// precision (fresh from [`SymEigen::decompose`], or a cached one
-    /// brought current by rank-1 updates), rebuilding the derived
-    /// `whiten`/`sample_scale` transforms from the spectrum.
-    fn from_eigen(d: usize, p: &ClassParams, eig: SymEigen) -> ClassModel {
         let n_ev = eig.values.len();
         let mut whiten = Matrix::zeros(d, d);
         let mut sample_scale = Vec::with_capacity(n_ev);
@@ -126,41 +105,7 @@ impl ClassModel {
             u: eig.vectors,
             sample_scale,
             prec_evals: eig.values,
-            rank1_since_check: 0,
         }
-    }
-
-    /// Bring this cached model current for parameters `p` by applying the
-    /// pending rank-1 precision moves to the cached spectrum. Returns
-    /// `None` — "recompute from scratch" — when a secular solve fails or
-    /// the periodic orthogonality probe finds the basis drifted beyond
-    /// [`DRIFT_TOL`]. The caller has already enforced the rank budget.
-    fn rank1_refreshed(
-        &self,
-        d: usize,
-        p: &ClassParams,
-        pending: &[(&[f64], f64)],
-    ) -> Option<ClassModel> {
-        let mut eig = SymEigen {
-            values: self.prec_evals.clone(),
-            vectors: self.u.clone(),
-        };
-        let mut since_check = self.rank1_since_check;
-        for &(w, dl) in pending {
-            if eig.rank1_update(w, dl).is_err() {
-                return None;
-            }
-            since_check += 1;
-            if since_check >= DRIFT_CHECK_EVERY {
-                if eig.orthogonality_drift() > DRIFT_TOL {
-                    return None;
-                }
-                since_check = 0;
-            }
-        }
-        let mut model = ClassModel::from_eigen(d, p, eig);
-        model.rank1_since_check = since_check;
-        Some(model)
     }
 }
 
@@ -174,31 +119,6 @@ impl ClassModel {
 /// collapsed directions to zero instead of amplifying the artifact by
 /// `√λ_max ≈ 10⁶`, and sampling pins them at the mean.
 const EVAL_COLLAPSED: f64 = 1e10;
-
-/// Incremental spectral maintenance: a cov-dirty class is refreshed by
-/// rank-1 eigen updates only while its pending rank `k` stays within
-/// `max(1, d / RANK_BUDGET_DIV)`. Beyond that the `O(d²·k)` update work
-/// approaches a fresh `O(d³)` Jacobi solve (which also resets accumulated
-/// round-off), so the full decomposition wins on both counts.
-const RANK_BUDGET_DIV: usize = 4;
-
-/// Verify eigenbasis orthonormality (`‖UᵀU − I‖_max`) after this many
-/// accumulated rank-1 updates. The probe costs about as much as one
-/// update (`O(d³)` Gram vs `O(d·m²)`), so amortized over the interval it
-/// adds ~12% while bounding undetected drift to a few updates' worth.
-const DRIFT_CHECK_EVERY: usize = 8;
-
-/// Orthogonality drift above which the incremental path falls back to a
-/// full Jacobi decomposition. Fresh decompositions sit near 1e−15 and
-/// each rank-1 update adds round-off of similar order, so 1e−8 leaves
-/// orders of magnitude of headroom before whiten/sample outputs (checked
-/// to ~1e−6 by the warm-vs-cold property tests) could be affected.
-const DRIFT_TOL: f64 = 1e-8;
-
-/// Maximum pending rank updated incrementally for dimension `d`.
-fn rank_budget(d: usize) -> usize {
-    (d / RANK_BUDGET_DIV).max(1)
-}
 
 impl BackgroundDistribution {
     /// The unconstrained prior: every row is `N(0, I_d)` (paper Eq. 1).
@@ -233,16 +153,11 @@ impl BackgroundDistribution {
     }
 
     /// Update the distribution in place after an (incremental) solver fit,
-    /// recomputing spectral decompositions only where — and only as far
-    /// as — required:
+    /// recomputing spectral decompositions only where required:
     ///
     /// * classes with `cov_dirty` set — their precision changed, so the
-    ///   cached eigendecomposition is stale. When the caller supplies the
-    ///   pending rank-1 moves (see
-    ///   [`BackgroundDistribution::refresh_from_class_params_with`]) and
-    ///   their rank fits the budget, the cached spectrum is *updated* in
-    ///   `O(d²·k)`; otherwise it is recomputed by a full `O(d³)` Jacobi
-    ///   solve;
+    ///   cached eigendecomposition is stale and is recomputed by
+    ///   [`SymEigen::decompose`];
     /// * classes with only `mean_dirty` set — linear updates never touch
     ///   `Σ`, so just the mean vector is swapped;
     /// * new classes (ids past the cached range) — split off from
@@ -252,10 +167,11 @@ impl BackgroundDistribution {
     ///   recomputed, so it reflects the parameters at split time, which
     ///   are exactly the sub-class's parameters if it stayed clean.)
     ///
-    /// This serial convenience wrapper passes an empty rank-1 log, i.e.
-    /// every cov-dirty class takes the full-Jacobi path. Returns counts
-    /// of each path taken, which tests and benches use to assert the
-    /// cache really short-circuits.
+    /// Every class ends up as a fresh decomposition of its current
+    /// parameters would build it, so the refreshed distribution equals a
+    /// cold [`BackgroundDistribution::from_class_params`] of the same
+    /// parameters bit for bit. Returns counts of each path taken, which
+    /// tests and benches use to assert the cache really short-circuits.
     pub fn refresh_from_class_params(
         &mut self,
         class_of_row: Vec<u32>,
@@ -270,24 +186,13 @@ impl BackgroundDistribution {
             parent_of_class,
             mean_dirty,
             cov_dirty,
-            &[],
             &ThreadPool::serial(),
         )
     }
 
-    /// [`BackgroundDistribution::refresh_from_class_params`] with (a) the
-    /// per-class pending rank-1 precision moves since the last refresh
-    /// (`rank1_log[c]` is a list of `(direction, Δλ)` pairs, typically
-    /// from `Solver::spectral_log`; an empty or missing entry forces the
-    /// full-Jacobi path for that class) and (b) the dirty-class work
-    /// distributed over `pool`. A cov-dirty class whose pending rank `k`
-    /// is within `max(1, d/4)` has its cached eigendecomposition brought
-    /// current by `k` rank-1 secular updates — `O(d²·k)` instead of
-    /// `O(d³·sweeps)` — with a periodic `‖UᵀU − I‖_max` orthogonality
-    /// probe; budget overflow, a failed secular solve, or drift beyond
-    /// tolerance all fall back to the full decomposition. Identical
-    /// results and [`RefreshStats`] at any pool size.
-    #[allow(clippy::too_many_arguments)]
+    /// [`BackgroundDistribution::refresh_from_class_params`] with the
+    /// per-class decompositions of the cov-dirty classes distributed over
+    /// `pool`. Identical results and [`RefreshStats`] at any pool size.
     pub fn refresh_from_class_params_with(
         &mut self,
         class_of_row: Vec<u32>,
@@ -295,7 +200,6 @@ impl BackgroundDistribution {
         parent_of_class: &[u32],
         mean_dirty: &[bool],
         cov_dirty: &[bool],
-        rank1_log: &[Vec<(&[f64], f64)>],
         pool: &ThreadPool,
     ) -> RefreshStats {
         assert_eq!(params.len(), parent_of_class.len());
@@ -322,45 +226,19 @@ impl BackgroundDistribution {
             }
         }
         // Pass 2: recompute what the fit actually moved. Each class lands
-        // in exactly one bucket: eigen-rank-updated, eigen-recomputed,
-        // mean-only-updated, or (for new classes handled above)
-        // cloned-from-parent. The per-class refreshes are independent, so
-        // they fan out over the pool; placement is by class id, keeping
-        // the result scheduling-independent.
+        // in exactly one bucket: eigen-recomputed, mean-only-updated, or
+        // (for new classes handled above) cloned-from-parent. The
+        // per-class decompositions are independent, so they fan out over
+        // the pool; placement is by class id, keeping the result
+        // scheduling-independent.
         let dirty: Vec<usize> = (0..params.len()).filter(|&c| cov_dirty[c]).collect();
         let d = self.d;
-        let budget = rank_budget(d);
-        // Gate on the work the refresh will actually do: O(d²·k) for
-        // classes the rank-1 path will carry, O(d³) for full solves —
-        // a handful of rank-1 updates must not pay thread dispatch.
-        let work = dirty.iter().fold(0usize, |acc, &c| {
-            let pending = rank1_log.get(c).map(Vec::len).unwrap_or(0);
-            let per_class = if pending > 0 && pending <= budget {
-                d * d * pending
-            } else {
-                d * d * d
-            };
-            acc.saturating_add(per_class)
-        });
-        let pool = pool.gated(work);
-        let classes = &self.classes;
-        let refreshed = pool.par_map(&dirty, |&c| {
-            let pending = rank1_log.get(c).map(Vec::as_slice).unwrap_or(&[]);
-            if !pending.is_empty() && pending.len() <= budget {
-                if let Some(model) = classes[c].rank1_refreshed(d, &params[c], pending) {
-                    return (model, pending.len());
-                }
-            }
-            (ClassModel::compute(d, &params[c]), 0)
-        });
-        for (&c, (model, rank_applied)) in dirty.iter().zip(refreshed) {
+        // O(d³) per decomposition; a few tiny classes run inline.
+        let pool = pool.gated(dirty.len().saturating_mul(d * d * d));
+        let refreshed = pool.par_map(&dirty, |&c| ClassModel::compute(d, &params[c]));
+        stats.eigen_recomputed = dirty.len();
+        for (&c, model) in dirty.iter().zip(refreshed) {
             self.classes[c] = model;
-            if rank_applied > 0 {
-                stats.eigen_rank_updated += 1;
-                stats.rank1_directions_applied += rank_applied;
-            } else {
-                stats.eigen_recomputed += 1;
-            }
         }
         for (c, p) in params.iter().enumerate() {
             if !cov_dirty[c] && mean_dirty[c] && c < n_cached {
@@ -1139,7 +1017,6 @@ mod tests {
             &parents,
             &no_mean,
             &all_dirty,
-            &[],
             &pool,
         );
         assert_eq!(stats_a, stats_b);

@@ -11,9 +11,11 @@
 //! 2. the previous fit's λ's **warm-start** the next one, and only the
 //!    *active set* of constraints perturbed by the new knowledge is swept
 //!    ([`crate::Solver::append_constraints`]);
-//! 3. the cached [`BackgroundDistribution`] recomputes `sym_eigen` only
-//!    for classes whose covariance actually changed
-//!    ([`BackgroundDistribution::refresh_from_class_params`]).
+//! 3. the cached [`BackgroundDistribution`] re-runs
+//!    `SymEigen::decompose` only for classes whose covariance actually
+//!    changed ([`BackgroundDistribution::refresh_from_class_params`]), so
+//!    the cache always equals a cold rebuild of the solver's current class
+//!    parameters bit for bit — checked in `tests/refresh_cache.rs`.
 //!
 //! Because the MaxEnt problem is strictly convex, warm and cold paths
 //! converge to the same distribution (within the `FitOpts` tolerances) —
@@ -96,17 +98,12 @@ impl SolverState {
         let any_dirty = self.solver.mean_dirty().iter().any(|&b| b)
             || self.solver.cov_dirty().iter().any(|&b| b);
         if any_dirty || self.solver.n_classes() > self.background.n_classes() {
-            // The pending rank-1 moves let the refresh update cached
-            // eigendecompositions in O(d²·k) instead of O(d³) where the
-            // per-class rank k fits the budget (full Jacobi otherwise).
-            let rank1_log = self.solver.spectral_log();
             self.last_refresh = self.background.refresh_from_class_params_with(
                 self.solver.partition().class_of_row.clone(),
                 self.solver.class_params(),
                 self.solver.parent_of_class(),
                 self.solver.mean_dirty(),
                 self.solver.cov_dirty(),
-                &rank1_log,
                 &self.pool,
             );
             self.solver.reset_dirty();
@@ -261,7 +258,7 @@ mod tests {
         // The refreshed background must still match a cold rebuild.
         let rebuilt = state.solver().distribution();
         for row in 0..24 {
-            assert!(state.background().cov(row).max_abs_diff(rebuilt.cov(row)) < 1e-12);
+            assert_eq!(state.background().cov(row), rebuilt.cov(row));
         }
     }
 }

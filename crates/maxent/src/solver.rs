@@ -156,14 +156,6 @@ pub struct Solver {
     /// Parent class (in the pre-append partition) of every class; identity
     /// for classes that predate the last `append_constraints` call.
     parent_of_class: Vec<u32>,
-    /// Per-class log of rank-1 precision moves since the last
-    /// [`Solver::reset_dirty`]: `(constraint id, Σ λ moves)`, coalesced per
-    /// constraint (sweeps revisit the same direction, so the log stays
-    /// bounded by the number of quadratic constraints covering the class).
-    /// Downstream spectral caches consume it via [`Solver::spectral_log`]
-    /// to update cached eigendecompositions in `O(d²·k)` instead of
-    /// recomputing them.
-    spectral_log: Vec<Vec<(u32, f64)>>,
 }
 
 fn validate_constraints(constraints: &[Constraint], n: usize, d: usize) -> Result<()> {
@@ -229,7 +221,6 @@ impl Solver {
             cov_dirty: vec![false; n_classes],
             constraints_of_class,
             parent_of_class: (0..n_classes as u32).collect(),
-            spectral_log: vec![Vec::new(); n_classes],
         };
         solver.prev_moments = (0..k).map(|t| solver.moment(t)).collect();
         Ok(solver)
@@ -264,17 +255,12 @@ impl Solver {
         let refinement = self.partition.append(&self.constraints, first_new);
 
         // Warm-start split-off classes from their parents; refresh counts.
-        // A child's precision equals its parent's at split time, so it
-        // also inherits the parent's pending rank-1 log: relative to the
-        // parent's *cached* spectral base (which the child's cache entry
-        // will be cloned from), the same moves bring it current.
         for (c, &count) in self.partition.class_counts.iter().enumerate() {
             if c < refinement.n_old_classes {
                 self.params[c].count = count;
             } else {
                 let parent = refinement.parent_of_class[c] as usize;
                 self.params.push(self.params[parent].split_off(count));
-                self.spectral_log.push(self.spectral_log[parent].clone());
             }
         }
         let n_classes = self.partition.n_classes();
@@ -284,9 +270,8 @@ impl Solver {
         // downstream cache synced at the last `reset_dirty` it is exactly
         // as stale as the parent: inherit the dirty flags. (Without this,
         // a split off a cov-dirty parent would clone the parent's
-        // pre-move cached spectrum, be skipped by the refresh, and have
-        // its inherited rank-1 log wiped — leaving the cache silently
-        // inconsistent for every later incremental update.)
+        // pre-move cached spectrum and be skipped by the refresh, leaving
+        // the cache silently inconsistent with the solver.)
         for c in refinement.n_old_classes..n_classes {
             let parent = refinement.parent_of_class[c] as usize;
             self.mean_dirty[c] = self.mean_dirty[parent];
@@ -525,12 +510,6 @@ impl Solver {
             woodbury::precision_update(&mut p.prec, &w, lambda);
             vector::axpy(lambda * delta, &w, &mut p.h);
             p.refresh_mean();
-            // Log the precision move for incremental spectral maintenance.
-            let log = &mut self.spectral_log[class as usize];
-            match log.iter_mut().find(|(u, _)| *u == t as u32) {
-                Some((_, total)) => *total += lambda,
-                None => log.push((t as u32, lambda)),
-            }
         }
         lambda
     }
@@ -638,31 +617,11 @@ impl Solver {
         &self.cov_dirty
     }
 
-    /// Clear the per-class dirty flags and the pending rank-1 spectral
-    /// log (call after syncing downstream caches such as
-    /// `BackgroundDistribution::refresh_from_class_params`).
+    /// Clear the per-class dirty flags (call after syncing downstream
+    /// caches such as `BackgroundDistribution::refresh_from_class_params`).
     pub fn reset_dirty(&mut self) {
         self.mean_dirty.iter_mut().for_each(|f| *f = false);
         self.cov_dirty.iter_mut().for_each(|f| *f = false);
-        self.spectral_log.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Per-class pending rank-1 precision moves since the last
-    /// [`Solver::reset_dirty`], resolved to concrete `(direction, Δλ)`
-    /// pairs — the input `BackgroundDistribution::refresh_from_class_params_with`
-    /// consumes to update cached eigendecompositions incrementally.
-    /// Entries whose coalesced multiplier cancelled back to exactly zero
-    /// are dropped (the precision did not move along that direction).
-    pub fn spectral_log(&self) -> Vec<Vec<(&[f64], f64)>> {
-        self.spectral_log
-            .iter()
-            .map(|log| {
-                log.iter()
-                    .filter(|&&(_, dl)| dl != 0.0)
-                    .map(|&(t, dl)| (self.constraints[t as usize].w.as_slice(), dl))
-                    .collect()
-            })
-            .collect()
     }
 
     /// Parent class of every class relative to the last
