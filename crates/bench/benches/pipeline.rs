@@ -9,6 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, fmt_duration, Criterion};
 use sider_core::{EdaSession, SimulatedUser};
+use sider_json::Json;
 use sider_maxent::FitOpts;
 use sider_projection::Method;
 use std::hint::black_box;
@@ -112,7 +113,7 @@ fn staged_sessions(base: &EdaSession, next_cluster: &[usize], samples: usize) ->
 
 /// Measure cold-fit vs warm-refit on the same state and persist the
 /// comparison (wall time, sweep counts, eigendecompositions) to
-/// `BENCH_pipeline.json` in the working directory.
+/// `BENCH_pipeline.json` at the workspace root.
 fn write_cold_vs_warm_json(base: &EdaSession, next_cluster: &[usize]) {
     let samples = if sider_loadgen::smoke_mode() { 3 } else { 10 };
     let opts = FitOpts::default();
@@ -142,21 +143,23 @@ fn write_cold_vs_warm_json(base: &EdaSession, next_cluster: &[usize]) {
         fmt_duration(cold)
     );
     let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-12);
-    let json = format!(
-        "{{\n  \"bench\": \"pipeline_cold_vs_warm\",\n  \"dataset\": \"xhat5_1000x5\",\n  \"samples\": {samples},\n  \"cold_fit\": {{ \"median_ns\": {}, \"sweeps\": {cold_sweeps}, \"eigen_recomputed\": {cold_eigen} }},\n  \"warm_refit\": {{ \"median_ns\": {}, \"sweeps\": {warm_sweeps}, \"eigen_recomputed\": {warm_eigen} }},\n  \"speedup\": {speedup:.3}\n}}\n",
-        cold.as_nanos(),
-        warm.as_nanos(),
-    );
-    // Cargo runs benches from the package dir; anchor the artifact at the
-    // workspace root so the perf trajectory always finds it in one place.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    // A swallowed write failure would let the CI schema check pass green
-    // on a stale committed artifact — fail the bench run instead.
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("pipeline/cold_vs_warm: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("pipeline/cold_vs_warm: speedup {speedup:.2}x -> {path}");
+    println!("pipeline/cold_vs_warm: speedup {speedup:.2}x");
+    let fit = |median: Duration, sweeps: usize, eigen: usize| {
+        Json::obj([
+            ("median_ns", Json::from(median.as_nanos() as u64)),
+            ("sweeps", Json::from(sweeps)),
+            ("eigen_recomputed", Json::from(eigen)),
+        ])
+    };
+    let doc = Json::obj([
+        ("bench", Json::from("pipeline_cold_vs_warm")),
+        ("dataset", Json::from("xhat5_1000x5")),
+        ("samples", Json::from(samples)),
+        ("cold_fit", fit(cold, cold_sweeps, cold_eigen)),
+        ("warm_refit", fit(warm, warm_sweeps, warm_eigen)),
+        ("speedup", Json::from((speedup * 1e3).round() / 1e3)),
+    ]);
+    sider_bench::write_artifact("pipeline", &doc);
 }
 
 criterion_group!(benches, bench_pipeline);

@@ -3,10 +3,7 @@
 //! For every scenario `n × d` in the grid, the round-trip hot paths —
 //! background **sampling**, spectral **refresh** of all classes,
 //! **whitening**, **PCA** moment accumulation and a dataset-sized
-//! **matmul** — are timed at 1, 2 and `max` threads, plus a *PR-1
-//! baseline*: the allocation-per-row sampling loop and the
-//! non-early-exit Jacobi refresh exactly as they were before these
-//! subsystems landed, compiled in today's workspace on the same hardware.
+//! **matmul** — are timed at 1, 2 and `max` threads.
 //!
 //! The refresh stage models one warm feedback round: every class's
 //! precision has moved by `k = clamp(d/8, 1, 4)` rank-1 directions
@@ -15,15 +12,13 @@
 //! re-decomposes each one with `SymEigen::decompose` (`refresh_ns`, which
 //! enters `hot_total_ns`).
 //!
-//! Two claims are persisted to `BENCH_scaling.json`:
-//!
-//! * **serial win** — `serial_speedup_vs_pr1` compares the 1-thread run of
-//!   the new kernels against the PR-1 baseline (allocation removal, loop
-//!   order, the early-exit Jacobi);
-//! * **parallel win** — `parallel_speedup_max_vs_1` compares max-thread vs
-//!   1-thread runs of the same kernels (only meaningful when the host
-//!   grants more than one CPU; `available_parallelism` is recorded so the
-//!   trajectory can be read in context).
+//! Each scenario persists its stage times per thread count to
+//! `BENCH_scaling.json`. The 1-thread row is the serial figure, comparable
+//! only with runs on the same host, and `parallel_speedup_max_vs_1`
+//! compares max-thread vs 1-thread runs of the same kernels (only
+//! meaningful when the host grants more than one CPU;
+//! `available_parallelism` is recorded so the trajectory can be read in
+//! context).
 //!
 //! Every scenario also times the **cold eigensolver** on one class
 //! precision: the raw cyclic Jacobi (`eigen.jacobi_ns`) against the
@@ -50,7 +45,7 @@
 //!
 //! Set `SIDER_BENCH_SMOKE=1` for the reduced CI grid (same JSON schema).
 
-use sider_bench::{median_duration, time};
+use sider_bench::{median_duration, time, write_artifact};
 use sider_json::Json;
 use sider_linalg::{sym_eigen, vector, woodbury, Matrix, SymEigen};
 use sider_loadgen::smoke_mode;
@@ -118,24 +113,20 @@ fn main() {
         .flat_map(|&n| ds.iter().map(move |&d| Scenario { n, d }))
         .collect();
 
-    let mut scenario_jsons = Vec::new();
-    for sc in &scenarios {
-        let json = run_scenario(sc, &thread_counts, max_threads, reps);
-        scenario_jsons.push(json);
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"scaling\",\n  \"smoke\": {smoke},\n  \"available_parallelism\": {available},\n  \"max_threads\": {max_threads},\n  \"reps\": {reps},\n  \"classes\": {N_CLASSES},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        scenario_jsons.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
-    // A swallowed write failure would let the CI schema check pass green
-    // on a stale committed artifact — fail the bench run instead.
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("scaling: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("scaling: wrote {path}");
+    let scenario_jsons: Vec<Json> = scenarios
+        .iter()
+        .map(|sc| run_scenario(sc, &thread_counts, max_threads, reps))
+        .collect();
+    let doc = Json::obj([
+        ("bench", Json::from("scaling")),
+        ("smoke", Json::from(smoke)),
+        ("available_parallelism", Json::from(available)),
+        ("max_threads", Json::from(max_threads)),
+        ("reps", Json::from(reps)),
+        ("classes", Json::from(N_CLASSES)),
+        ("scenarios", Json::Arr(scenario_jsons)),
+    ]);
+    write_artifact("scaling", &doc);
 }
 
 /// Synthetic fitted background: `N_CLASSES` well-conditioned anisotropic
@@ -160,7 +151,7 @@ fn build_background(n: usize, d: usize, seed: u64) -> (BackgroundDistribution, V
     (bg, params)
 }
 
-fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps: usize) -> String {
+fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps: usize) -> Json {
     let (n, d) = (sc.n, sc.d);
     let (bg, params) = build_background(n, d, 0x5eed ^ (n as u64) ^ ((d as u64) << 32));
     let class_of_row: Vec<u32> = (0..n).map(|i| (i % N_CLASSES) as u32).collect();
@@ -201,18 +192,6 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
             p
         })
         .collect();
-
-    // ---- PR-1 baseline: allocation-per-row sampling, non-early-exit
-    // Jacobi refresh, both serial. The spectral factors are prepared
-    // outside the timed region — PR-1's sample() read them from the
-    // ClassModel cache, so timing their construction would double-count
-    // the refresh stage and inflate the serial speedup. ----
-    let factors = pr1_factors(&bg);
-    let baseline_sample = median_of(reps, || {
-        let mut rng = Rng::seed_from_u64(11);
-        time(|| pr1_sample(&bg, &factors, &mut rng)).1
-    });
-    let baseline_refresh = median_of(reps, || time(|| pr1_refresh_all(&updated_params)).1);
 
     // ---- Cold eigensolver: raw Jacobi vs the decompose dispatch on one
     // class precision (the O(d³) kernel behind every cold refresh and
@@ -329,51 +308,52 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
         .iter()
         .find(|r| r.threads == max_threads)
         .expect("max-thread run present");
-    let baseline_total = baseline_sample + baseline_refresh;
-    let serial_speedup = ratio(baseline_total, t1.hot_total());
     let parallel_speedup = ratio(t1.hot_total(), tmax.hot_total());
 
     println!(
-        "scaling/{n}x{d}: pr1 {:.1}ms -> serial {:.1}ms ({serial_speedup:.2}x, cold eigen dc {dc_speedup:.2}x vs jacobi) -> {} threads {:.1}ms ({parallel_speedup:.2}x), recover {:.1}ms/{recover_ops} ops, bit_identical={bit_identical}",
-        baseline_total.as_secs_f64() * 1e3,
+        "scaling/{n}x{d}: serial {:.1}ms (cold eigen dc {dc_speedup:.2}x vs jacobi) -> {} threads {:.1}ms ({parallel_speedup:.2}x), recover {:.1}ms/{recover_ops} ops, bit_identical={bit_identical}",
         t1.hot_total().as_secs_f64() * 1e3,
         tmax.threads,
         tmax.hot_total().as_secs_f64() * 1e3,
         recover.as_secs_f64() * 1e3,
     );
 
-    let runs_json: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "        {{ \"threads\": {}, \"sample_ns\": {}, \"refresh_ns\": {}, \"whiten_ns\": {}, \"pca_ns\": {}, \"matmul_ns\": {}, \"hot_total_ns\": {} }}",
-                r.threads,
-                r.sample.as_nanos(),
-                r.refresh.as_nanos(),
-                r.whiten.as_nanos(),
-                r.pca.as_nanos(),
-                r.matmul.as_nanos(),
-                r.hot_total().as_nanos(),
-            )
-        })
-        .collect();
-    let store_json = format!(
-        "{{ \"recover_ns\": {}, \"recover_ops\": {recover_ops}, \"wal_bytes\": {wal_bytes} }}",
-        recover.as_nanos(),
-    );
-    let eigen_json = format!(
-        "{{ \"jacobi_ns\": {}, \"dc_ns\": {}, \"dc_speedup\": {dc_speedup:.3} }}",
-        eigen_jacobi.as_nanos(),
-        eigen_dc.as_nanos(),
-    );
-    format!
+    let ns = |t: Duration| Json::from(t.as_nanos() as u64);
+    let round3 = |x: f64| Json::from((x * 1e3).round() / 1e3);
+    let runs_json = runs.iter().map(|r| {
+        Json::obj([
+            ("threads", Json::from(r.threads)),
+            ("sample_ns", ns(r.sample)),
+            ("refresh_ns", ns(r.refresh)),
+            ("whiten_ns", ns(r.whiten)),
+            ("pca_ns", ns(r.pca)),
+            ("matmul_ns", ns(r.matmul)),
+            ("hot_total_ns", ns(r.hot_total())),
+        ])
+    });
+    Json::obj([
+        ("n", Json::from(n)),
+        ("d", Json::from(d)),
         (
-        "    {{\n      \"n\": {n},\n      \"d\": {d},\n      \"baseline_pr1\": {{ \"sample_ns\": {}, \"refresh_ns\": {}, \"hot_total_ns\": {} }},\n      \"eigen\": {eigen_json},\n      \"store\": {store_json},\n      \"runs\": [\n{}\n      ],\n      \"bit_identical_across_threads\": {bit_identical},\n      \"serial_speedup_vs_pr1\": {serial_speedup:.3},\n      \"parallel_speedup_max_vs_1\": {parallel_speedup:.3}\n    }}",
-        baseline_sample.as_nanos(),
-        baseline_refresh.as_nanos(),
-        baseline_total.as_nanos(),
-        runs_json.join(",\n"),
-    )
+            "eigen",
+            Json::obj([
+                ("jacobi_ns", ns(eigen_jacobi)),
+                ("dc_ns", ns(eigen_dc)),
+                ("dc_speedup", round3(dc_speedup)),
+            ]),
+        ),
+        (
+            "store",
+            Json::obj([
+                ("recover_ns", ns(recover)),
+                ("recover_ops", Json::from(recover_ops)),
+                ("wal_bytes", Json::from(wal_bytes)),
+            ]),
+        ),
+        ("runs", Json::arr(runs_json)),
+        ("bit_identical_across_threads", Json::from(bit_identical)),
+        ("parallel_speedup_max_vs_1", round3(parallel_speedup)),
+    ])
 }
 
 /// Time rebuilding an `n × d` session from a real on-disk op-log: the
@@ -463,140 +443,4 @@ fn median_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
 
 fn ratio(a: Duration, b: Duration) -> f64 {
     a.as_secs_f64() / b.as_secs_f64().max(1e-12)
-}
-
-// ---------------------------------------------------------------------------
-// PR-1 reference kernels (the code shape before this subsystem landed).
-// ---------------------------------------------------------------------------
-
-/// Per-class spectral factors, prepared once like ClassModel caches them
-/// at fit time (outside the sampling hot path).
-fn pr1_factors(bg: &BackgroundDistribution) -> Vec<(Matrix, Vec<f64>)> {
-    (0..N_CLASSES)
-        .map(|c| {
-            // Any row of class c (round-robin assignment ⇒ row c).
-            let eig = sym_eigen(bg.precision(c)).expect("bench precision eigen");
-            let scale: Vec<f64> = eig
-                .values
-                .iter()
-                .map(|&ev| {
-                    let ev = ev.max(0.0);
-                    if ev >= 1e10 {
-                        0.0
-                    } else if ev > 1e-12 {
-                        1.0 / ev.sqrt()
-                    } else {
-                        1.0
-                    }
-                })
-                .collect();
-            (eig.vectors, scale)
-        })
-        .collect()
-}
-
-/// PR-1 sampling loop: sequential shared RNG, one `standard_normal_vec`
-/// and one `matvec` allocation per row, `set_row` copy into the output.
-fn pr1_sample(
-    bg: &BackgroundDistribution,
-    factors: &[(Matrix, Vec<f64>)],
-    rng: &mut Rng,
-) -> Matrix {
-    let n = bg.n();
-    let d = bg.d();
-    let mut out = Matrix::zeros(n, d);
-    for i in 0..n {
-        let (u, scale) = &factors[bg.class_of_row(i)];
-        let mut z = rng.standard_normal_vec(d);
-        for (zk, &s) in z.iter_mut().zip(scale) {
-            *zk *= s;
-        }
-        let mut x = u.matvec(&z);
-        vector::axpy(1.0, bg.mean(i), &mut x);
-        out.set_row(i, &x);
-    }
-    out
-}
-
-/// PR-1 refresh: serial per-class eigendecomposition with the
-/// pre-early-exit cyclic Jacobi, plus the whitening-map reconstruction.
-fn pr1_refresh_all(params: &[ClassParams]) -> Vec<(Matrix, Matrix)> {
-    params
-        .iter()
-        .map(|p| {
-            let d = p.prec.rows();
-            let eig = pr1_jacobi(&p.prec);
-            let mut whiten = Matrix::zeros(d, d);
-            for k in 0..eig.0.len() {
-                let ev = eig.0[k].max(0.0);
-                if ev >= 1e10 {
-                    continue;
-                }
-                let col = eig.1.col(k);
-                whiten.add_outer(ev.sqrt(), &col, &col);
-            }
-            (whiten, eig.1)
-        })
-        .collect()
-}
-
-/// The pre-early-exit cyclic Jacobi: rotates every pivot above 1e-300 and
-/// checks convergence only at sweep boundaries.
-fn pr1_jacobi(a: &Matrix) -> (Vec<f64>, Matrix) {
-    let n = a.rows();
-    let mut m = a.clone();
-    m.symmetrize();
-    let mut v = Matrix::identity(n);
-    let norm = m.frobenius_norm().max(1e-300);
-    let tol = 1e-14 * norm;
-    for _sweep in 0..64 {
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += 2.0 * m[(i, j)] * m[(i, j)];
-            }
-        }
-        if off.sqrt() <= tol {
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= 1e-300 {
-                    continue;
-                }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-                for k in 0..n {
-                    if k != p && k != q {
-                        let mkp = m[(k, p)];
-                        let mkq = m[(k, q)];
-                        m[(k, p)] = c * mkp - s * mkq;
-                        m[(p, k)] = m[(k, p)];
-                        m[(k, q)] = s * mkp + c * mkq;
-                        m[(q, k)] = m[(k, q)];
-                    }
-                }
-                m[(p, p)] = app - t * apq;
-                m[(q, q)] = aqq + t * apq;
-                m[(p, q)] = 0.0;
-                m[(q, p)] = 0.0;
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-    ((0..n).map(|i| m[(i, i)]).collect(), v)
 }

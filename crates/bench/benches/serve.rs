@@ -150,14 +150,7 @@ fn main() {
         ),
         ("runs", Json::Arr(runs)),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    // A swallowed write failure would let the CI schema check pass green
-    // on a stale committed artifact — fail the bench run instead.
-    if let Err(e) = std::fs::write(path, format!("{}\n", doc.dump_pretty())) {
-        eprintln!("serve: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("serve: wrote {path}");
+    sider_bench::write_artifact("serve", &doc);
 }
 
 /// Boot an in-process server with `stripes` stripes (one pool thread

@@ -17,6 +17,7 @@
 //! Criterion micro-benchmarks live in `benches/` (OPTIM scaling, ICA,
 //! Woodbury-vs-inverse and equivalence-class ablations).
 
+use sider_json::Json;
 use std::time::{Duration, Instant};
 
 /// Time a closure, returning its result and the wall-clock duration.
@@ -92,6 +93,23 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
     }
+}
+
+/// The workspace root, where the `BENCH_*.json` perf artifacts live.
+pub fn workspace_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Write `doc` pretty-printed to `BENCH_{name}.json` at the workspace root.
+/// A failed write exits with status 1: swallowing it would let the CI
+/// schema check pass green on a stale committed artifact.
+pub fn write_artifact(name: &str, doc: &Json) {
+    let path = workspace_root().join(format!("BENCH_{name}.json"));
+    if let Err(e) = std::fs::write(&path, doc.dump_pretty()) {
+        eprintln!("{name}: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    println!("{name}: wrote {}", path.display());
 }
 
 /// Output directory for experiment artifacts (`out/` by default,

@@ -160,17 +160,6 @@ impl SymEigen {
         out
     }
 
-    /// Apply `V·f(diag(λ))·Vᵀ` for a scalar spectral function `f`.
-    pub fn spectral_map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        let n = self.values.len();
-        let mut out = Matrix::zeros(n, n);
-        for k in 0..n {
-            let col = self.vectors.col(k);
-            out.add_outer(f(self.values[k]), &col, &col);
-        }
-        out
-    }
-
     /// `‖VᵀV − I‖_max` — how far the eigenbasis has drifted from
     /// orthonormality. Exact decompositions sit at round-off (`~1e−15`);
     /// [`SymEigen::decompose`] probes a divide-and-conquer result with it
@@ -266,14 +255,6 @@ mod tests {
         let e = sym_eigen(&Matrix::zeros(0, 0)).unwrap();
         assert!(e.values.is_empty());
         assert_eq!(e.orthogonality_drift(), 0.0);
-    }
-
-    #[test]
-    fn spectral_map_computes_inverse() {
-        let a = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]);
-        let e = sym_eigen(&a).unwrap();
-        let inv = e.spectral_map(|l| 1.0 / l);
-        assert!(a.matmul(&inv).max_abs_diff(&Matrix::identity(2)) < 1e-12);
     }
 
     #[test]

@@ -12,12 +12,10 @@ pub enum LinalgError {
         expected: (usize, usize),
         got: (usize, usize),
     },
-    /// Cholesky factorization hit a non-positive pivot.
-    NotPositiveDefinite { pivot: usize },
     /// LU solve hit an (effectively) zero pivot.
     Singular { pivot: usize },
-    /// An iterative method (Jacobi eigen / SVD) did not reach the requested
-    /// tolerance within its sweep budget.
+    /// An iterative method (the divide-and-conquer secular solver) failed
+    /// to converge.
     ConvergenceFailure { sweeps: usize },
     /// Cyclic Jacobi spent its whole sweep budget without driving the
     /// off-diagonal mass below tolerance. This is the bottom of the
@@ -45,9 +43,6 @@ impl fmt::Display for LinalgError {
                 "dimension mismatch: expected {}x{}, got {}x{}",
                 expected.0, expected.1, got.0, got.1
             ),
-            LinalgError::NotPositiveDefinite { pivot } => {
-                write!(f, "matrix is not positive definite (pivot {pivot})")
-            }
             LinalgError::Singular { pivot } => {
                 write!(f, "matrix is singular (pivot {pivot})")
             }
@@ -84,8 +79,6 @@ mod tests {
             got: (4, 5),
         };
         assert!(e.to_string().contains("expected 4x4"));
-        let e = LinalgError::NotPositiveDefinite { pivot: 1 };
-        assert!(e.to_string().contains("positive definite"));
         let e = LinalgError::Singular { pivot: 0 };
         assert!(e.to_string().contains("singular"));
         let e = LinalgError::ConvergenceFailure { sweeps: 30 };

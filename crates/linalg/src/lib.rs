@@ -6,18 +6,15 @@
 //!
 //! * [`Matrix`] — a row-major dense matrix of `f64`.
 //! * [`Lu`] — LU decomposition with partial pivoting (solve / inverse / det).
-//! * [`Cholesky`] — for sampling and solving with covariance matrices.
-//! * [`Qr`] — Householder QR (least squares, orthonormal bases).
 //! * [`SymEigen`] — symmetric eigendecomposition, the workhorse behind
 //!   whitening (Eq. 14 of the paper) and PCA. [`SymEigen::decompose`]
 //!   dispatches between tridiagonal divide-and-conquer ([`tridiag`] +
 //!   [`eigen_dc`], merging halves through the private `secular` kernel)
 //!   and the cyclic Jacobi small-`d` / verification path ([`sym_eigen`]).
-//! * [`Svd`] — singular value decomposition via one-sided Jacobi, used to
-//!   derive cluster-constraint directions (paper §II-A).
 //! * [`woodbury`] — Sherman–Morrison rank-1 covariance updates, the key
 //!   O(d²) trick that makes the MaxEnt optimizer fast (paper §II-A).
-//! * [`sqrtm`] — symmetric square roots, used by the whitening transform.
+//! * [`sqrtm`] — the symmetric inverse square root behind FastICA's
+//!   symmetric decorrelation (paper §II-B).
 //!
 //! Everything is implemented from scratch: no BLAS/LAPACK, no external
 //! linear-algebra crates. Numerical tolerances follow standard choices
@@ -29,29 +26,23 @@
 // part of the math; iterator rewrites obscure it.
 #![allow(clippy::needless_range_loop)]
 
-pub mod cholesky;
 pub mod eigen;
 pub mod eigen_dc;
 pub mod error;
 pub mod lu;
 pub mod matrix;
-pub mod qr;
 mod secular;
 pub mod sqrtm;
-pub mod svd;
 pub mod tridiag;
 pub mod vector;
 pub mod woodbury;
 
-pub use cholesky::Cholesky;
 pub use eigen::{sym_eigen, SymEigen};
 pub use eigen_dc::{sym_eigen_dc, DecomposeOpts};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
-pub use sqrtm::{sym_inv_sqrt, sym_sqrt};
-pub use svd::{svd, Svd};
+pub use sqrtm::sym_inv_sqrt;
 pub use tridiag::{tridiagonalize, Tridiagonal};
 
 /// Result alias used across the crate.

@@ -135,11 +135,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the raw row-major data vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

@@ -1,8 +1,9 @@
-//! Symmetric matrix square roots via eigendecomposition.
+//! Symmetric inverse square root via eigendecomposition.
 //!
-//! The whitening transform of the paper (Eq. 14) is
-//! `y = U·D^{1/2}·Uᵀ·(x − m)` where `Σ⁻¹ = U·D·Uᵀ` — the symmetric
-//! (direction-preserving) square root of the precision matrix.
+//! FastICA's symmetric decorrelation (paper §II-B) re-orthonormalises the
+//! unmixing matrix as `W ← (W·Wᵀ)^{-1/2}·W`. The paper's whitening
+//! (Eq. 14) does not come through here: it uses the background class
+//! model's own spectral map.
 
 use crate::eigen::SymEigen;
 use crate::matrix::Matrix;
@@ -21,25 +22,9 @@ fn clamped(values: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Symmetric square root `A^{1/2}` of a symmetric PSD matrix
-/// (`A^{1/2}·A^{1/2} = A`). Tiny negative eigenvalues from round-off are
-/// clamped to zero.
-pub fn sym_sqrt(a: &Matrix) -> Result<Matrix> {
-    let e = SymEigen::decompose(a)?;
-    let vals = clamped(&e.values);
-    let n = vals.len();
-    let mut out = Matrix::zeros(n, n);
-    for k in 0..n {
-        let col = e.vectors.col(k);
-        out.add_outer(vals[k].sqrt(), &col, &col);
-    }
-    Ok(out)
-}
-
 /// Symmetric inverse square root `A^{-1/2}` of a symmetric PSD matrix.
 /// Directions with (near-)zero eigenvalue are mapped to zero instead of
-/// infinity — these correspond to fully constrained directions of the
-/// background distribution and carry no variance to whiten.
+/// infinity, so a rank-deficient input still yields a finite result.
 pub fn sym_inv_sqrt(a: &Matrix) -> Result<Matrix> {
     let e = SymEigen::decompose(a)?;
     let vals = clamped(&e.values);
@@ -64,19 +49,6 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_squares_back() {
-        let a = spd();
-        let s = sym_sqrt(&a).unwrap();
-        assert!(s.matmul(&s).max_abs_diff(&a) < 1e-12);
-    }
-
-    #[test]
-    fn sqrt_is_symmetric() {
-        let s = sym_sqrt(&spd()).unwrap();
-        assert!(s.is_symmetric(1e-12));
-    }
-
-    #[test]
     fn inv_sqrt_inverts() {
         let a = spd();
         let is = sym_inv_sqrt(&a).unwrap();
@@ -87,16 +59,12 @@ mod tests {
     #[test]
     fn identity_is_fixed_point() {
         let i = Matrix::identity(3);
-        assert!(sym_sqrt(&i).unwrap().max_abs_diff(&i) < 1e-14);
         assert!(sym_inv_sqrt(&i).unwrap().max_abs_diff(&i) < 1e-14);
     }
 
     #[test]
     fn diagonal_roots() {
         let a = Matrix::from_diag(&[9.0, 16.0]);
-        let s = sym_sqrt(&a).unwrap();
-        assert!((s[(0, 0)] - 3.0).abs() < 1e-12);
-        assert!((s[(1, 1)] - 4.0).abs() < 1e-12);
         let is = sym_inv_sqrt(&a).unwrap();
         assert!((is[(0, 0)] - 1.0 / 3.0).abs() < 1e-12);
     }
@@ -105,8 +73,6 @@ mod tests {
     fn semidefinite_direction_maps_to_zero() {
         // Rank-1 PSD matrix: eigenvalues {2, 0}.
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
-        let s = sym_sqrt(&a).unwrap();
-        assert!(s.matmul(&s).max_abs_diff(&a) < 1e-12);
         let is = sym_inv_sqrt(&a).unwrap();
         // A^{-1/2} A A^{-1/2} should be the projector onto the range of A.
         let proj = is.matmul(&a).matmul(&is);
@@ -116,9 +82,13 @@ mod tests {
 
     #[test]
     fn tiny_negative_eigenvalues_clamped() {
-        // Symmetric matrix that is PSD up to round-off.
+        // Symmetric matrix that is PSD up to round-off: eigenvalues
+        // {2, ~1e-16}. The tiny one is clamped, so only the (1,1)
+        // direction contributes 2^{-1/2}·vvᵀ instead of a ~1e8 or NaN term.
         let a = Matrix::from_rows(&[vec![1.0, 1.0 - 1e-16], vec![1.0 - 1e-16, 1.0]]);
-        let s = sym_sqrt(&a).unwrap();
-        assert!(s.is_finite());
+        let is = sym_inv_sqrt(&a).unwrap();
+        assert!(is.is_finite());
+        let expected = a.scale(0.5_f64.sqrt() * 0.5);
+        assert!(is.max_abs_diff(&expected) < 1e-12);
     }
 }

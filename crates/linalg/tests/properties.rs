@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use proptest::prelude::*;
-use sider_linalg::{lu, svd, sym_eigen, woodbury, Cholesky, Matrix, Qr};
+use sider_linalg::{lu, sym_eigen, woodbury, Matrix};
 
 /// Strategy: a small matrix with entries in [-10, 10].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -40,29 +40,6 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_reconstructs(a in spd(4)) {
-        let ch = Cholesky::new(&a).unwrap();
-        let rec = ch.l().matmul(&ch.l().transpose());
-        prop_assert!(rec.max_abs_diff(&a) < 1e-9);
-    }
-
-    #[test]
-    fn cholesky_and_lu_solves_agree(a in spd(4), b in proptest::collection::vec(-5.0..5.0f64, 4)) {
-        let x1 = Cholesky::new(&a).unwrap().solve(&b).unwrap();
-        let x2 = lu::Lu::new(&a).unwrap().solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            prop_assert!((u - v).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn qr_reconstructs_and_q_orthonormal(a in matrix(5, 3)) {
-        let qr = Qr::new(&a).unwrap();
-        prop_assert!(qr.q().matmul(qr.r()).max_abs_diff(&a) < 1e-9);
-        prop_assert!(qr.q().gram().max_abs_diff(&Matrix::identity(3)) < 1e-9);
-    }
-
-    #[test]
     fn eigen_reconstructs_symmetric(a in spd(4)) {
         let e = sym_eigen(&a).unwrap();
         prop_assert!(e.reconstruct().max_abs_diff(&a) < 1e-8);
@@ -85,31 +62,6 @@ proptest! {
     }
 
     #[test]
-    fn svd_reconstructs(a in matrix(5, 3)) {
-        let d = svd(&a).unwrap();
-        prop_assert!(d.reconstruct().max_abs_diff(&a) < 1e-9);
-        for w in d.s.windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-12);
-        }
-        prop_assert!(d.s.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn svd_of_wide_matrix_reconstructs(a in matrix(3, 5)) {
-        let d = svd(&a).unwrap();
-        prop_assert!(d.reconstruct().max_abs_diff(&a) < 1e-9);
-    }
-
-    #[test]
-    fn svd_frobenius_identity(a in matrix(4, 4)) {
-        // ‖A‖_F² = Σ s_i².
-        let d = svd(&a).unwrap();
-        let fro2: f64 = a.frobenius_norm().powi(2);
-        let ssum: f64 = d.s.iter().map(|s| s * s).sum();
-        prop_assert!((fro2 - ssum).abs() < 1e-7 * fro2.max(1.0));
-    }
-
-    #[test]
     fn woodbury_matches_direct_inverse(p in spd(4), w in proptest::collection::vec(-3.0..3.0f64, 4), lambda in 0.0..5.0f64) {
         let sigma = lu::inverse(&p).unwrap();
         let wb = woodbury::updated(&sigma, &w, lambda);
@@ -121,8 +73,6 @@ proptest! {
 
     #[test]
     fn sqrtm_roundtrip(a in spd(3)) {
-        let s = sider_linalg::sym_sqrt(&a).unwrap();
-        prop_assert!(s.matmul(&s).max_abs_diff(&a) < 1e-8);
         let is = sider_linalg::sym_inv_sqrt(&a).unwrap();
         let prod = is.matmul(&a).matmul(&is);
         prop_assert!(prod.max_abs_diff(&Matrix::identity(3)) < 1e-8);

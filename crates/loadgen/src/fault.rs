@@ -400,7 +400,14 @@ mod tests {
         conn.read_exact(&mut back).expect("echo back");
         assert_eq!(back, message, "splitting must not corrupt the stream");
         assert_eq!(proxy.conns(), 1);
-        assert!(proxy.bytes() >= 2 * message.len() as u64);
+        // A pump counts a chunk only after its `write_all`, so the echo can
+        // reach us before the last chunk is counted: wait for the counter.
+        let want = 2 * message.len() as u64;
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while proxy.bytes() < want && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(proxy.bytes() >= want, "{} of {want} bytes", proxy.bytes());
         proxy.stop();
     }
 

@@ -114,8 +114,6 @@ pub struct ServerConfig {
     /// Allow serving a data dir marked as a replica (`--promote`):
     /// clears the marker and leads from the replicated state.
     pub promote: bool,
-    /// Leader heartbeat interval on idle replication links.
-    pub ship_heartbeat: Duration,
 }
 
 impl Default for ServerConfig {
@@ -130,7 +128,6 @@ impl Default for ServerConfig {
             ship_addr: None,
             follow: None,
             promote: false,
-            ship_heartbeat: Duration::from_millis(sider_store::ship::DEFAULT_HEARTBEAT_MS),
         }
     }
 }
@@ -196,7 +193,6 @@ pub struct Server {
     /// Bound replication listener (leader with `--ship-addr`); taken by
     /// [`Server::run`] when the ship accept thread starts.
     ship_listener: Option<TcpListener>,
-    ship_heartbeat: Duration,
 }
 
 /// Handle for stopping a running [`Server`] from another thread.
@@ -348,7 +344,6 @@ impl Server {
             manager: Arc::new(manager),
             stop: Arc::new(AtomicBool::new(false)),
             ship_listener,
-            ship_heartbeat: config.ship_heartbeat,
         })
     }
 
@@ -385,12 +380,7 @@ impl Server {
     /// exits; they share the same stop flag.
     #[cfg(unix)]
     pub fn run(mut self) -> std::io::Result<()> {
-        let repl = replication::start(
-            self.ship_listener.take(),
-            &self.manager,
-            &self.stop,
-            self.ship_heartbeat,
-        );
+        let repl = replication::start(self.ship_listener.take(), &self.manager, &self.stop);
         let result = self.run_events();
         repl.join();
         result

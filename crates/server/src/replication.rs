@@ -43,6 +43,9 @@ const SHIP_BATCH: usize = 64;
 /// Writer-loop idle poll (nothing to send, heartbeat not yet due).
 const IDLE_POLL: Duration = Duration::from_millis(2);
 
+/// Leader heartbeat interval on idle links (announced in `welcome`).
+const HEARTBEAT: Duration = Duration::from_millis(ship::DEFAULT_HEARTBEAT_MS);
+
 /// Handshake read deadline on both sides.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -233,7 +236,6 @@ pub fn start(
     ship_listener: Option<TcpListener>,
     manager: &Arc<SessionManager>,
     stop: &Arc<AtomicBool>,
-    heartbeat: Duration,
 ) -> Handles {
     let ship = ship_listener.map(|listener| {
         let addr = listener.local_addr().expect("bound ship listener");
@@ -242,17 +244,14 @@ pub fn start(
         let m = Arc::clone(manager);
         let s = Arc::clone(stop);
         (
-            std::thread::spawn(move || run_ship_accept(listener, m, hub, s, heartbeat)),
+            std::thread::spawn(move || run_ship_accept(listener, m, hub, s)),
             addr,
         )
     });
     let follower = manager.follow_state().map(|state| {
         let m = Arc::clone(manager);
         let st = Arc::clone(&state);
-        (
-            std::thread::spawn(move || run_follower(m, st, heartbeat)),
-            state,
-        )
+        (std::thread::spawn(move || run_follower(m, st)), state)
     });
     Handles {
         ship,
@@ -270,7 +269,6 @@ fn run_ship_accept(
     manager: Arc<SessionManager>,
     hub: Arc<ShipHub>,
     stop: Arc<AtomicBool>,
-    heartbeat: Duration,
 ) {
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
@@ -281,7 +279,7 @@ fn run_ship_accept(
         let hub = Arc::clone(&hub);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            if let Err(e) = serve_follower(stream, &manager, &hub, &stop, heartbeat) {
+            if let Err(e) = serve_follower(stream, &manager, &hub, &stop) {
                 eprintln!("sider_server: ship connection ended: {e}");
             }
         });
@@ -296,7 +294,6 @@ fn serve_follower(
     manager: &Arc<SessionManager>,
     hub: &ShipHub,
     stop: &Arc<AtomicBool>,
-    heartbeat: Duration,
 ) -> Result<(), ship::ShipError> {
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
@@ -338,7 +335,7 @@ fn serve_follower(
     let seqs: Vec<u64> = stores.iter().map(|s| s.ship_seq()).collect();
     ship::write_frame(
         &mut writer,
-        &ship::welcome(stripes, heartbeat.as_millis() as u64, &seqs),
+        &ship::welcome(stripes, ship::DEFAULT_HEARTBEAT_MS, &seqs),
     )?;
 
     let peer = stream
@@ -409,7 +406,7 @@ fn serve_follower(
             break Ok(());
         }
         if !sent {
-            if last_beat.elapsed() >= heartbeat {
+            if last_beat.elapsed() >= HEARTBEAT {
                 let seqs: Vec<u64> = stores.iter().map(|s| s.ship_seq()).collect();
                 if ship::write_frame(&mut writer, &ship::heartbeat(&seqs)).is_err() {
                     break Ok(());
@@ -445,7 +442,7 @@ fn hello_cursors(hello: &Json) -> Json {
 // Follower side
 // ---------------------------------------------------------------------------
 
-fn run_follower(manager: Arc<SessionManager>, state: Arc<FollowState>, heartbeat: Duration) {
+fn run_follower(manager: Arc<SessionManager>, state: Arc<FollowState>) {
     // Jitter seed: a pure function of the leader address, so two
     // followers of different leaders de-synchronize while a test rerun
     // reproduces its exact delays.
@@ -454,7 +451,7 @@ fn run_follower(manager: Arc<SessionManager>, state: Arc<FollowState>, heartbeat
     });
     let mut attempt: u32 = 0;
     while !state.stop.load(Ordering::SeqCst) {
-        match follow_once(&manager, &state, heartbeat) {
+        match follow_once(&manager, &state) {
             LinkEnd::Stop | LinkEnd::Broken => break,
             LinkEnd::Retry => {
                 // A completed handshake resets the backoff: the next
@@ -495,11 +492,7 @@ enum LinkEnd {
 
 /// One connection lifetime: connect, handshake, replay until the link
 /// dies. Returns how it ended so the caller picks retry vs. stop.
-fn follow_once(
-    manager: &Arc<SessionManager>,
-    state: &Arc<FollowState>,
-    heartbeat: Duration,
-) -> LinkEnd {
+fn follow_once(manager: &Arc<SessionManager>, state: &Arc<FollowState>) -> LinkEnd {
     let addr = match state
         .leader
         .to_socket_addrs()
@@ -555,14 +548,14 @@ fn follow_once(
         }
     }
     // Liveness deadline: three missed heartbeats = a dead link. The
-    // interval is the *leader's* (announced in the welcome), so a pair
-    // configured differently still agrees on what "missed" means.
+    // interval is the *leader's* (announced in the welcome), so the
+    // follower keeps to whatever interval its leader sends.
     let beat = welcome
         .get("heartbeat_ms")
         .and_then(Json::as_num)
         .filter(|n| n.is_finite() && *n >= 1.0)
         .map(|n| Duration::from_millis(n as u64))
-        .unwrap_or(heartbeat);
+        .unwrap_or(HEARTBEAT);
     if stream.set_read_timeout(Some(beat * 3)).is_err() {
         return LinkEnd::Retry;
     }

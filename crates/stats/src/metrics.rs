@@ -1,4 +1,4 @@
-//! Set- and clustering-agreement metrics.
+//! Selection-agreement metrics.
 //!
 //! The paper's use cases report the **Jaccard index** between a user
 //! selection and a ground-truth class (e.g. "Jaccard-index to class 0.928"
@@ -46,56 +46,6 @@ pub fn best_class_match(selection: &[usize], labels: &[usize], n_classes: usize)
     (c, j)
 }
 
-/// Purity of a selection w.r.t. labels: fraction of the selection belonging
-/// to its majority class. Returns 0.0 for an empty selection.
-pub fn purity(selection: &[usize], labels: &[usize], n_classes: usize) -> f64 {
-    if selection.is_empty() {
-        return 0.0;
-    }
-    let mut counts = vec![0usize; n_classes];
-    for &i in selection {
-        counts[labels[i]] += 1;
-    }
-    *counts.iter().max().unwrap() as f64 / selection.len() as f64
-}
-
-/// Confusion counts between two labelings over the same items:
-/// `counts[a][b]` = number of items with `labels_a == a` and `labels_b == b`.
-pub fn confusion(labels_a: &[usize], labels_b: &[usize], ka: usize, kb: usize) -> Vec<Vec<usize>> {
-    assert_eq!(labels_a.len(), labels_b.len(), "confusion: length mismatch");
-    let mut m = vec![vec![0usize; kb]; ka];
-    for (&a, &b) in labels_a.iter().zip(labels_b) {
-        m[a][b] += 1;
-    }
-    m
-}
-
-/// Adjusted Rand index between two labelings (1 = identical partitions,
-/// ≈ 0 = independent). Standard Hubert–Arabie formulation.
-pub fn adjusted_rand_index(labels_a: &[usize], labels_b: &[usize]) -> f64 {
-    assert_eq!(labels_a.len(), labels_b.len(), "ari: length mismatch");
-    let n = labels_a.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let ka = labels_a.iter().max().map_or(0, |&m| m + 1);
-    let kb = labels_b.iter().max().map_or(0, |&m| m + 1);
-    let m = confusion(labels_a, labels_b, ka, kb);
-    let choose2 = |x: usize| (x * x.saturating_sub(1)) as f64 / 2.0;
-    let sum_ij: f64 = m.iter().flatten().map(|&v| choose2(v)).sum();
-    let a_sums: Vec<usize> = m.iter().map(|row| row.iter().sum()).collect();
-    let b_sums: Vec<usize> = (0..kb).map(|j| m.iter().map(|row| row[j]).sum()).collect();
-    let sum_a: f64 = a_sums.iter().map(|&v| choose2(v)).sum();
-    let sum_b: f64 = b_sums.iter().map(|&v| choose2(v)).sum();
-    let total = choose2(n);
-    let expected = sum_a * sum_b / total;
-    let max_index = 0.5 * (sum_a + sum_b);
-    if (max_index - expected).abs() < 1e-300 {
-        return 1.0;
-    }
-    (sum_ij - expected) / (max_index - expected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,44 +85,5 @@ mod tests {
         let (c, j) = best_class_match(&sel, &labels, 2);
         assert_eq!(c, 1);
         assert_eq!(j, 1.0);
-    }
-
-    #[test]
-    fn purity_majority_fraction() {
-        let labels = [0, 0, 1, 1, 1];
-        assert_eq!(purity(&[0, 2, 3], &labels, 2), 2.0 / 3.0);
-        assert_eq!(purity(&[], &labels, 2), 0.0);
-    }
-
-    #[test]
-    fn confusion_counts() {
-        let a = [0, 0, 1, 1];
-        let b = [0, 1, 1, 1];
-        let m = confusion(&a, &b, 2, 2);
-        assert_eq!(m, vec![vec![1, 1], vec![0, 2]]);
-    }
-
-    #[test]
-    fn ari_identical_partitions() {
-        let a = [0, 0, 1, 1, 2, 2];
-        assert!((adjusted_rand_index(&a, &a) - 1.0).abs() < 1e-12);
-        // Relabeled but identical partition.
-        let b = [1, 1, 2, 2, 0, 0];
-        assert!((adjusted_rand_index(&a, &b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ari_near_zero_for_unrelated() {
-        // A partition vs. an orthogonal interleaving.
-        let a = [0, 0, 0, 0, 1, 1, 1, 1];
-        let b = [0, 1, 0, 1, 0, 1, 0, 1];
-        let ari = adjusted_rand_index(&a, &b);
-        assert!(ari.abs() < 0.3, "ari {ari}");
-    }
-
-    #[test]
-    fn ari_trivial_inputs() {
-        assert_eq!(adjusted_rand_index(&[0], &[0]), 1.0);
-        assert_eq!(adjusted_rand_index(&[], &[]), 1.0);
     }
 }

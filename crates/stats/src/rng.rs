@@ -6,7 +6,7 @@
 //! reproducible bit-for-bit across platforms and crate-version bumps, and
 //! (b) the library has zero runtime dependencies.
 
-use sider_linalg::{Cholesky, Matrix};
+use sider_linalg::Matrix;
 
 /// xoshiro256++ pseudo-random number generator.
 #[derive(Debug, Clone)]
@@ -67,12 +67,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)` (Lemire-style rejection-free for our
     /// non-cryptographic needs: simple modulo with 64→128 multiply).
     #[inline]
@@ -126,27 +120,9 @@ impl Rng {
         (0..n).map(|_| self.standard_normal()).collect()
     }
 
-    /// Sample `N(mean, Σ)` given a pre-computed Cholesky factor of `Σ`.
-    pub fn multivariate_normal(&mut self, mean: &[f64], chol: &Cholesky) -> Vec<f64> {
-        let z = self.standard_normal_vec(mean.len());
-        let mut x = chol.l_times(&z);
-        for (xi, mi) in x.iter_mut().zip(mean) {
-            *xi += mi;
-        }
-        x
-    }
-
     /// `n × d` matrix of iid standard normals.
     pub fn standard_normal_matrix(&mut self, n: usize, d: usize) -> Matrix {
         Matrix::from_vec(n, d, (0..n * d).map(|_| self.standard_normal()).collect())
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i + 1);
-            items.swap(i, j);
-        }
     }
 
     /// Sample `k` distinct indices from `[0, n)` (k ≤ n).
@@ -174,12 +150,6 @@ impl Rng {
             }
         }
         weights.len() - 1
-    }
-
-    /// Fork a statistically independent child generator (for parallel
-    /// experiment arms that must not share streams).
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64())
     }
 
     /// Counter-seeded substream: a generator that depends only on
@@ -268,44 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn multivariate_normal_covariance_recovered() {
-        let cov = Matrix::from_rows(&[vec![2.0, 0.8], vec![0.8, 1.0]]);
-        let chol = Cholesky::new(&cov).unwrap();
-        let mean = [1.0, -1.0];
-        let mut r = Rng::seed_from_u64(13);
-        let n = 100_000;
-        let mut sum = [0.0; 2];
-        let mut sum_xy = 0.0;
-        let mut sum_xx = 0.0;
-        for _ in 0..n {
-            let x = r.multivariate_normal(&mean, &chol);
-            sum[0] += x[0];
-            sum[1] += x[1];
-            sum_xx += (x[0] - 1.0) * (x[0] - 1.0);
-            sum_xy += (x[0] - 1.0) * (x[1] + 1.0);
-        }
-        assert!((sum[0] / n as f64 - 1.0).abs() < 0.02);
-        assert!((sum[1] / n as f64 + 1.0).abs() < 0.02);
-        assert!((sum_xx / n as f64 - 2.0).abs() < 0.05);
-        assert!((sum_xy / n as f64 - 0.8).abs() < 0.05);
-    }
-
-    #[test]
     fn bernoulli_frequency() {
         let mut r = Rng::seed_from_u64(17);
         let hits = (0..100_000).filter(|_| r.bernoulli(0.75)).count();
         assert!((hits as f64 / 100_000.0 - 0.75).abs() < 0.01);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Rng::seed_from_u64(19);
-        let mut v: Vec<usize> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>()); // astronomically unlikely
     }
 
     #[test]
@@ -381,15 +317,6 @@ mod tests {
         c.standard_normal();
         c.standard_normal();
         assert_eq!(c.take_spare_normal(), None);
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = Rng::seed_from_u64(31);
-        let mut child = parent.fork();
-        let a = parent.next_u64();
-        let b = child.next_u64();
-        assert_ne!(a, b);
     }
 
     #[test]

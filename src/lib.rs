@@ -6,7 +6,7 @@
 //! The crate re-exports the whole workspace so downstream users depend on
 //! one name:
 //!
-//! * [`linalg`] — dense linear algebra (eigen/SVD/Cholesky/Woodbury).
+//! * [`linalg`] — dense linear algebra (eigen/LU/Woodbury).
 //! * [`stats`] — RNG, descriptive statistics, k-means, metrics, ellipses.
 //! * [`maxent`] — the MaxEnt background distribution with linear and
 //!   quadratic constraints (the paper's §II-A engine).
