@@ -43,14 +43,27 @@
 //! resulting state is fingerprint-checked against a live twin before the
 //! timing is trusted.
 //!
-//! Set `SIDER_BENCH_SMOKE=1` for the reduced CI grid (same JSON schema).
+//! A top-level `suggest` array times `sider_suggest::recommend` on the
+//! two guided-exploration shapes of the closed-loop benchmark: builtin
+//! `bnc` (1335×100) with batch 16 and builtin `segmentation` (2310×19)
+//! with batch 64, each fitted with margins and one label-class cluster.
+//! Each row records `suggest_ns` at 1 and `max` threads, and
+//! `bit_identical_across_threads` compares the two response dumps.
+//!
+//! Set `SIDER_BENCH_SMOKE=1` for the reduced CI grid (same JSON schema;
+//! the `suggest` rows keep their full shapes).
 
 use sider_bench::{median_duration, time, write_artifact};
+use sider_core::wire::{suggest_response_to_json, SuggestRequest};
+use sider_core::EdaSession;
+use sider_data::bnc::{bnc_like_corpus, BncOpts};
+use sider_data::segmentation::{segmentation_like, SegmentationOpts};
+use sider_data::Dataset;
 use sider_json::Json;
 use sider_linalg::{sym_eigen, vector, woodbury, Matrix, SymEigen};
 use sider_loadgen::smoke_mode;
 use sider_maxent::params::ClassParams;
-use sider_maxent::BackgroundDistribution;
+use sider_maxent::{BackgroundDistribution, FitOpts};
 use sider_par::ThreadPool;
 use sider_projection::pca_directions_with;
 use sider_stats::Rng;
@@ -117,6 +130,22 @@ fn main() {
         .iter()
         .map(|sc| run_scenario(sc, &thread_counts, max_threads, reps))
         .collect();
+    let suggest_jsons = vec![
+        run_suggest(
+            "bnc",
+            bnc_like_corpus(&BncOpts::default(), 2018),
+            16,
+            max_threads,
+            reps,
+        ),
+        run_suggest(
+            "segmentation",
+            segmentation_like(&SegmentationOpts::default(), 2018),
+            64,
+            max_threads,
+            reps,
+        ),
+    ];
     let doc = Json::obj([
         ("bench", Json::from("scaling")),
         ("smoke", Json::from(smoke)),
@@ -125,6 +154,7 @@ fn main() {
         ("reps", Json::from(reps)),
         ("classes", Json::from(N_CLASSES)),
         ("scenarios", Json::Arr(scenario_jsons)),
+        ("suggest", Json::Arr(suggest_jsons)),
     ]);
     write_artifact("scaling", &doc);
 }
@@ -353,6 +383,54 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
         ("runs", Json::arr(runs_json)),
         ("bit_identical_across_threads", Json::from(bit_identical)),
         ("parallel_speedup_max_vs_1", round3(parallel_speedup)),
+    ])
+}
+
+/// Time `recommend` on a builtin dataset fitted with margins and its first
+/// label class as one cluster statement, at 1 and `max_threads` pool
+/// threads. Each thread count gets its own session (fits are bit-identical
+/// at any pool size), and the response dumps are compared byte for byte.
+fn run_suggest(name: &str, ds: Dataset, batch: usize, max_threads: usize, reps: usize) -> Json {
+    let req = SuggestRequest {
+        seed: 3,
+        batch,
+        k: 8,
+    };
+    let (n, d) = (ds.n(), ds.d());
+    let class: Vec<usize> = (0..n)
+        .filter(|&i| ds.labels[0].assignments[i] == 0)
+        .collect();
+    let mut thread_counts = vec![1usize, max_threads];
+    thread_counts.dedup();
+    let mut dumps: Vec<String> = Vec::new();
+    let mut runs: Vec<Json> = Vec::new();
+    for &threads in &thread_counts {
+        let pool = Arc::new(ThreadPool::new(threads));
+        let mut session = EdaSession::with_pool(ds.clone(), 7, pool).expect("session");
+        session.add_margin_constraints().expect("margins");
+        session.add_cluster_constraint(&class).expect("cluster");
+        session.update_background(&FitOpts::default()).expect("fit");
+        let recommend = || sider_suggest::recommend(&session, &req).expect("recommend");
+        let suggest_ns = median_of(reps, || time(recommend).1);
+        dumps.push(suggest_response_to_json(&recommend()).dump());
+        runs.push(Json::obj([
+            ("threads", Json::from(threads)),
+            ("suggest_ns", Json::from(suggest_ns.as_nanos() as u64)),
+        ]));
+        println!(
+            "scaling/suggest {name} {n}x{d} batch {batch}: {threads} threads {:.1}ms",
+            suggest_ns.as_secs_f64() * 1e3
+        );
+    }
+    let bit_identical = dumps.windows(2).all(|w| w[0] == w[1]);
+    Json::obj([
+        ("dataset", Json::from(name)),
+        ("n", Json::from(n)),
+        ("d", Json::from(d)),
+        ("batch", Json::from(batch)),
+        ("k", Json::from(req.k)),
+        ("runs", Json::Arr(runs)),
+        ("bit_identical_across_threads", Json::from(bit_identical)),
     ])
 }
 

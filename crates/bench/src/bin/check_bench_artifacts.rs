@@ -14,7 +14,10 @@
 //! `eigen.dc_speedup` (the `SymEigen::decompose` divide-and-conquer
 //! dispatch vs raw Jacobi on the same class precision) must be ≥ 1.0
 //! wherever `d ≥ 32` — the dispatch threshold above which D&C carries
-//! every decomposition.
+//! every decomposition. `BENCH_scaling.json` must also carry a `suggest`
+//! row for both the `bnc` and the `segmentation` shape, each timed
+//! (`suggest_ns > 0`) at 1 and `max_threads` threads with byte-identical
+//! responses.
 //!
 //! For `BENCH_serve.json` the SLO-style gates are likewise
 //! machine-independent: both a `stripes == 1` baseline run and a striped
@@ -159,6 +162,62 @@ fn check_scaling(doc: &Json) -> Result<(), String> {
                 "hot_total_ns",
             ] {
                 require_num_at(run, &at, key)?;
+            }
+        }
+    }
+    check_scaling_suggest(doc)
+}
+
+/// The `suggest` rows of `BENCH_scaling.json`: `recommend` timed on the
+/// closed-loop benchmark's two guided-exploration shapes, at 1 and
+/// `max_threads` pool threads, with byte-identical responses.
+fn check_scaling_suggest(doc: &Json) -> Result<(), String> {
+    let max_threads = require_num_at(doc, "", "max_threads")?;
+    let rows = doc
+        .get("suggest")
+        .and_then(Json::as_arr)
+        .ok_or("missing 'suggest' array")?;
+    for dataset in ["bnc", "segmentation"] {
+        let (i, row) = rows
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r.get("dataset").and_then(Json::as_str) == Some(dataset))
+            .ok_or_else(|| format!("no 'suggest' row with dataset == \"{dataset}\""))?;
+        let at = format!("suggest[{i}]");
+        for key in ["n", "d", "batch", "k"] {
+            if require_num_at(row, &at, key)? < 1.0 {
+                return Err(format!("JSON path '{at}.{key}' must be >= 1"));
+            }
+        }
+        if row
+            .path("bit_identical_across_threads")
+            .and_then(Json::as_bool)
+            != Some(true)
+        {
+            return Err(format!(
+                "JSON path '{at}.bit_identical_across_threads': suggest responses were NOT \
+                 byte-identical across thread counts"
+            ));
+        }
+        let runs = row
+            .get("runs")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing '{at}.runs' array"))?;
+        let mut threads = Vec::with_capacity(runs.len());
+        for (j, run) in runs.iter().enumerate() {
+            let at = format!("{at}.runs[{j}]");
+            threads.push(require_num_at(run, &at, "threads")?);
+            if require_num_at(run, &at, "suggest_ns")? < 1.0 {
+                return Err(format!(
+                    "JSON path '{at}.suggest_ns' is zero — suggest was not timed"
+                ));
+            }
+        }
+        for want in [1.0, max_threads] {
+            if !threads.contains(&want) {
+                return Err(format!(
+                    "JSON path '{at}.runs' has no run with threads == {want}"
+                ));
             }
         }
     }

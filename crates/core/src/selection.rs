@@ -3,10 +3,11 @@
 //! The SIDER UI (paper Fig. 7) shows, for the current selection, summary
 //! statistics next to the full data's, and a pairplot of "the attributes
 //! maximally different with respect to the current selection as compared
-//! to the full dataset". This module computes both.
+//! to the full dataset". This module ranks the attributes for that
+//! pairplot.
 
 use sider_data::Dataset;
-use sider_stats::descriptive::{mean, sample_sd, ColumnStats};
+use sider_stats::descriptive::{mean, sample_sd};
 
 /// How one attribute differs between a selection and the rest of the data.
 #[derive(Debug, Clone)]
@@ -23,25 +24,6 @@ pub struct AttributeDiff {
     /// `|μ_sel − μ_rest| / √((σ²_sel + σ²_rest)/2 + ε)` (Cohen's d with a
     /// small floor for constant attributes).
     pub score: f64,
-}
-
-/// Per-column statistics of a selection.
-pub fn selection_stats(dataset: &Dataset, selection: &[usize]) -> Vec<ColumnStats> {
-    (0..dataset.d())
-        .map(|j| {
-            let vals: Vec<f64> = selection
-                .iter()
-                .filter(|&&i| i < dataset.n())
-                .map(|&i| dataset.matrix[(i, j)])
-                .collect();
-            ColumnStats {
-                mean: mean(&vals),
-                sd: sample_sd(&vals),
-                min: vals.iter().cloned().fold(f64::INFINITY, f64::min),
-                max: vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-            }
-        })
-        .collect()
 }
 
 /// Attributes ranked by how much the selection differs from the rest of
@@ -114,16 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_stats_summarize_the_subset() {
-        let ds = dataset();
-        let sel: Vec<usize> = (0..10).collect();
-        let stats = selection_stats(&ds, &sel);
-        assert!((stats[0].mean - 10.1).abs() < 0.05);
-        assert!(stats[0].min >= 10.0);
-        assert_eq!(stats.len(), 3);
-    }
-
-    #[test]
     fn most_differing_ranks_shifted_column_first() {
         let ds = dataset();
         let sel: Vec<usize> = (0..10).collect();
@@ -138,8 +110,6 @@ mod tests {
     #[test]
     fn empty_selection_is_harmless() {
         let ds = dataset();
-        let stats = selection_stats(&ds, &[]);
-        assert_eq!(stats[0].mean, 0.0);
         let diffs = most_differing_attributes(&ds, &[]);
         assert_eq!(diffs.len(), 3);
         assert!(diffs.iter().all(|d| d.score.is_finite()));
@@ -148,7 +118,8 @@ mod tests {
     #[test]
     fn out_of_range_indices_ignored() {
         let ds = dataset();
-        let stats = selection_stats(&ds, &[0, 1, 999]);
-        assert!(stats[0].mean > 9.0);
+        let guarded = most_differing_attributes(&ds, &[0, 1, 999]);
+        let plain = most_differing_attributes(&ds, &[0, 1]);
+        assert_eq!(format!("{guarded:?}"), format!("{plain:?}"));
     }
 }

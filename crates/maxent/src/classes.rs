@@ -45,13 +45,6 @@ pub struct Refinement {
     pub n_old_classes: usize,
 }
 
-impl Refinement {
-    /// Classes created by the append (ids `n_old_classes..`).
-    pub fn n_new_classes(&self) -> usize {
-        self.parent_of_class.len() - self.n_old_classes
-    }
-}
-
 impl Partition {
     /// Compute the partition induced by `constraints` on `n` rows.
     pub fn new(n: usize, constraints: &[Constraint]) -> Partition {
@@ -453,7 +446,7 @@ mod tests {
         let mut p = Partition::new(6, &cs);
         let before = p.clone();
         let refinement = p.append(&cs, cs.len());
-        assert_eq!(refinement.n_new_classes(), 0);
+        assert_eq!(refinement.parent_of_class.len(), refinement.n_old_classes);
         assert_eq!(p.class_of_row, before.class_of_row);
         assert_eq!(p.class_counts, before.class_counts);
         assert_eq!(p.classes_of_constraint, before.classes_of_constraint);

@@ -403,6 +403,11 @@ impl BackgroundDistribution {
     /// each dot product over the same ascending coordinate order), and
     /// bit-identical at any pool size (rows are independent; chunk
     /// boundaries are fixed).
+    ///
+    /// No production code calls it: guided exploration whitens once per
+    /// call and projects every candidate from that matrix. It stays as
+    /// the reference those scores are tested against, and as a timing
+    /// probe.
     pub fn whiten_project_with(
         &self,
         data: &Matrix,

@@ -53,24 +53,21 @@ impl Contrast {
         }
     }
 
-    /// First derivative `g(u) = G′(u)` (the FastICA non-linearity).
-    pub fn g(&self, u: f64) -> f64 {
-        match *self {
-            Contrast::LogCosh { alpha } => (alpha * u).tanh(),
-            Contrast::Exp => u * (-0.5 * u * u).exp(),
-            Contrast::Kurtosis => u * u * u,
-        }
-    }
-
-    /// Second derivative `g′(u)`.
-    pub fn g_prime(&self, u: f64) -> f64 {
+    /// First and second derivatives `(g(u), g′(u))`, where `g = G′` is the
+    /// FastICA non-linearity. The transcendental factor — the tanh of
+    /// log-cosh, the exp of `Exp` — is evaluated once and shared by both.
+    #[inline]
+    pub fn g_pair(&self, u: f64) -> (f64, f64) {
         match *self {
             Contrast::LogCosh { alpha } => {
                 let t = (alpha * u).tanh();
-                alpha * (1.0 - t * t)
+                (t, alpha * (1.0 - t * t))
             }
-            Contrast::Exp => (1.0 - u * u) * (-0.5 * u * u).exp(),
-            Contrast::Kurtosis => 3.0 * u * u,
+            Contrast::Exp => {
+                let e = (-0.5 * u * u).exp();
+                (u * e, (1.0 - u * u) * e)
+            }
+            Contrast::Kurtosis => (u * u * u, 3.0 * u * u),
         }
     }
 
@@ -211,13 +208,52 @@ mod tests {
         let h = 1e-6;
         for contrast in [Contrast::default(), Contrast::Exp, Contrast::Kurtosis] {
             for &u in &[-2.0, -0.3, 0.7, 1.9] {
+                let (g, g_prime) = contrast.g_pair(u);
                 let dg = (contrast.big_g(u + h) - contrast.big_g(u - h)) / (2.0 * h);
-                assert!((dg - contrast.g(u)).abs() < 1e-6, "{contrast:?} u={u}");
-                let dgp = (contrast.g(u + h) - contrast.g(u - h)) / (2.0 * h);
-                assert!(
-                    (dgp - contrast.g_prime(u)).abs() < 1e-5,
-                    "{contrast:?} u={u}"
-                );
+                assert!((dg - g).abs() < 1e-6, "{contrast:?} u={u}");
+                let dgp = (contrast.g_pair(u + h).0 - contrast.g_pair(u - h).0) / (2.0 * h);
+                assert!((dgp - g_prime).abs() < 1e-5, "{contrast:?} u={u}");
+            }
+        }
+    }
+
+    #[test]
+    fn g_pair_matches_separate_formulas_bitwise() {
+        // The one-evaluation pair must reproduce the two separate
+        // derivative formulas bit for bit — signed zeros, subnormals and
+        // saturated tanh / underflowed exp included — because FastICA's
+        // fixed-point bytes depend on them.
+        fn g(c: Contrast, u: f64) -> f64 {
+            match c {
+                Contrast::LogCosh { alpha } => (alpha * u).tanh(),
+                Contrast::Exp => u * (-0.5 * u * u).exp(),
+                Contrast::Kurtosis => u * u * u,
+            }
+        }
+        fn g_prime(c: Contrast, u: f64) -> f64 {
+            match c {
+                Contrast::LogCosh { alpha } => {
+                    let t = (alpha * u).tanh();
+                    alpha * (1.0 - t * t)
+                }
+                Contrast::Exp => (1.0 - u * u) * (-0.5 * u * u).exp(),
+                Contrast::Kurtosis => 3.0 * u * u,
+            }
+        }
+        let mut grid = vec![0.0, 1e-310, 0.5, 20.0, 800.0, 1e-3, 0.7, 1.9, 3.3, 38.5];
+        grid.extend((0..64).map(|i| i as f64 * 0.37 - 4.1));
+        let grid: Vec<f64> = grid.iter().flat_map(|&u| [u, -u]).collect();
+        let contrasts = [
+            Contrast::default(),
+            Contrast::LogCosh { alpha: 1.7 },
+            Contrast::Exp,
+            Contrast::Kurtosis,
+        ];
+        for c in contrasts {
+            for &u in &grid {
+                let (a, b) = c.g_pair(u);
+                assert_eq!(a.to_bits(), g(c, u).to_bits(), "{c:?} g({u:e})");
+                assert_eq!(b.to_bits(), g_prime(c, u).to_bits(), "{c:?} g'({u:e})");
             }
         }
     }

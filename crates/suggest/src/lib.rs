@@ -33,21 +33,24 @@
 //!
 //! ## Determinism
 //!
-//! The ranked list is byte-identical at any thread and stripe count:
-//! candidate generation reuses the fused
-//! `whiten_project_with`/`whitened_second_moment_with` kernels (both
-//! bit-identical at any pool size), FastICA runs on seeded substreams,
-//! and the batch fans over the session's pool with `par_map` — a
-//! placement-deterministic, order-preserving chunk map — while each
-//! candidate's row reduction is a fixed sequential sum. The server e2e
-//! and replication suites pin the resulting response bytes.
+//! The ranked list is byte-identical at any thread and stripe count.
+//! [`recommend`] whitens the dataset once per call with the
+//! row-independent `whiten_with` kernel, and that one matrix feeds all
+//! three consumers: the PCA moment (`second_moment_with`'s fixed chunk
+//! tree, bitwise equal to the fused `whitened_second_moment_with` the PCA
+//! view uses), FastICA (seeded substream, fixed-order fixed-point step) and
+//! every candidate's score. A score projects each whitened row with the
+//! same `matvec_into` that `whiten_project_with` runs after its own
+//! whitening pass and sums the squares in row order. The batch fans over
+//! the session's pool with `par_map` — a placement-deterministic,
+//! order-preserving chunk map. The server e2e and replication suites pin
+//! the resulting response bytes.
 
 use sider_core::session::EdaSession;
 use sider_core::wire::{SuggestRequest, SuggestResponse, Suggestion};
 use sider_core::{CoreError, Result};
 use sider_linalg::Matrix;
-use sider_par::ThreadPool;
-use sider_projection::{display_score, fastica_with, pca_directions_from_moment, IcaOpts};
+use sider_projection::{display_score, fastica_with, pca_directions_with, IcaOpts};
 use sider_stats::Rng;
 
 /// Substream index reserved for the FastICA initialization draws.
@@ -84,47 +87,45 @@ pub fn recommend(session: &EdaSession, req: &SuggestRequest) -> Result<SuggestRe
             "suggest needs at least 2 columns to form a projection plane".into(),
         ));
     }
-    let candidates = generate_candidates(session, req.seed, req.batch)?;
+    // One whitening pass serves the PCA moment, FastICA and every score.
+    let whitened = session.whitened()?;
+    let candidates = generate_candidates(session, &whitened, req.seed, req.batch)?;
 
-    let data = session.data();
-    let background = session.background();
-    let n = data.rows();
-    // Fan the batch over the session pool; every candidate's kernel runs
-    // on the serial singleton so the only dispatch level is the batch
+    let n = whitened.rows();
+    // Fan the batch over the session pool; each candidate projects the
+    // whitened rows serially, so the only dispatch level is the batch
     // itself (`par_map` is placement-deterministic and order-preserving).
     let pool = session
         .pool()
-        .gated(candidates.len().saturating_mul(n * (d * d + 2 * d)));
-    let scored: Vec<Result<(f64, [f64; 2])>> = pool.par_map(&candidates, |c| {
-        let p = background.whiten_project_with(data, &c.axes, &ThreadPool::serial())?;
+        .gated(candidates.len().saturating_mul(n * 2 * d));
+    let scored: Vec<(f64, [f64; 2])> = pool.par_map(&candidates, |c| {
+        let mut p = [0.0f64; 2];
         let mut sums = [0.0f64; 2];
         for i in 0..n {
-            sums[0] += p[(i, 0)] * p[(i, 0)];
-            sums[1] += p[(i, 1)] * p[(i, 1)];
+            c.axes.matvec_into(whitened.row(i), &mut p);
+            sums[0] += p[0] * p[0];
+            sums[1] += p[1] * p[1];
         }
         let gains = [
             display_score(sums[0] / n as f64),
             display_score(sums[1] / n as f64),
         ];
-        Ok((gains[0] + gains[1], gains))
+        (gains[0] + gains[1], gains)
     });
 
     let mut suggestions: Vec<Suggestion> = candidates
         .into_iter()
         .zip(scored)
         .enumerate()
-        .map(|(candidate, (c, score))| {
-            let (gain, axis_gains) = score?;
-            Ok(Suggestion {
-                candidate,
-                source: c.source,
-                label: c.label,
-                axes: c.axes,
-                gain,
-                axis_gains,
-            })
+        .map(|(candidate, (c, (gain, axis_gains)))| Suggestion {
+            candidate,
+            source: c.source,
+            label: c.label,
+            axes: c.axes,
+            gain,
+            axis_gains,
         })
-        .collect::<Result<_>>()?;
+        .collect();
     let batch = suggestions.len();
     // Descending gain; the deterministic generation index breaks ties, so
     // the ranking never depends on sort internals.
@@ -147,18 +148,20 @@ pub fn recommend(session: &EdaSession, req: &SuggestRequest) -> Result<SuggestRe
 /// attribute pairs, then counter-seeded random planes until `batch`
 /// candidates exist. Truncation (a small `batch`) keeps the prefix, so
 /// the candidate at a given index never depends on the batch size.
-fn generate_candidates(session: &EdaSession, seed: u64, batch: usize) -> Result<Vec<Candidate>> {
+fn generate_candidates(
+    session: &EdaSession,
+    whitened: &Matrix,
+    seed: u64,
+    batch: usize,
+) -> Result<Vec<Candidate>> {
     let d = session.dataset().d();
-    let data = session.data();
-    let background = session.background();
     let pool = session.pool();
     let mut out: Vec<Candidate> = Vec::with_capacity(batch);
 
     // PCA directions of the current whitened second moment — the same
     // spectrum the PCA view ranks, so the top pair reproduces the view
     // the session would show next.
-    let moment = background.whitened_second_moment_with(data, pool)?;
-    let pca = pca_directions_from_moment(data.rows(), moment)?;
+    let pca = pca_directions_with(whitened, pool)?;
     let take = pca.directions.rows().min(MAX_PCA_DIRECTIONS);
     push_pairs(&mut out, batch, take, |i, j| Candidate {
         source: "pca",
@@ -172,9 +175,8 @@ fn generate_candidates(session: &EdaSession, seed: u64, batch: usize) -> Result<
     // cannot run (e.g. a fully collapsed background) just contributes no
     // candidates — the failure is deterministic too.
     if out.len() < batch {
-        let whitened = session.whitened()?;
         let mut rng = Rng::substream(seed, ICA_SUBSTREAM);
-        if let Ok(ica) = fastica_with(&whitened, &IcaOpts::default(), &mut rng, pool) {
+        if let Ok(ica) = fastica_with(whitened, &IcaOpts::default(), &mut rng, pool) {
             let take = ica.directions.rows().min(MAX_ICA_COMPONENTS);
             push_pairs(&mut out, batch, take, |i, j| Candidate {
                 source: "ica",
@@ -271,9 +273,12 @@ fn norm(v: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use sider_core::wire::suggest_response_to_json;
-    use sider_data::synthetic::three_d_four_clusters;
+    use sider_data::segmentation::{segmentation_like, SegmentationOpts};
+    use sider_data::synthetic::{runtime_dataset, three_d_four_clusters};
+    use sider_data::Dataset;
     use sider_maxent::FitOpts;
-    use sider_projection::Method;
+    use sider_par::ThreadPool;
+    use sider_projection::{pca_directions_from_moment, Method};
     use std::sync::Arc;
 
     fn session_with(threads: usize) -> EdaSession {
@@ -468,6 +473,106 @@ mod tests {
         };
         for c in [0usize, 13, 40, 63] {
             assert_eq!(by_candidate(&small, c), by_candidate(&large, c));
+        }
+    }
+
+    /// A session fitted with margins and the first label class as one
+    /// cluster statement.
+    fn fitted(ds: Dataset) -> EdaSession {
+        let class: Vec<usize> = (0..ds.n())
+            .filter(|&i| ds.labels[0].assignments[i] == 0)
+            .collect();
+        let mut s = EdaSession::with_pool(ds, 11, Arc::new(ThreadPool::new(2))).unwrap();
+        s.add_margin_constraints().unwrap();
+        s.add_cluster_constraint(&class).unwrap();
+        s.update_background(&FitOpts::default()).unwrap();
+        s
+    }
+
+    #[test]
+    fn every_suggestion_matches_the_fused_kernel_reference_bitwise() {
+        // The reference derives every plane and score from kernels that
+        // whiten on their own: PCA from the fused whitened moment, FastICA
+        // on `session.whitened()`, and each score from
+        // `whiten_project_with` with a row-order sum.
+        let segmentation = segmentation_like(
+            &SegmentationOpts {
+                per_class: 40,
+                ..SegmentationOpts::default()
+            },
+            5,
+        );
+        // 280×19: 28 PCA + 6 ICA + 66 attribute pairs, then random planes.
+        // 300×24: the 28 PCA pairs fill the batch.
+        let cases = [
+            (
+                fitted(segmentation),
+                104,
+                vec!["pca", "ica", "attr", "random"],
+            ),
+            (fitted(runtime_dataset(300, 24, 3, 7)), 28, vec!["pca"]),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (session, batch, families) in cases {
+            let req = SuggestRequest {
+                seed: 17,
+                batch,
+                k: batch,
+            };
+            let resp = recommend(&session, &req).unwrap();
+            assert_eq!(resp.suggestions.len(), batch);
+            let (data, bg, pool) = (session.data(), session.background(), session.pool());
+            let n = data.rows();
+
+            let moment = bg.whitened_second_moment_with(data, pool).unwrap();
+            let pca = pca_directions_from_moment(n, moment).unwrap();
+            let mut expected: Vec<(&str, Matrix)> = Vec::new();
+            let pairs =
+                |take: usize| (0..take).flat_map(move |i| (i + 1..take).map(move |j| (i, j)));
+            for (i, j) in pairs(pca.directions.rows().min(MAX_PCA_DIRECTIONS)) {
+                expected.push(("pca", plane(pca.directions.row(i), pca.directions.row(j))));
+            }
+            if expected.len() < batch {
+                let mut rng = Rng::substream(req.seed, ICA_SUBSTREAM);
+                let whitened = session.whitened().unwrap();
+                let ica = fastica_with(&whitened, &IcaOpts::default(), &mut rng, pool).unwrap();
+                for (i, j) in pairs(ica.directions.rows().min(MAX_ICA_COMPONENTS)) {
+                    expected.push(("ica", plane(ica.directions.row(i), ica.directions.row(j))));
+                }
+            }
+            expected.truncate(batch);
+
+            for s in &resp.suggestions {
+                let p = bg
+                    .whiten_project_with(data, &s.axes, &ThreadPool::serial())
+                    .unwrap();
+                let mut sums = [0.0f64; 2];
+                for i in 0..n {
+                    sums[0] += p[(i, 0)] * p[(i, 0)];
+                    sums[1] += p[(i, 1)] * p[(i, 1)];
+                }
+                let gains = [
+                    display_score(sums[0] / n as f64),
+                    display_score(sums[1] / n as f64),
+                ];
+                assert_eq!(bits(&s.axis_gains), bits(&gains), "{}", s.label);
+                assert_eq!(s.gain.to_bits(), (gains[0] + gains[1]).to_bits());
+                if let Some((source, axes)) = expected.get(s.candidate) {
+                    assert_eq!(s.source, *source, "{}", s.label);
+                    assert_eq!(
+                        bits(s.axes.as_slice()),
+                        bits(axes.as_slice()),
+                        "{}",
+                        s.label
+                    );
+                }
+            }
+            for family in families {
+                assert!(
+                    resp.suggestions.iter().any(|s| s.source == family),
+                    "batch {batch} should contain a '{family}' candidate"
+                );
+            }
         }
     }
 }
