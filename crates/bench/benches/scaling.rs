@@ -50,11 +50,21 @@
 //! Each row records `suggest_ns` at 1 and `max` threads, and
 //! `bit_identical_across_threads` compares the two response dumps.
 //!
+//! A top-level `fit` array times the feedback loop's refits on the shape
+//! of the closed-loop benchmark's fit-bound workload: builtin `bnc`
+//! (1335×100) with margins, then each of its four genre classes as a
+//! cluster statement, one warm update per statement under default
+//! `FitOpts`. Each of the five rounds records its `sweeps`,
+//! `eigen_recomputed` and `fit_ns` (the median over fresh sessions), and
+//! each run records `total_fit_ns` (the median of the per-session sums),
+//! at 1 and `max` threads. `bit_identical_across_threads` compares the
+//! update reports and the `information_nats` bits of every round.
+//!
 //! Set `SIDER_BENCH_SMOKE=1` for the reduced CI grid (same JSON schema;
-//! the `suggest` rows keep their full shapes).
+//! the `suggest` and `fit` rows keep their full shapes).
 
 use sider_bench::{median_duration, time, write_artifact};
-use sider_core::wire::{suggest_response_to_json, SuggestRequest};
+use sider_core::wire::{report_to_json, suggest_response_to_json, SuggestRequest};
 use sider_core::EdaSession;
 use sider_data::bnc::{bnc_like_corpus, BncOpts};
 use sider_data::segmentation::{segmentation_like, SegmentationOpts};
@@ -146,6 +156,12 @@ fn main() {
             reps,
         ),
     ];
+    let fit_jsons = vec![run_fit(
+        "bnc",
+        bnc_like_corpus(&BncOpts::default(), 2018),
+        max_threads,
+        reps,
+    )];
     let doc = Json::obj([
         ("bench", Json::from("scaling")),
         ("smoke", Json::from(smoke)),
@@ -155,6 +171,7 @@ fn main() {
         ("classes", Json::from(N_CLASSES)),
         ("scenarios", Json::Arr(scenario_jsons)),
         ("suggest", Json::Arr(suggest_jsons)),
+        ("fit", Json::Arr(fit_jsons)),
     ]);
     write_artifact("scaling", &doc);
 }
@@ -429,6 +446,100 @@ fn run_suggest(name: &str, ds: Dataset, batch: usize, max_threads: usize, reps: 
         ("d", Json::from(d)),
         ("batch", Json::from(batch)),
         ("k", Json::from(req.k)),
+        ("runs", Json::Arr(runs)),
+        ("bit_identical_across_threads", Json::from(bit_identical)),
+    ])
+}
+
+/// Time the feedback loop's refits on a builtin labelled dataset: margins,
+/// then every class of its first label set as a cluster statement, each
+/// followed by one update under default `FitOpts`. Every thread count runs
+/// `reps` fresh sessions; a round's `fit_ns` is the median of its update
+/// times (the solver's sweeps plus the spectral refresh), and
+/// `total_fit_ns` the median of the per-session sums. The
+/// update reports (sweep counts and final residuals) and the
+/// `information_nats` bits of every round are compared across thread
+/// counts.
+fn run_fit(name: &str, ds: Dataset, max_threads: usize, reps: usize) -> Json {
+    let (n, d) = (ds.n(), ds.d());
+    // One round per statement: margins, then each class as a cluster.
+    let statements: Vec<Option<usize>> = std::iter::once(None)
+        .chain((0..ds.labels[0].n_classes()).map(Some))
+        .collect();
+    let mut thread_counts = vec![1usize, max_threads];
+    thread_counts.dedup();
+    let mut fingerprints: Vec<Vec<String>> = Vec::new();
+    let mut runs: Vec<Json> = Vec::new();
+    for &threads in &thread_counts {
+        let pool = Arc::new(ThreadPool::new(threads));
+        // times[round][rep]
+        let mut times: Vec<Vec<Duration>> = vec![Vec::new(); statements.len()];
+        let mut totals: Vec<Duration> = Vec::new();
+        let mut rounds: Vec<(usize, usize)> = Vec::new();
+        let mut fingerprint: Vec<String> = Vec::new();
+        for rep in 0..reps {
+            let mut session =
+                EdaSession::with_pool(ds.clone(), 7, Arc::clone(&pool)).expect("session");
+            let mut total = Duration::ZERO;
+            for (&statement, round_times) in statements.iter().zip(&mut times) {
+                match statement {
+                    None => session.add_margin_constraints().expect("margins"),
+                    Some(class) => {
+                        let rows = session.select_class(0, class).expect("class");
+                        session.add_cluster_constraint(&rows).expect("cluster");
+                    }
+                }
+                let (report, fit) = time(|| session.update_background(&FitOpts::default()));
+                let report = report.expect("fit");
+                round_times.push(fit);
+                total += fit;
+                if rep == 0 {
+                    let eigen = session
+                        .last_refresh_stats()
+                        .expect("refresh stats")
+                        .eigen_recomputed;
+                    rounds.push((report.sweeps, eigen));
+                    fingerprint.push(format!(
+                        "{} {:016x}",
+                        report_to_json(&report).dump(),
+                        session.information_nats().to_bits()
+                    ));
+                }
+            }
+            totals.push(total);
+        }
+        let total_fit = median_duration(&mut totals);
+        println!(
+            "scaling/fit {name} {n}x{d}: {threads} threads {:.1}ms over {} rounds",
+            total_fit.as_secs_f64() * 1e3,
+            rounds.len()
+        );
+        let rounds_json = statements.iter().zip(rounds).zip(&mut times).map(
+            |((statement, (sweeps, eigen)), t)| {
+                let statement = match statement {
+                    None => "margins".to_string(),
+                    Some(class) => format!("cluster {class}"),
+                };
+                Json::obj([
+                    ("statement", Json::from(statement)),
+                    ("sweeps", Json::from(sweeps)),
+                    ("eigen_recomputed", Json::from(eigen)),
+                    ("fit_ns", Json::from(median_duration(t).as_nanos() as u64)),
+                ])
+            },
+        );
+        runs.push(Json::obj([
+            ("threads", Json::from(threads)),
+            ("rounds", Json::arr(rounds_json)),
+            ("total_fit_ns", Json::from(total_fit.as_nanos() as u64)),
+        ]));
+        fingerprints.push(fingerprint);
+    }
+    let bit_identical = fingerprints.windows(2).all(|w| w[0] == w[1]);
+    Json::obj([
+        ("dataset", Json::from(name)),
+        ("n", Json::from(n)),
+        ("d", Json::from(d)),
         ("runs", Json::Arr(runs)),
         ("bit_identical_across_threads", Json::from(bit_identical)),
     ])

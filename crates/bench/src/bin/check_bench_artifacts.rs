@@ -17,7 +17,9 @@
 //! every decomposition. `BENCH_scaling.json` must also carry a `suggest`
 //! row for both the `bnc` and the `segmentation` shape, each timed
 //! (`suggest_ns > 0`) at 1 and `max_threads` threads with byte-identical
-//! responses.
+//! responses, and a `fit` row for `bnc`: five refit rounds (margins, then
+//! four class statements), each with `sweeps >= 1` and `fit_ns > 0`, at 1
+//! and `max_threads` threads with bit-identical update reports.
 //!
 //! For `BENCH_serve.json` the SLO-style gates are likewise
 //! machine-independent: both a `stripes == 1` baseline run and a striped
@@ -165,7 +167,67 @@ fn check_scaling(doc: &Json) -> Result<(), String> {
             }
         }
     }
-    check_scaling_suggest(doc)
+    check_scaling_suggest(doc)?;
+    check_scaling_fit(doc)
+}
+
+/// The row of the `array` rows whose `dataset` is `dataset`, with its JSON
+/// path. Its shape (`n`, `d`) must be recorded and its results must be
+/// bit-identical across thread counts.
+fn dataset_row<'a>(
+    doc: &'a Json,
+    array: &str,
+    dataset: &str,
+) -> Result<(String, &'a Json), String> {
+    let rows = doc
+        .get(array)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing '{array}' array"))?;
+    let (i, row) = rows
+        .iter()
+        .enumerate()
+        .find(|(_, r)| r.get("dataset").and_then(Json::as_str) == Some(dataset))
+        .ok_or_else(|| format!("no '{array}' row with dataset == \"{dataset}\""))?;
+    let at = format!("{array}[{i}]");
+    for key in ["n", "d"] {
+        if require_num_at(row, &at, key)? < 1.0 {
+            return Err(format!("JSON path '{at}.{key}' must be >= 1"));
+        }
+    }
+    if row
+        .path("bit_identical_across_threads")
+        .and_then(Json::as_bool)
+        != Some(true)
+    {
+        return Err(format!(
+            "JSON path '{at}.bit_identical_across_threads': results were NOT \
+             bit-identical across thread counts"
+        ));
+    }
+    Ok((at, row))
+}
+
+/// The `runs` of a row, which must include a run at 1 and one at
+/// `max_threads` pool threads.
+fn thread_runs<'a>(row: &'a Json, at: &str, max_threads: f64) -> Result<&'a [Json], String> {
+    let runs = row
+        .get("runs")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing '{at}.runs' array"))?;
+    for (j, run) in runs.iter().enumerate() {
+        require_num_at(run, &format!("{at}.runs[{j}]"), "threads")?;
+    }
+    for want in [1.0, max_threads] {
+        if !runs
+            .iter()
+            .any(|r| r.get("threads").and_then(Json::as_num) == Some(want))
+        {
+            return Err(format!(
+                "JSON path '{at}.runs' has no run with threads == {want}"
+            ));
+        }
+    }
+    Ok(runs)
 }
 
 /// The `suggest` rows of `BENCH_scaling.json`: `recommend` timed on the
@@ -173,50 +235,59 @@ fn check_scaling(doc: &Json) -> Result<(), String> {
 /// `max_threads` pool threads, with byte-identical responses.
 fn check_scaling_suggest(doc: &Json) -> Result<(), String> {
     let max_threads = require_num_at(doc, "", "max_threads")?;
-    let rows = doc
-        .get("suggest")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'suggest' array")?;
     for dataset in ["bnc", "segmentation"] {
-        let (i, row) = rows
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.get("dataset").and_then(Json::as_str) == Some(dataset))
-            .ok_or_else(|| format!("no 'suggest' row with dataset == \"{dataset}\""))?;
-        let at = format!("suggest[{i}]");
-        for key in ["n", "d", "batch", "k"] {
+        let (at, row) = dataset_row(doc, "suggest", dataset)?;
+        for key in ["batch", "k"] {
             if require_num_at(row, &at, key)? < 1.0 {
                 return Err(format!("JSON path '{at}.{key}' must be >= 1"));
             }
         }
-        if row
-            .path("bit_identical_across_threads")
-            .and_then(Json::as_bool)
-            != Some(true)
-        {
-            return Err(format!(
-                "JSON path '{at}.bit_identical_across_threads': suggest responses were NOT \
-                 byte-identical across thread counts"
-            ));
-        }
-        let runs = row
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("missing '{at}.runs' array"))?;
-        let mut threads = Vec::with_capacity(runs.len());
-        for (j, run) in runs.iter().enumerate() {
+        for (j, run) in thread_runs(row, &at, max_threads)?.iter().enumerate() {
             let at = format!("{at}.runs[{j}]");
-            threads.push(require_num_at(run, &at, "threads")?);
             if require_num_at(run, &at, "suggest_ns")? < 1.0 {
                 return Err(format!(
                     "JSON path '{at}.suggest_ns' is zero — suggest was not timed"
                 ));
             }
         }
-        for want in [1.0, max_threads] {
-            if !threads.contains(&want) {
+    }
+    Ok(())
+}
+
+/// The `fit` row of `BENCH_scaling.json`: the refits of the closed-loop
+/// benchmark's fit-bound shape (`bnc`, margins then four class
+/// statements), at 1 and `max_threads` pool threads, with bit-identical
+/// update reports.
+fn check_scaling_fit(doc: &Json) -> Result<(), String> {
+    const ROUNDS: usize = 5;
+    let max_threads = require_num_at(doc, "", "max_threads")?;
+    let (at, row) = dataset_row(doc, "fit", "bnc")?;
+    for (j, run) in thread_runs(row, &at, max_threads)?.iter().enumerate() {
+        let at = format!("{at}.runs[{j}]");
+        if require_num_at(run, &at, "total_fit_ns")? < 1.0 {
+            return Err(format!(
+                "JSON path '{at}.total_fit_ns' is zero — fits were not timed"
+            ));
+        }
+        let rounds = run
+            .get("rounds")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing '{at}.rounds' array"))?;
+        if rounds.len() != ROUNDS {
+            return Err(format!(
+                "JSON path '{at}.rounds' has {} rounds, expected {ROUNDS}",
+                rounds.len()
+            ));
+        }
+        for (k, round) in rounds.iter().enumerate() {
+            let at = format!("{at}.rounds[{k}]");
+            require_num_at(round, &at, "eigen_recomputed")?;
+            if require_num_at(round, &at, "sweeps")? < 1.0 {
+                return Err(format!("JSON path '{at}.sweeps' must be >= 1"));
+            }
+            if require_num_at(round, &at, "fit_ns")? < 1.0 {
                 return Err(format!(
-                    "JSON path '{at}.runs' has no run with threads == {want}"
+                    "JSON path '{at}.fit_ns' is zero — the fit was not timed"
                 ));
             }
         }

@@ -325,21 +325,57 @@ impl Matrix {
     }
 
     /// Matrix–vector product `self * x`.
+    ///
+    /// Runs the four-row interleaved kernel of [`Matrix::matvec_into`], so
+    /// every entry equals `vector::dot(self.row(i), x)` bit for bit.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec: length mismatch");
-        (0..self.rows)
-            .map(|i| vector::dot(self.row(i), x))
-            .collect()
+        let mut out = vec![0.0; self.rows];
+        self.for_each_row_dot(x, |i, v| out[i] = v);
+        out
     }
 
     /// Matrix–vector product `self * x` written into a caller-provided
     /// buffer — the allocation-free kernel behind per-row sampling and
     /// whitening.
+    ///
+    /// Four rows share one pass over `x`, each in its own accumulator
+    /// lane that starts at `-0.0` and adds in ascending column order, so
+    /// every entry equals `vector::dot(self.row(i), x)` bit for bit. The
+    /// one to three rows left over take that per-row `dot` directly.
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec_into: x length mismatch");
         assert_eq!(out.len(), self.rows, "matvec_into: out length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = vector::dot(self.row(i), x);
+        self.for_each_row_dot(x, |i, v| out[i] = v);
+    }
+
+    /// Calls `f(i, row_i · x)` for every row in ascending `i`: four rows
+    /// per pass over `x`, one independent lane each, so the four addition
+    /// chains overlap while each lane keeps `vector::dot`'s order and
+    /// bits (a `-0.0` start, `row[k] * x[k]` added for ascending `k`).
+    #[inline]
+    fn for_each_row_dot(&self, x: &[f64], mut f: impl FnMut(usize, f64)) {
+        let d = self.cols;
+        let quads = self.rows / 4;
+        for q in 0..quads {
+            let block = &self.data[4 * q * d..4 * (q + 1) * d];
+            let (r0, rest) = block.split_at(d);
+            let (r1, rest) = rest.split_at(d);
+            let (r2, r3) = rest.split_at(d);
+            let (mut a0, mut a1, mut a2, mut a3) = (-0.0, -0.0, -0.0, -0.0);
+            for ((((&xk, &b0), &b1), &b2), &b3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                a0 += b0 * xk;
+                a1 += b1 * xk;
+                a2 += b2 * xk;
+                a3 += b3 * xk;
+            }
+            f(4 * q, a0);
+            f(4 * q + 1, a1);
+            f(4 * q + 2, a2);
+            f(4 * q + 3, a3);
+        }
+        for i in 4 * quads..self.rows {
+            f(i, vector::dot(self.row(i), x));
         }
     }
 
@@ -429,13 +465,16 @@ impl Matrix {
     }
 
     /// Quadratic form `xᵀ self x` for a square matrix.
+    ///
+    /// The row dots come from the four-row interleaved kernel of
+    /// [`Matrix::matvec_into`]; `x[i]·(row_i·x)` is then added to a `+0.0`
+    /// accumulator in ascending `i`, so the result is bit-identical to
+    /// summing per-row `vector::dot`s.
     pub fn quad_form(&self, x: &[f64]) -> f64 {
         assert!(self.is_square(), "quad_form: matrix not square");
         assert_eq!(x.len(), self.rows, "quad_form: length mismatch");
         let mut acc = 0.0;
-        for i in 0..self.rows {
-            acc += x[i] * vector::dot(self.row(i), x);
-        }
+        self.for_each_row_dot(x, |i, v| acc += x[i] * v);
         acc
     }
 
@@ -719,6 +758,72 @@ mod tests {
             a.matmul_select_cols(&[], &Matrix::zeros(0, 4)).shape(),
             (37, 4)
         );
+    }
+
+    /// The per-row kernels the four-row interleaved ones replaced, kept as
+    /// the references they must reproduce bit for bit.
+    fn matvec_reference(m: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..m.rows()).map(|i| vector::dot(m.row(i), x)).collect()
+    }
+
+    fn quad_form_reference(m: &Matrix, x: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for i in 0..m.rows() {
+            acc += x[i] * vector::dot(m.row(i), x);
+        }
+        acc
+    }
+
+    /// Entries mixing signs, magnitudes, `±0.0` and subnormals; every
+    /// fifth row holds only signed zeros, whose dot sign depends on the
+    /// lane starting at `-0.0`.
+    fn awkward_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        const PALETTE: [f64; 8] = [0.0, -0.0, 5e-324, -2.5e-310, 1e150, -3.0, 0.1, -1e-5];
+        let mut s = seed;
+        Matrix::from_fn(rows, cols, |i, _| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = s >> 11;
+            if i % 5 == 4 {
+                return if r & 1 == 0 { -0.0 } else { 0.0 };
+            }
+            if r.is_multiple_of(3) {
+                PALETTE[(r >> 8) as usize % PALETTE.len()]
+            } else {
+                ((r >> 12) as f64 / (1u64 << 41) as f64) - 0.5
+            }
+        })
+    }
+
+    #[test]
+    fn interleaved_row_dots_match_per_row_dot_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in [1usize, 2, 3, 4, 5, 7, 19, 100, 101] {
+            for cols in [1usize, 3, 19, 100] {
+                let m = awkward_matrix(rows, cols, (rows * 1000 + cols) as u64);
+                let x = awkward_matrix(1, cols, cols as u64 ^ 0x5eed)
+                    .row(0)
+                    .to_vec();
+                let xs = [x.clone(), vec![1.0; cols], vec![-0.0; cols]];
+                for x in &xs {
+                    let expected = bits(&matvec_reference(&m, x));
+                    assert_eq!(bits(&m.matvec(x)), expected, "matvec {rows}x{cols}");
+                    let mut out = vec![f64::NAN; rows];
+                    m.matvec_into(x, &mut out);
+                    assert_eq!(bits(&out), expected, "matvec_into {rows}x{cols}");
+                }
+            }
+            let sq = awkward_matrix(rows, rows, rows as u64);
+            let x = awkward_matrix(1, rows, 77 + rows as u64).row(0).to_vec();
+            for x in [x, vec![-0.0; rows]] {
+                assert_eq!(
+                    sq.quad_form(&x).to_bits(),
+                    quad_form_reference(&sq, &x).to_bits(),
+                    "quad_form {rows}x{rows}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! the monotone scalar equation of Eq. 10 ([`crate::rootfind`]) and update
 //! covariances with the Sherman–Morrison identity
 //! (`sider_linalg::woodbury`), never inverting a matrix.
+//!
+//! A constraint whose direction is a unit axis `e_j` (every margin
+//! constraint) skips the dense `O(d²)` reads: `Σw` is row `j` of `Σ`,
+//! `wᵀΣw` is `Σ_jj`, `mᵀw` is `m_j`, and the natural-parameter updates
+//! touch only `h_j` and `P_jj`. Each equals its dense counterpart bit for
+//! bit on the solver's state, which stays exactly symmetric, finite and
+//! free of `-0.0` entries (see the `woodbury` module).
 
 use crate::classes::{Partition, Refinement};
 use crate::constraint::{Constraint, ConstraintKind};
@@ -156,6 +163,55 @@ pub struct Solver {
     /// Parent class (in the pre-append partition) of every class; identity
     /// for classes that predate the last `append_constraints` call.
     parent_of_class: Vec<u32>,
+    /// Per constraint: `Some(j)` when its direction is the unit axis
+    /// `e_j`, recorded once when the constraint is added. Selects the
+    /// unit-axis path of the module docs.
+    axis: Vec<Option<usize>>,
+}
+
+/// The axis `j` when `w` is the unit vector `e_j`: exactly one non-zero
+/// entry, and that entry is `1.0`.
+fn unit_axis(w: &[f64]) -> Option<usize> {
+    let mut nonzero = w.iter().enumerate().filter(|&(_, &v)| v != 0.0);
+    match (nonzero.next(), nonzero.next()) {
+        (Some((j, &1.0)), None) => Some(j),
+        _ => None,
+    }
+}
+
+/// `vᵀw`, read as `v_j` when `w = e_j`.
+fn along(v: &[f64], w: &[f64], axis: Option<usize>) -> f64 {
+    match axis {
+        Some(j) => v[j],
+        None => vector::dot(v, w),
+    }
+}
+
+/// `v += α·w`, touching only `v_j` when `w = e_j`.
+fn add_along(v: &mut [f64], alpha: f64, w: &[f64], axis: Option<usize>) {
+    match axis {
+        Some(j) => v[j] += alpha,
+        None => vector::axpy(alpha, w, v),
+    }
+}
+
+/// `Σw`, read as row `j` of the exactly symmetric `Σ` when `w = e_j`.
+fn sigma_times(sigma: &Matrix, w: &[f64], axis: Option<usize>) -> Vec<f64> {
+    match axis {
+        Some(j) => sigma.row(j).to_vec(),
+        None => sigma.matvec(w),
+    }
+}
+
+/// `max(acc, x)` that keeps a NaN on either side (`f64::max` drops it),
+/// so a sweep with a NaN multiplier step, moment or residual can never
+/// read as converged.
+fn max_keep_nan(acc: f64, x: f64) -> f64 {
+    if acc.is_nan() || x.is_nan() {
+        f64::NAN
+    } else {
+        acc.max(x)
+    }
 }
 
 fn validate_constraints(constraints: &[Constraint], n: usize, d: usize) -> Result<()> {
@@ -206,6 +262,7 @@ impl Solver {
         let k = constraints.len();
         let n_classes = partition.n_classes();
         let constraints_of_class = invert_partition(&partition);
+        let axis = constraints.iter().map(|c| unit_axis(&c.w)).collect();
         let mut solver = Solver {
             d,
             constraints,
@@ -221,6 +278,7 @@ impl Solver {
             cov_dirty: vec![false; n_classes],
             constraints_of_class,
             parent_of_class: (0..n_classes as u32).collect(),
+            axis,
         };
         solver.prev_moments = (0..k).map(|t| solver.moment(t)).collect();
         Ok(solver)
@@ -251,6 +309,7 @@ impl Solver {
             });
         }
         let first_new = self.constraints.len();
+        self.axis.extend(new.iter().map(|c| unit_axis(&c.w)));
         self.constraints.extend(new);
         let refinement = self.partition.append(&self.constraints, first_new);
 
@@ -335,11 +394,18 @@ impl Solver {
     }
 
     fn moment(&self, t: usize) -> f64 {
+        self.moment_of(t, self.expectation(t))
+    }
+
+    /// Normalized moment of constraint `t` from its expectation `v`: the
+    /// per-point mean, or the square root of the per-point variance.
+    fn moment_of(&self, t: usize, v: f64) -> f64 {
         let c = &self.constraints[t];
-        let v = self.expectation(t);
         let n = c.rows.len() as f64;
         match c.kind {
             ConstraintKind::Linear => v / n,
+            // `v.max(0.0)` would turn a NaN expectation into a zero moment.
+            ConstraintKind::Quadratic if v.is_nan() => v,
             ConstraintKind::Quadratic => (v.max(0.0) / n).sqrt(),
         }
     }
@@ -347,17 +413,20 @@ impl Solver {
     /// Current model expectation `E_p[f_t]` of constraint `t`.
     pub fn expectation(&self, t: usize) -> f64 {
         let c = &self.constraints[t];
-        let w = &c.w;
+        let (w, axis) = (&c.w, self.axis[t]);
         let mut v = 0.0;
         for &(class, count) in &self.partition.classes_of_constraint[t] {
             let p = &self.params[class as usize];
             match c.kind {
                 ConstraintKind::Linear => {
-                    v += count as f64 * vector::dot(&p.m, w);
+                    v += count as f64 * along(&p.m, w, axis);
                 }
                 ConstraintKind::Quadratic => {
-                    let cvar = p.sigma.quad_form(w);
-                    let dev = vector::dot(&p.m, w) - c.delta;
+                    let cvar = match axis {
+                        Some(j) => p.sigma[(j, j)],
+                        None => p.sigma.quad_form(w),
+                    };
+                    let dev = along(&p.m, w, axis) - c.delta;
                     v += count as f64 * (cvar + dev * dev);
                 }
             }
@@ -385,6 +454,11 @@ impl Solver {
     /// the working set grows exactly to the region the new knowledge
     /// perturbs. Constraints outside it keep their λ and their classes'
     /// parameters bit-for-bit.
+    ///
+    /// The closing convergence pass evaluates each active constraint's
+    /// expectation once and derives both its moment and its residual from
+    /// it. The three maxima keep a NaN, so a sweep that produced one never
+    /// meets a convergence criterion of [`Solver::fit`].
     pub fn sweep(&mut self, lambda_max: f64) -> SweepInfo {
         let mut max_dl = 0.0_f64;
         for t in 0..self.constraints.len() {
@@ -396,7 +470,7 @@ impl Solver {
                 ConstraintKind::Quadratic => self.update_quadratic(t, lambda_max),
             };
             self.lambdas[t] += dl;
-            max_dl = max_dl.max(dl.abs());
+            max_dl = max_keep_nan(max_dl, dl.abs());
             if dl != 0.0 {
                 self.mark_touched(t);
             }
@@ -408,12 +482,13 @@ impl Solver {
             if !self.active[t] {
                 continue;
             }
-            let m = self.moment(t);
-            max_dm = max_dm.max((m - self.prev_moments[t]).abs());
+            let v = self.expectation(t);
+            let m = self.moment_of(t, v);
+            max_dm = max_keep_nan(max_dm, (m - self.prev_moments[t]).abs());
             self.prev_moments[t] = m;
-            let res = (self.expectation(t) - self.constraints[t].target).abs()
-                / self.constraints[t].rows.len() as f64;
-            max_res = max_res.max(res);
+            let res =
+                (v - self.constraints[t].target).abs() / self.constraints[t].rows.len() as f64;
+            max_res = max_keep_nan(max_res, res);
         }
         SweepInfo {
             sweep: self.sweeps_done,
@@ -447,6 +522,7 @@ impl Solver {
             let c = &self.constraints[t];
             (c.w.clone(), c.target)
         };
+        let axis = self.axis[t];
         // Gather g = Σw per class; accumulate ṽ and the denominator.
         let classes = self.partition.classes_of_constraint[t].clone();
         let mut v_now = 0.0;
@@ -454,9 +530,9 @@ impl Solver {
         let mut gs: Vec<(u32, Vec<f64>)> = Vec::with_capacity(classes.len());
         for &(class, count) in &classes {
             let p = &self.params[class as usize];
-            let g = p.sigma.matvec(&w);
-            v_now += count as f64 * vector::dot(&p.m, &w);
-            denom += count as f64 * vector::dot(&w, &g);
+            let g = sigma_times(&p.sigma, &w, axis);
+            v_now += count as f64 * along(&p.m, &w, axis);
+            denom += count as f64 * along(&g, &w, axis);
             gs.push((class, g));
         }
         if denom <= 1e-300 {
@@ -468,7 +544,7 @@ impl Solver {
         }
         for (class, g) in gs {
             let p = &mut self.params[class as usize];
-            vector::axpy(lambda, &w, &mut p.h);
+            add_along(&mut p.h, lambda, &w, axis);
             vector::axpy(lambda, &g, &mut p.m);
         }
         lambda
@@ -482,6 +558,7 @@ impl Solver {
             let c = &self.constraints[t];
             (c.w.clone(), c.target, c.delta)
         };
+        let axis = self.axis[t];
         // `lambda_max` caps the *cumulative* multiplier: a zero-variance
         // target (v̂ = 0) would otherwise push λ by `lambda_max` again on
         // every sweep, blowing up the precision without changing anything.
@@ -491,11 +568,15 @@ impl Solver {
         let mut rank1s: Vec<(u32, woodbury::Rank1)> = Vec::with_capacity(classes.len());
         for &(class, count) in &classes {
             let p = &self.params[class as usize];
-            let r = woodbury::prepare(&p.sigma, &w);
+            let g = sigma_times(&p.sigma, &w, axis);
+            let r = woodbury::Rank1 {
+                c: along(&g, &w, axis),
+                g,
+            };
             items.push(QuadItem {
                 weight: count as f64,
                 c: r.c.max(0.0),
-                e: vector::dot(&p.m, &w),
+                e: along(&p.m, &w, axis),
             });
             rank1s.push((class, r));
         }
@@ -507,8 +588,11 @@ impl Solver {
         for (class, r) in rank1s {
             let p = &mut self.params[class as usize];
             woodbury::apply(&mut p.sigma, &r, lambda);
-            woodbury::precision_update(&mut p.prec, &w, lambda);
-            vector::axpy(lambda * delta, &w, &mut p.h);
+            match axis {
+                Some(j) => p.prec[(j, j)] += lambda,
+                None => woodbury::precision_update(&mut p.prec, &w, lambda),
+            }
+            add_along(&mut p.h, lambda * delta, &w, axis);
             p.refresh_mean();
         }
         lambda
@@ -629,6 +713,13 @@ impl Solver {
     /// append).
     pub fn parent_of_class(&self) -> &[u32] {
         &self.parent_of_class
+    }
+
+    /// Forget every recorded unit axis, so every constraint added so far
+    /// takes the dense kernels (the reference the axis path must match).
+    #[cfg(test)]
+    fn clear_axis_table(&mut self) {
+        self.axis.iter_mut().for_each(|a| *a = None);
     }
 
     /// The equivalence-class partition.
@@ -876,6 +967,182 @@ mod tests {
             Solver::new(&nan, vec![]),
             Err(MaxEntError::NotFinite)
         ));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn sweep_bits(info: &SweepInfo) -> [u64; 4] {
+        [
+            info.sweep as u64,
+            info.max_lambda_change.to_bits(),
+            info.max_moment_change.to_bits(),
+            info.max_residual.to_bits(),
+        ]
+    }
+
+    /// Both solvers hold the same state bit for bit, and that state has
+    /// the shape the unit-axis path and the one-pass rank-1 kernel rely
+    /// on: Σ and P exactly symmetric, everything finite, no -0.0.
+    fn assert_same_state(a: &Solver, b: &Solver, at: &str) {
+        assert_eq!(bits(&a.lambdas), bits(&b.lambdas), "λ {at}");
+        assert_eq!(a.params.len(), b.params.len(), "classes {at}");
+        for (c, (p, q)) in a.params.iter().zip(&b.params).enumerate() {
+            assert_eq!(
+                bits(p.sigma.as_slice()),
+                bits(q.sigma.as_slice()),
+                "Σ[{c}] {at}"
+            );
+            assert_eq!(
+                bits(p.prec.as_slice()),
+                bits(q.prec.as_slice()),
+                "P[{c}] {at}"
+            );
+            assert_eq!(bits(&p.m), bits(&q.m), "m[{c}] {at}");
+            assert_eq!(bits(&p.h), bits(&q.h), "h[{c}] {at}");
+            for (name, mat) in [("Σ", &p.sigma), ("P", &p.prec)] {
+                let d = mat.rows();
+                for i in 0..d {
+                    for j in 0..i {
+                        assert_eq!(
+                            mat[(i, j)].to_bits(),
+                            mat[(j, i)].to_bits(),
+                            "{name}[{c}] not exactly symmetric at ({i}, {j}) {at}"
+                        );
+                    }
+                }
+            }
+            for (name, v) in [
+                ("Σ", p.sigma.as_slice()),
+                ("P", p.prec.as_slice()),
+                ("m", &p.m[..]),
+                ("h", &p.h[..]),
+            ] {
+                assert!(
+                    v.iter()
+                        .all(|x| x.is_finite() && x.to_bits() != (-0.0f64).to_bits()),
+                    "{name}[{c}] holds a non-finite or -0.0 entry {at}"
+                );
+            }
+        }
+    }
+
+    /// Run `fit` one sweep at a time on both solvers (the same loop `fit`
+    /// runs) and compare after every sweep.
+    fn fit_in_lockstep(a: &mut Solver, b: &mut Solver, stage: &str) {
+        let one_sweep = FitOpts {
+            max_sweeps: 1,
+            ..FitOpts::default()
+        };
+        for sweep in 1..=500 {
+            let (ra, rb) = (a.fit(&one_sweep), b.fit(&one_sweep));
+            let at = format!("after sweep {sweep} of {stage}");
+            assert_eq!(
+                ra.last.map(|i| sweep_bits(&i)),
+                rb.last.map(|i| sweep_bits(&i)),
+                "{at}"
+            );
+            assert_eq!(ra.converged, rb.converged, "{at}");
+            assert_same_state(a, b, &at);
+            if ra.converged {
+                return;
+            }
+        }
+        panic!("{stage} did not converge in 500 sweeps");
+    }
+
+    #[test]
+    fn unit_axis_path_matches_dense_kernels_bit_for_bit() {
+        let mut rng = sider_stats::Rng::seed_from_u64(17);
+        let (n, d) = (96, 8);
+        let data = Matrix::from_fn(n, d, |i, j| {
+            let center = [1.5, -0.5, 0.25][i % 3] * (1.0 + j as f64 / d as f64);
+            center + rng.normal(0.0, 0.4 + 0.1 * j as f64)
+        });
+        let rows = |r: std::ops::Range<usize>| RowSet::from_indices(&r.collect::<Vec<_>>());
+        let axis = |j: usize| {
+            (0..d)
+                .map(|k| if k == j { 1.0 } else { 0.0 })
+                .collect::<Vec<_>>()
+        };
+
+        let margins = margin_constraints(&data).unwrap();
+        let mut with_axes = Solver::new(&data, margins.clone()).unwrap();
+        let mut dense = Solver::new(&data, margins).unwrap();
+        dense.clear_axis_table();
+        assert_eq!(with_axes.axis.iter().flatten().count(), 2 * d);
+        fit_in_lockstep(&mut with_axes, &mut dense, "margins");
+
+        let statements = [
+            (
+                "cluster",
+                crate::constraint::cluster_constraints(&data, rows(0..40), "c1").unwrap(),
+            ),
+            (
+                "twod",
+                crate::constraint::twod_constraints(&data, rows(20..70), &axis(1), &axis(4), "v")
+                    .unwrap(),
+            ),
+            (
+                "warm cluster",
+                crate::constraint::cluster_constraints(&data, rows(50..96), "c2").unwrap(),
+            ),
+        ];
+        for (stage, cs) in statements {
+            with_axes.append_constraints(cs.clone()).unwrap();
+            dense.append_constraints(cs).unwrap();
+            dense.clear_axis_table();
+            assert_same_state(&with_axes, &dense, &format!("after appending {stage}"));
+            fit_in_lockstep(&mut with_axes, &mut dense, stage);
+        }
+        // Margins and the two-axis statement take the axis path; the
+        // clusters' eigenvector directions do not.
+        assert_eq!(with_axes.axis.iter().flatten().count(), 2 * d + 4);
+        assert!(dense.axis.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn a_nan_expectation_gives_a_nan_moment() {
+        let data = adversarial_data();
+        let s = Solver::new(&data, case_a_constraints(&data)).unwrap();
+        for t in 0..s.constraints().len() {
+            assert!(
+                s.moment_of(t, f64::NAN).is_nan(),
+                "{}",
+                s.constraints()[t].label
+            );
+        }
+    }
+
+    /// Margins, then a 3-row cluster on 280×19 segmentation-like data:
+    /// the cluster's 16 null directions get zero-variance targets, Σ loses
+    /// positive definiteness and the fit's state turns NaN. Such a fit must
+    /// not report convergence.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "woodbury::apply's positive-definiteness debug assertion stops this fit before it reaches NaN"
+    )]
+    fn a_fit_that_reaches_nan_never_reports_converged() {
+        use sider_data::segmentation::{segmentation_like, SegmentationOpts};
+        let opts = SegmentationOpts {
+            per_class: 40,
+            n_outliers: 4,
+        };
+        let data = segmentation_like(&opts, 2018).matrix;
+        let mut s = Solver::new(&data, margin_constraints(&data).unwrap()).unwrap();
+        assert!(s.fit(&FitOpts::default()).converged);
+        let rows = RowSet::from_indices(&[229, 214, 70]);
+        let cluster = crate::constraint::cluster_constraints(&data, rows, "cluster1").unwrap();
+        s.append_constraints(cluster).unwrap();
+        let report = s.fit(&FitOpts::default());
+        let nats = s.distribution().total_kl_from_prior();
+        assert!(
+            !report.converged || nats.is_finite(),
+            "converged after {} sweeps with information_nats {nats}",
+            report.sweeps
+        );
     }
 
     #[test]
