@@ -1,5 +1,6 @@
 //! Figs. 7–8 — the British National Corpus use case (paper §IV-B), on
-//! the BNC-like simulated corpus (see DESIGN.md for the substitution).
+//! the BNC-like simulated corpus (`sider_data::bnc` documents the
+//! substitution).
 //!
 //! Paper reference measurements:
 //! * first selection ≈ 'transcribed conversations', Jaccard 0.928;

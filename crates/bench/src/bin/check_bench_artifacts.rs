@@ -1,25 +1,42 @@
-//! Schema sanity check for the persisted benchmark artifacts.
+//! Schema sanity check and claim gates for the persisted benchmark
+//! artifacts.
 //!
 //! CI runs this binary on the committed artifacts, and again after the
-//! `pipeline`, `scaling` and `serve` benches rewrite them in smoke mode.
-//! It fails (exit code 1) when
-//! `BENCH_pipeline.json`, `BENCH_scaling.json` or `BENCH_serve.json` is
-//! missing, unparsable, or missing the fields the perf trajectory across
-//! PRs relies on. It deliberately does **not**
-//! gate on cross-machine speedup values: CI machines (and 1-CPU
-//! containers) make absolute timing thresholds meaningless — the guarded
-//! invariants are artifact shape, the recorded
-//! `bit_identical_across_threads` determinism flag, and a *same-run
-//! relative* ratio that is machine-independent by construction:
-//! `eigen.dc_speedup` (the `SymEigen::decompose` divide-and-conquer
-//! dispatch vs raw Jacobi on the same class precision) must be ≥ 1.0
-//! wherever `d ≥ 32` — the dispatch threshold above which D&C carries
-//! every decomposition. `BENCH_scaling.json` must also carry a `suggest`
-//! row for both the `bnc` and the `segmentation` shape, each timed
-//! (`suggest_ns > 0`) at 1 and `max_threads` threads with byte-identical
-//! responses, and a `fit` row for `bnc`: five refit rounds (margins, then
-//! four class statements), each with `sweeps >= 1` and `fit_ns > 0`, at 1
-//! and `max_threads` threads with bit-identical update reports.
+//! `pipeline`, `scaling` and `serve` benches and the `table2` binary
+//! rewrite them in smoke mode. It fails (exit code 1) when
+//! `BENCH_pipeline.json`, `BENCH_scaling.json`, `BENCH_serve.json` or
+//! `BENCH_paper.json` is missing, unparsable, lacks its `smoke` flag, or
+//! misses the fields the perf trajectory across PRs relies on. It
+//! deliberately does **not** gate on cross-machine speed values: CI
+//! machines (and 1-CPU containers) make absolute timing thresholds
+//! meaningless. The guarded invariants are artifact shape, the recorded
+//! `bit_identical_across_threads` determinism flags, *same-run relative*
+//! ratios, which are machine-independent by construction, and the one
+//! absolute bound the paper itself states.
+//!
+//! `eigen.dc_speedup` in `BENCH_scaling.json` (the `SymEigen::decompose`
+//! divide-and-conquer dispatch vs raw Jacobi on the same class precision)
+//! must be ≥ 1.0 wherever `d ≥ 32` — the dispatch threshold above which
+//! D&C carries every decomposition. `BENCH_scaling.json` must also carry
+//! a `suggest` row for both the `bnc` and the `segmentation` shape, each
+//! timed (`suggest_ns > 0`) at 1 and `max_threads` threads with
+//! byte-identical responses, and a `fit` row for `bnc`: five refit rounds
+//! (margins, then four class statements), each with `sweeps >= 1` and
+//! `fit_ns > 0`, at 1 and `max_threads` threads with bit-identical update
+//! reports.
+//!
+//! `BENCH_paper.json` carries the paper's speed claims (§II-A-2, §IV-A):
+//! - equivalence classes: `eqclass[].speedup ≥ 10` over the per-row
+//!   solver at every n, and `eqclass_ns` at the largest n at most 2× its
+//!   value at the smallest n;
+//! - Sherman–Morrison: `sherman_morrison[].speedup ≥ 10` over LU
+//!   re-inversion wherever `d ≥ 32`;
+//! - Table II: in every `table2` row, INIT, PREPROCESS, WHITENING, SAMPLE
+//!   and PCA each take under 2 s (the paper's bound);
+//! - OPTIM per sweep is flat in n: for every (d, k) whose `optim_ns` is at
+//!   least 10 ms at every n, `optim_ns / sweeps` at the largest n is at
+//!   most 3× its value at the smallest n (an O(n) OPTIM reads about 4×
+//!   over n = 2048…8192). A full-mode artifact must contain such a cell.
 //!
 //! For `BENCH_serve.json` the SLO-style gates are likewise
 //! machine-independent: both a `stripes == 1` baseline run and a striped
@@ -62,10 +79,31 @@ fn require_num_at(doc: &Json, prefix: &str, key: &str) -> Result<f64, String> {
     Ok(v)
 }
 
+/// Require the `smoke` flag every bench records; CI rejects committed
+/// artifacts that read `true`.
+fn require_smoke_flag(doc: &Json) -> Result<bool, String> {
+    doc.get("smoke")
+        .and_then(Json::as_bool)
+        .ok_or_else(|| "JSON path 'smoke' is missing or not a boolean".to_string())
+}
+
+/// The non-empty array at top-level `key`.
+fn require_rows<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    let rows = doc
+        .get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing '{key}' array"))?;
+    if rows.is_empty() {
+        return Err(format!("JSON path '{key}' is an empty array"));
+    }
+    Ok(rows)
+}
+
 fn check_pipeline(doc: &Json) -> Result<(), String> {
     if doc.get("bench").and_then(Json::as_str) != Some("pipeline_cold_vs_warm") {
         return Err("JSON path 'bench' is not the string 'pipeline_cold_vs_warm'".into());
     }
+    require_smoke_flag(doc)?;
     for key in [
         "samples",
         "cold_fit.median_ns",
@@ -85,18 +123,13 @@ fn check_scaling(doc: &Json) -> Result<(), String> {
     if doc.get("bench").and_then(Json::as_str) != Some("scaling") {
         return Err("JSON path 'bench' is not the string 'scaling'".into());
     }
+    require_smoke_flag(doc)?;
     for key in ["available_parallelism", "max_threads", "reps", "classes"] {
         if require_num_at(doc, "", key)? < 1.0 {
             return Err(format!("JSON path '{key}' must be >= 1"));
         }
     }
-    let scenarios = doc
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'scenarios' array")?;
-    if scenarios.is_empty() {
-        return Err("JSON path 'scenarios' is an empty array".into());
-    }
+    let scenarios = require_rows(doc, "scenarios")?;
     for (i, sc) in scenarios.iter().enumerate() {
         let at = format!("scenarios[{i}]");
         for key in [
@@ -299,6 +332,7 @@ fn check_serve(doc: &Json) -> Result<(), String> {
     if doc.get("bench").and_then(Json::as_str) != Some("serve") {
         return Err("JSON path 'bench' is not the string 'serve'".into());
     }
+    require_smoke_flag(doc)?;
     for key in [
         "workload.sessions",
         "workload.requests",
@@ -310,13 +344,7 @@ fn check_serve(doc: &Json) -> Result<(), String> {
         }
     }
     require_num_at(doc, "", "workload.seed")?;
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'runs' array")?;
-    if runs.is_empty() {
-        return Err("JSON path 'runs' is an empty array".into());
-    }
+    let runs = require_rows(doc, "runs")?;
     // The artifact's whole point is the striped-vs-unstriped comparison:
     // both the stripes=1 baseline and a striped run must be present —
     // and, since the event-driven accept loop, a striped `churn` run
@@ -499,22 +527,191 @@ fn check_serve(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// The paper's bound on every Table II stage but OPTIM and ICA (§IV-A).
+const STAGE_BOUND_NS: f64 = 2e9;
+/// OPTIM times below this are too short to read a per-sweep cost from.
+const OPTIM_FLOOR_NS: f64 = 10e6;
+/// Largest admissible growth of OPTIM per sweep from the smallest to the
+/// largest n; an O(n) OPTIM reads about 4× over n = 2048…8192.
+const OPTIM_GROWTH_BOUND: f64 = 3.0;
+/// Smallest admissible speed-up of each of the paper's two optimizations.
+const ABLATION_SPEEDUP_FLOOR: f64 = 10.0;
+/// Largest admissible growth of the equivalence-class sweep time from the
+/// smallest to the largest n.
+const EQCLASS_GROWTH_BOUND: f64 = 2.0;
+
+fn check_paper(doc: &Json) -> Result<(), String> {
+    if doc.get("bench").and_then(Json::as_str) != Some("paper") {
+        return Err("JSON path 'bench' is not the string 'paper'".into());
+    }
+    let smoke = require_smoke_flag(doc)?;
+    for key in ["available_parallelism", "reps"] {
+        if require_num_at(doc, "", key)? < 1.0 {
+            return Err(format!("JSON path '{key}' must be >= 1"));
+        }
+    }
+    check_paper_table2(doc, smoke)?;
+    check_paper_eqclass(doc)?;
+    check_paper_sherman_morrison(doc)
+}
+
+/// One `table2` row's OPTIM reading, keyed by its `(d, k)` cell.
+struct OptimReading {
+    n: f64,
+    optim_ns: f64,
+    sweeps: f64,
+    at: String,
+}
+
+/// The Table II rows: every stage but OPTIM and ICA under the paper's 2 s,
+/// and OPTIM per sweep flat in n.
+fn check_paper_table2(doc: &Json, smoke: bool) -> Result<(), String> {
+    let mut cells: std::collections::BTreeMap<(u64, u64), Vec<OptimReading>> = Default::default();
+    for (i, row) in require_rows(doc, "table2")?.iter().enumerate() {
+        let at = format!("table2[{i}]");
+        let n = require_num_at(row, &at, "n")?;
+        let d = require_num_at(row, &at, "d")?;
+        let k = require_num_at(row, &at, "k")?;
+        let sweeps = require_num_at(row, &at, "sweeps")?;
+        if [n, d, k, sweeps].iter().any(|&v| v < 1.0) {
+            return Err(format!("JSON path '{at}': n, d, k and sweeps must be >= 1"));
+        }
+        for stage in ["init", "preprocess", "whitening", "sample", "pca"] {
+            let key = format!("{stage}_ns");
+            let t = require_num_at(row, &at, &key)?;
+            if t >= STAGE_BOUND_NS {
+                return Err(format!(
+                    "JSON path '{at}.{key}': {:.2} s is not under the paper's 2 s (§IV-A)",
+                    t / 1e9
+                ));
+            }
+        }
+        require_num_at(row, &at, "ica_ns")?;
+        let optim_ns = require_num_at(row, &at, "optim_ns")?;
+        cells
+            .entry((d as u64, k as u64))
+            .or_default()
+            .push(OptimReading {
+                n,
+                optim_ns,
+                sweeps,
+                at,
+            });
+    }
+    let mut gated = 0;
+    for ((d, k), mut by_n) in cells {
+        if by_n.iter().any(|r| r.optim_ns < OPTIM_FLOOR_NS) {
+            continue;
+        }
+        by_n.sort_by(|a, b| a.n.total_cmp(&b.n));
+        let (lo, hi) = (&by_n[0], &by_n[by_n.len() - 1]);
+        if hi.n == lo.n {
+            continue;
+        }
+        let growth = (hi.optim_ns / hi.sweeps) / (lo.optim_ns / lo.sweeps);
+        if growth > OPTIM_GROWTH_BOUND {
+            return Err(format!(
+                "JSON path '{}.optim_ns': OPTIM per sweep at n = {} is {growth:.2}× its \
+                 value at n = {} (d = {d}, k = {k}), above the {OPTIM_GROWTH_BOUND}× bound — \
+                 OPTIM is no longer independent of n",
+                hi.at, hi.n, lo.n
+            ));
+        }
+        gated += 1;
+    }
+    if !smoke && gated == 0 {
+        return Err(format!(
+            "JSON path 'table2': no (d, k) cell spans several n with optim_ns >= {} ms at \
+             every n, so OPTIM's independence of n is ungated",
+            OPTIM_FLOOR_NS / 1e6
+        ));
+    }
+    Ok(())
+}
+
+/// The rows of an ablation: each keyed by `size` and timed on its `fast`
+/// and `slow` path, with the `speedup` of fast over slow. Returns each
+/// row's JSON path, size, fast time and speed-up.
+fn ablation_rows(
+    doc: &Json,
+    name: &str,
+    [size, fast, slow]: [&str; 3],
+) -> Result<Vec<(String, f64, f64, f64)>, String> {
+    let mut out = Vec::new();
+    for (i, row) in require_rows(doc, name)?.iter().enumerate() {
+        let at = format!("{name}[{i}]");
+        let x = require_num_at(row, &at, size)?;
+        let mut times = [0.0; 2];
+        for (t, key) in times.iter_mut().zip([fast, slow]) {
+            *t = require_num_at(row, &at, key)?;
+            if *t < 1.0 {
+                return Err(format!("JSON path '{at}.{key}' is zero — it was not timed"));
+            }
+        }
+        let speedup = require_num_at(row, &at, "speedup")?;
+        out.push((at, x, times[0], speedup));
+    }
+    Ok(out)
+}
+
+/// Equivalence classes against per-row parameters: a large speed-up at
+/// every n, and a sweep cost that does not grow with n.
+fn check_paper_eqclass(doc: &Json) -> Result<(), String> {
+    let mut rows = ablation_rows(doc, "eqclass", ["n", "eqclass_ns", "naive_ns"])?;
+    for (at, n, _, speedup) in &rows {
+        if *speedup < ABLATION_SPEEDUP_FLOOR {
+            return Err(format!(
+                "JSON path '{at}.speedup': {speedup} < {ABLATION_SPEEDUP_FLOOR} at n = {n} — \
+                 equivalence classes lost the paper's speed-up over per-row parameters"
+            ));
+        }
+    }
+    rows.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let (_, n_lo, lo, _) = &rows[0];
+    let (at, n_hi, hi, _) = &rows[rows.len() - 1];
+    if *hi > EQCLASS_GROWTH_BOUND * lo {
+        return Err(format!(
+            "JSON path '{at}.eqclass_ns': {hi} ns at n = {n_hi} is more than \
+             {EQCLASS_GROWTH_BOUND}× the {lo} ns at n = {n_lo} — the equivalence-class \
+             sweep is no longer independent of n"
+        ));
+    }
+    Ok(())
+}
+
+/// Sherman–Morrison against LU re-inversion: a large speed-up wherever
+/// `d ≥ 32`; below that both are a few microseconds and the ratio is
+/// recorded only.
+fn check_paper_sherman_morrison(doc: &Json) -> Result<(), String> {
+    let rows = ablation_rows(
+        doc,
+        "sherman_morrison",
+        ["d", "sherman_morrison_ns", "reinverse_ns"],
+    )?;
+    for (at, d, _, speedup) in rows {
+        if d >= 32.0 && speedup < ABLATION_SPEEDUP_FLOOR {
+            return Err(format!(
+                "JSON path '{at}.speedup': {speedup} < {ABLATION_SPEEDUP_FLOOR} at d = {d} — \
+                 the O(d²) update lost the paper's speed-up over O(d³) re-inversion"
+            ));
+        }
+    }
+    Ok(())
+}
+
+type Check = fn(&Json) -> Result<(), String>;
+
+/// Every committed artifact and its check.
+const ARTIFACTS: [(&str, Check); 4] = [
+    ("BENCH_pipeline.json", check_pipeline),
+    ("BENCH_scaling.json", check_scaling),
+    ("BENCH_serve.json", check_serve),
+    ("BENCH_paper.json", check_paper),
+];
+
 fn main() -> ExitCode {
     let mut failed = false;
-    for (name, check) in [
-        (
-            "BENCH_pipeline.json",
-            check_pipeline as fn(&Json) -> Result<(), String>,
-        ),
-        (
-            "BENCH_scaling.json",
-            check_scaling as fn(&Json) -> Result<(), String>,
-        ),
-        (
-            "BENCH_serve.json",
-            check_serve as fn(&Json) -> Result<(), String>,
-        ),
-    ] {
+    for (name, check) in ARTIFACTS {
         match load(name).and_then(|doc| check(&doc)) {
             Ok(()) => println!("check_bench_artifacts: {name}: OK"),
             Err(e) => {
@@ -527,5 +724,200 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The value at a dotted JSON path whose segments may end in `[i]`.
+    fn at<'a>(doc: &'a mut Json, path: &str) -> &'a mut Json {
+        path.split('.').fold(doc, |cur, segment| {
+            let (key, index) = match segment.split_once('[') {
+                Some((key, i)) => (key, Some(i.trim_end_matches(']').parse::<usize>().unwrap())),
+                None => (segment, None),
+            };
+            let Json::Obj(map) = cur else {
+                panic!("{path}: no object at '{segment}'")
+            };
+            let value = map
+                .get_mut(key)
+                .unwrap_or_else(|| panic!("{path}: no key '{key}'"));
+            match (index, value) {
+                (None, value) => value,
+                (Some(i), Json::Arr(items)) => &mut items[i],
+                (Some(_), _) => panic!("{path}: '{key}' is not an array"),
+            }
+        })
+    }
+
+    /// `doc` with the value at `path` replaced by `value`.
+    fn with(doc: &Json, path: &str, value: impl Into<Json>) -> Json {
+        let mut out = doc.clone();
+        *at(&mut out, path) = value.into();
+        out
+    }
+
+    /// `check` rejects `doc` once `path` holds `value`, and its error
+    /// names `path`.
+    fn assert_rejects(check: Check, doc: &Json, path: &str, value: impl Into<Json>) {
+        let err = check(&with(doc, path, value)).expect_err(path);
+        assert!(err.contains(path), "error {err:?} does not name {path}");
+    }
+
+    fn table2_row(n: u64, optim_ns: u64) -> String {
+        format!(
+            r#"{{"n": {n}, "d": 64, "k": 2, "sweeps": 10, "init_ns": 1000000,
+                "optim_ns": {optim_ns}, "preprocess_ns": 100000, "whitening_ns": 100000,
+                "sample_ns": 100000, "pca_ns": 100000, "ica_ns": 100000000}}"#
+        )
+    }
+
+    /// A minimal valid `BENCH_paper.json`: one (d, k) cell at two n, two
+    /// rows per ablation.
+    fn paper() -> Json {
+        Json::parse(&format!(
+            r#"{{"bench": "paper", "smoke": false, "available_parallelism": 2, "reps": 3,
+                "table2": [{}, {}],
+                "eqclass": [
+                    {{"n": 128, "eqclass_ns": 300000, "naive_ns": 35000000, "speedup": 116.7}},
+                    {{"n": 2048, "eqclass_ns": 310000, "naive_ns": 467000000, "speedup": 1506.5}}],
+                "sherman_morrison": [
+                    {{"d": 16, "sherman_morrison_ns": 330, "reinverse_ns": 10800, "speedup": 32.7}},
+                    {{"d": 32, "sherman_morrison_ns": 960, "reinverse_ns": 50000, "speedup": 52.1}}]}}"#,
+            table2_row(2048, 20_000_000),
+            table2_row(8192, 22_000_000),
+        ))
+        .unwrap()
+    }
+
+    /// A minimal valid `BENCH_scaling.json`: one scenario past the D&C
+    /// dispatch threshold, both suggest shapes and the five-round fit row.
+    fn scaling() -> Json {
+        let runs =
+            |extra: &str| format!(r#"[{{"threads": 1, {extra}}}, {{"threads": 2, {extra}}}]"#);
+        let round = r#"{"eigen_recomputed": 1, "sweeps": 2, "fit_ns": 1000}"#;
+        let rounds = format!(
+            r#""total_fit_ns": 5000, "rounds": [{}]"#,
+            [round; 5].join(", ")
+        );
+        let suggest = |dataset: &str| {
+            format!(
+                r#"{{"dataset": "{dataset}", "n": 100, "d": 10, "batch": 16, "k": 8,
+                    "bit_identical_across_threads": true, "runs": {}}}"#,
+                runs(r#""suggest_ns": 1000"#)
+            )
+        };
+        Json::parse(&format!(
+            r#"{{"bench": "scaling", "smoke": false, "available_parallelism": 2,
+                "max_threads": 2, "reps": 3, "classes": 4,
+                "scenarios": [{{"n": 1000, "d": 64,
+                    "eigen": {{"jacobi_ns": 6000000, "dc_ns": 1000000, "dc_speedup": 6.0}},
+                    "store": {{"recover_ns": 1000, "recover_ops": 3, "wal_bytes": 100}},
+                    "parallel_speedup_max_vs_1": 1.5, "bit_identical_across_threads": true,
+                    "runs": [{{"threads": 1, "sample_ns": 1, "refresh_ns": 1, "whiten_ns": 1,
+                        "pca_ns": 1, "matmul_ns": 1, "hot_total_ns": 2}}]}}],
+                "suggest": [{}, {}],
+                "fit": [{{"dataset": "bnc", "n": 1335, "d": 100,
+                    "bit_identical_across_threads": true, "runs": {}}}]}}"#,
+            suggest("bnc"),
+            suggest("segmentation"),
+            runs(&rounds),
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn minimal_documents_pass() {
+        check_paper(&paper()).unwrap();
+        check_scaling(&scaling()).unwrap();
+    }
+
+    #[test]
+    fn committed_artifacts_pass() {
+        for (name, check) in ARTIFACTS {
+            if let Err(e) = load(name).and_then(|doc| check(&doc)) {
+                panic!("{name}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn smoke_flag_is_required() {
+        assert_rejects(check_paper, &paper(), "smoke", "no");
+        assert_rejects(check_scaling, &scaling(), "smoke", 0usize);
+    }
+
+    #[test]
+    fn eqclass_speedup_gate() {
+        assert_rejects(check_paper, &paper(), "eqclass[0].speedup", 9.9);
+    }
+
+    #[test]
+    fn eqclass_flat_in_n_gate() {
+        assert_rejects(check_paper, &paper(), "eqclass[1].eqclass_ns", 600_001usize);
+        check_paper(&with(&paper(), "eqclass[1].eqclass_ns", 600_000usize)).unwrap();
+    }
+
+    #[test]
+    fn sherman_morrison_speedup_gate_from_d_32() {
+        assert_rejects(check_paper, &paper(), "sherman_morrison[1].speedup", 9.9);
+        // Below d = 32 both paths take microseconds; the ratio is not gated.
+        check_paper(&with(&paper(), "sherman_morrison[0].speedup", 2.0)).unwrap();
+    }
+
+    #[test]
+    fn stage_bound_gate() {
+        for stage in ["init", "preprocess", "whitening", "sample", "pca"] {
+            let path = format!("table2[1].{stage}_ns");
+            assert_rejects(check_paper, &paper(), &path, 2_000_000_000usize);
+            check_paper(&with(&paper(), &path, 1_999_999_999usize)).unwrap();
+        }
+    }
+
+    #[test]
+    fn optim_flat_in_n_gate() {
+        // 20 ms per 10 sweeps at n = 2048: the bound is 60 ms at n = 8192.
+        assert_rejects(check_paper, &paper(), "table2[1].optim_ns", 60_000_001usize);
+        check_paper(&with(&paper(), "table2[1].optim_ns", 60_000_000usize)).unwrap();
+        // Per sweep, not per fit: twice the sweeps may take twice as long.
+        let more_sweeps = with(&paper(), "table2[1].sweeps", 20usize);
+        check_paper(&with(&more_sweeps, "table2[1].optim_ns", 100_000_000usize)).unwrap();
+    }
+
+    #[test]
+    fn full_mode_needs_a_gated_optim_cell() {
+        let short = with(&paper(), "table2[0].optim_ns", 9_999_999usize);
+        let err = check_paper(&short).unwrap_err();
+        assert!(
+            err.contains("'table2'"),
+            "error {err:?} does not name table2"
+        );
+        check_paper(&with(&short, "smoke", true)).unwrap();
+    }
+
+    #[test]
+    fn dc_speedup_gate_from_d_32() {
+        assert_rejects(
+            check_scaling,
+            &scaling(),
+            "scenarios[0].eigen.dc_speedup",
+            0.99,
+        );
+        // Below d = 32 the dispatch is Jacobi and the ratio is noise.
+        let small = with(&scaling(), "scenarios[0].d", 16usize);
+        check_scaling(&with(&small, "scenarios[0].eigen.dc_speedup", 0.5)).unwrap();
+    }
+
+    #[test]
+    fn bit_identical_across_threads_gate() {
+        for path in [
+            "scenarios[0].bit_identical_across_threads",
+            "suggest[1].bit_identical_across_threads",
+            "fit[0].bit_identical_across_threads",
+        ] {
+            assert_rejects(check_scaling, &scaling(), path, false);
+        }
     }
 }

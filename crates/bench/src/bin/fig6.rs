@@ -18,7 +18,7 @@ use sider_core::{EdaSession, SimulatedUser};
 use sider_linalg::Matrix;
 use sider_maxent::FitOpts;
 use sider_projection::{IcaOpts, Method};
-use sider_stats::gaussianity::{negentropy_offset, standardize_inplace, Contrast};
+use sider_stats::gaussianity::{negentropy_offset, standardize_inplace};
 
 fn stage_stats(y: &Matrix, stage: &str, table: &mut TextTable) {
     for j in 0..y.cols() {
@@ -26,7 +26,7 @@ fn stage_stats(y: &Matrix, stage: &str, table: &mut TextTable) {
         let var = sider_stats::descriptive::population_variance(&col);
         let mut std = col.clone();
         standardize_inplace(&mut std);
-        let neg = negentropy_offset(&std, Contrast::default());
+        let neg = negentropy_offset(&std);
         table.row(vec![
             stage.to_string(),
             format!("X{}", j + 1),

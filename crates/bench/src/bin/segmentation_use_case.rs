@@ -1,5 +1,6 @@
 //! Fig. 9 — the Image Segmentation use case (paper §IV-C), on the
-//! segmentation-like simulated dataset (see DESIGN.md).
+//! segmentation-like simulated dataset (`sider_data::segmentation`
+//! documents the substitution).
 //!
 //! Paper reference measurements:
 //! * initial view: background scale wildly different from the data;

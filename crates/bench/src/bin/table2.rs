@@ -1,59 +1,129 @@
-//! Table II — the runtime experiment (paper §IV-A).
+//! Table II — the runtime experiment (paper §IV-A) — and the paper's two
+//! speed-up ablations (§II-A-2), written to `BENCH_paper.json` at the
+//! workspace root, where `check_bench_artifacts` gates the paper's claims.
 //!
-//! Grid: n ∈ {2048, 4096, 8192}, d ∈ {16, 32, 64, 128}, k ∈ {1, 2, 4, 8}.
-//! For each dataset: margin constraints (2d) plus, for k > 1, cluster
-//! constraints per cluster (2dk). Reported: median wall-clock of OPTIM
-//! (fitting the background distribution, no time cutoff) and ICA, plus
-//! the stage timings the paper says stay under 2 s (INIT, PREPROCESS,
-//! WHITENING, SAMPLE, PCA).
+//! **Table II.** Grid: n ∈ {2048, 4096, 8192}, d ∈ {16, 32, 64, 128},
+//! k ∈ {1, 2, 4, 8}. For each dataset: margin constraints (2d) plus, for
+//! k > 1, cluster constraints per cluster (2dk). Each `table2` row holds
+//! the median over `reps` runs of OPTIM (fitting the background
+//! distribution, no time cutoff), ICA and the stages the paper says stay
+//! under 2 s (INIT, PREPROCESS, WHITENING, SAMPLE, PCA), plus `sweeps`,
+//! the sweep count of the run with the median OPTIM time.
 //!
-//! Flags: `--reps N` (default 3; the paper used 10), `--max-d D`
-//! (default 128), `--max-n N` (default 8192), `--quick` (tiny grid for
-//! smoke tests).
+//! **Ablations**, each cell the median of 5 runs:
+//! - `eqclass`: five sweeps of the equivalence-class [`Solver`] against
+//!   the per-row [`NaiveSolver`] on `runtime_dataset(n, 8, 2, 13)` with
+//!   margins plus 2 clusters, n ∈ {128, 512, 2048};
+//! - `sherman_morrison`: one rank-1 covariance update by
+//!   `woodbury::prepare` + `apply` (the solver's kernel) against
+//!   `precision_update` followed by an LU re-inversion, d ∈ {16, 32, 64,
+//!   128}. One call takes microseconds, so each run times a batch of
+//!   calls and records the time per call.
+//!
+//! Full mode runs 3 reps (the paper used 10) and takes about 16 minutes
+//! on 2 vCPUs, almost all of it in FastICA. `SIDER_BENCH_SMOKE=1` runs
+//! the CI-sized version with the same JSON schema: n = 2048,
+//! d ∈ {16, 32}, k ∈ {1, 2}, 1 rep, eqclass at n ≤ 512 and
+//! Sherman–Morrison at d ≤ 32.
 
-use sider_bench::{fmt_secs, median_duration, out_dir, time, Args};
+use sider_bench::{fmt_secs, median_duration, time, write_artifact};
 use sider_core::report::TextTable;
 use sider_data::synthetic::runtime_dataset;
+use sider_data::Dataset;
+use sider_json::Json;
+use sider_linalg::{lu, woodbury};
+use sider_loadgen::smoke_mode;
 use sider_maxent::constraint::{cluster_constraints, margin_constraints};
-use sider_maxent::{FitOpts, RowSet, Solver};
+use sider_maxent::naive::NaiveSolver;
+use sider_maxent::{Constraint, FitOpts, RowSet, Solver};
 use sider_projection::{fastica, pca_directions, IcaOpts};
 use sider_stats::Rng;
+use std::hint::black_box;
 use std::time::Duration;
 
-struct CellTimes {
-    init: Duration,
-    optim: Duration,
-    preprocess: Duration,
-    whitening: Duration,
-    sample: Duration,
-    pca: Duration,
-    ica: Duration,
+/// The sizes one run covers.
+struct Grid {
+    ns: &'static [usize],
+    ds: &'static [usize],
+    ks: &'static [usize],
+    reps: usize,
+    eqclass_ns: &'static [usize],
+    sherman_morrison_ds: &'static [usize],
+}
+
+const FULL: Grid = Grid {
+    ns: &[2048, 4096, 8192],
+    ds: &[16, 32, 64, 128],
+    ks: &[1, 2, 4, 8],
+    reps: 3,
+    eqclass_ns: &[128, 512, 2048],
+    sherman_morrison_ds: &[16, 32, 64, 128],
+};
+
+const SMOKE: Grid = Grid {
+    ns: &[2048],
+    ds: &[16, 32],
+    ks: &[1, 2],
+    reps: 1,
+    eqclass_ns: &[128, 512],
+    sherman_morrison_ds: &[16, 32],
+};
+
+/// Timed runs per ablation cell; the cell records their median.
+const ABLATION_RUNS: usize = 5;
+/// Solver sweeps per timed `eqclass` run.
+const EQCLASS_SWEEPS: usize = 5;
+/// Calls per timed Sherman–Morrison run, and per timed re-inversion run.
+const SHERMAN_MORRISON_BATCH: u32 = 200;
+const REINVERSE_BATCH: u32 = 20;
+
+/// The Table II stages in artifact order; a cell's times follow it.
+const STAGES: [&str; 7] = [
+    "init",
+    "optim",
+    "preprocess",
+    "whitening",
+    "sample",
+    "pca",
+    "ica",
+];
+const OPTIM: usize = 1;
+const ICA: usize = 6;
+/// The stages the paper reports under 2 s: all but OPTIM and ICA.
+const INTERACTIVE: [usize; 5] = [0, 2, 3, 4, 5];
+
+struct Cell {
+    times: [Duration; STAGES.len()],
     sweeps: usize,
 }
 
-fn run_cell(n: usize, d: usize, k: usize, seed: u64) -> CellTimes {
+/// Margin constraints, plus one cluster constraint set per class when
+/// `k > 1`.
+fn constraints(ds: &Dataset, k: usize) -> Vec<Constraint> {
+    let data = &ds.matrix;
+    let labels = ds.primary_labels().expect("labels");
+    let mut cs = margin_constraints(data).expect("margins");
+    if k > 1 {
+        for c in 0..k {
+            cs.extend(
+                cluster_constraints(
+                    data,
+                    RowSet::from_indices(&labels.class_indices(c)),
+                    format!("c{c}"),
+                )
+                .expect("cluster"),
+            );
+        }
+    }
+    cs
+}
+
+fn run_cell(n: usize, d: usize, k: usize, seed: u64) -> Cell {
     let ds = runtime_dataset(n, d, k, seed);
     let data = &ds.matrix;
-    let labels = ds.primary_labels().expect("labels").clone();
 
     // INIT: constraint construction + solver setup (equivalence classes).
-    let ((mut solver, _), init) = time(|| {
-        let mut cs = margin_constraints(data).expect("margins");
-        if k > 1 {
-            for c in 0..k {
-                cs.extend(
-                    cluster_constraints(
-                        data,
-                        RowSet::from_indices(&labels.class_indices(c)),
-                        format!("c{c}"),
-                    )
-                    .expect("cluster"),
-                );
-            }
-        }
-        let solver = Solver::new(data, cs).expect("solver");
-        (solver, ())
-    });
+    let (mut solver, init) = time(|| Solver::new(data, constraints(&ds, k)).expect("solver"));
 
     // OPTIM: fit without any time cutoff (paper Table II setup).
     let (report, optim) = time(|| {
@@ -76,85 +146,202 @@ fn run_cell(n: usize, d: usize, k: usize, seed: u64) -> CellTimes {
     let mut rng_ica = Rng::seed_from_u64(seed ^ 0xA5A5);
     let (_ica, ica) = time(|| fastica(&whitened, &IcaOpts::default(), &mut rng_ica));
 
-    CellTimes {
-        init,
-        optim,
-        preprocess,
-        whitening,
-        sample,
-        pca,
-        ica,
+    Cell {
+        times: [init, optim, preprocess, whitening, sample, pca, ica],
         sweeps: report.sweeps,
     }
 }
 
+/// Per-stage medians over `runs`. `sweeps` comes from the run whose OPTIM
+/// time is the median, so `optim / sweeps` is one run's cost per sweep.
+fn median_cell(mut runs: Vec<Cell>) -> Cell {
+    let times = std::array::from_fn(|s| {
+        median_duration(&mut runs.iter().map(|r| r.times[s]).collect::<Vec<_>>())
+    });
+    runs.sort_by_key(|r| r.times[OPTIM]);
+    Cell {
+        times,
+        sweeps: runs[runs.len() / 2].sweeps,
+    }
+}
+
+fn ns(t: Duration) -> Json {
+    Json::from(t.as_nanos() as u64)
+}
+
+/// Median over [`ABLATION_RUNS`] runs of `run`, which times itself.
+fn median_of_runs(mut run: impl FnMut() -> Duration) -> Duration {
+    let mut times: Vec<Duration> = (0..ABLATION_RUNS).map(|_| run()).collect();
+    median_duration(&mut times)
+}
+
+/// The paper's first speed-up: equivalence classes make a sweep's cost
+/// independent of n, where per-row parameters cost O(n·d³) per
+/// constraint. Returns (equivalence classes, per-row) times for
+/// [`EQCLASS_SWEEPS`] sweeps; both solvers are built outside the timed
+/// region.
+fn eqclass_times(n: usize) -> (Duration, Duration) {
+    let ds = runtime_dataset(n, 8, 2, 13);
+    let cs = constraints(&ds, 2);
+    let eqclass = median_of_runs(|| {
+        let mut s = Solver::new(&ds.matrix, cs.clone()).expect("solver");
+        time(|| {
+            for _ in 0..EQCLASS_SWEEPS {
+                s.sweep(1e12);
+            }
+            black_box(s.lambdas()[0])
+        })
+        .1
+    });
+    let naive = median_of_runs(|| {
+        let mut s = NaiveSolver::new(&ds.matrix, cs.clone()).expect("solver");
+        time(|| {
+            for _ in 0..EQCLASS_SWEEPS {
+                s.sweep(1e12);
+            }
+            black_box(s.lambdas()[0])
+        })
+        .1
+    });
+    (eqclass, naive)
+}
+
+/// Median over [`ABLATION_RUNS`] runs of the time per call of `batch`
+/// back-to-back calls.
+fn per_call(batch: u32, mut call: impl FnMut()) -> Duration {
+    median_of_runs(|| {
+        time(|| {
+            for _ in 0..batch {
+                call();
+            }
+        })
+        .1 / batch
+    })
+}
+
+/// The paper's second speed-up: a Sherman–Morrison update of `Σ = P⁻¹`
+/// costs O(d²) where re-inverting the updated precision costs O(d³).
+/// Returns (update, re-inversion) times per call; each call starts from a
+/// clone of the same state, on both sides.
+fn sherman_morrison_times(d: usize) -> (Duration, Duration) {
+    let mut rng = Rng::seed_from_u64(d as u64);
+    let a = rng.standard_normal_matrix(d + 4, d);
+    let mut prec = a.gram().scale(1.0 / (d + 4) as f64);
+    for i in 0..d {
+        prec[(i, i)] += 0.5;
+    }
+    let sigma = lu::inverse(&prec).expect("inverse");
+    let w = rng.standard_normal_vec(d);
+    let lambda = 0.7;
+    let update = per_call(SHERMAN_MORRISON_BATCH, || {
+        let mut s = sigma.clone();
+        let r = woodbury::prepare(&s, &w);
+        woodbury::apply(&mut s, &r, lambda);
+        black_box(s);
+    });
+    let reinverse = per_call(REINVERSE_BATCH, || {
+        let mut p = prec.clone();
+        woodbury::precision_update(&mut p, &w, lambda);
+        black_box(lu::inverse(&p).expect("inverse"));
+    });
+    (update, reinverse)
+}
+
+/// Run one ablation over `sizes`, print its table under `title` and
+/// return its artifact rows: `{size, fast, slow, speedup}` with the times
+/// in ns under the given keys.
+fn ablation(
+    title: &str,
+    [size, fast, slow]: [&'static str; 3],
+    sizes: &[usize],
+    measure: impl Fn(usize) -> (Duration, Duration),
+) -> Json {
+    let mut table = TextTable::new(&[size, fast, slow, "speedup"]);
+    let rows: Vec<Json> = sizes
+        .iter()
+        .map(|&x| {
+            let (fast_t, slow_t) = measure(x);
+            let ratio = slow_t.as_secs_f64() / fast_t.as_secs_f64().max(1e-12);
+            table.row(vec![
+                x.to_string(),
+                format!("{fast_t:?}"),
+                format!("{slow_t:?}"),
+                format!("{ratio:.0}×"),
+            ]);
+            Json::Obj(
+                [
+                    (size.to_string(), Json::from(x)),
+                    (format!("{fast}_ns"), ns(fast_t)),
+                    (format!("{slow}_ns"), ns(slow_t)),
+                    (
+                        "speedup".to_string(),
+                        Json::from((ratio * 1e3).round() / 1e3),
+                    ),
+                ]
+                .into_iter()
+                .collect(),
+            )
+        })
+        .collect();
+    println!("{title}:\n{}", table.render());
+    Json::Arr(rows)
+}
+
 fn main() {
-    let args = Args::from_env();
-    let reps: usize = args.get_or("reps", 3);
-    let (ns, ds_, ks): (Vec<usize>, Vec<usize>, Vec<usize>) = if args.flag("quick") {
-        (vec![2048], vec![16, 32], vec![1, 2])
-    } else {
-        let max_d = args.get_or("max-d", 128usize);
-        let max_n = args.get_or("max-n", 8192usize);
-        (
-            [2048, 4096, 8192]
-                .into_iter()
-                .filter(|&n| n <= max_n)
-                .collect(),
-            [16, 32, 64, 128]
-                .into_iter()
-                .filter(|&d| d <= max_d)
-                .collect(),
-            vec![1, 2, 4, 8],
-        )
-    };
+    let smoke = smoke_mode();
+    let grid = if smoke { &SMOKE } else { &FULL };
+    let reps = grid.reps;
+    let available = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     println!("Table II reproduction: median wall-clock over {reps} run(s), no time cutoff.");
     println!("(The paper's numbers are single-threaded R 3.4.0 on a 2.2 GHz MacBook Air;\n ours are this machine — compare scaling shapes, not absolute values.)\n");
 
-    let mut table = TextTable::new(&["n", "d", "OPTIM (k=1,2,4,8)", "ICA (k=1,2,4,8)", "sweeps"]);
-    let mut stage_worst = [Duration::ZERO; 5];
-    let mut csv = String::from("n,d,k,init,optim,preprocess,whitening,sample,pca,ica,sweeps\n");
-
-    for &n in &ns {
-        for &d in &ds_ {
+    let ks = grid
+        .ks
+        .iter()
+        .map(usize::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    let (optim, ica) = (format!("OPTIM (k={ks})"), format!("ICA (k={ks})"));
+    let mut table = TextTable::new(&["n", "d", &optim, &ica, "sweeps"]);
+    let mut stage_worst = [Duration::ZERO; INTERACTIVE.len()];
+    let mut rows = Vec::new();
+    for &n in grid.ns {
+        for &d in grid.ds {
             let mut optim_cells = Vec::new();
             let mut ica_cells = Vec::new();
             let mut sweeps_cells = Vec::new();
-            for &k in &ks {
-                let mut optims = Vec::new();
-                let mut icas = Vec::new();
-                let mut sweeps = 0;
-                for rep in 0..reps {
-                    let t = run_cell(n, d, k, 1000 + rep as u64);
-                    eprintln!(
-                        "  [n={n} d={d} k={k} rep={rep}] optim {:.2}s, ica {:.2}s, {} sweeps",
-                        t.optim.as_secs_f64(),
-                        t.ica.as_secs_f64(),
-                        t.sweeps
-                    );
-                    optims.push(t.optim);
-                    icas.push(t.ica);
-                    sweeps = sweeps.max(t.sweeps);
-                    stage_worst[0] = stage_worst[0].max(t.init);
-                    stage_worst[1] = stage_worst[1].max(t.preprocess);
-                    stage_worst[2] = stage_worst[2].max(t.whitening);
-                    stage_worst[3] = stage_worst[3].max(t.sample);
-                    stage_worst[4] = stage_worst[4].max(t.pca);
-                    csv.push_str(&format!(
-                        "{n},{d},{k},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{}\n",
-                        t.init.as_secs_f64(),
-                        t.optim.as_secs_f64(),
-                        t.preprocess.as_secs_f64(),
-                        t.whitening.as_secs_f64(),
-                        t.sample.as_secs_f64(),
-                        t.pca.as_secs_f64(),
-                        t.ica.as_secs_f64(),
-                        t.sweeps,
-                    ));
+            for &k in grid.ks {
+                let runs = (0..reps)
+                    .map(|rep| {
+                        let t = run_cell(n, d, k, 1000 + rep as u64);
+                        eprintln!(
+                            "  [n={n} d={d} k={k} rep={rep}] optim {:.2}s, ica {:.2}s, {} sweeps",
+                            t.times[OPTIM].as_secs_f64(),
+                            t.times[ICA].as_secs_f64(),
+                            t.sweeps
+                        );
+                        t
+                    })
+                    .collect();
+                let cell = median_cell(runs);
+                for (worst, &s) in stage_worst.iter_mut().zip(&INTERACTIVE) {
+                    *worst = (*worst).max(cell.times[s]);
                 }
-                optim_cells.push(fmt_secs(median_duration(&mut optims)));
-                ica_cells.push(fmt_secs(median_duration(&mut icas)));
-                sweeps_cells.push(sweeps.to_string());
+                optim_cells.push(fmt_secs(cell.times[OPTIM]));
+                ica_cells.push(fmt_secs(cell.times[ICA]));
+                sweeps_cells.push(cell.sweeps.to_string());
+                let mut fields = vec![
+                    ("n".to_string(), Json::from(n)),
+                    ("d".to_string(), Json::from(d)),
+                    ("k".to_string(), Json::from(k)),
+                    ("sweeps".to_string(), Json::from(cell.sweeps)),
+                ];
+                for (stage, &t) in STAGES.iter().zip(&cell.times) {
+                    fields.push((format!("{stage}_ns"), ns(t)));
+                }
+                rows.push(Json::Obj(fields.into_iter().collect()));
             }
             table.row(vec![
                 n.to_string(),
@@ -167,15 +354,37 @@ fn main() {
     }
     println!("{}", table.render());
     println!(
-        "worst stage timings across the grid (paper: each < 2 s):\n  INIT {:.2}s  PREPROCESS {:.2}s  WHITENING {:.2}s  SAMPLE {:.2}s  PCA {:.2}s",
+        "worst median stage timings across the grid (paper: each < 2 s):\n  INIT {:.2}s  PREPROCESS {:.2}s  WHITENING {:.2}s  SAMPLE {:.2}s  PCA {:.2}s\n",
         stage_worst[0].as_secs_f64(),
         stage_worst[1].as_secs_f64(),
         stage_worst[2].as_secs_f64(),
         stage_worst[3].as_secs_f64(),
         stage_worst[4].as_secs_f64(),
     );
-    let path = out_dir().join("table2.csv");
-    std::fs::create_dir_all(out_dir()).expect("mkdir out");
-    std::fs::write(&path, csv).expect("write csv");
-    println!("\nper-run timings written to {}", path.display());
+
+    let eqclass = ablation(
+        &format!(
+            "Equivalence classes vs per-row parameters ({EQCLASS_SWEEPS} sweeps, median of {ABLATION_RUNS} runs)"
+        ),
+        ["n", "eqclass", "naive"],
+        grid.eqclass_ns,
+        eqclass_times,
+    );
+    let sherman_morrison = ablation(
+        &format!("Rank-1 covariance update per call (median of {ABLATION_RUNS} runs)"),
+        ["d", "sherman_morrison", "reinverse"],
+        grid.sherman_morrison_ds,
+        sherman_morrison_times,
+    );
+
+    let doc = Json::obj([
+        ("bench", Json::from("paper")),
+        ("smoke", Json::from(smoke)),
+        ("available_parallelism", Json::from(available)),
+        ("reps", Json::from(reps)),
+        ("table2", Json::Arr(rows)),
+        ("eqclass", eqclass),
+        ("sherman_morrison", sherman_morrison),
+    ]);
+    write_artifact("paper", &doc);
 }

@@ -1,7 +1,8 @@
-//! Shared harness utilities for the experiment binaries.
+//! Shared harness utilities for the experiment binaries and the perf
+//! benches.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary
-//! in `src/bin/` (see DESIGN.md §4 for the index):
+//! in `src/bin/`; this table is the index:
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
@@ -10,12 +11,15 @@
 //! | `fig4_table1` | Fig. 4 + Table I — X̂₅ ICA iterations & scores |
 //! | `fig5` | Fig. 5 — adversarial convergence curves |
 //! | `fig6` | Fig. 6 — whitened X̂₅ pairplots per stage |
-//! | `table2` | Table II — OPTIM / ICA runtime grid |
+//! | `table2` | Table II — OPTIM / ICA runtime grid, plus the equivalence-class and Sherman–Morrison ablations (`BENCH_paper.json`) |
 //! | `bnc_use_case` | Figs. 7–8 — BNC exploration (simulated corpus) |
 //! | `segmentation_use_case` | Fig. 9 — segmentation exploration |
 //!
-//! Criterion micro-benchmarks live in `benches/` (OPTIM scaling, ICA,
-//! Woodbury-vs-inverse and equivalence-class ablations).
+//! Performance has one measurement system: the `pipeline`, `scaling` and
+//! `serve` benches in `benches/` and the `table2` binary read
+//! `SIDER_BENCH_SMOKE` through `sider_loadgen::smoke_mode` and write one
+//! `BENCH_*.json` each through [`write_artifact`]; `check_bench_artifacts`
+//! gates those artifacts.
 
 use sider_json::Json;
 use std::time::{Duration, Instant};
@@ -39,60 +43,6 @@ pub fn median_duration(durations: &mut [Duration]) -> Duration {
 /// Format seconds with one decimal, like the paper's Table II cells.
 pub fn fmt_secs(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64())
-}
-
-/// Minimal command-line flag parser: `--key value` pairs.
-#[derive(Debug, Clone, Default)]
-pub struct Args {
-    pairs: Vec<(String, String)>,
-}
-
-impl Args {
-    /// Parse from `std::env::args` (skipping the binary name).
-    pub fn from_env() -> Self {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Parse from an explicit iterator (for tests).
-    pub fn from_args(iter: impl IntoIterator<Item = String>) -> Self {
-        let mut pairs = Vec::new();
-        let mut iter = iter.into_iter().peekable();
-        while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                let value = iter
-                    .peek()
-                    .filter(|v| !v.starts_with("--"))
-                    .cloned()
-                    .inspect(|_| {
-                        iter.next();
-                    })
-                    .unwrap_or_else(|| "true".to_string());
-                pairs.push((key.to_string(), value));
-            }
-        }
-        Args { pairs }
-    }
-
-    /// Look up a flag value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Parse a typed flag with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Boolean flag (present without value, or `--key true`).
-    pub fn flag(&self, key: &str) -> bool {
-        matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
-    }
 }
 
 /// The workspace root, where the `BENCH_*.json` perf artifacts live.
@@ -140,19 +90,6 @@ mod tests {
         ];
         assert_eq!(median_duration(&mut ds), Duration::from_millis(20));
         assert_eq!(median_duration(&mut []), Duration::ZERO);
-    }
-
-    #[test]
-    fn args_parse_pairs_and_flags() {
-        let args = Args::from_args(
-            ["--reps", "5", "--quick", "--out", "/tmp/x"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(args.get_or("reps", 1usize), 5);
-        assert!(args.flag("quick"));
-        assert_eq!(args.get("out"), Some("/tmp/x"));
-        assert_eq!(args.get_or("missing", 7u32), 7);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! each of 1335 texts in the four main BNC genres and keeps the 100
 //! highest-count words as dimensions. The BNC itself is license-restricted
 //! and cannot be bundled, so this module generates a corpus with the same
-//! *geometry* (see DESIGN.md for the substitution argument):
+//! *geometry*, which is all the experiment depends on:
 //!
 //! * word frequencies follow a Zipf law, as in natural language;
 //! * each genre tilts word probabilities through a latent-space model:

@@ -15,7 +15,7 @@
 //! * [`bnc`] — a *simulator* of the British National Corpus use case
 //!   (§IV-B): the real corpus is license-restricted, so we generate word
 //!   counts from a genre-tilted Zipf model that reproduces the cluster
-//!   geometry the experiment depends on (see DESIGN.md §1 for the
+//!   geometry the experiment depends on (the [`bnc`] module docs make the
 //!   substitution argument).
 //! * [`segmentation`] — a simulator of the UCI Image Segmentation use
 //!   case (§IV-C) with the same shape: heterogeneous attribute scales,

@@ -70,14 +70,6 @@ pub fn apply(sigma: &mut Matrix, r: &Rank1, lambda: f64) {
     sym_rank1_update(sigma, -lambda / denom, &r.g);
 }
 
-/// Convenience: updated covariance as a new matrix.
-pub fn updated(sigma: &Matrix, w: &[f64], lambda: f64) -> Matrix {
-    let r = prepare(sigma, w);
-    let mut out = sigma.clone();
-    apply(&mut out, &r, lambda);
-    out
-}
-
 /// Rank-1 update of the precision itself: `P ← P + λ·w·wᵀ`.
 ///
 /// Precondition for bit-identity with `add_outer` + `symmetrize`: `P` is
@@ -123,6 +115,14 @@ mod tests {
         ])
     }
 
+    /// `Σ` after one [`prepare`] + [`apply`] step along `w`.
+    fn rank1_step(sigma: &Matrix, w: &[f64], lambda: f64) -> Matrix {
+        let r = prepare(sigma, w);
+        let mut out = sigma.clone();
+        apply(&mut out, &r, lambda);
+        out
+    }
+
     #[test]
     fn matches_direct_inverse() {
         // Σ = P⁻¹; update P by λwwᵀ, compare Woodbury Σ with direct inverse.
@@ -131,7 +131,7 @@ mod tests {
         let w = vec![0.5, -1.0, 2.0];
         let lambda = 0.7;
 
-        let wb = updated(&sigma, &w, lambda);
+        let wb = rank1_step(&sigma, &w, lambda);
 
         let mut p2 = p.clone();
         precision_update(&mut p2, &w, lambda);
@@ -148,7 +148,7 @@ mod tests {
         let r = prepare(&sigma, &w);
         let lo = lambda_lower_bound(r.c);
         let lambda = lo * 0.5; // safely inside the admissible range
-        let wb = updated(&sigma, &w, lambda);
+        let wb = rank1_step(&sigma, &w, lambda);
         let mut p2 = p.clone();
         precision_update(&mut p2, &w, lambda);
         let direct = lu::inverse(&p2).unwrap();
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn zero_lambda_is_identity_operation() {
         let sigma = spd3();
-        let out = updated(&sigma, &[1.0, 1.0, 1.0], 0.0);
+        let out = rank1_step(&sigma, &[1.0, 1.0, 1.0], 0.0);
         assert!(out.max_abs_diff(&sigma) < 1e-15);
     }
 

@@ -63,8 +63,9 @@ proptest! {
 
     #[test]
     fn woodbury_matches_direct_inverse(p in spd(4), w in proptest::collection::vec(-3.0..3.0f64, 4), lambda in 0.0..5.0f64) {
-        let sigma = lu::inverse(&p).unwrap();
-        let wb = woodbury::updated(&sigma, &w, lambda);
+        let mut wb = lu::inverse(&p).unwrap();
+        let r = woodbury::prepare(&wb, &w);
+        woodbury::apply(&mut wb, &r, lambda);
         let mut p2 = p.clone();
         woodbury::precision_update(&mut p2, &w, lambda);
         let direct = lu::inverse(&p2).unwrap();

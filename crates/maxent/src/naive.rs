@@ -7,7 +7,8 @@
 //! 1. **Correctness oracle** — it implements the update equations with no
 //!    equivalence classes and no Woodbury tricks, so agreement with
 //!    [`crate::Solver`] validates both optimizations.
-//! 2. **Ablation baseline** — the `eqclass` benchmark measures exactly the
+//! 2. **Ablation baseline** — the `eqclass` rows of `BENCH_paper.json`
+//!    (written by the `table2` binary of `sider_bench`) record exactly the
 //!    speed-up the paper claims.
 
 use crate::constraint::{Constraint, ConstraintKind};

@@ -2,8 +2,8 @@
 //!
 //! The paper uses "the FastICA algorithm \[6\] with log-cosh G function as a
 //! default method to find non-Gaussian directions" in the whitened data.
-//! This is a from-scratch implementation supporting both the symmetric
-//! (parallel) and deflation variants, with the three classic contrasts.
+//! This is a from-scratch implementation of exactly that: the symmetric
+//! (parallel) variant with the log-cosh contrast at α = 1.
 //!
 //! Pipeline (matching the reference `fastICA` R package the paper used):
 //! 1. center columns;
@@ -11,10 +11,10 @@
 //!    directions — the whitened SIDER data can be rank-deficient when
 //!    constraints collapse directions);
 //! 3. fixed-point iteration `w ← E[z·g(wᵀz)] − E[g′(wᵀz)]·w` with
-//!    symmetric decorrelation (or Gram–Schmidt deflation). One step reads
-//!    each whitened row once for all components and evaluates the contrast
-//!    once per projection; every expectation sums the rows in ascending
-//!    order, so iterates, iteration counts and results are fixed bits;
+//!    symmetric decorrelation, `g = tanh`. One step reads each whitened
+//!    row once for all components and evaluates the contrast once per
+//!    projection; every expectation sums the rows in ascending order, so
+//!    iterates, iteration counts and results are fixed bits;
 //! 4. map the unmixing directions back to the input space and score each
 //!    component by the signed negentropy proxy `E[G(s)] − E[G(ν)]`,
 //!    sorting by absolute value exactly like the paper's Table I.
@@ -24,8 +24,12 @@ use crate::Result;
 use sider_linalg::{vector, Matrix, SymEigen};
 use sider_par::ThreadPool;
 use sider_stats::descriptive::covariance_with;
-use sider_stats::gaussianity::{negentropy_offset, standardize_inplace, Contrast};
+use sider_stats::gaussianity::{g_pair, negentropy_offset, standardize_inplace};
 use sider_stats::Rng;
+
+/// Relative eigenvalue threshold below which directions are treated as
+/// null and dropped during internal whitening.
+const RANK_RTOL: f64 = 1e-9;
 
 /// How to order the extracted components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,20 +50,13 @@ pub enum ComponentOrder {
 pub struct IcaOpts {
     /// Number of components to extract (`None` = numerical rank of the data).
     pub n_components: Option<usize>,
-    /// Contrast non-linearity (paper default: log-cosh, α = 1).
-    pub contrast: Contrast,
     /// Maximum fixed-point iterations.
     pub max_iter: usize,
     /// Convergence tolerance on `1 − |⟨w_new, w_old⟩|`.
     pub tol: f64,
-    /// `true` = symmetric (parallel) decorrelation, `false` = deflation.
-    pub symmetric: bool,
     /// Error out when the iteration does not converge; when `false` the
     /// best iterate is returned (the R package behaves like `false`).
     pub strict: bool,
-    /// Relative eigenvalue threshold below which directions are treated as
-    /// null and dropped during internal whitening.
-    pub rank_rtol: f64,
     /// Component ordering.
     pub order: ComponentOrder,
     /// Independent random initializations of the fixed-point iteration;
@@ -75,12 +72,9 @@ impl Default for IcaOpts {
     fn default() -> Self {
         IcaOpts {
             n_components: None,
-            contrast: Contrast::default(),
             max_iter: 200,
             tol: 1e-6,
-            symmetric: true,
             strict: false,
-            rank_rtol: 1e-9,
             order: ComponentOrder::AbsoluteDesc,
             restarts: 1,
         }
@@ -133,7 +127,7 @@ pub fn fastica_with(
     let ev_max = eig.values.first().copied().unwrap_or(0.0).max(0.0);
     let mut keep: Vec<usize> = Vec::new();
     for (k, &ev) in eig.values.iter().enumerate() {
-        if ev > opts.rank_rtol * ev_max && ev > 1e-300 {
+        if ev > RANK_RTOL * ev_max && ev > 1e-300 {
             keep.push(k);
         }
     }
@@ -225,11 +219,7 @@ fn run_restart(
     let d = kmat.cols();
 
     // 3. Fixed-point iteration in the whitened space.
-    let (w, converged, iterations) = if opts.symmetric {
-        symmetric_iteration(z, k, opts, rng)?
-    } else {
-        deflation_iteration(z, k, opts, rng)?
-    };
+    let (w, converged, iterations) = symmetric_iteration(z, k, opts, rng)?;
     if opts.strict && !converged {
         return Err(ProjectionError::NotConverged { iterations });
     }
@@ -241,7 +231,7 @@ fn run_restart(
         let mut s = sources.col(c);
         standardize_inplace(&mut s);
         sources.set_col(c, &s);
-        scored.push((c, negentropy_offset(&s, opts.contrast)));
+        scored.push((c, negentropy_offset(&s)));
     }
     match opts.order {
         ComponentOrder::AbsoluteDesc => scored.sort_by(|a, b| {
@@ -281,11 +271,11 @@ fn run_restart(
 /// in `k` independent lanes over the columns of `Wᵀ` — each lane starts at
 /// `-0.0` and adds in ascending coordinate order, exactly like
 /// [`vector::dot`] — then the contrast runs once per projection
-/// ([`Contrast::g_pair`]) and `g·zᵢ` is added into row `c` of a `k × r`
+/// ([`g_pair`]) and `g·zᵢ` is added into row `c` of a `k × r`
 /// accumulator. Every `(c, j)` sum still runs over the rows in ascending
 /// order, so the step is bit-identical to one dot chain and two contrast
 /// calls per component per row.
-fn fixed_point_step(z: &Matrix, w: &Matrix, contrast: Contrast) -> Matrix {
+fn fixed_point_step(z: &Matrix, w: &Matrix) -> Matrix {
     let (n, r) = z.shape();
     let k = w.rows();
     let wt = w.transpose(); // r × k: row j holds coordinate j of every w_c
@@ -301,7 +291,7 @@ fn fixed_point_step(z: &Matrix, w: &Matrix, contrast: Contrast) -> Matrix {
             }
         }
         for (c, (&uc, egp)) in u.iter().zip(&mut eg_prime).enumerate() {
-            let (g, g_prime) = contrast.g_pair(uc);
+            let (g, g_prime) = g_pair(uc);
             vector::axpy(g, zi, ezg.row_mut(c));
             *egp += g_prime;
         }
@@ -336,7 +326,7 @@ fn symmetric_iteration(
 ) -> Result<(Matrix, bool, usize)> {
     let mut w = random_orthonormal(k, z.cols(), rng)?;
     for iter in 1..=opts.max_iter {
-        let w_new = sym_decorrelate(&fixed_point_step(z, &w, opts.contrast))?;
+        let w_new = sym_decorrelate(&fixed_point_step(z, &w))?;
         // Convergence: every direction stable up to sign.
         let mut worst = 0.0_f64;
         for c in 0..k {
@@ -349,49 +339,6 @@ fn symmetric_iteration(
         }
     }
     Ok((w, false, opts.max_iter))
-}
-
-fn deflation_iteration(
-    z: &Matrix,
-    k: usize,
-    opts: &IcaOpts,
-    rng: &mut Rng,
-) -> Result<(Matrix, bool, usize)> {
-    let r = z.cols();
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(k);
-    let mut all_converged = true;
-    let mut total_iters = 0;
-    for _c in 0..k {
-        let mut w = rng.standard_normal_vec(r);
-        vector::orthogonalize_against(&mut w, &rows);
-        if vector::normalize(&mut w) == 0.0 {
-            // Degenerate start; retry once with a fresh vector.
-            w = rng.standard_normal_vec(r);
-            vector::orthogonalize_against(&mut w, &rows);
-            vector::normalize(&mut w);
-        }
-        let mut converged = false;
-        for iter in 1..=opts.max_iter {
-            total_iters = total_iters.max(iter);
-            let w_mat = Matrix::from_rows(std::slice::from_ref(&w));
-            let stepped = fixed_point_step(z, &w_mat, opts.contrast);
-            let mut w_new = stepped.row(0).to_vec();
-            vector::orthogonalize_against(&mut w_new, &rows);
-            if vector::normalize(&mut w_new) == 0.0 {
-                break; // direction vanished under deflation
-            }
-            let dot = vector::dot(&w_new, &w).abs();
-            let done = (1.0 - dot).abs() < opts.tol;
-            w = w_new;
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        all_converged &= converged;
-        rows.push(w);
-    }
-    Ok((Matrix::from_rows(&rows), all_converged, total_iters))
 }
 
 #[cfg(test)]
@@ -421,20 +368,12 @@ mod tests {
 
     /// Column-outer reference step: one `vector::dot` chain and two
     /// separate contrast derivatives per component per row, with the
-    /// derivative formulas written out inline.
-    fn reference_step(z: &Matrix, w: &Matrix, contrast: Contrast) -> Matrix {
-        let g = |u: f64| match contrast {
-            Contrast::LogCosh { alpha } => (alpha * u).tanh(),
-            Contrast::Exp => u * (-0.5 * u * u).exp(),
-            Contrast::Kurtosis => u * u * u,
-        };
-        let g_prime = |u: f64| match contrast {
-            Contrast::LogCosh { alpha } => {
-                let t = (alpha * u).tanh();
-                alpha * (1.0 - t * t)
-            }
-            Contrast::Exp => (1.0 - u * u) * (-0.5 * u * u).exp(),
-            Contrast::Kurtosis => 3.0 * u * u,
+    /// log-cosh derivative formulas written out inline.
+    fn reference_step(z: &Matrix, w: &Matrix) -> Matrix {
+        let g = |u: f64| u.tanh();
+        let g_prime = |u: f64| {
+            let t = u.tanh();
+            1.0 - t * t
         };
         let (n, r) = z.shape();
         let k = w.rows();
@@ -462,34 +401,22 @@ mod tests {
 
     #[test]
     fn fixed_point_step_matches_column_outer_reference_bitwise() {
-        let contrasts = [
-            Contrast::default(),
-            Contrast::LogCosh { alpha: 1.7 },
-            Contrast::Exp,
-            Contrast::Kurtosis,
-        ];
         for (n, r, k) in [(2310, 19, 19), (500, 12, 7), (100, 5, 3), (37, 1, 1)] {
             let mut rng = Rng::seed_from_u64((n * 131 + r * 17 + k) as u64);
             let mut z = rng.standard_normal_matrix(n, r);
             // Signed-zero rows give zero projections of both signs; a
-            // far-out row drives tanh into saturation and exp into
-            // underflow.
+            // far-out row drives tanh into saturation.
             z.set_row(3, &vec![0.0; r]);
             z.set_row(11, &vec![-0.0; r]);
             let far: Vec<f64> = z.row(20).iter().map(|v| v * 400.0).collect();
             z.set_row(20, &far);
             let w = random_orthonormal(k, r, &mut rng).unwrap();
-            for contrast in contrasts {
-                let fast = fixed_point_step(&z, &w, contrast);
-                let reference = reference_step(&z, &w, contrast);
-                let bits =
-                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&fast),
-                    bits(&reference),
-                    "({n}, {r}, {k}) {contrast:?}"
-                );
-            }
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&fixed_point_step(&z, &w)),
+                bits(&reference_step(&z, &w)),
+                "({n}, {r}, {k})"
+            );
         }
     }
 
@@ -506,23 +433,6 @@ mod tests {
                 .map(|k| alignment(res.directions.row(k), &truth))
                 .fold(0.0, f64::max);
             assert!(best > 0.98, "alignment {best}");
-        }
-    }
-
-    #[test]
-    fn separates_rotated_sources_deflation() {
-        let (data, u1, u2) = mixed_sources(20_000, 1.1, 2);
-        let mut rng = Rng::seed_from_u64(7);
-        let opts = IcaOpts {
-            symmetric: false,
-            ..IcaOpts::default()
-        };
-        let res = fastica(&data, &opts, &mut rng).unwrap();
-        for truth in [u1, u2] {
-            let best = (0..2)
-                .map(|k| alignment(res.directions.row(k), &truth))
-                .fold(0.0, f64::max);
-            assert!(best > 0.97, "alignment {best}");
         }
     }
 
@@ -750,24 +660,5 @@ mod tests {
         let res = fastica(&data, &lenient, &mut Rng::seed_from_u64(61)).unwrap();
         assert!(!res.converged);
         assert_eq!(res.directions.rows(), 2);
-    }
-
-    #[test]
-    fn kurtosis_and_exp_contrasts_also_separate() {
-        for contrast in [Contrast::Kurtosis, Contrast::Exp] {
-            let (data, u1, u2) = mixed_sources(20_000, 0.6, 22);
-            let mut rng = Rng::seed_from_u64(23);
-            let opts = IcaOpts {
-                contrast,
-                ..IcaOpts::default()
-            };
-            let res = fastica(&data, &opts, &mut rng).unwrap();
-            for truth in [u1, u2] {
-                let best = (0..2)
-                    .map(|k| alignment(res.directions.row(k), &truth))
-                    .fold(0.0, f64::max);
-                assert!(best > 0.95, "{contrast:?} alignment {best}");
-            }
-        }
     }
 }

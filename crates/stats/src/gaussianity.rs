@@ -7,8 +7,9 @@
 //!   (paper §II-C, footnote 1). It is zero iff `σ² = 1` and grows in both
 //!   directions.
 //! * The **ICA score** of a (unit-variance) projection `s` is the signed
-//!   negentropy proxy `E[G(s)] − E[G(ν)]`, `ν ~ N(0,1)` — the bracketed
-//!   numbers of Table I. With the log-cosh contrast the sign convention is:
+//!   negentropy proxy `E[G(s)] − E[G(ν)]`, `ν ~ N(0,1)`, with the paper's
+//!   log-cosh contrast `G(u) = log cosh u` — the bracketed numbers of
+//!   Table I. The sign convention is:
 //!   **positive for sub-Gaussian** directions (multi-modal cluster
 //!   structure — exactly what the paper's views surface; Table I's initial
 //!   scores are positive) and negative for super-Gaussian (heavy-tailed)
@@ -26,69 +27,21 @@ pub fn pca_score(sigma2: f64) -> f64 {
     0.5 * (sigma2 - sigma2.ln() - 1.0)
 }
 
-/// Contrast (non-linearity) used by FastICA and the ICA score.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Contrast {
-    /// `G(u) = log cosh(αu) / α` — the paper's default (α = 1).
-    LogCosh { alpha: f64 },
-    /// `G(u) = −exp(−u²/2)` — robust alternative.
-    Exp,
-    /// `G(u) = u⁴/4` — classic kurtosis, fast but outlier-sensitive.
-    Kurtosis,
+/// First and second derivatives `(g(u), g′(u))` of the paper's log-cosh
+/// contrast `G(u) = log cosh u` (§II-C, α = 1), where `g = G′ = tanh` is
+/// the FastICA non-linearity and `g′ = 1 − tanh²`. The tanh is evaluated
+/// once and shared by both.
+#[inline]
+pub fn g_pair(u: f64) -> (f64, f64) {
+    let t = u.tanh();
+    (t, 1.0 - t * t)
 }
 
-impl Default for Contrast {
-    fn default() -> Self {
-        Contrast::LogCosh { alpha: 1.0 }
-    }
-}
-
-impl Contrast {
-    /// The contrast function `G(u)` itself.
-    pub fn big_g(&self, u: f64) -> f64 {
-        match *self {
-            Contrast::LogCosh { alpha } => ln_cosh(alpha * u) / alpha,
-            Contrast::Exp => -(-0.5 * u * u).exp(),
-            Contrast::Kurtosis => 0.25 * u * u * u * u,
-        }
-    }
-
-    /// First and second derivatives `(g(u), g′(u))`, where `g = G′` is the
-    /// FastICA non-linearity. The transcendental factor — the tanh of
-    /// log-cosh, the exp of `Exp` — is evaluated once and shared by both.
-    #[inline]
-    pub fn g_pair(&self, u: f64) -> (f64, f64) {
-        match *self {
-            Contrast::LogCosh { alpha } => {
-                let t = (alpha * u).tanh();
-                (t, alpha * (1.0 - t * t))
-            }
-            Contrast::Exp => {
-                let e = (-0.5 * u * u).exp();
-                (u * e, (1.0 - u * u) * e)
-            }
-            Contrast::Kurtosis => (u * u * u, 3.0 * u * u),
-        }
-    }
-
-    /// `E[G(ν)]` for `ν ~ N(0, 1)`.
-    ///
-    /// Exact closed forms exist for `Exp` (−1/√2) and `Kurtosis` (3/4);
-    /// for log-cosh we integrate numerically (cached for the default α=1).
-    pub fn gaussian_expectation(&self) -> f64 {
-        match *self {
-            Contrast::Exp => -std::f64::consts::FRAC_1_SQRT_2,
-            Contrast::Kurtosis => 0.75,
-            Contrast::LogCosh { alpha } => {
-                if (alpha - 1.0).abs() < 1e-12 {
-                    static CACHE: OnceLock<f64> = OnceLock::new();
-                    *CACHE.get_or_init(|| gaussian_expectation_of(ln_cosh))
-                } else {
-                    gaussian_expectation_of(|u| ln_cosh(alpha * u) / alpha)
-                }
-            }
-        }
-    }
+/// `E[log cosh ν]` for `ν ~ N(0, 1)`, integrated numerically once and
+/// cached.
+pub fn gaussian_ln_cosh() -> f64 {
+    static CACHE: OnceLock<f64> = OnceLock::new();
+    *CACHE.get_or_init(|| gaussian_expectation_of(ln_cosh))
 }
 
 /// Numerically stable `log cosh(x)` (avoids overflow of `cosh` for |x| ≳ 710).
@@ -116,16 +69,16 @@ pub fn gaussian_expectation_of(f: impl Fn(f64) -> f64) -> f64 {
     acc * h / 3.0
 }
 
-/// Signed ICA score of a sample: `mean(G(s)) − E[G(ν)]`.
+/// Signed ICA score of a sample: `mean(log cosh s) − E[log cosh ν]`.
 ///
 /// The caller is responsible for standardizing `s` to zero mean and unit
 /// variance (FastICA components already are).
-pub fn negentropy_offset(s: &[f64], contrast: Contrast) -> f64 {
+pub fn negentropy_offset(s: &[f64]) -> f64 {
     if s.is_empty() {
         return 0.0;
     }
-    let mean_g = s.iter().map(|&u| contrast.big_g(u)).sum::<f64>() / s.len() as f64;
-    mean_g - contrast.gaussian_expectation()
+    let mean_g = s.iter().map(|&u| ln_cosh(u)).sum::<f64>() / s.len() as f64;
+    mean_g - gaussian_ln_cosh()
 }
 
 /// Standardize a sample to zero mean / unit (population) variance in place.
@@ -185,76 +138,42 @@ mod tests {
     #[test]
     fn logcosh_gaussian_expectation_known_value() {
         // Literature value E[log cosh ν] ≈ 0.3746 (FastICA negentropy tables).
-        let e = Contrast::default().gaussian_expectation();
+        let e = gaussian_ln_cosh();
         assert!((e - 0.37457).abs() < 1e-4, "got {e}");
-    }
-
-    #[test]
-    fn exact_expectations() {
-        assert!(
-            (Contrast::Exp.gaussian_expectation() + std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12
-        );
-        assert_eq!(Contrast::Kurtosis.gaussian_expectation(), 0.75);
-        // Cross-check the closed forms against the integrator.
-        let e_exp = gaussian_expectation_of(|u| -(-0.5 * u * u).exp());
-        assert!((e_exp - Contrast::Exp.gaussian_expectation()).abs() < 1e-10);
-        let e_kur = gaussian_expectation_of(|u| 0.25 * u.powi(4));
-        assert!((e_kur - 0.75).abs() < 1e-8);
     }
 
     #[test]
     fn derivatives_are_consistent() {
         // Finite differences of G match g; of g match g'.
         let h = 1e-6;
-        for contrast in [Contrast::default(), Contrast::Exp, Contrast::Kurtosis] {
-            for &u in &[-2.0, -0.3, 0.7, 1.9] {
-                let (g, g_prime) = contrast.g_pair(u);
-                let dg = (contrast.big_g(u + h) - contrast.big_g(u - h)) / (2.0 * h);
-                assert!((dg - g).abs() < 1e-6, "{contrast:?} u={u}");
-                let dgp = (contrast.g_pair(u + h).0 - contrast.g_pair(u - h).0) / (2.0 * h);
-                assert!((dgp - g_prime).abs() < 1e-5, "{contrast:?} u={u}");
-            }
+        for &u in &[-2.0, -0.3, 0.7, 1.9] {
+            let (g, g_prime) = g_pair(u);
+            let dg = (ln_cosh(u + h) - ln_cosh(u - h)) / (2.0 * h);
+            assert!((dg - g).abs() < 1e-6, "u={u}");
+            let dgp = (g_pair(u + h).0 - g_pair(u - h).0) / (2.0 * h);
+            assert!((dgp - g_prime).abs() < 1e-5, "u={u}");
         }
     }
 
     #[test]
     fn g_pair_matches_separate_formulas_bitwise() {
         // The one-evaluation pair must reproduce the two separate
-        // derivative formulas bit for bit — signed zeros, subnormals and
-        // saturated tanh / underflowed exp included — because FastICA's
-        // fixed-point bytes depend on them.
-        fn g(c: Contrast, u: f64) -> f64 {
-            match c {
-                Contrast::LogCosh { alpha } => (alpha * u).tanh(),
-                Contrast::Exp => u * (-0.5 * u * u).exp(),
-                Contrast::Kurtosis => u * u * u,
-            }
-        }
-        fn g_prime(c: Contrast, u: f64) -> f64 {
-            match c {
-                Contrast::LogCosh { alpha } => {
-                    let t = (alpha * u).tanh();
-                    alpha * (1.0 - t * t)
-                }
-                Contrast::Exp => (1.0 - u * u) * (-0.5 * u * u).exp(),
-                Contrast::Kurtosis => 3.0 * u * u,
-            }
-        }
+        // derivative formulas of the general log-cosh contrast at α = 1
+        // bit for bit — signed zeros, subnormals and saturated tanh
+        // included — because FastICA's fixed-point bytes depend on them.
+        let alpha = 1.0_f64;
+        let g = |u: f64| (alpha * u).tanh();
+        let g_prime = |u: f64| {
+            let t = (alpha * u).tanh();
+            alpha * (1.0 - t * t)
+        };
         let mut grid = vec![0.0, 1e-310, 0.5, 20.0, 800.0, 1e-3, 0.7, 1.9, 3.3, 38.5];
         grid.extend((0..64).map(|i| i as f64 * 0.37 - 4.1));
         let grid: Vec<f64> = grid.iter().flat_map(|&u| [u, -u]).collect();
-        let contrasts = [
-            Contrast::default(),
-            Contrast::LogCosh { alpha: 1.7 },
-            Contrast::Exp,
-            Contrast::Kurtosis,
-        ];
-        for c in contrasts {
-            for &u in &grid {
-                let (a, b) = c.g_pair(u);
-                assert_eq!(a.to_bits(), g(c, u).to_bits(), "{c:?} g({u:e})");
-                assert_eq!(b.to_bits(), g_prime(c, u).to_bits(), "{c:?} g'({u:e})");
-            }
+        for &u in &grid {
+            let (a, b) = g_pair(u);
+            assert_eq!(a.to_bits(), g(u).to_bits(), "g({u:e})");
+            assert_eq!(b.to_bits(), g_prime(u).to_bits(), "g'({u:e})");
         }
     }
 
@@ -263,7 +182,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(123);
         let mut s = rng.standard_normal_vec(200_000);
         standardize_inplace(&mut s);
-        let score = negentropy_offset(&s, Contrast::default());
+        let score = negentropy_offset(&s);
         assert!(score.abs() < 0.003, "score {score}");
     }
 
@@ -279,12 +198,8 @@ mod tests {
             })
             .collect();
         standardize_inplace(&mut s);
-        let score = negentropy_offset(&s, Contrast::default());
+        let score = negentropy_offset(&s);
         assert!(score < -0.02, "score {score}");
-        // Kurtosis contrast has the opposite, classic sign: positive for
-        // super-Gaussian.
-        let k = negentropy_offset(&s, Contrast::Kurtosis);
-        assert!(k > 0.1, "kurtosis score {k}");
     }
 
     #[test]
@@ -294,10 +209,8 @@ mod tests {
         let mut rng = Rng::seed_from_u64(8);
         let mut s: Vec<f64> = (0..100_000).map(|_| rng.uniform() - 0.5).collect();
         standardize_inplace(&mut s);
-        let score = negentropy_offset(&s, Contrast::default());
+        let score = negentropy_offset(&s);
         assert!(score > 0.02, "score {score}");
-        let k = negentropy_offset(&s, Contrast::Kurtosis);
-        assert!(k < -0.1, "kurtosis score {k}");
     }
 
     #[test]
@@ -312,7 +225,7 @@ mod tests {
             })
             .collect();
         standardize_inplace(&mut s);
-        let score = negentropy_offset(&s, Contrast::default());
+        let score = negentropy_offset(&s);
         assert!(score > 0.03, "score {score}");
     }
 
@@ -335,6 +248,6 @@ mod tests {
 
     #[test]
     fn negentropy_empty_sample_is_zero() {
-        assert_eq!(negentropy_offset(&[], Contrast::default()), 0.0);
+        assert_eq!(negentropy_offset(&[]), 0.0);
     }
 }

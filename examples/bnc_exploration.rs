@@ -1,6 +1,6 @@
 //! The British National Corpus use case (paper §IV-B, Figs. 7–8),
 //! on the BNC-like simulated corpus (the real corpus is
-//! license-restricted; see DESIGN.md for the substitution).
+//! license-restricted; `sider_data::bnc` documents the substitution).
 //!
 //! Storyline: the first informative PCA view of top-100-word counts shows
 //! a tight group — the *transcribed conversations* (the paper's selection

@@ -1,6 +1,6 @@
 //! The UCI Image Segmentation use case (paper §IV-C, Fig. 9), on the
-//! segmentation-like simulated dataset (see DESIGN.md for the
-//! substitution).
+//! segmentation-like simulated dataset (`sider_data::segmentation`
+//! documents the substitution).
 //!
 //! Storyline: raw attribute scales differ wildly from the unit-Gaussian
 //! prior, so the first view only shows the scale mismatch (Fig. 9a). A
