@@ -57,8 +57,12 @@
 //! `FitOpts`. Each of the five rounds records its `sweeps`,
 //! `eigen_recomputed` and `fit_ns` (the median over fresh sessions), and
 //! each run records `total_fit_ns` (the median of the per-session sums),
-//! at 1 and `max` threads. `bit_identical_across_threads` compares the
-//! update reports and the `information_nats` bits of every round.
+//! at 1 and `max` threads. After the five rounds each session refits its
+//! final knowledge from scratch (`EdaSession::refit_cold`), recorded as
+//! the run's `cold_refit` with the same three fields, so the last warm
+//! round and a cold fit of the same knowledge sit side by side.
+//! `bit_identical_across_threads` compares the update reports and the
+//! `information_nats` bits of every round and of the cold refit.
 //!
 //! Set `SIDER_BENCH_SMOKE=1` for the reduced CI grid (same JSON schema;
 //! the `suggest` and `fit` rows keep their full shapes).
@@ -73,7 +77,7 @@ use sider_json::Json;
 use sider_linalg::{sym_eigen, vector, woodbury, Matrix, SymEigen};
 use sider_loadgen::smoke_mode;
 use sider_maxent::params::ClassParams;
-use sider_maxent::{BackgroundDistribution, FitOpts};
+use sider_maxent::{BackgroundDistribution, ConvergenceReport, FitOpts};
 use sider_par::ThreadPool;
 use sider_projection::pca_directions_with;
 use sider_stats::Rng;
@@ -476,6 +480,8 @@ fn run_fit(name: &str, ds: Dataset, max_threads: usize, reps: usize) -> Json {
         let mut times: Vec<Vec<Duration>> = vec![Vec::new(); statements.len()];
         let mut totals: Vec<Duration> = Vec::new();
         let mut rounds: Vec<(usize, usize)> = Vec::new();
+        let mut cold_times: Vec<Duration> = Vec::new();
+        let mut cold_round = (0, 0);
         let mut fingerprint: Vec<String> = Vec::new();
         for rep in 0..reps {
             let mut session =
@@ -494,19 +500,20 @@ fn run_fit(name: &str, ds: Dataset, max_threads: usize, reps: usize) -> Json {
                 round_times.push(fit);
                 total += fit;
                 if rep == 0 {
-                    let eigen = session
-                        .last_refresh_stats()
-                        .expect("refresh stats")
-                        .eigen_recomputed;
-                    rounds.push((report.sweeps, eigen));
-                    fingerprint.push(format!(
-                        "{} {:016x}",
-                        report_to_json(&report).dump(),
-                        session.information_nats().to_bits()
-                    ));
+                    let (round, bits) = refit_record(&session, &report);
+                    rounds.push(round);
+                    fingerprint.push(bits);
                 }
             }
             totals.push(total);
+            let (report, fit) = time(|| session.refit_cold(&FitOpts::default()));
+            let report = report.expect("cold refit");
+            cold_times.push(fit);
+            if rep == 0 {
+                let (round, bits) = refit_record(&session, &report);
+                cold_round = round;
+                fingerprint.push(bits);
+            }
         }
         let total_fit = median_duration(&mut totals);
         println!(
@@ -528,10 +535,24 @@ fn run_fit(name: &str, ds: Dataset, max_threads: usize, reps: usize) -> Json {
                 ])
             },
         );
+        let cold_fit = median_duration(&mut cold_times);
+        println!(
+            "scaling/fit {name} {n}x{d}: {threads} threads cold refit {:.1}ms in {} sweeps",
+            cold_fit.as_secs_f64() * 1e3,
+            cold_round.0
+        );
         runs.push(Json::obj([
             ("threads", Json::from(threads)),
             ("rounds", Json::arr(rounds_json)),
             ("total_fit_ns", Json::from(total_fit.as_nanos() as u64)),
+            (
+                "cold_refit",
+                Json::obj([
+                    ("sweeps", Json::from(cold_round.0)),
+                    ("eigen_recomputed", Json::from(cold_round.1)),
+                    ("fit_ns", Json::from(cold_fit.as_nanos() as u64)),
+                ]),
+            ),
         ]));
         fingerprints.push(fingerprint);
     }
@@ -543,6 +564,21 @@ fn run_fit(name: &str, ds: Dataset, max_threads: usize, reps: usize) -> Json {
         ("runs", Json::Arr(runs)),
         ("bit_identical_across_threads", Json::from(bit_identical)),
     ])
+}
+
+/// The sweeps and re-decomposed classes of `session`'s last refit, and
+/// its fingerprint: the update report and the `information_nats` bits.
+fn refit_record(session: &EdaSession, report: &ConvergenceReport) -> ((usize, usize), String) {
+    let eigen = session
+        .last_refresh_stats()
+        .expect("refresh stats")
+        .eigen_recomputed;
+    let bits = format!(
+        "{} {:016x}",
+        report_to_json(report).dump(),
+        session.information_nats().to_bits()
+    );
+    ((report.sweeps, eigen), bits)
 }
 
 /// Time rebuilding an `n × d` session from a real on-disk op-log: the

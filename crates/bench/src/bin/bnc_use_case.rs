@@ -7,9 +7,14 @@
 //! * second selection ≈ 'academic prose' + 'broadsheet newspaper'
 //!   (Jaccard 0.63 / 0.35);
 //! * afterwards "no apparent difference" (low PCA scores).
+//!
+//! The last column is SIDER's side panel for each selection: the words
+//! in which the selected texts differ most from the rest of the corpus
+//! (`sider_core::selection::most_differing_attributes`).
 
 use sider_bench::out_dir;
 use sider_core::report::{format_convergence, TextTable};
+use sider_core::selection::most_differing_attributes;
 use sider_core::{EdaSession, SimulatedUser};
 use sider_maxent::FitOpts;
 use sider_projection::Method;
@@ -45,6 +50,7 @@ fn main() {
         "Jaccard",
         "2nd genre",
         "Jaccard",
+        "most differing words",
     ]);
 
     for step in 1..=4 {
@@ -56,6 +62,7 @@ fn main() {
                 format!("{top:.3}"),
                 "-".into(),
                 "(no striking difference)".into(),
+                "-".into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -75,6 +82,11 @@ fn main() {
         let js = jaccard_per_class(&selection, &genres.assignments, 4);
         let mut ranked: Vec<(usize, f64)> = js.iter().copied().enumerate().collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        let words: Vec<String> = most_differing_attributes(session.dataset(), &selection)
+            .into_iter()
+            .take(4)
+            .map(|diff| diff.name)
+            .collect();
         summary.row(vec![
             step.to_string(),
             format!("{top:.3}"),
@@ -83,6 +95,7 @@ fn main() {
             format!("{:.3}", ranked[0].1),
             genres.class_names[ranked[1].0].clone(),
             format!("{:.3}", ranked[1].1),
+            words.join(" "),
         ]);
         view.to_scatter_plot(&format!("BNC view {step}"), Some(&selection))
             .save(out_dir().join(format!("fig7_8_view{step}.svg")))

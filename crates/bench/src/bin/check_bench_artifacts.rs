@@ -2,17 +2,16 @@
 //! artifacts.
 //!
 //! CI runs this binary on the committed artifacts, and again after the
-//! `pipeline`, `scaling` and `serve` benches and the `table2` binary
-//! rewrite them in smoke mode. It fails (exit code 1) when
-//! `BENCH_pipeline.json`, `BENCH_scaling.json`, `BENCH_serve.json` or
-//! `BENCH_paper.json` is missing, unparsable, lacks its `smoke` flag, or
-//! misses the fields the perf trajectory across PRs relies on. It
-//! deliberately does **not** gate on cross-machine speed values: CI
-//! machines (and 1-CPU containers) make absolute timing thresholds
-//! meaningless. The guarded invariants are artifact shape, the recorded
-//! `bit_identical_across_threads` determinism flags, *same-run relative*
-//! ratios, which are machine-independent by construction, and the one
-//! absolute bound the paper itself states.
+//! `scaling` and `serve` benches and the `table2` binary rewrite them in
+//! smoke mode. It fails (exit code 1) when `BENCH_scaling.json`,
+//! `BENCH_serve.json` or `BENCH_paper.json` is missing, unparsable, lacks
+//! its `smoke` flag, or misses the fields the perf trajectory across PRs
+//! relies on. It deliberately does **not** gate on cross-machine speed
+//! values: CI machines (and 1-CPU containers) make absolute timing
+//! thresholds meaningless. The guarded invariants are artifact shape,
+//! the recorded `bit_identical_across_threads` determinism flags,
+//! *same-run relative* ratios, which are machine-independent by
+//! construction, and the one absolute bound the paper itself states.
 //!
 //! `eigen.dc_speedup` in `BENCH_scaling.json` (the `SymEigen::decompose`
 //! divide-and-conquer dispatch vs raw Jacobi on the same class precision)
@@ -22,8 +21,10 @@
 //! timed (`suggest_ns > 0`) at 1 and `max_threads` threads with
 //! byte-identical responses, and a `fit` row for `bnc`: five refit rounds
 //! (margins, then four class statements), each with `sweeps >= 1` and
-//! `fit_ns > 0`, at 1 and `max_threads` threads with bit-identical update
-//! reports.
+//! `fit_ns > 0`, then a `cold_refit` of the final knowledge with
+//! `sweeps`, `eigen_recomputed` and `fit_ns` each `>= 1`, at 1 and
+//! `max_threads` threads with bit-identical update reports. The cold and
+//! warm costs are recorded side by side, not gated against each other.
 //!
 //! `BENCH_paper.json` carries the paper's speed claims (§II-A-2, §IV-A):
 //! - equivalence classes: `eqclass[].speedup ≥ 10` over the per-row
@@ -97,26 +98,6 @@ fn require_rows<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
         return Err(format!("JSON path '{key}' is an empty array"));
     }
     Ok(rows)
-}
-
-fn check_pipeline(doc: &Json) -> Result<(), String> {
-    if doc.get("bench").and_then(Json::as_str) != Some("pipeline_cold_vs_warm") {
-        return Err("JSON path 'bench' is not the string 'pipeline_cold_vs_warm'".into());
-    }
-    require_smoke_flag(doc)?;
-    for key in [
-        "samples",
-        "cold_fit.median_ns",
-        "cold_fit.sweeps",
-        "cold_fit.eigen_recomputed",
-        "warm_refit.median_ns",
-        "warm_refit.sweeps",
-        "warm_refit.eigen_recomputed",
-        "speedup",
-    ] {
-        require_num_at(doc, "", key)?;
-    }
-    Ok(())
 }
 
 fn check_scaling(doc: &Json) -> Result<(), String> {
@@ -289,8 +270,8 @@ fn check_scaling_suggest(doc: &Json) -> Result<(), String> {
 
 /// The `fit` row of `BENCH_scaling.json`: the refits of the closed-loop
 /// benchmark's fit-bound shape (`bnc`, margins then four class
-/// statements), at 1 and `max_threads` pool threads, with bit-identical
-/// update reports.
+/// statements) and a cold refit of the final knowledge, at 1 and
+/// `max_threads` pool threads, with bit-identical update reports.
 fn check_scaling_fit(doc: &Json) -> Result<(), String> {
     const ROUNDS: usize = 5;
     let max_threads = require_num_at(doc, "", "max_threads")?;
@@ -322,6 +303,15 @@ fn check_scaling_fit(doc: &Json) -> Result<(), String> {
                 return Err(format!(
                     "JSON path '{at}.fit_ns' is zero — the fit was not timed"
                 ));
+            }
+        }
+        let at = format!("{at}.cold_refit");
+        let cold = run
+            .get("cold_refit")
+            .ok_or_else(|| format!("missing '{at}' object"))?;
+        for key in ["sweeps", "eigen_recomputed", "fit_ns"] {
+            if require_num_at(cold, &at, key)? < 1.0 {
+                return Err(format!("JSON path '{at}.{key}' must be >= 1"));
             }
         }
     }
@@ -702,8 +692,7 @@ fn check_paper_sherman_morrison(doc: &Json) -> Result<(), String> {
 type Check = fn(&Json) -> Result<(), String>;
 
 /// Every committed artifact and its check.
-const ARTIFACTS: [(&str, Check); 4] = [
-    ("BENCH_pipeline.json", check_pipeline),
+const ARTIFACTS: [(&str, Check); 3] = [
     ("BENCH_scaling.json", check_scaling),
     ("BENCH_serve.json", check_serve),
     ("BENCH_paper.json", check_paper),
@@ -793,13 +782,14 @@ mod tests {
     }
 
     /// A minimal valid `BENCH_scaling.json`: one scenario past the D&C
-    /// dispatch threshold, both suggest shapes and the five-round fit row.
+    /// dispatch threshold, both suggest shapes and the five-round fit row
+    /// with its cold refit.
     fn scaling() -> Json {
         let runs =
             |extra: &str| format!(r#"[{{"threads": 1, {extra}}}, {{"threads": 2, {extra}}}]"#);
         let round = r#"{"eigen_recomputed": 1, "sweeps": 2, "fit_ns": 1000}"#;
         let rounds = format!(
-            r#""total_fit_ns": 5000, "rounds": [{}]"#,
+            r#""total_fit_ns": 5000, "rounds": [{}], "cold_refit": {round}"#,
             [round; 5].join(", ")
         );
         let suggest = |dataset: &str| {
@@ -908,6 +898,24 @@ mod tests {
         // Below d = 32 the dispatch is Jacobi and the ratio is noise.
         let small = with(&scaling(), "scenarios[0].d", 16usize);
         check_scaling(&with(&small, "scenarios[0].eigen.dc_speedup", 0.5)).unwrap();
+    }
+
+    #[test]
+    fn fit_runs_need_a_timed_cold_refit() {
+        let mut missing = scaling();
+        let Json::Obj(run) = at(&mut missing, "fit[0].runs[1]") else {
+            panic!("fit[0].runs[1] is not an object")
+        };
+        run.remove("cold_refit");
+        let err = check_scaling(&missing).unwrap_err();
+        assert!(
+            err.contains("fit[0].runs[1].cold_refit"),
+            "error {err:?} does not name the missing cold_refit"
+        );
+        for key in ["sweeps", "eigen_recomputed", "fit_ns"] {
+            let path = format!("fit[0].runs[0].cold_refit.{key}");
+            assert_rejects(check_scaling, &scaling(), &path, 0usize);
+        }
     }
 
     #[test]

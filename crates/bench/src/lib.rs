@@ -15,11 +15,11 @@
 //! | `bnc_use_case` | Figs. 7–8 — BNC exploration (simulated corpus) |
 //! | `segmentation_use_case` | Fig. 9 — segmentation exploration |
 //!
-//! Performance has one measurement system: the `pipeline`, `scaling` and
-//! `serve` benches in `benches/` and the `table2` binary read
-//! `SIDER_BENCH_SMOKE` through `sider_loadgen::smoke_mode` and write one
-//! `BENCH_*.json` each through [`write_artifact`]; `check_bench_artifacts`
-//! gates those artifacts.
+//! Performance has one measurement system: the `scaling` and `serve`
+//! benches in `benches/` and the `table2` binary read `SIDER_BENCH_SMOKE`
+//! through `sider_loadgen::smoke_mode` and write one `BENCH_*.json` each
+//! through [`write_artifact`]; `check_bench_artifacts` gates those
+//! artifacts.
 
 use sider_json::Json;
 use std::time::{Duration, Instant};

@@ -68,8 +68,10 @@ impl KnowledgeRecord {
 /// cold, every later update *warm-starts* from the previous optimum —
 /// new constraints are appended into the existing equivalence-class
 /// partition, converged λ multipliers are kept, and only background
-/// classes the fit actually moved are re-decomposed. This is what makes
-/// sub-second refits (the paper's interactivity requirement) possible.
+/// classes the fit actually moved are re-decomposed. On small problems
+/// that saves sweeps over a cold fit; at d = 100 it does not: the `fit`
+/// row of `BENCH_scaling.json` records a cold refit of the BNC corpus's
+/// final knowledge in fewer sweeps and less time than its last warm round.
 /// [`EdaSession::undo_last_knowledge`] invalidates the engine when it
 /// removes already-fitted constraints; [`EdaSession::refit_cold`] is the
 /// explicit escape hatch forcing a from-scratch fit.

@@ -99,15 +99,6 @@ pub fn is_finite(x: &[f64]) -> bool {
     x.iter().all(|v| v.is_finite())
 }
 
-/// Remove the projection of `x` onto each (assumed orthonormal) row of
-/// `basis`, i.e. Gram–Schmidt against an existing orthonormal set.
-pub fn orthogonalize_against(x: &mut [f64], basis: &[Vec<f64>]) {
-    for b in basis {
-        let c = dot(x, b);
-        axpy(-c, b, x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,17 +174,6 @@ mod tests {
         assert!(is_finite(&[1.0, 2.0]));
         assert!(!is_finite(&[1.0, f64::NAN]));
         assert!(!is_finite(&[f64::INFINITY]));
-    }
-
-    #[test]
-    fn orthogonalize_against_removes_components() {
-        let e1 = vec![1.0, 0.0, 0.0];
-        let e2 = vec![0.0, 1.0, 0.0];
-        let mut x = [3.0, 4.0, 5.0];
-        orthogonalize_against(&mut x, &[e1, e2]);
-        assert!((x[0]).abs() < 1e-15);
-        assert!((x[1]).abs() < 1e-15);
-        assert_eq!(x[2], 5.0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn oblique_plane(d: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut a1 = rng.standard_normal_vec(d);
     vector::normalize(&mut a1);
     let mut a2 = rng.standard_normal_vec(d);
-    vector::orthogonalize_against(&mut a2, std::slice::from_ref(&a1));
+    vector::axpy(-vector::dot(&a2, &a1), &a1, &mut a2);
     vector::normalize(&mut a2);
     (a1, a2)
 }

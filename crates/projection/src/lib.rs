@@ -25,13 +25,11 @@
 pub mod axes;
 pub mod error;
 pub mod ica;
-pub mod mds;
 pub mod pca;
 pub mod projector;
 
 pub use error::ProjectionError;
 pub use ica::{fastica, fastica_with, ComponentOrder, IcaOpts, IcaResult};
-pub use mds::classical_mds;
 pub use pca::{
     display_score, pca_classic, pca_directions, pca_directions_from_moment, pca_directions_with,
     PcaResult,

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sider_linalg::{vector, Matrix};
-use sider_projection::{classical_mds, fastica, pca_directions, IcaOpts};
+use sider_projection::{fastica, pca_directions, IcaOpts};
 use sider_stats::Rng;
 
 /// Two independent non-Gaussian sources mixed by an arbitrary rotation.
@@ -61,16 +61,6 @@ proptest! {
             let second: f64 = proj.iter().map(|v| v * v).sum::<f64>() / proj.len() as f64;
             prop_assert!((second - p.variances[k]).abs() < 1e-8 * second.max(1.0));
         }
-    }
-
-    #[test]
-    fn mds_preserves_distances_of_full_rank_embedding(seed in 0u64..500, d in 2usize..5) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let data = rng.standard_normal_matrix(15, d);
-        let emb = classical_mds(&data, d).unwrap();
-        let d_orig = sider_projection::mds::squared_distances(&data);
-        let d_emb = sider_projection::mds::squared_distances(&emb);
-        prop_assert!(d_orig.max_abs_diff(&d_emb) < 1e-6);
     }
 
     #[test]

@@ -217,9 +217,20 @@ pub fn silhouette(data: &Matrix, assignments: &[usize], k: usize) -> f64 {
 
 /// Fit k-means for every `k` in `2..=k_max` and return `(best_fit, k)` by
 /// silhouette score. This is the simulated user's "how many clusters do I
-/// see" heuristic.
+/// see" heuristic. A single row is one cluster: it returns the `k = 1`
+/// fit.
+///
+/// # Panics
+/// Panics if `data` has no rows.
 pub fn choose_k(data: &Matrix, k_max: usize, rng: &mut Rng) -> (KMeansFit, usize) {
-    let k_max = k_max.min(data.rows().saturating_sub(1)).max(2);
+    if data.rows() < 2 {
+        let one = KMeansOpts {
+            k: 1,
+            ..KMeansOpts::default()
+        };
+        return (kmeans(data, &one, rng), 1);
+    }
+    let k_max = k_max.min(data.rows() - 1).max(2);
     let mut best: Option<(KMeansFit, usize, f64)> = None;
     for k in 2..=k_max {
         let fit = kmeans(
@@ -380,6 +391,15 @@ mod tests {
         let data = Matrix::from_rows(&rows);
         let (_, k) = choose_k(&data, 6, &mut rng);
         assert_eq!(k, 3);
+    }
+
+    #[test]
+    fn choose_k_on_one_row_is_one_cluster() {
+        let data = Matrix::from_rows(&[vec![1.0, 2.0]]);
+        let (fit, k) = choose_k(&data, 6, &mut Rng::seed_from_u64(1));
+        assert_eq!(k, 1);
+        assert_eq!(fit.assignments, vec![0]);
+        assert_eq!(fit.centroids.row(0), data.row(0));
     }
 
     #[test]

@@ -5,12 +5,38 @@ use sider::core::{explore, EdaSession, ExplorationConfig, SimulatedUser};
 use sider::data::Dataset;
 use sider::linalg::Matrix;
 use sider::maxent::FitOpts;
-use sider::projection::{IcaOpts, Method};
+use sider::projection::{pca_classic, project, IcaOpts, Method};
+use sider::stats::kmeans::{choose_k, cluster_members};
+use sider::stats::metrics::jaccard;
 use sider::stats::Rng;
 
 #[test]
 fn fig2_flow_end_to_end() {
     let dataset = sider::data::synthetic::three_d_four_clusters(2018);
+    let labels = dataset.primary_labels().unwrap().clone();
+    let (c_idx, d_idx) = (labels.class_indices(2), labels.class_indices(3));
+    let best_cd = |clusters: &[Vec<usize>]| {
+        clusters
+            .iter()
+            .map(|m| jaccard(m, &c_idx).max(jaccard(m, &d_idx)))
+            .fold(0.0, f64::max)
+    };
+
+    // A static projection shows the same view whatever the user already
+    // knows (paper §I, §V): the classical PCA view keeps C and D merged.
+    let pca = pca_classic(&dataset.matrix).unwrap();
+    let centered = dataset.matrix.center_rows(&dataset.matrix.col_means());
+    let static_view = project(&centered, &pca.top2());
+    let (fit, k) = choose_k(&static_view, 6, &mut Rng::seed_from_u64(99));
+    let static_clusters: Vec<Vec<usize>> = (0..k)
+        .map(|j| cluster_members(&fit.assignments, j))
+        .collect();
+    let static_best = best_cd(&static_clusters);
+    assert!(
+        static_best < 0.55,
+        "static PCA view splits C or D off: {static_best}"
+    );
+
     let mut session = EdaSession::new(dataset, 7).unwrap();
     let mut user = SimulatedUser::new(6, 5, 42);
 
@@ -26,6 +52,12 @@ fn fig2_flow_end_to_end() {
     let view2 = session.next_view(&Method::Ica(IcaOpts::default())).unwrap();
     let clusters2 = user.perceive_clusters(&view2);
     assert_eq!(clusters2.len(), 4, "hidden split must surface");
+    // Once the user's view-1 clusters are absorbed, view 2 isolates C or D.
+    let loop_best = best_cd(&clusters2);
+    assert!(
+        loop_best > 0.9,
+        "view 2 does not isolate C or D: {loop_best}"
+    );
 }
 
 #[test]
@@ -146,6 +178,23 @@ fn twod_constraints_absorb_view_moments() {
             / n as f64;
         assert!((data_mean - bg_mean).abs() < 1e-3, "axis {k}");
     }
+}
+
+#[test]
+fn explore_on_a_single_row_runs() {
+    // `sider explore` on a one-row CSV: the simulated user sees one
+    // cluster of one row, which is under its minimum size, so nothing is
+    // marked and the loop ends without a panic.
+    let ds = Dataset::unlabeled("one-row", Matrix::from_rows(&[vec![1.0, 2.0]]));
+    let mut session = EdaSession::new(ds, 7).unwrap();
+    let mut user = SimulatedUser::new(6, 3, 7 ^ 0xFACE);
+    let config = ExplorationConfig {
+        max_iterations: 2,
+        score_threshold: 0.02,
+        ..ExplorationConfig::default()
+    };
+    let records = explore(&mut session, &mut user, &config).unwrap();
+    assert!(records.iter().all(|r| r.marked_clusters.is_empty()));
 }
 
 #[test]
