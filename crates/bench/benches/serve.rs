@@ -28,10 +28,13 @@
 //! **leader** that is actively shipping every stripe's WAL records to a
 //! live follower. The leader's latency digests go through the same SLO
 //! gates as every other run — shipping must not cost the serving edge
-//! its latency — and the run records the follower's catch-up stats
-//! (shipped vs applied seqs per stripe, catch-up wall time), which
-//! `check_bench_artifacts` gates on: a follower that never reaches zero
-//! lag fails CI.
+//! its latency — and the run records the follower's catch-up stats,
+//! which `check_bench_artifacts` gates on. Caught up means every
+//! `(id, last_lsn)` row of the follower's `GET /api/store` equals the
+//! leader's; the row records the catch-up wall time and both nodes'
+//! per-stripe sums of `last_lsn` (the leader's `shipped`, the
+//! follower's `applied`), which must then be equal, so `final_lag` is
+//! zero.
 //!
 //! Since the guided-exploration tentpole the artifact also carries a
 //! `suggest` scenario: the striped workload with a quarter of the mixed
@@ -192,7 +195,7 @@ fn run_against(
 
     // The replication scenario attaches a live follower before the
     // workload starts: the leader's latencies are measured while every
-    // acknowledged op is also being framed, shipped, and acked.
+    // acknowledged op is also read back from its WAL and shipped.
     let follower = replication.then(|| {
         let follower = Server::bind(ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -292,64 +295,80 @@ fn score_in_process(smoke: bool) -> Json {
     ])
 }
 
-/// Per-stripe seq array from a `/health` replication block.
-fn health_seqs(addr: SocketAddr, key: &str) -> Vec<u64> {
-    let (status, raw) = http_exchange(addr, "GET", "/health", "").expect("health");
-    assert_eq!(status, 200, "health status");
+/// A `GET` of `path`, parsed as JSON.
+fn get_json(addr: SocketAddr, path: &str) -> Json {
+    let (status, raw) = http_exchange(addr, "GET", path, "").expect(path);
+    assert_eq!(status, 200, "{path} status");
     let pos = raw
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
         .expect("header terminator");
-    let body = std::str::from_utf8(&raw[pos + 4..]).expect("utf-8 health");
-    let doc = Json::parse(body).expect("health json");
-    doc.path(&format!("replication.{key}"))
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| panic!("no replication.{key} in {body}"))
+    let body = std::str::from_utf8(&raw[pos + 4..]).expect("utf-8 body");
+    Json::parse(body).unwrap_or_else(|e| panic!("{path}: {e}: {body}"))
+}
+
+/// The `(id, last_lsn)` rows of a node's `GET /api/store`.
+fn store_rows(addr: SocketAddr) -> Vec<(String, u64)> {
+    get_json(addr, "/api/store")
+        .require_arr("sessions")
+        .expect("store sessions")
         .iter()
-        .map(|v| v.as_num().expect("seq") as u64)
+        .map(|row| {
+            (
+                row.require_str("id").expect("id").to_string(),
+                row.require_num("last_lsn").expect("last_lsn") as u64,
+            )
+        })
         .collect()
 }
 
-/// Poll the follower until its applied seqs reach the leader's shipped
-/// seqs; returns the catch-up stats recorded in the artifact. The
-/// leader's own `/health` is the ground truth for how much must arrive.
+/// Per-stripe sums of `last_lsn` from a `/health` replication block.
+fn health_sums(addr: SocketAddr, key: &str) -> Vec<u64> {
+    let doc = get_json(addr, "/health");
+    doc.path(&format!("replication.{key}"))
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("no replication.{key} in {}", doc.dump()))
+        .iter()
+        .map(|v| v.as_num().expect("sum") as u64)
+        .collect()
+}
+
+/// Poll the follower until its `(id, last_lsn)` rows equal the leader's;
+/// returns the catch-up stats recorded in the artifact. The leader's own
+/// store is the ground truth for how much must arrive.
 fn wait_for_catchup(leader: SocketAddr, follower: SocketAddr) -> Json {
-    let shipped = health_seqs(leader, "shipped");
+    let want = store_rows(leader);
     let started = Instant::now();
     let deadline = started + Duration::from_secs(300);
-    loop {
-        let applied = health_seqs(follower, "applied");
-        let caught_up =
-            applied.len() == shipped.len() && applied.iter().zip(&shipped).all(|(a, s)| a >= s);
-        if caught_up || Instant::now() >= deadline {
-            let lag: u64 = shipped
-                .iter()
-                .zip(&applied)
-                .map(|(s, a)| s.saturating_sub(*a))
-                .sum();
-            if !caught_up {
-                eprintln!(
-                    "serve: replication follower never caught up: shipped {shipped:?}, applied {applied:?}"
-                );
-                std::process::exit(1);
-            }
-            return Json::obj([
-                ("caught_up", Json::from(true)),
-                ("final_lag", Json::from(lag)),
-                (
-                    "catchup_wall_s",
-                    Json::from(started.elapsed().as_secs_f64()),
-                ),
-                (
-                    "shipped",
-                    Json::Arr(shipped.iter().map(|&v| Json::from(v)).collect()),
-                ),
-                (
-                    "applied",
-                    Json::Arr(applied.iter().map(|&v| Json::from(v)).collect()),
-                ),
-            ]);
+    while store_rows(follower) != want {
+        if Instant::now() >= deadline {
+            eprintln!(
+                "serve: replication follower never caught up: leader {want:?}, follower {:?}",
+                store_rows(follower)
+            );
+            std::process::exit(1);
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+    let catchup_wall_s = started.elapsed().as_secs_f64();
+    let shipped = health_sums(leader, "shipped");
+    let applied = health_sums(follower, "applied");
+    let lag: u64 = shipped
+        .iter()
+        .zip(&applied)
+        .map(|(s, a)| s.saturating_sub(*a))
+        .sum();
+    Json::obj([
+        ("caught_up", Json::from(true)),
+        ("final_lag", Json::from(lag)),
+        ("catchup_wall_s", Json::from(catchup_wall_s)),
+        (
+            "shipped",
+            Json::Arr(shipped.iter().map(|&v| Json::from(v)).collect()),
+        ),
+        (
+            "applied",
+            Json::Arr(applied.iter().map(|&v| Json::from(v)).collect()),
+        ),
+    ])
 }

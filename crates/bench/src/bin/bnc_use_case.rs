@@ -8,6 +8,10 @@
 //!   (Jaccard 0.63 / 0.35);
 //! * afterwards "no apparent difference" (low PCA scores).
 //!
+//! Each view's selection is the last perceived cluster the user does
+//! not know yet: one whose Jaccard index with every marked selection is
+//! below 0.5, and with every marked selection's complement below 0.9.
+//!
 //! The last column is SIDER's side panel for each selection: the words
 //! in which the selected texts differ most from the rest of the corpus
 //! (`sider_core::selection::most_differing_attributes`).
@@ -41,7 +45,12 @@ fn main() {
     session.update_background(&fit).expect("update");
 
     let mut user = SimulatedUser::new(5, 20, 17);
-    let mut marked: Vec<Vec<usize>> = Vec::new();
+    // What the user already knows, as (rows, Jaccard bound): each marked
+    // selection, and each one's complement — "everything but the
+    // conversations" repeats what marking the conversations taught. A
+    // large part of a complement can be a new group, so a cluster counts
+    // as the complement only when it all but equals it.
+    let mut known: Vec<(Vec<usize>, f64)> = Vec::new();
     let mut summary = TextTable::new(&[
         "view",
         "top PCA score",
@@ -56,29 +65,31 @@ fn main() {
     for step in 1..=4 {
         let view = session.next_view(&Method::Pca).expect("view");
         let top = view.scores()[0];
-        if top < 0.02 {
-            summary.row(vec![
-                step.to_string(),
-                format!("{top:.3}"),
-                "-".into(),
-                "(no striking difference)".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
-            break;
-        }
-        let clusters = user.perceive_clusters(&view);
-        let Some(selection) = clusters
-            .iter()
-            .rev()
-            .find(|c| marked.iter().all(|m| jaccard(c, m) < 0.5))
-            .cloned()
-        else {
+        // The user marks the last perceived cluster they do not know yet.
+        let fresh = if top < 0.02 {
+            None
+        } else {
+            user.perceive_clusters(&view)
+                .into_iter()
+                .rev()
+                .find(|c| known.iter().all(|(m, bound)| jaccard(c, m) < *bound))
+        };
+        let Some(selection) = fresh else {
+            let why = if top < 0.02 {
+                "(no striking difference)"
+            } else {
+                "(only known clusters)"
+            };
+            let mut row = vec!["-".to_string(); 8];
+            row[0] = step.to_string();
+            row[1] = format!("{top:.3}");
+            row[3] = why.into();
+            summary.row(row);
             break;
         };
-        marked.push(selection.clone());
+        let n = session.dataset().n();
+        known.push(((0..n).filter(|i| !selection.contains(i)).collect(), 0.9));
+        known.push((selection.clone(), 0.5));
         let js = jaccard_per_class(&selection, &genres.assignments, 4);
         let mut ranked: Vec<(usize, f64)> = js.iter().copied().enumerate().collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());

@@ -46,7 +46,10 @@
 //! `churn_conns >= 1` proving churn actually happened); every run must
 //! have served its whole workload with zero errors, and each exercised
 //! endpoint's percentiles must be monotone (`p50 ≤ p99 ≤ p999`) with
-//! positive throughput.
+//! positive throughput. The `replication` run's follower must end caught
+//! up: `caught_up` true, `final_lag` 0, and its per-stripe `applied`
+//! sums of `last_lsn` equal to the leader's `shipped` sums, one entry per
+//! stripe and not all zero.
 //!
 //! Every failure message names the offending file and the full JSON path
 //! (e.g. `BENCH_scaling.json: scenarios[2].runs[1].sample_ns`), so a
@@ -367,7 +370,9 @@ fn check_serve(doc: &Json) -> Result<(), String> {
             saw_replication = true;
             // The leader's latency rows are gated below like every other
             // run; the replication-specific claim is the follower's: it
-            // caught up to everything the leader shipped, per stripe.
+            // caught up to everything the leader holds. `shipped` (the
+            // leader's) and `applied` (the follower's) are per-stripe sums
+            // of `last_lsn`, so caught up means they are equal.
             let f = format!("{at}.follower");
             if run.path("follower.caught_up").and_then(Json::as_bool) != Some(true) {
                 return Err(format!("JSON path '{f}.caught_up' must be true"));
@@ -378,19 +383,33 @@ fn check_serve(doc: &Json) -> Result<(), String> {
                 ));
             }
             require_num_at(run, &at, "follower.catchup_wall_s")?;
+            let mut sums = Vec::new();
             for key in ["shipped", "applied"] {
-                let seqs = run
+                let values = run
                     .path(&format!("follower.{key}"))
                     .and_then(Json::as_arr)
                     .ok_or_else(|| format!("missing '{f}.{key}' array"))?;
-                if seqs.is_empty() {
+                if values.is_empty() {
                     return Err(format!("JSON path '{f}.{key}' is an empty array"));
                 }
-                if seqs.iter().all(|s| s.as_num() == Some(0.0)) {
+                if values.len() != stripes as usize {
+                    return Err(format!(
+                        "JSON path '{f}.{key}' has {} entries for {stripes} stripes",
+                        values.len()
+                    ));
+                }
+                if values.iter().all(|s| s.as_num() == Some(0.0)) {
                     return Err(format!(
                         "JSON path '{f}.{key}' is all zeros — nothing was replicated"
                     ));
                 }
+                sums.push(values);
+            }
+            if let Some(k) = (0..sums[0].len()).find(|&k| sums[0][k] != sums[1][k]) {
+                return Err(format!(
+                    "JSON path '{f}.applied[{k}]' differs from '{f}.shipped[{k}]' — \
+                     the follower is not caught up on that stripe"
+                ));
             }
         }
         if scenario == Some("suggest") {
@@ -916,6 +935,33 @@ mod tests {
             let path = format!("fit[0].runs[0].cold_refit.{key}");
             assert_rejects(check_scaling, &scaling(), &path, 0usize);
         }
+    }
+
+    #[test]
+    fn replication_row_is_caught_up_on_every_stripe() {
+        let serve = load("BENCH_serve.json").unwrap();
+        let runs = serve.require_arr("runs").unwrap();
+        let i = runs
+            .iter()
+            .position(|r| r.get("scenario").and_then(Json::as_str) == Some("replication"))
+            .unwrap();
+        let applied = format!("runs[{i}].follower.applied[0]");
+        let shipped = runs[i].path("follower.shipped").unwrap().as_arr().unwrap()[0]
+            .as_num()
+            .unwrap();
+        assert_rejects(check_serve, &serve, &applied, shipped + 1.0);
+        assert_rejects(
+            check_serve,
+            &serve,
+            &format!("runs[{i}].follower.final_lag"),
+            1usize,
+        );
+        assert_rejects(
+            check_serve,
+            &serve,
+            &format!("runs[{i}].follower.caught_up"),
+            false,
+        );
     }
 
     #[test]

@@ -87,12 +87,16 @@ pub struct IterationRecord {
     /// Clusters the user marked this iteration (possibly empty on the
     /// final iteration).
     pub marked_clusters: Vec<Vec<usize>>,
-    /// Whether the loop stopped after this view (scores under threshold).
+    /// Whether the loop stopped after this view: its scores were under
+    /// the threshold, or the user marked nothing in it (no new knowledge,
+    /// so a refit would show the same view again).
     pub stopped: bool,
 }
 
 /// Run the interactive loop: show view → mark clusters → update →
-/// repeat (paper Fig. 1). Returns the per-iteration records.
+/// repeat (paper Fig. 1). The loop ends after `max_iterations`, after a
+/// view whose scores fall under the threshold, or after a view in which
+/// the user marks nothing. Returns the per-iteration records.
 pub fn explore(
     session: &mut EdaSession,
     user: &mut SimulatedUser,
@@ -117,17 +121,23 @@ pub fn explore(
             break;
         }
         let clusters = user.perceive_clusters(&view);
-        for cluster in &clusters {
-            session.add_cluster_constraint(cluster)?;
+        let stopped = clusters.is_empty();
+        if !stopped {
+            for cluster in &clusters {
+                session.add_cluster_constraint(cluster)?;
+            }
+            session.update_background(&config.fit)?;
         }
-        session.update_background(&config.fit)?;
         records.push(IterationRecord {
             iteration,
             scores: view.projection.all_scores.clone(),
             axis_labels: view.axis_labels.clone(),
             marked_clusters: clusters,
-            stopped: false,
+            stopped,
         });
+        if stopped {
+            break;
+        }
     }
     Ok(records)
 }

@@ -297,27 +297,32 @@ fn health(manager: &SessionManager) -> ApiResult {
     ))
 }
 
-/// The `/health` replication block: per-stripe shipped/applied seqs and
-/// lag. On a leader, lag is per connected follower (shipped − acked);
-/// on a follower, it is the distance to the leader's announced seqs.
+/// The `/health` replication block. Progress is per-stripe sums of
+/// `last_lsn` over the open session logs: a follower's `applied` equals
+/// the leader's `shipped` once every session has caught up. On a leader,
+/// each connected follower reports the sums it was `sent`; on a
+/// follower, `lag` is the distance to the leader's last announcement.
 fn replication_health(manager: &SessionManager) -> Json {
+    let sums = |values: Vec<u64>| Json::arr(values.into_iter().map(Json::from));
+    let lag = |ahead: &[u64], behind: &[u64]| {
+        sums(
+            ahead
+                .iter()
+                .zip(behind)
+                .map(|(a, b)| a.saturating_sub(*b))
+                .collect(),
+        )
+    };
+    let own = manager.lsn_sums();
     if let Some(state) = manager.follow_state() {
-        let applied = state.applied_seqs();
-        let leader_seqs = state.leader_seqs();
-        let lag: Vec<u64> = leader_seqs
-            .iter()
-            .zip(&applied)
-            .map(|(l, a)| l.saturating_sub(*a))
-            .collect();
+        let leader_shipped = state.leader_shipped();
         let mut fields = vec![
-            ("applied", Json::arr(applied.into_iter().map(Json::from))),
+            ("lag", lag(&leader_shipped, &own)),
+            ("applied", sums(own)),
             ("connected", Json::from(state.is_connected())),
-            ("lag", Json::arr(lag.into_iter().map(Json::from))),
             ("leader", Json::from(state.leader.as_str())),
-            (
-                "leader_seqs",
-                Json::arr(leader_seqs.into_iter().map(Json::from)),
-            ),
+            ("leader_shipped", sums(leader_shipped)),
+            ("records", Json::from(state.records())),
             ("reconnects", Json::from(state.reconnects())),
         ];
         if let Some(broken) = state.broken() {
@@ -325,43 +330,40 @@ fn replication_health(manager: &SessionManager) -> Json {
         }
         return Json::obj(fields);
     }
-    let shipped: Vec<u64> = manager.stores().iter().map(|s| s.ship_seq()).collect();
     let followers = manager
         .ship_hub()
         .map(|hub| {
             hub.live()
                 .into_iter()
                 .map(|conn| {
-                    let acked = conn.acked_seqs();
-                    let lag: Vec<u64> = shipped
-                        .iter()
-                        .zip(&acked)
-                        .map(|(s, a)| s.saturating_sub(*a))
-                        .collect();
+                    let sent = conn.sent();
                     Json::obj([
-                        ("acked", Json::arr(acked.into_iter().map(Json::from))),
-                        ("lag", Json::arr(lag.into_iter().map(Json::from))),
+                        ("lag", lag(&own, &sent)),
                         ("peer", Json::from(conn.peer.as_str())),
+                        ("sent", sums(sent)),
                     ])
                 })
                 .collect::<Vec<_>>()
         })
         .unwrap_or_default();
-    Json::obj([
-        ("followers", Json::Arr(followers)),
-        ("shipped", Json::arr(shipped.into_iter().map(Json::from))),
-    ])
+    Json::obj([("followers", Json::Arr(followers)), ("shipped", sums(own))])
 }
 
 /// `POST /api/promote`: turn a follower into the serving leader — stop
 /// the replication link, clear the replica marker, lift the read-only
-/// gate. `409` when already leading.
+/// gate. The response names what the new leader holds (per-stripe sums
+/// of `last_lsn`) and the next ID it will mint. `409` when already
+/// leading.
 fn promote(manager: &SessionManager) -> ApiResult {
-    let applied = manager.promote().map_err(|e| ApiError(409, e))?;
+    manager.promote().map_err(|e| ApiError(409, e))?;
     Ok(Response::json(
         200,
         &Json::obj([
-            ("applied", Json::arr(applied.into_iter().map(Json::from))),
+            (
+                "applied",
+                Json::arr(manager.lsn_sums().into_iter().map(Json::from)),
+            ),
+            ("next_id", Json::from(manager.next_id())),
             ("promoted", Json::from(true)),
             ("role", Json::from(manager.role().as_str())),
         ]),
@@ -422,48 +424,32 @@ fn store_status(manager: &SessionManager) -> ApiResult {
         .flat_map(|s| s.status())
         .collect();
     rows.sort_by_key(|s| s.id);
-    // Data-loss and replication state ride along: torn WAL tails
-    // truncated by recovery (in session order), the per-stripe ship-log
-    // horizon, and — on a follower — the persisted resume cursor.
+    // Data loss rides along: torn WAL tails truncated by recovery, in
+    // session order.
     let mut recovered: Vec<_> = manager
         .stores()
         .into_iter()
         .flat_map(|s| s.recovery_report())
         .collect();
     recovered.sort_by_key(|t| t.session);
-    let ship_rows: Vec<Json> = manager
-        .stores()
-        .into_iter()
-        .map(|s| {
-            Json::obj([
-                ("bytes", Json::from(s.ship_bytes())),
-                ("seq", Json::from(s.ship_seq())),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("enabled", Json::from(true)),
-        ("fsync", Json::from(store.config().fsync.as_string())),
-        (
-            "checkpoint_every",
-            Json::from(store.config().checkpoint_every),
-        ),
-        ("stripes", Json::from(manager.stripes())),
-        ("role", Json::from(manager.role().as_str())),
-        (
-            "recovered",
-            Json::arr(recovered.into_iter().map(|t| t.to_json())),
-        ),
-        ("ship", Json::Arr(ship_rows)),
-        ("sessions", Json::arr(rows.into_iter().map(|s| s.to_json()))),
-    ];
-    if let Some(state) = manager.follow_state() {
-        fields.push((
-            "cursor",
-            Json::arr(state.applied_seqs().into_iter().map(Json::from)),
-        ));
-    }
-    Ok(Response::json(200, &Json::obj(fields)))
+    Ok(Response::json(
+        200,
+        &Json::obj([
+            ("enabled", Json::from(true)),
+            ("fsync", Json::from(store.config().fsync.as_string())),
+            (
+                "checkpoint_every",
+                Json::from(store.config().checkpoint_every),
+            ),
+            ("stripes", Json::from(manager.stripes())),
+            ("role", Json::from(manager.role().as_str())),
+            (
+                "recovered",
+                Json::arr(recovered.into_iter().map(|t| t.to_json())),
+            ),
+            ("sessions", Json::arr(rows.into_iter().map(|s| s.to_json()))),
+        ]),
+    ))
 }
 
 /// `POST /api/sessions/{id}/checkpoint`: compact the session's op-log

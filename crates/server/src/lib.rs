@@ -312,17 +312,12 @@ impl Server {
         if let Some(root) = &data_root {
             match &config.follow {
                 Some(leader) => {
-                    // (Re)write the role marker, then arm the link state
-                    // with the persisted per-stripe resume cursors.
+                    // (Re)write the role marker, then arm the link state;
+                    // the recovered stores are the resume point.
                     sider_store::ship::write_marker(root, leader)?;
-                    let cursors: Vec<u64> = manager
-                        .stores()
-                        .iter()
-                        .map(|s| sider_store::ship::read_cursor(&s.config().dir))
-                        .collect();
                     manager.set_follower(Arc::new(replication::FollowState::new(
                         leader.clone(),
-                        &cursors,
+                        manager.stripes(),
                     )));
                 }
                 None => {

@@ -365,9 +365,8 @@ impl SessionManager {
     /// Promote a follower to leader: stop the link thread (bounded
     /// wait), clear the replica marker, and flip the role — from the
     /// first mutating request on, this process serves exactly like a
-    /// leader restarted from the same data dir. Returns the per-stripe
-    /// applied seqs at promotion. `Err` when not following.
-    pub fn promote(&self) -> Result<Vec<u64>, String> {
+    /// leader restarted from the same data dir. `Err` when not following.
+    pub fn promote(&self) -> Result<(), String> {
         let state = {
             let mut repl = self.replication.lock().expect("replication lock");
             let Some(state) = repl.follow.take() else {
@@ -395,7 +394,32 @@ impl SessionManager {
                 }
             }
         }
-        Ok(state.applied_seqs())
+        Ok(())
+    }
+
+    /// The next session ID this manager would mint.
+    pub fn next_id(&self) -> u64 {
+        self.next_id.load(Ordering::Acquire)
+    }
+
+    /// Raise the ID counter to at least `next` and persist it: a
+    /// follower takes in the leader's counter, so once promoted it never
+    /// re-mints an ID the leader used — even one whose session is gone.
+    pub fn raise_next_id(&self, next: u64) -> Result<(), StoreError> {
+        self.next_id.fetch_max(next, Ordering::AcqRel);
+        match self.store() {
+            Some(store) => store.persist_next_id(next),
+            None => Ok(()),
+        }
+    }
+
+    /// Per-stripe sums of `last_lsn` over every open session log (empty
+    /// when not durable): the `/health` replication progress gauge.
+    pub fn lsn_sums(&self) -> Vec<u64> {
+        self.stores()
+            .iter()
+            .map(|store| store.horizons().iter().map(|&(_, lsn)| lsn).sum())
+            .collect()
     }
 
     /// The data-dir *root* (where the replica marker lives): stripe 0's
@@ -439,11 +463,11 @@ impl SessionManager {
         Ok(())
     }
 
-    /// Replay a shipped `checkpoint` bootstrap record: install the
-    /// checkpoint document as the session's entire on-disk history, then
-    /// rebuild the in-memory session from it (the same replay recovery
-    /// uses). Ships when the leader compacted below this replica's
-    /// cursor — the individual ops no longer exist.
+    /// Replay a shipped `checkpoint` record: install the checkpoint
+    /// document as the session's entire on-disk history, then rebuild
+    /// the in-memory session from it (the same replay recovery uses).
+    /// Shipped when the leader compacted above this replica's LSN — the
+    /// individual ops no longer exist.
     pub fn adopt_checkpoint(&self, id: u64, doc: &sider_json::Json) -> Result<(), String> {
         let stripe = self.stripe(id);
         let store = stripe

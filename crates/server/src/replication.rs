@@ -1,44 +1,47 @@
 //! The replication edge: WAL shipping between a leader and followers.
 //!
 //! A leader with `--ship-addr` runs a second TCP listener speaking the
-//! `sider_store::ship` wire protocol. Each follower connection is a
-//! `hello`/`welcome` handshake (pinning layout + stripe count and
-//! resuming from the follower's per-stripe cursors) followed by a
-//! one-way record stream with idle heartbeats; the follower acks every
-//! applied record so the leader can report lag. A follower started with
-//! `--follow <addr>` replays every record through the **same**
-//! `ops::apply` path recovery uses, into its own striped store — which
-//! is what makes a promoted follower byte-identical to a leader that
-//! never failed.
+//! `sider_store::ship` wire protocol. A follower started with
+//! `--follow <addr>` opens one connection and says `hello` with its
+//! per-session horizons: the `last_lsn` of every session log its own
+//! store holds. The leader's writer for that connection keeps those
+//! horizons and, for each session above them, ships straight from the
+//! WAL under the session's log lock — the checkpoint document when the
+//! follower is below it, then the ops above its LSN — and a `remove` for
+//! a session the leader no longer has. There is no second history and no
+//! acknowledgement: the follower's store is its cursor.
 //!
-//! Robustness model (the degradation ladder, bottom to top):
+//! The follower replays every record through the **same** `ops::apply`
+//! path recovery uses, into its own striped store — which is what makes
+//! a promoted follower byte-identical to a leader that never failed.
+//! `welcome` and every heartbeat also carry the leader's `next_id`,
+//! so a promoted follower never re-mints an ID the leader burned.
 //!
-//! 1. keeping up — records are served from the in-memory ship buffer;
-//! 2. lagging/disconnected — the leader degrades to tailing `ship.log`
-//!    from disk (`Store::ship_fetch`), never blocking client requests;
-//! 3. link failure — the follower reconnects with capped exponential
-//!    backoff + deterministic jitter and resumes from its last durable
-//!    cursor; torn frames (CRC/length) drop the connection the same way;
+//! Robustness:
+//!
+//! 1. the leader never blocks a client on a follower: shipping reads the
+//!    store from the writer thread, never from the request path;
+//! 2. link failure — the follower reconnects with capped exponential
+//!    backoff + deterministic jitter and says `hello` again with what its
+//!    store now holds; torn frames (CRC/length) drop the connection the
+//!    same way;
+//! 3. divergence — a follower horizon above the leader's LSN, an LSN gap
+//!    or an op that fails to apply — breaks the link for good;
 //! 4. leader failure — `POST /api/promote` (or `--promote` at restart)
 //!    stops the link, removes the replica marker, and serves.
-//!
-//! Delivery is at-least-once; replay is idempotent (records carry the
-//! session LSN; a follower skips what it already applied), so the pair
-//! composes to exactly-once application.
 
 use crate::manager::SessionManager;
 use sider_json::Json;
 use sider_store::ops::{self, OpKind};
-use sider_store::{ship, Store};
+use sider_store::ship::{self, ShipError, ShipRecord};
+use sider_store::stripes::stripe_of;
+use sider_store::Store;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Records shipped per stripe per writer turn before yielding to the
-/// next stripe — bounds per-turn latency without starving any stripe.
-const SHIP_BATCH: usize = 64;
 
 /// Writer-loop idle poll (nothing to send, heartbeat not yet due).
 const IDLE_POLL: Duration = Duration::from_millis(2);
@@ -72,6 +75,16 @@ impl Role {
     }
 }
 
+fn load_all(values: &[AtomicU64]) -> Vec<u64> {
+    values.iter().map(|v| v.load(Ordering::Acquire)).collect()
+}
+
+fn store_all(values: &[AtomicU64], new: &[u64]) {
+    for (v, &n) in values.iter().zip(new) {
+        v.store(n, Ordering::Release);
+    }
+}
+
 /// Shared state of a follower's link thread (telemetry + control).
 #[derive(Debug)]
 pub struct FollowState {
@@ -83,23 +96,22 @@ pub struct FollowState {
     /// Fatal divergence (handshake rejection, LSN gap, replay failure):
     /// the link stops and stays stopped; `/health` reports why.
     broken: Mutex<Option<String>>,
-    leader_seqs: Vec<AtomicU64>,
-    applied_seqs: Vec<AtomicU64>,
+    leader_shipped: Vec<AtomicU64>,
+    records: AtomicU64,
     reconnects: AtomicU64,
 }
 
 impl FollowState {
-    /// Fresh state for a link to `leader` over `stripes` stripes, with
-    /// per-stripe cursors resuming from `cursors`.
-    pub fn new(leader: impl Into<String>, cursors: &[u64]) -> FollowState {
+    /// Fresh state for a link to `leader` over `stripes` stripes.
+    pub fn new(leader: impl Into<String>, stripes: usize) -> FollowState {
         FollowState {
             leader: leader.into(),
             stop: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             connected: AtomicBool::new(false),
             broken: Mutex::new(None),
-            leader_seqs: cursors.iter().map(|&c| AtomicU64::new(c)).collect(),
-            applied_seqs: cursors.iter().map(|&c| AtomicU64::new(c)).collect(),
+            leader_shipped: (0..stripes).map(|_| AtomicU64::new(0)).collect(),
+            records: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
         }
     }
@@ -129,20 +141,15 @@ impl FollowState {
         *self.broken.lock().expect("broken lock") = Some(msg);
     }
 
-    /// Last seq the leader announced for each stripe.
-    pub fn leader_seqs(&self) -> Vec<u64> {
-        self.leader_seqs
-            .iter()
-            .map(|s| s.load(Ordering::Acquire))
-            .collect()
+    /// The leader's per-stripe sums of `last_lsn`, as last announced.
+    pub fn leader_shipped(&self) -> Vec<u64> {
+        load_all(&self.leader_shipped)
     }
 
-    /// Last seq applied locally for each stripe.
-    pub fn applied_seqs(&self) -> Vec<u64> {
-        self.applied_seqs
-            .iter()
-            .map(|s| s.load(Ordering::Acquire))
-            .collect()
+    /// Records taken from the leader since this process started
+    /// following: after a restart, exactly the ops its store lacked.
+    pub fn records(&self) -> u64 {
+        self.records.load(Ordering::Acquire)
     }
 
     /// How many times the link reconnected after a failure.
@@ -157,29 +164,19 @@ pub struct ConnState {
     /// Peer address, for the `/health` report.
     pub peer: String,
     alive: AtomicBool,
-    acked: Vec<AtomicU64>,
+    sent: Vec<AtomicU64>,
 }
 
 impl ConnState {
-    fn new(peer: String, stripes: usize) -> ConnState {
-        ConnState {
-            peer,
-            alive: AtomicBool::new(true),
-            acked: (0..stripes).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
     /// Whether the connection is still streaming.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
 
-    /// Last acked seq per stripe.
-    pub fn acked_seqs(&self) -> Vec<u64> {
-        self.acked
-            .iter()
-            .map(|s| s.load(Ordering::Acquire))
-            .collect()
+    /// Per-stripe sums of the follower's horizons: what it held at
+    /// `hello` plus what this connection has shipped since.
+    pub fn sent(&self) -> Vec<u64> {
+        load_all(&self.sent)
     }
 }
 
@@ -286,31 +283,41 @@ fn run_ship_accept(
     }
 }
 
-/// One follower connection on the leader: handshake, then stream records
-/// until the link dies or the server stops. The ack reader runs on its
-/// own thread so a slow disk read never delays lag accounting.
+/// One follower connection on the leader: handshake, then ship every
+/// session above the follower's horizons until the link dies or the
+/// server stops.
 fn serve_follower(
     stream: TcpStream,
-    manager: &Arc<SessionManager>,
+    manager: &SessionManager,
     hub: &ShipHub,
-    stop: &Arc<AtomicBool>,
-) -> Result<(), ship::ShipError> {
+    stop: &AtomicBool,
+) -> Result<(), ShipError> {
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let hello = ship::read_frame(&mut reader)?;
-    let mut writer = stream.try_clone()?;
+    let hello = ship::read_frame(&mut &stream)?;
+    let mut writer = &stream;
     let stripes = manager.stripes();
     let stores: Vec<Arc<Store>> = manager.stores().into_iter().map(Arc::clone).collect();
 
-    let reject = |writer: &mut TcpStream, msg: String| {
+    let reject = |writer: &mut &TcpStream, msg: String| {
         let _ = ship::write_frame(writer, &ship::error_frame(&msg));
-        Err(ship::ShipError::Protocol(msg))
+        Err(ShipError::Protocol(msg))
     };
     if hello.get("type").and_then(Json::as_str) != Some("hello")
         || hello.get("format").and_then(Json::as_str) != Some(ship::SHIP_FORMAT)
     {
         return reject(&mut writer, "expected a sider-ship hello".into());
+    }
+    let version = hello.get("version").and_then(Json::as_num);
+    if version != Some(ship::SHIP_VERSION) {
+        return reject(
+            &mut writer,
+            format!(
+                "protocol version mismatch: leader {}, follower {}",
+                ship::SHIP_VERSION,
+                version.map_or("?".into(), |v| v.to_string())
+            ),
+        );
     }
     if stores.len() != stripes {
         return reject(&mut writer, "leader has no durable store to ship".into());
@@ -328,114 +335,131 @@ fn serve_follower(
             ),
         );
     }
-    let mut cursors = match ship::parse_seqs(&hello_cursors(&hello), stripes) {
-        Ok(c) => c,
-        Err(e) => return reject(&mut writer, format!("hello cursors: {e}")),
+    let mut horizons: BTreeMap<u64, u64> = match ship::parse_horizons(&hello) {
+        Ok(h) => h.into_iter().collect(),
+        Err(e) => return reject(&mut writer, format!("hello horizons: {e}")),
     };
-    let seqs: Vec<u64> = stores.iter().map(|s| s.ship_seq()).collect();
     ship::write_frame(
         &mut writer,
-        &ship::welcome(stripes, ship::DEFAULT_HEARTBEAT_MS, &seqs),
+        &ship::welcome(
+            stripes,
+            ship::DEFAULT_HEARTBEAT_MS,
+            manager.next_id(),
+            &manager.lsn_sums(),
+        ),
     )?;
 
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".into());
-    let conn = Arc::new(ConnState::new(peer, stripes));
-    hub.register(Arc::clone(&conn));
-
-    // Ack reader: 1s read timeout so it can notice stop/alive flips.
-    stream.set_read_timeout(Some(Duration::from_secs(1)))?;
-    let ack_conn = Arc::clone(&conn);
-    let ack_stop = Arc::clone(stop);
-    let ack_reader = std::thread::spawn(move || {
-        while !ack_stop.load(Ordering::SeqCst) && ack_conn.is_alive() {
-            match ship::read_frame(&mut reader) {
-                Ok(msg) => {
-                    if msg.get("type").and_then(Json::as_str) == Some("ack") {
-                        let stripe = msg.get("stripe").and_then(Json::as_num).unwrap_or(-1.0);
-                        let seq = msg.get("seq").and_then(Json::as_num).unwrap_or(0.0);
-                        if stripe >= 0.0 && (stripe as usize) < ack_conn.acked.len() {
-                            ack_conn.acked[stripe as usize].store(seq as u64, Ordering::Release);
-                        }
-                    }
-                }
-                Err(ship::ShipError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(_) => {
-                    ack_conn.alive.store(false, Ordering::SeqCst);
-                    break;
-                }
-            }
-        }
+    let conn = Arc::new(ConnState {
+        peer: stream
+            .peer_addr()
+            .map(|a| a.to_string())
+            .unwrap_or_else(|_| "?".into()),
+        alive: AtomicBool::new(true),
+        sent: (0..stripes).map(|_| AtomicU64::new(0)).collect(),
     });
-
-    // Writer loop: round-robin the stripes, batching SHIP_BATCH records
-    // per stripe per turn. `ship_fetch` serves from the in-memory buffer
-    // and degrades to tailing ship.log from disk when the cursor fell
-    // off — the leader's client-facing path is never involved.
-    let mut last_beat = Instant::now();
-    let result = loop {
-        if stop.load(Ordering::SeqCst) || !conn.is_alive() {
-            break Ok(());
-        }
-        let mut sent = false;
-        for (k, store) in stores.iter().enumerate() {
-            let batch = match store.ship_fetch(cursors[k] + 1, SHIP_BATCH) {
-                Ok(batch) => batch,
-                Err(e) => break_err(&conn, ship::ShipError::Protocol(e.to_string())),
-            };
-            for rec in batch {
-                if let Err(e) = ship::write_frame(&mut writer, &rec.to_wire(k)) {
-                    conn.alive.store(false, Ordering::SeqCst);
-                    let _ = e;
-                    break;
-                }
-                cursors[k] = rec.seq;
-                sent = true;
-            }
-            if !conn.is_alive() {
-                break;
-            }
-        }
-        if !conn.is_alive() {
-            break Ok(());
-        }
-        if !sent {
-            if last_beat.elapsed() >= HEARTBEAT {
-                let seqs: Vec<u64> = stores.iter().map(|s| s.ship_seq()).collect();
-                if ship::write_frame(&mut writer, &ship::heartbeat(&seqs)).is_err() {
-                    break Ok(());
-                }
-                last_beat = Instant::now();
-            } else {
-                std::thread::sleep(IDLE_POLL);
-            }
-        } else {
-            last_beat = Instant::now();
-        }
-    };
+    store_all(&conn.sent, &horizon_sums(&horizons, stripes));
+    hub.register(Arc::clone(&conn));
+    let result = ship_until_stopped(&mut writer, manager, &stores, &mut horizons, &conn, stop);
     conn.alive.store(false, Ordering::SeqCst);
     let _ = stream.shutdown(std::net::Shutdown::Both);
-    let _ = ack_reader.join();
     result
 }
 
-/// An empty batch with a dead reader: flag and keep the loop shape.
-fn break_err(conn: &ConnState, e: ship::ShipError) -> Vec<ship::ShipRecord> {
-    eprintln!("sider_server: ship fetch failed: {e}");
-    conn.alive.store(false, Ordering::SeqCst);
-    Vec::new()
+/// Per-stripe sums of a horizon map's LSNs.
+fn horizon_sums(horizons: &BTreeMap<u64, u64>, stripes: usize) -> Vec<u64> {
+    let mut sums = vec![0; stripes];
+    for (&id, &lsn) in horizons {
+        sums[stripe_of(id, stripes)] += lsn;
+    }
+    sums
 }
 
-/// Re-wrap the hello's cursor array so [`ship::parse_seqs`] (which reads
-/// a `seqs` key) can validate it.
-fn hello_cursors(hello: &Json) -> Json {
-    Json::obj([("seqs", hello.get("cursors").cloned().unwrap_or(Json::Null))])
+/// The writer loop: each turn walks every open session log of every
+/// stripe and ships what the follower lacks, then a `remove` for each
+/// session the follower holds and the leader no longer has. A turn that
+/// shipped ends with a heartbeat, so the follower's view of the leader
+/// is current; an idle turn sleeps, and sends one once a second.
+fn ship_until_stopped(
+    writer: &mut &TcpStream,
+    manager: &SessionManager,
+    stores: &[Arc<Store>],
+    horizons: &mut BTreeMap<u64, u64>,
+    conn: &ConnState,
+    stop: &AtomicBool,
+) -> Result<(), ShipError> {
+    let mut last_beat = Instant::now();
+    while !stop.load(Ordering::SeqCst) {
+        let mut sent = false;
+        let mut live = BTreeSet::new();
+        for store in stores {
+            for (id, lsn) in store.horizons() {
+                live.insert(id);
+                let have = horizons.get(&id).copied().unwrap_or(0);
+                if have > lsn {
+                    let msg =
+                        format!("s{id}: follower horizon {have} is above the leader's LSN {lsn}");
+                    let _ = ship::write_frame(writer, &ship::error_frame(&msg));
+                    return Err(ShipError::Protocol(msg));
+                }
+                if have == lsn {
+                    continue;
+                }
+                // `None`: removed since `horizons()`; the next turn ships
+                // the remove.
+                let Some(history) = store
+                    .history_since(id, have)
+                    .map_err(|e| ShipError::Protocol(e.to_string()))?
+                else {
+                    continue;
+                };
+                let fold = history.checkpoint.map(|(lsn, doc)| ShipRecord {
+                    session: id,
+                    lsn,
+                    op: "checkpoint".into(),
+                    body: doc,
+                });
+                let ops = history.ops.into_iter().map(|op| ShipRecord {
+                    session: id,
+                    lsn: op.lsn,
+                    op: op.kind.as_str().into(),
+                    body: op.body,
+                });
+                for rec in fold.into_iter().chain(ops) {
+                    let lsn = rec.lsn;
+                    ship::write_frame(writer, &rec.into_wire())?;
+                    horizons.insert(id, lsn);
+                    sent = true;
+                }
+            }
+        }
+        let gone: Vec<u64> = horizons
+            .keys()
+            .filter(|id| !live.contains(id))
+            .copied()
+            .collect();
+        for id in gone {
+            let remove = ShipRecord {
+                session: id,
+                lsn: 0,
+                op: "remove".into(),
+                body: Json::Null,
+            };
+            ship::write_frame(writer, &remove.into_wire())?;
+            horizons.remove(&id);
+            sent = true;
+        }
+        if sent {
+            store_all(&conn.sent, &horizon_sums(horizons, stores.len()));
+        }
+        if sent || last_beat.elapsed() >= HEARTBEAT {
+            let beat = ship::heartbeat(manager.next_id(), &manager.lsn_sums());
+            ship::write_frame(writer, &beat)?;
+            last_beat = Instant::now();
+        } else {
+            std::thread::sleep(IDLE_POLL);
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -472,12 +496,8 @@ fn run_follower(manager: Arc<SessionManager>, state: Arc<FollowState>) {
                 }
             }
         }
-        if state.broken().is_some() {
-            break;
-        }
     }
     state.connected.store(false, Ordering::SeqCst);
-    persist_cursors(&manager, &state);
     state.stopped.store(true, Ordering::SeqCst);
 }
 
@@ -490,9 +510,23 @@ enum LinkEnd {
     Broken,
 }
 
+/// Take in a `welcome`/`heartbeat` announcement: the leader's shipped
+/// sums for `/health`, and its `next_id`, raised into this replica's
+/// counter (and persisted) so a promoted follower mints what the leader
+/// would have.
+fn announce(manager: &SessionManager, state: &FollowState, msg: &Json) {
+    let Ok((next_id, shipped)) = ship::parse_announce(msg, manager.stripes()) else {
+        return;
+    };
+    store_all(&state.leader_shipped, &shipped);
+    if let Err(e) = manager.raise_next_id(next_id) {
+        eprintln!("sider_server: cannot persist the leader's next_id {next_id}: {e}");
+    }
+}
+
 /// One connection lifetime: connect, handshake, replay until the link
 /// dies. Returns how it ended so the caller picks retry vs. stop.
-fn follow_once(manager: &Arc<SessionManager>, state: &Arc<FollowState>) -> LinkEnd {
+fn follow_once(manager: &Arc<SessionManager>, state: &FollowState) -> LinkEnd {
     let addr = match state
         .leader
         .to_socket_addrs()
@@ -510,17 +544,13 @@ fn follow_once(manager: &Arc<SessionManager>, state: &Arc<FollowState>) -> LinkE
     if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
         return LinkEnd::Retry;
     }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return LinkEnd::Retry,
-    };
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return LinkEnd::Retry,
-    });
-    let stripes = manager.stripes();
-    let cursors = state.applied_seqs();
-    if ship::write_frame(&mut writer, &ship::hello(stripes, &cursors)).is_err() {
+    let mut reader = BufReader::new(&stream);
+    let horizons: Vec<(u64, u64)> = manager
+        .stores()
+        .iter()
+        .flat_map(|store| store.horizons())
+        .collect();
+    if ship::write_frame(&mut &stream, &ship::hello(manager.stripes(), &horizons)).is_err() {
         return LinkEnd::Retry;
     }
     let welcome = match ship::read_frame(&mut reader) {
@@ -542,11 +572,7 @@ fn follow_once(manager: &Arc<SessionManager>, state: &Arc<FollowState>) -> LinkE
         }
         _ => return LinkEnd::Retry,
     }
-    if let Ok(seqs) = ship::parse_seqs(&welcome, stripes) {
-        for (k, seq) in seqs.iter().enumerate() {
-            state.leader_seqs[k].store(*seq, Ordering::Release);
-        }
-    }
+    announce(manager, state, &welcome);
     // Liveness deadline: three missed heartbeats = a dead link. The
     // interval is the *leader's* (announced in the welcome), so the
     // follower keeps to whatever interval its leader sends.
@@ -561,101 +587,53 @@ fn follow_once(manager: &Arc<SessionManager>, state: &Arc<FollowState>) -> LinkE
     }
     state.connected.store(true, Ordering::SeqCst);
 
-    let mut applied_since_flush: u64 = 0;
     loop {
         if state.stop.load(Ordering::SeqCst) {
-            persist_cursors(manager, state);
             return LinkEnd::Stop;
         }
-        match ship::read_frame(&mut reader) {
-            Ok(msg) => match msg.get("type").and_then(Json::as_str) {
-                Some("heartbeat") => {
-                    if let Ok(seqs) = ship::parse_seqs(&msg, stripes) {
-                        for (k, seq) in seqs.iter().enumerate() {
-                            state.leader_seqs[k].store(*seq, Ordering::Release);
-                        }
-                    }
-                }
-                Some("record") => {
-                    let stripe = match msg.get("stripe").and_then(Json::as_num) {
-                        Some(n) if n >= 0.0 && (n as usize) < stripes => n as usize,
-                        _ => {
-                            state.set_broken("record with an invalid stripe tag".into());
-                            return LinkEnd::Broken;
-                        }
-                    };
-                    let rec = match ship::ShipRecord::from_json(&msg) {
-                        Ok(rec) => rec,
-                        Err(e) => {
-                            state.set_broken(format!("unparseable record: {e}"));
-                            return LinkEnd::Broken;
-                        }
-                    };
-                    let seq = rec.seq;
-                    if seq > state.applied_seqs[stripe].load(Ordering::Acquire) {
-                        if let Err(e) = apply_record(manager, rec) {
-                            state.set_broken(e);
-                            persist_cursors(manager, state);
-                            return LinkEnd::Broken;
-                        }
-                    }
-                    state.applied_seqs[stripe].store(seq, Ordering::Release);
-                    if ship::write_frame(&mut writer, &ship::ack(stripe, seq)).is_err() {
-                        persist_cursors(manager, state);
-                        return LinkEnd::Retry;
-                    }
-                    if state.leader_seqs[stripe].load(Ordering::Acquire) < seq {
-                        state.leader_seqs[stripe].store(seq, Ordering::Release);
-                    }
-                    applied_since_flush += 1;
-                    if applied_since_flush >= ship::CURSOR_FLUSH_EVERY {
-                        persist_cursors(manager, state);
-                        applied_since_flush = 0;
-                    }
-                }
-                Some("error") => {
-                    let msg = msg
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("leader error")
-                        .to_string();
-                    state.set_broken(format!("leader: {msg}"));
+        // A torn frame or any read failure (timeout = missed heartbeats,
+        // reset = leader died mid-record): drop the connection; the next
+        // hello carries what the store now holds.
+        let Ok(msg) = ship::read_frame(&mut reader) else {
+            return LinkEnd::Retry;
+        };
+        match msg.get("type").and_then(Json::as_str) {
+            Some("heartbeat") => announce(manager, state, &msg),
+            Some("record") => {
+                // Counted before it is applied, so a reader that sees the
+                // store hold the op also sees it counted.
+                state.records.fetch_add(1, Ordering::AcqRel);
+                let applied = ShipRecord::from_json(&msg)
+                    .map_err(|e| format!("unparseable record: {e}"))
+                    .and_then(|rec| apply_record(manager, rec));
+                if let Err(e) = applied {
+                    state.set_broken(e);
                     return LinkEnd::Broken;
                 }
-                _ => {
-                    // Unknown message types are skipped (forward
-                    // compatibility); the frame was CRC-valid.
-                }
-            },
-            // A torn frame or any read failure (timeout = missed
-            // heartbeats, reset = leader died mid-record): drop the
-            // connection and resume from the durable cursor.
-            Err(_) => {
-                persist_cursors(manager, state);
-                return LinkEnd::Retry;
             }
-        }
-    }
-}
-
-/// Durably persist the per-stripe resume cursors into each stripe store.
-fn persist_cursors(manager: &SessionManager, state: &FollowState) {
-    for (k, store) in manager.stores().into_iter().enumerate() {
-        let seq = state.applied_seqs[k].load(Ordering::Acquire);
-        if let Err(e) = ship::write_cursor(&store.config().dir, seq) {
-            eprintln!("sider_server: cannot persist replication cursor: {e}");
+            Some("error") => {
+                let msg = msg
+                    .get("error")
+                    .and_then(Json::as_str)
+                    .unwrap_or("leader error")
+                    .to_string();
+                state.set_broken(format!("leader: {msg}"));
+                return LinkEnd::Broken;
+            }
+            // Unknown message types are skipped (forward compatibility);
+            // the frame was CRC-valid.
+            _ => {}
         }
     }
 }
 
 /// Apply one shipped record to the follower's registry + store — the
-/// same `ops::apply` path the API and recovery use. Idempotent: a
-/// redelivered op (`lsn` at or below the session's durable LSN) is
-/// skipped, a create for an existing session is skipped, a remove for an
-/// absent one is skipped. An LSN *gap* — or an op that fails to apply —
-/// is fatal divergence: returning `Err` breaks the link rather than
-/// letting the replica drift.
-fn apply_record(manager: &Arc<SessionManager>, rec: ship::ShipRecord) -> Result<(), String> {
+/// same `ops::apply` path the API and recovery use. A redelivered op
+/// (`lsn` at or below the session's durable LSN) or create is skipped,
+/// and a remove for an absent session does nothing. An LSN *gap* — or an
+/// op that fails to apply — is fatal divergence: returning `Err` breaks
+/// the link rather than letting the replica drift.
+fn apply_record(manager: &Arc<SessionManager>, rec: ShipRecord) -> Result<(), String> {
     let id = rec.session;
     let id_str = format!("s{id}");
     match rec.op.as_str() {

@@ -8,6 +8,7 @@
 //! these tests simultaneously pin that replication, striping, and
 //! durability are all invisible on the wire.
 
+use sider_json::Json;
 use sider_loadgen::fault::{FaultSchedule, FlakyProxy};
 use sider_server::{Server, ServerConfig, ShutdownHandle};
 use sider_store::StoreConfig;
@@ -195,49 +196,59 @@ fn assert_transcripts_equal(tag: &str, a: &[Vec<u8>], b: &[Vec<u8>]) {
     }
 }
 
-/// Extract a `"key":[1,2,…]` seq array from a health body.
-fn seqs_of(body: &str, key: &str) -> Vec<u64> {
-    let needle = format!("\"{key}\":[");
-    let start = body
-        .find(&needle)
-        .unwrap_or_else(|| panic!("no {key} in {body}"))
-        + needle.len();
-    let end = start + body[start..].find(']').expect("unterminated seq array");
-    body[start..end]
-        .split(',')
-        .filter(|t| !t.is_empty())
-        .map(|t| t.parse().expect("seq"))
+fn json_of(raw: &[u8]) -> Json {
+    Json::parse(body_of(raw)).unwrap_or_else(|e| panic!("{e}: {}", body_of(raw)))
+}
+
+/// The `(id, last_lsn)` rows of a node's `GET /api/store`, in ID order.
+fn store_rows(addr: SocketAddr) -> Vec<(String, u64)> {
+    let doc = json_of(&raw_request(addr, "GET", "/api/store", ""));
+    doc.require_arr("sessions")
+        .unwrap_or_else(|e| panic!("{e}: {}", doc.dump()))
+        .iter()
+        .map(|row| {
+            (
+                row.require_str("id").unwrap().to_string(),
+                row.require_num("last_lsn").unwrap() as u64,
+            )
+        })
         .collect()
 }
 
-/// Wait until the follower has applied everything the **leader** says
-/// it has shipped. The follower's own lag estimate is not enough: right
-/// after a leader-side op commits, the follower may not yet know the
-/// seq advanced (heartbeats are periodic), so its lag reads zero
-/// against stale knowledge. The leader's `/health` is the ground truth
-/// — every acknowledged client op is in the ship log before its
-/// response is sent. `/health` is the one endpoint outside the
-/// determinism contract, so string-matching it here is fair game.
+/// A number in the `/health` replication block.
+fn replication_num(addr: SocketAddr, key: &str) -> u64 {
+    let doc = json_of(&raw_request(addr, "GET", "/health", ""));
+    doc.path(&format!("replication.{key}"))
+        .and_then(Json::as_num)
+        .unwrap_or_else(|| panic!("no replication.{key} in {}", doc.dump())) as u64
+}
+
+/// Wait until the follower holds exactly what the **leader** holds:
+/// every `(id, last_lsn)` row of both nodes' `GET /api/store` equal. The
+/// leader's rows are the ground truth — every acknowledged client op is
+/// in its WAL before its response is sent — and per-session equality is
+/// what promotion needs, at any stripe count.
 fn wait_caught_up(tag: &str, leader: SocketAddr, follower: SocketAddr, stripes: usize) {
-    let raw = raw_request(leader, "GET", "/health", "");
-    let shipped = seqs_of(body_of(&raw), "shipped");
-    assert_eq!(shipped.len(), stripes, "{tag}: {}", body_of(&raw));
+    let want = store_rows(leader);
+    assert!(!want.is_empty(), "{tag}: the leader holds no session");
+    let health = json_of(&raw_request(follower, "GET", "/health", ""));
+    assert_eq!(
+        health.require_num("stripes").unwrap(),
+        stripes as f64,
+        "{tag}: {}",
+        health.dump()
+    );
     let deadline = Instant::now() + Duration::from_secs(60);
-    let mut last = String::new();
+    let mut last = Vec::new();
     while Instant::now() < deadline {
         let raw = raw_request(follower, "GET", "/health", "");
-        let body = body_of(&raw);
-        let applied = seqs_of(body, "applied");
-        if body.contains("\"connected\":true")
-            && applied.len() == shipped.len()
-            && applied.iter().zip(&shipped).all(|(a, s)| a >= s)
-        {
+        last = store_rows(follower);
+        if body_of(&raw).contains("\"connected\":true") && last == want {
             return;
         }
-        last = body.to_string();
         std::thread::sleep(Duration::from_millis(30));
     }
-    panic!("{tag}: follower never caught up to {shipped:?}; last health: {last}");
+    panic!("{tag}: follower never caught up to {want:?}; last rows: {last:?}");
 }
 
 /// Promote the follower over HTTP and check the role flips.
@@ -385,8 +396,9 @@ fn flaky_link_converges_at_stripes_1_and_4() {
 }
 
 /// Kill-follower-mid-stream: the follower dies while records are still
-/// flowing, restarts from its data dir, and must resume from its
-/// persisted per-stripe cursor — not from zero, and not skipping ahead.
+/// flowing, restarts from its data dir, and must resume from what its
+/// own store holds — not from zero, and not skipping ahead: the second
+/// link ships exactly the ops the follower lacks.
 fn kill_follower_mid_stream(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
     let leader_dir = temp_dir(&format!("{tag}_leader"));
     let follower_dir = temp_dir(&format!("{tag}_follower"));
@@ -405,13 +417,22 @@ fn kill_follower_mid_stream(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
         follower.addr,
         stripes,
     );
+    let held = store_rows(follower.addr);
     // Die mid-stream, then the leader keeps exploring without a
-    // follower attached (the ship log retains everything on disk).
+    // follower attached (its WALs keep everything).
     follower.kill();
     transcript.extend(run_steps(leader.addr, &script_suffix()));
+    let lacking: u64 = store_rows(leader.addr)
+        .iter()
+        .map(|(id, lsn)| {
+            let have = held.iter().find(|(h, _)| h == id).map_or(0, |(_, l)| *l);
+            lsn - have
+        })
+        .sum();
+    assert!(lacking > 0, "{tag}: the suffix logged nothing");
 
-    // Second life: same data dir, same leader. The hello carries the
-    // persisted cursor; the leader re-ships only what is missing.
+    // Second life: same data dir, same leader. The hello carries what
+    // the follower's store holds; the leader ships only what is missing.
     let follower = start_node(
         stripes,
         Some(&follower_dir),
@@ -423,6 +444,11 @@ fn kill_follower_mid_stream(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
         leader.addr,
         follower.addr,
         stripes,
+    );
+    assert_eq!(
+        replication_num(follower.addr, "records"),
+        lacking,
+        "{tag}: the second link must ship exactly the ops the follower lacks"
     );
     leader.kill();
     promote(tag, follower.addr);
@@ -451,6 +477,133 @@ fn kill_follower_mid_stream(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
 fn killed_follower_resumes_from_durable_cursor_at_stripes_1_and_4() {
     kill_follower_mid_stream(1, "resume_s1");
     kill_follower_mid_stream(4, "resume_s4");
+}
+
+/// A session created and deleted on the leader while the follower is
+/// down never reaches the follower, yet its ID is spent: after catch-up
+/// and promotion, the follower's next create must mint the ID a
+/// never-failed twin mints. The leader's `next_id` rides on `welcome`.
+fn burned_id_survives_failover(stripes: usize, tag: &str) {
+    let leader_dir = temp_dir(&format!("{tag}_leader"));
+    let follower_dir = temp_dir(&format!("{tag}_follower"));
+    let leader = start_node(stripes, Some(&leader_dir), true, None);
+    let follow = || {
+        start_node(
+            stripes,
+            Some(&follower_dir),
+            false,
+            Some(leader.ship_addr().to_string()),
+        )
+    };
+    let follower = follow();
+    let mut transcript = run_steps(leader.addr, &script_prefix());
+    wait_caught_up(
+        &format!("{tag} (first life)"),
+        leader.addr,
+        follower.addr,
+        stripes,
+    );
+    follower.kill();
+    let burn = [
+        (
+            "POST",
+            "/api/sessions",
+            r#"{"dataset":"fig2","seed":9}"#.to_string(),
+        ),
+        ("DELETE", "/api/sessions/s2", String::new()),
+    ];
+    transcript.extend(run_steps(leader.addr, &burn));
+
+    let follower = follow();
+    wait_caught_up(
+        &format!("{tag} (second life)"),
+        leader.addr,
+        follower.addr,
+        stripes,
+    );
+    leader.kill();
+    promote(tag, follower.addr);
+    let create = [(
+        "POST",
+        "/api/sessions",
+        r#"{"dataset":"fig2","seed":11}"#.to_string(),
+    )];
+    transcript.extend(run_steps(follower.addr, &create));
+    follower.kill();
+    assert_all_ok(tag, &transcript);
+
+    let twin = start_node(1, None, false, None);
+    let mut expected = run_steps(twin.addr, &script_prefix());
+    expected.extend(run_steps(twin.addr, &burn));
+    expected.extend(run_steps(twin.addr, &create));
+    twin.kill();
+    assert!(body_of(expected.last().unwrap()).contains("\"id\":\"s3\""));
+    assert_transcripts_equal(tag, &transcript, &expected);
+    let _ = std::fs::remove_dir_all(&leader_dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
+#[test]
+fn burned_id_survives_failover_at_stripes_1_and_4() {
+    burned_id_survives_failover(1, "burned_s1");
+    burned_id_survives_failover(4, "burned_s4");
+}
+
+/// A follower that holds more of a session than the leader has diverged
+/// (say, the leader lost acknowledged ops to a machine crash under
+/// `fsync=never`). The link must break with a message naming the
+/// session, and the follower's history must stay as it was.
+#[test]
+fn follower_ahead_of_its_leader_breaks_the_link() {
+    let first_dir = temp_dir("ahead_first");
+    let second_dir = temp_dir("ahead_second");
+    let follower_dir = temp_dir("ahead_follower");
+    let first = start_node(1, Some(&first_dir), true, None);
+    let follower = start_node(
+        1,
+        Some(&follower_dir),
+        false,
+        Some(first.ship_addr().to_string()),
+    );
+    run_steps(first.addr, &script_prefix());
+    wait_caught_up("ahead", first.addr, follower.addr, 1);
+    let held = store_rows(follower.addr);
+    follower.kill();
+    first.kill();
+
+    // A second leader whose s1 holds only its create.
+    let second = start_node(1, Some(&second_dir), true, None);
+    assert_all_ok("ahead", &run_steps(second.addr, &script_prefix()[..1]));
+    let follower = start_node(
+        1,
+        Some(&follower_dir),
+        false,
+        Some(second.ship_addr().to_string()),
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let broken = loop {
+        let health = json_of(&raw_request(follower.addr, "GET", "/health", ""));
+        if let Some(msg) = health.path("replication.broken").and_then(Json::as_str) {
+            break msg.to_string();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "ahead: link never broke: {}",
+            health.dump()
+        );
+        std::thread::sleep(Duration::from_millis(30));
+    };
+    assert!(broken.contains("s1"), "ahead: {broken}");
+    assert_eq!(
+        store_rows(follower.addr),
+        held,
+        "ahead: follower history moved"
+    );
+    follower.kill();
+    second.kill();
+    for dir in [first_dir, second_dir, follower_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// Network partition: the link drops entirely while the leader keeps
@@ -578,7 +731,8 @@ fn follower_is_read_only_until_promoted() {
     let after = raw_request(follower.addr, "GET", "/api/sessions/s1/snapshot", "");
     assert_transcripts_equal("snapshot unchanged", &[leader_snapshot], &[after]);
 
-    // The health and store reports expose the follower role and cursor.
+    // The health and store reports expose the follower role, and its
+    // applied sums equal the leader's shipped sums.
     let health = raw_request(follower.addr, "GET", "/health", "");
     let health_body = body_of(&health);
     assert!(
@@ -588,9 +742,15 @@ fn follower_is_read_only_until_promoted() {
     assert!(health_body.contains("\"leader\":"), "{health_body}");
     let store = raw_request(follower.addr, "GET", "/api/store", "");
     assert!(
-        body_of(&store).contains("\"cursor\":"),
+        body_of(&store).contains("\"role\":\"follower\""),
         "{}",
         body_of(&store)
+    );
+    let leader_health = json_of(&raw_request(leader.addr, "GET", "/health", ""));
+    assert_eq!(
+        json_of(&health).path("replication.applied").map(Json::dump),
+        leader_health.path("replication.shipped").map(Json::dump),
+        "{health_body}"
     );
     // The leader's health names its follower.
     let leader_health = raw_request(leader.addr, "GET", "/health", "");

@@ -212,6 +212,16 @@ impl SessionStatus {
     }
 }
 
+/// A session's history above some LSN (see [`Store::history_since`]).
+#[derive(Debug, Default)]
+pub struct History {
+    /// `(last_lsn, document)` of the session's checkpoint, when the
+    /// requested LSN is below it.
+    pub checkpoint: Option<(u64, Json)>,
+    /// Logged ops above the requested LSN, in LSN order.
+    pub ops: Vec<Op>,
+}
+
 /// A torn WAL tail truncated during recovery — the record (or records)
 /// that were mid-write when the process died. Recovery reports these so
 /// operators can see exactly where and how much was cut, instead of the
@@ -318,18 +328,30 @@ impl SessionLog {
     }
 }
 
-fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, StoreError> {
+/// The checkpoint document of a session directory, parsed but not
+/// interpreted (`None` when there is none).
+fn read_checkpoint_doc(dir: &Path) -> Result<Option<Json>, StoreError> {
     let path = SessionLog::checkpoint_path(dir);
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let json =
-        Json::parse(&text).map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
-    Checkpoint::from_json(&json)
+    Json::parse(&text)
         .map(Some)
         .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
+}
+
+fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, StoreError> {
+    let Some(json) = read_checkpoint_doc(dir)? else {
+        return Ok(None);
+    };
+    Checkpoint::from_json(&json).map(Some).map_err(|e| {
+        StoreError::Corrupt(format!(
+            "{}: {e}",
+            SessionLog::checkpoint_path(dir).display()
+        ))
+    })
 }
 
 /// Parse WAL payloads into ops, rejecting unparsable (non-torn) records.
@@ -346,6 +368,23 @@ fn parse_wal_ops(dir: &Path, payloads: &[Vec<u8>]) -> Result<Vec<Op>, StoreError
             })
         })
         .collect()
+}
+
+/// Files an earlier layout kept in a store directory, as `(stem,
+/// extension)`: a second copy of every logged op for replication, and a
+/// follower's resume cursor. Replication now reads the WALs and a
+/// follower's own logs are its cursor, so [`Store::open`] deletes both.
+const RETIRED_FILES: [(&str, &str); 2] = [("ship", "log"), ("cursor", "json")];
+
+/// Delete the [`RETIRED_FILES`] from a store directory, if present.
+pub(crate) fn remove_retired_files(dir: &Path) -> std::io::Result<()> {
+    for (stem, extension) in RETIRED_FILES {
+        match std::fs::remove_file(dir.join(stem).with_extension(extension)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// Atomically replace `path` with `contents` (tmp + fsync + rename).
@@ -377,12 +416,6 @@ pub struct Store {
     /// Highest ID ever handed out + 1, persisted in `meta.json`.
     next_id: Mutex<u64>,
     logs: Mutex<BTreeMap<u64, Arc<Mutex<SessionLog>>>>,
-    /// The replication op stream: every acknowledged mutation is also
-    /// appended here (ship module) so followers can tail it.
-    ship: Mutex<ship::ShipLog>,
-    /// Bounded in-memory tail of `ship`, the fast path for followers
-    /// that are keeping up.
-    ship_buf: ship::ShipBuffer,
     /// Torn WAL tails truncated by recovery since this handle opened.
     recovered: Mutex<Vec<TornTail>>,
 }
@@ -392,8 +425,7 @@ impl Store {
     pub fn open(config: StoreConfig) -> Result<Store, StoreError> {
         let sessions_dir = config.dir.join("sessions");
         std::fs::create_dir_all(&sessions_dir)?;
-        let ship_log = ship::ShipLog::open(&config.dir)?;
-        let ship_buf = ship::ShipBuffer::new(ship::SHIP_BUFFER_MAX_BYTES, ship_log.last_seq());
+        remove_retired_files(&config.dir)?;
         let meta_path = config.dir.join("meta.json");
         let next_id = match std::fs::read_to_string(&meta_path) {
             Ok(text) => {
@@ -419,8 +451,6 @@ impl Store {
             meta_path,
             next_id: Mutex::new(next_id),
             logs: Mutex::new(BTreeMap::new()),
-            ship: Mutex::new(ship_log),
-            ship_buf,
             recovered: Mutex::new(Vec::new()),
         })
     }
@@ -439,7 +469,9 @@ impl Store {
         Ok(persisted.max(max_on_disk + 1))
     }
 
-    fn persist_next_id(&self, candidate: u64) -> Result<(), StoreError> {
+    /// Raise the persisted ID counter to `candidate` (a no-op when it is
+    /// already there): IDs below it are never minted from this store.
+    pub fn persist_next_id(&self, candidate: u64) -> Result<(), StoreError> {
         let mut next = self.next_id.lock().expect("meta lock");
         if candidate <= *next {
             return Ok(());
@@ -509,7 +541,6 @@ impl Store {
             .lock()
             .expect("logs lock")
             .insert(id, Arc::new(Mutex::new(log)));
-        self.ship_append(id, OpKind::Create.as_str(), 1, body)?;
         Ok(())
     }
 
@@ -519,20 +550,7 @@ impl Store {
         let mut log = log.lock().expect("session log lock");
         let lsn = log.last_lsn + 1;
         log.append(lsn, kind, body, self.config.fsync)?;
-        self.ship_append(id, kind.as_str(), lsn, body)?;
         Ok(lsn)
-    }
-
-    /// Mirror one committed op into the ship log and its in-memory
-    /// buffer. Failure is an error for ops (the caller unloads and
-    /// recovery re-ships via reconciliation), best-effort for callers
-    /// that pass ship-only kinds with nothing to roll back.
-    fn ship_append(&self, id: u64, op: &str, lsn: u64, body: &Json) -> Result<(), StoreError> {
-        let mut log = self.ship.lock().expect("ship log lock");
-        let (seq, payload) = log.append(id, op, lsn, body)?;
-        // Push under the ship lock so the buffer observes commit order.
-        self.ship_buf.push(seq, payload);
-        Ok(())
     }
 
     /// Ops accumulated in a session's WAL since its last checkpoint —
@@ -589,11 +607,6 @@ impl Store {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
-        }
-        // Best-effort: the dir is gone, so reconciliation at next open
-        // re-ships the remove even if this append fails.
-        if let Err(e) = self.ship_append(id, "remove", 0, &Json::Null) {
-            eprintln!("sider_store: ship remove s{id}: {e}");
         }
         Ok(())
     }
@@ -721,62 +734,7 @@ impl Store {
             let session = self.recover_session(id, Arc::clone(pool))?;
             out.push((id, session));
         }
-        self.ship_reconcile()?;
         Ok(out)
-    }
-
-    /// Bring the ship log back in line with the authoritative WALs and
-    /// checkpoints. The ship log is derived and never fsynced, so after
-    /// a crash (or on a pre-replication data dir) it may be missing
-    /// committed history:
-    ///
-    /// - a session whose durable LSN exceeds its shipped horizon gets
-    ///   its WAL-tail ops re-shipped;
-    /// - a session compacted below the shipped horizon gets a
-    ///   `checkpoint` bootstrap record (the ops no longer exist
-    ///   individually — the checkpoint document *is* the state);
-    /// - a session present in the ship log but gone from disk gets a
-    ///   `remove`.
-    ///
-    /// Runs as part of [`Store::recover_all`], i.e. before a server
-    /// starts streaming to followers.
-    fn ship_reconcile(&self) -> Result<(), StoreError> {
-        let state = ship::scan_state(&self.config.dir)?;
-        let on_disk = self.session_ids()?;
-        for &id in &on_disk {
-            let dir = self.session_dir(id);
-            let shipped = state.get(&id).copied().flatten().unwrap_or(0);
-            let cp = read_checkpoint(&dir)?;
-            let scan = wal::scan(&SessionLog::wal_path(&dir))?;
-            let tail = parse_wal_ops(&dir, &scan.payloads)?;
-            let durable = tail
-                .last()
-                .map(|op| op.lsn)
-                .unwrap_or(0)
-                .max(cp.as_ref().map(|c| c.last_lsn).unwrap_or(0));
-            if shipped >= durable {
-                continue;
-            }
-            let mut from = shipped;
-            if let Some(cp) = cp {
-                // History at or below the checkpoint LSN only exists
-                // folded; if the follower horizon is below it, ship the
-                // fold itself.
-                if cp.last_lsn > from {
-                    self.ship_append(id, "checkpoint", cp.last_lsn, &cp.to_json())?;
-                    from = cp.last_lsn;
-                }
-            }
-            for op in tail.iter().filter(|op| op.lsn > from) {
-                self.ship_append(id, op.kind.as_str(), op.lsn, &op.body)?;
-            }
-        }
-        for (&id, horizon) in &state {
-            if horizon.is_some() && !on_disk.contains(&id) {
-                self.ship_append(id, "remove", 0, &Json::Null)?;
-            }
-        }
-        Ok(())
     }
 
     /// Torn WAL tails truncated by recovery since this handle opened —
@@ -785,40 +743,67 @@ impl Store {
         self.recovered.lock().expect("recovered lock").clone()
     }
 
-    /// Sequence number of the last record in the ship log (0 = empty).
-    pub fn ship_seq(&self) -> u64 {
-        self.ship.lock().expect("ship log lock").last_seq()
+    /// `(id, last_lsn)` of every open session log, in ID order: what
+    /// this store holds durably. A follower sends these as its horizons,
+    /// so its own store is its replication cursor.
+    pub fn horizons(&self) -> Vec<(u64, u64)> {
+        // Clone the handles first: a session's lock may be held across an
+        // fsync, and waiting for it must not block the registry.
+        let logs: Vec<_> = self
+            .logs
+            .lock()
+            .expect("logs lock")
+            .values()
+            .cloned()
+            .collect();
+        logs.iter()
+            .map(|log| {
+                let log = log.lock().expect("session log lock");
+                (log.id, log.last_lsn)
+            })
+            .collect()
     }
 
-    /// Current size of the on-disk ship log in bytes.
-    pub fn ship_bytes(&self) -> u64 {
-        std::fs::metadata(ship::ShipLog::log_path(&self.config.dir))
-            .map(|m| m.len())
-            .unwrap_or(0)
-    }
-
-    /// Up to `limit` ship records with `seq >= from`: served from the
-    /// in-memory buffer when the follower is keeping up, degrading to a
-    /// linear tail of the on-disk `ship.log` when `from` has been
-    /// evicted (a lagging or freshly resumed follower).
-    pub fn ship_fetch(&self, from: u64, limit: usize) -> Result<Vec<ship::ShipRecord>, StoreError> {
-        if let Some(payloads) = self.ship_buf.collect_from(from, limit) {
-            return payloads
-                .iter()
-                .map(|p| ship::ShipRecord::from_payload(p).map_err(StoreError::Corrupt))
-                .collect();
+    /// What session `id` logged above LSN `after`, read under its log
+    /// lock so no append or checkpoint interleaves: the checkpoint
+    /// document when `after` is below its LSN (the ops it folded exist
+    /// only there), then the WAL ops above `after`. `None` when the
+    /// session is not open in this store.
+    pub fn history_since(&self, id: u64, after: u64) -> Result<Option<History>, StoreError> {
+        let Ok(log) = self.log_of(id) else {
+            return Ok(None);
+        };
+        let log = log.lock().expect("session log lock");
+        let mut history = History::default();
+        if after >= log.last_lsn {
+            return Ok(Some(history));
         }
-        ship::read_records(&self.config.dir, from, limit)
+        if let Some(lsn) = log.checkpoint_lsn.filter(|&lsn| lsn > after) {
+            let doc = read_checkpoint_doc(&log.dir)?.ok_or_else(|| {
+                StoreError::Corrupt(format!("session s{id}: checkpoint at LSN {lsn} is missing"))
+            })?;
+            history.checkpoint = Some((lsn, doc));
+        }
+        // The WAL's LSNs run consecutively up to `last_lsn`, so only its
+        // last `last_lsn - after` records can be above `after`.
+        let scan = wal::scan(&SessionLog::wal_path(&log.dir))?;
+        let tail = usize::try_from(log.last_lsn - after).unwrap_or(usize::MAX);
+        let from = scan.payloads.len().saturating_sub(tail);
+        history.ops = parse_wal_ops(&log.dir, &scan.payloads[from..])?
+            .into_iter()
+            .filter(|op| op.lsn > after)
+            .collect();
+        Ok(Some(history))
     }
 
     /// Install a replicated checkpoint as a session's entire on-disk
-    /// history: write the checkpoint document, clear the WAL, and ship
-    /// it onward (for chained promotion). The caller rebuilds the
-    /// in-memory session with [`Store::recover_session`] afterwards.
-    /// Used by a follower when the leader compacted history below the
-    /// follower's cursor — the individual ops no longer exist.
+    /// history: write the checkpoint document and clear the WAL. The
+    /// caller rebuilds the in-memory session with
+    /// [`Store::recover_session`] afterwards. Used by a follower below
+    /// the leader's compaction point — the individual ops no longer
+    /// exist.
     pub fn adopt_checkpoint(&self, id: u64, doc: &Json) -> Result<(), StoreError> {
-        let cp = Checkpoint::from_json(doc)
+        Checkpoint::from_json(doc)
             .map_err(|e| StoreError::Corrupt(format!("session s{id}: shipped checkpoint: {e}")))?;
         let dir = self.session_dir(id);
         std::fs::create_dir_all(&dir)?;
@@ -834,7 +819,6 @@ impl Store {
         wal.sync_data()?;
         self.logs.lock().expect("logs lock").remove(&id);
         self.persist_next_id(id + 1)?;
-        self.ship_append(id, "checkpoint", cp.last_lsn, doc)?;
         Ok(())
     }
 
@@ -900,8 +884,6 @@ fn inspect_striped(dir: &Path, n: usize) -> Result<Json, String> {
             ("wal_records", Json::from(total("wal_records"))),
             ("wal_bytes", Json::from(total("wal_bytes"))),
             ("checkpoint_bytes", Json::from(total("checkpoint_bytes"))),
-            ("ship_seq", Json::from(inspect_ship_seq(&sdir))),
-            ("cursor", Json::from(ship::read_cursor(&sdir))),
         ]));
         for mut row in rows {
             if let Json::Obj(map) = &mut row {
@@ -944,25 +926,6 @@ fn inspect_replica(dir: &Path) -> Json {
     }
 }
 
-/// Last ship-log sequence number of a stripe dir, read without opening
-/// the store (0 when the log is absent or unreadable).
-fn inspect_ship_seq(dir: &Path) -> u64 {
-    wal::scan(&ship::ShipLog::log_path(dir))
-        .ok()
-        .and_then(|scan| {
-            scan.payloads
-                .iter()
-                .filter_map(|p| {
-                    std::str::from_utf8(p)
-                        .ok()
-                        .and_then(|t| ship::ShipRecord::from_payload(t).ok())
-                })
-                .map(|r| r.seq)
-                .max()
-        })
-        .unwrap_or(0)
-}
-
 /// `inspect` over a flat (legacy or single-stripe) store directory.
 fn inspect_flat(dir: &Path) -> Result<Json, String> {
     let meta_path = dir.join("meta.json");
@@ -983,8 +946,6 @@ fn inspect_flat(dir: &Path) -> Result<Json, String> {
             meta.get("next_id").cloned().unwrap_or(Json::Null),
         ),
         ("sessions", Json::Arr(sessions)),
-        ("ship_seq", Json::from(inspect_ship_seq(dir))),
-        ("cursor", Json::from(ship::read_cursor(dir))),
         ("replica", inspect_replica(dir)),
     ]))
 }
@@ -1324,83 +1285,67 @@ mod tests {
     }
 
     #[test]
-    fn every_acknowledged_op_is_shipped_in_commit_order() {
-        let config = temp_store("shiporder");
+    fn history_since_reads_the_wal_above_a_horizon() {
+        let config = temp_store("since");
         let dir = config.dir.clone();
         let store = Store::open(config).unwrap();
         scripted_history(&store, 1);
-        assert_eq!(store.ship_seq(), 5);
-        let recs = store.ship_fetch(1, 64).unwrap();
-        assert_eq!(recs.len(), 5);
-        assert_eq!(recs[0].op, "create");
-        assert_eq!(recs[0].lsn, 1);
-        assert_eq!(recs[4].op, "view");
-        assert_eq!(recs[4].lsn, 5);
-        assert!(recs.windows(2).all(|w| w[1].seq == w[0].seq + 1));
-        // Removes are shipped too.
-        store.remove_session(1).unwrap();
-        let recs = store.ship_fetch(6, 64).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].op, "remove");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reconcile_backfills_a_missing_ship_log() {
-        let config = temp_store("shipbackfill");
-        let dir = config.dir.clone();
-        {
-            let store = Store::open(config.clone()).unwrap();
-            scripted_history(&store, 1);
-        }
-        // Simulate a pre-replication dir / crash-lost derived log.
-        std::fs::remove_file(dir.join(ship::SHIP_LOG_FILE)).unwrap();
-        let store = Store::open(config).unwrap();
-        assert_eq!(store.ship_seq(), 0);
-        store.recover_all(&pool()).unwrap();
-        let recs = store.ship_fetch(1, 64).unwrap();
-        assert_eq!(recs.len(), 5);
+        assert_eq!(store.horizons(), [(1, 5)]);
+        let history = store.history_since(1, 2).unwrap().unwrap();
+        assert!(history.checkpoint.is_none());
+        let kinds: Vec<_> = history.ops.iter().map(|op| (op.lsn, op.kind)).collect();
         assert_eq!(
-            recs.iter().map(|r| r.lsn).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5]
+            kinds,
+            [
+                (3, OpKind::Knowledge),
+                (4, OpKind::Update),
+                (5, OpKind::View)
+            ]
         );
+        // Caught up: nothing to read.
+        let history = store.history_since(1, 5).unwrap().unwrap();
+        assert!(history.checkpoint.is_none() && history.ops.is_empty());
+        // Not open here: neither a session that never existed nor a
+        // removed one has a history.
+        assert!(store.history_since(9, 0).unwrap().is_none());
+        store.remove_session(1).unwrap();
+        assert!(store.history_since(1, 0).unwrap().is_none());
+        assert!(store.horizons().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn reconcile_ships_checkpoint_when_history_is_compacted() {
-        let config = temp_store("shipcp");
+    fn history_below_a_checkpoint_starts_with_the_fold() {
+        let config = temp_store("sincecp");
         let dir = config.dir.clone();
-        {
-            let store = Store::open(config.clone()).unwrap();
-            scripted_history(&store, 1);
-            store
-                .checkpoint(1, "three-d-four-clusters", 150, 3)
-                .unwrap();
-            store.append(1, OpKind::Update, &body("{}")).unwrap();
-        }
-        // The ops below LSN 5 now exist only folded; a follower starting
-        // from scratch must get the fold, then the tail.
-        std::fs::remove_file(dir.join(ship::SHIP_LOG_FILE)).unwrap();
         let store = Store::open(config).unwrap();
-        store.recover_all(&pool()).unwrap();
-        let recs = store.ship_fetch(1, 64).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].op, "checkpoint");
-        assert_eq!(recs[0].lsn, 5);
-        assert_eq!(recs[1].op, "update");
-        assert_eq!(recs[1].lsn, 6);
+        scripted_history(&store, 1);
+        store
+            .checkpoint(1, "three-d-four-clusters", 150, 3)
+            .unwrap();
+        store.append(1, OpKind::Update, &body("{}")).unwrap();
+        // The ops at or below LSN 5 now exist only folded: a follower
+        // below it gets the fold, then the tail.
+        let history = store.history_since(1, 2).unwrap().unwrap();
+        let (lsn, doc) = history.checkpoint.unwrap();
+        assert_eq!(lsn, 5);
+        assert_eq!(history.ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [6]);
+        // A follower at the fold gets only the tail.
+        let tail = store.history_since(1, 5).unwrap().unwrap();
+        assert!(tail.checkpoint.is_none());
+        assert_eq!(tail.ops.len(), 1);
 
-        // A second store adopts the shipped checkpoint and recovers to a
-        // byte-identical session.
-        let follower_cfg = temp_store("shipcp_follower");
+        // A second store adopts the fold and recovers to a byte-identical
+        // session.
+        let follower_cfg = temp_store("sincecp_follower");
         let fdir = follower_cfg.dir.clone();
         let follower = Store::open(follower_cfg).unwrap();
-        follower.adopt_checkpoint(1, &recs[0].body).unwrap();
+        follower.adopt_checkpoint(1, &doc).unwrap();
         let mut session = follower.recover_session(1, pool()).unwrap();
-        ops::apply(&mut session, OpKind::Update, &recs[1].body).unwrap();
-        let lsn = follower.append(1, OpKind::Update, &recs[1].body).unwrap();
-        assert_eq!(lsn, 6);
+        let op = &history.ops[0];
+        ops::apply(&mut session, op.kind, &op.body).unwrap();
+        assert_eq!(follower.append(1, op.kind, &op.body).unwrap(), 6);
+        assert_eq!(follower.horizons(), store.horizons());
         let mut twin = live_twin();
         ops::apply(&mut twin, OpKind::Update, &body("{}")).unwrap();
         assert_eq!(fingerprint(&mut session), fingerprint(&mut twin));
@@ -1409,23 +1354,43 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_ships_removes_for_vanished_sessions() {
-        let config = temp_store("shiprm");
+    fn an_earlier_striped_dir_drops_its_replication_files_and_recovers() {
+        // An earlier layout kept two more files in each stripe dir: a
+        // second copy of every op for followers, and a follower's resume
+        // cursor. Opening deletes them; the WALs alone recover.
+        let config = temp_store("retired");
         let dir = config.dir.clone();
+        let id_on = |k: usize| (1..).find(|&id| stripes::stripe_of(id, 2) == k).unwrap();
         {
-            let store = Store::open(config.clone()).unwrap();
-            scripted_history(&store, 1);
+            let stores = stripes::open_striped(&config, 2).unwrap();
+            for (k, store) in stores.iter().enumerate() {
+                scripted_history(store, id_on(k));
+            }
         }
-        // The session dir vanishes while the ship log still names it
-        // (e.g. the remove's ship append failed).
-        std::fs::remove_dir_all(dir.join("sessions/s1")).unwrap();
-        let store = Store::open(config).unwrap();
-        store.recover_all(&pool()).unwrap();
-        let last = store.ship_seq();
-        let recs = store.ship_fetch(last, 8).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].op, "remove");
-        assert_eq!(recs[0].session, 1);
+        let mut planted = Vec::new();
+        for k in 0..2 {
+            let sdir = stripes::stripe_path(&dir, k);
+            let copy = sdir.join("ship").with_extension("log");
+            let record = format!(
+                r#"{{"body":{{"dataset":"fig2","seed":7}},"lsn":1,"op":"create","seq":1,"session":{}}}"#,
+                id_on(k)
+            );
+            std::fs::write(&copy, wal::frame(record.as_bytes())).unwrap();
+            let cursor = sdir.join("cursor").with_extension("json");
+            std::fs::write(&cursor, "{\"applied_seq\":5}\n").unwrap();
+            planted.extend([copy, cursor]);
+        }
+        let stores = stripes::open_striped(&config, 2).unwrap();
+        for path in &planted {
+            assert!(!path.exists(), "{} survived open", path.display());
+        }
+        for (k, store) in stores.iter().enumerate() {
+            let recovered = store.recover_all(&pool()).unwrap();
+            assert_eq!(recovered.len(), 1);
+            let (id, mut session) = recovered.into_iter().next().unwrap();
+            assert_eq!(id, id_on(k));
+            assert_eq!(fingerprint(&mut session), fingerprint(&mut live_twin()));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

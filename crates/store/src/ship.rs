@@ -1,76 +1,52 @@
-//! WAL shipping: the durable per-stripe op stream a leader replicates to
-//! followers, plus the length-prefixed wire framing the replication edge
-//! speaks over TCP.
+//! The replication wire: the length-prefixed frames a leader and its
+//! followers speak over TCP, and the follower's role marker.
 //!
-//! Every mutating op a [`Store`](crate::Store) acknowledges is also
-//! appended — in commit order — to a per-stripe `ship.log`, framed
-//! exactly like the WAL (`len | crc32 | payload`, [`wal`] module). Each
-//! record carries a **per-stripe monotone sequence number** (`seq`)
-//! alongside the session-local `(session, lsn, op, body)` it mirrors, so
-//! a follower can resume from a single integer cursor per stripe.
+//! Replication keeps no history of its own. A leader ships each
+//! session's checkpoint and WAL ops, read from the store under the
+//! session's log lock ([`Store::history_since`](crate::Store::history_since)),
+//! and a follower's own store is its resume cursor: the `last_lsn` of
+//! every open session log ([`Store::horizons`](crate::Store::horizons)).
 //!
 //! ```text
-//! <stripe-dir>/
-//! ├── ship.log      # leader: framed ShipRecord stream (this module)
-//! └── cursor.json   # follower: {"applied_seq":N}, the resume cursor
 //! <data-dir>/replica.json  # follower role marker: {"leader":addr}
 //! ```
 //!
-//! The ship log is a **derived** log: it is never fsynced, because
-//! [`Store::recover_all`](crate::Store::recover_all) reconciles it
-//! against the authoritative WALs and checkpoints at open — a torn or
-//! missing tail is rebuilt, a session compacted below the shipped
-//! horizon is re-shipped as a `checkpoint` bootstrap record, a session
-//! deleted while shipping was down is shipped as a `remove`. That makes
-//! crash-safety free and lets pre-replication data dirs start shipping
-//! retroactively.
+//! Frames reuse the WAL framing (`len | crc32 | payload`, [`wal`]
+//! module); the payload is one JSON object dispatched on `"type"`:
 //!
-//! Wire messages reuse the same frame; the payload is one JSON object
-//! dispatched on `"type"`: `hello` (follower → leader: layout + per-
-//! stripe cursors), `welcome`/`error` (leader's handshake verdict),
-//! `record` (a [`ShipRecord`] tagged with its stripe), `heartbeat`
-//! (leader's latest seqs while idle, which doubles as the follower's
-//! liveness deadline), and `ack` (follower → leader: applied seq, the
-//! leader's lag signal). A frame that fails CRC or length validation is
-//! a **torn frame**: the receiver drops the connection and re-requests
-//! from its last durable cursor — at-least-once delivery that the
-//! idempotent replay on the follower collapses to exactly-once.
+//! * `hello` (follower → leader): format, version, stripe count and the
+//!   follower's per-session horizons `[[id, last_lsn], …]`;
+//! * `welcome` / `error`: the leader's handshake verdict. `welcome` pins
+//!   the heartbeat interval and announces the leader's `next_id` and
+//!   per-stripe `shipped` sums of `last_lsn`;
+//! * `record`: one [`ShipRecord`] — a logged op, a `checkpoint` document
+//!   for a follower below the leader's compaction point, or a `remove`;
+//! * `heartbeat`: the same `next_id` and `shipped` announcement, sent
+//!   after each batch of records and once a second on an idle link; it
+//!   doubles as the follower's liveness deadline.
+//!
+//! A frame that fails CRC or length validation is a **torn frame**: the
+//! receiver drops the connection and the follower reconnects with the
+//! horizons its store holds, so nothing is applied twice or skipped.
 
-use crate::{wal, write_atomic, StoreError};
+use crate::{wal, write_atomic};
 use sider_json::Json;
-use std::collections::{BTreeMap, VecDeque};
-use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Handshake format tag (the `hello` frame's `format` field).
 pub const SHIP_FORMAT: &str = "sider-ship";
 
-/// Wire protocol version pinned by the handshake.
-pub const SHIP_VERSION: f64 = 1.0;
-
-/// File name of the per-stripe ship log inside a store directory.
-pub const SHIP_LOG_FILE: &str = "ship.log";
-
-/// File name of the follower's persisted resume cursor.
-pub const CURSOR_FILE: &str = "cursor.json";
+/// Wire protocol version pinned by the handshake. Version 2 ships from
+/// the WALs against per-session horizons.
+pub const SHIP_VERSION: f64 = 2.0;
 
 /// File name of the follower role marker at the data-dir root.
 pub const MARKER_FILE: &str = "replica.json";
 
 /// Default leader heartbeat interval (announced in `welcome`).
 pub const DEFAULT_HEARTBEAT_MS: u64 = 1000;
-
-/// A follower persists its cursor every this many applied records (and
-/// on every disconnect); anything newer is recovered by idempotent
-/// re-delivery.
-pub const CURSOR_FLUSH_EVERY: u64 = 16;
-
-/// Per-stripe cap on the in-memory ship buffer. Records evicted here are
-/// still served — the leader degrades to tailing `ship.log` from disk.
-pub const SHIP_BUFFER_MAX_BYTES: usize = 2 * 1024 * 1024;
 
 /// Reconnect backoff base (first retry) — see [`backoff`].
 pub const BACKOFF_BASE_MS: u64 = 50;
@@ -85,7 +61,7 @@ pub enum ShipError {
     Io(std::io::Error),
     /// A frame failed validation: short header, oversized length, short
     /// payload, or CRC mismatch. The stream cannot be trusted past this
-    /// point — drop the connection and resume from the durable cursor.
+    /// point — drop the connection and reconnect.
     Torn(String),
     /// A structurally valid frame carried a payload the protocol does
     /// not understand.
@@ -108,70 +84,46 @@ impl From<std::io::Error> for ShipError {
     }
 }
 
-/// One shipped op: the WAL record plus its per-stripe sequence number.
+/// One shipped record.
 ///
-/// `op` is a WAL [`OpKind`](crate::ops::OpKind) string for mirrored ops,
-/// or one of the two ship-only kinds: `"remove"` (session deleted; `lsn`
-/// 0, `body` null) and `"checkpoint"` (bootstrap: `body` is the full
-/// checkpoint document, `lsn` its `last_lsn` — shipped when the leader
-/// compacted history below the follower's horizon).
+/// `op` is a WAL [`OpKind`](crate::ops::OpKind) string for logged ops,
+/// or one of two replication kinds: `"checkpoint"` (`body` is the
+/// checkpoint document, `lsn` its `last_lsn` — shipped when the follower
+/// is below the leader's compaction point) and `"remove"` (the leader no
+/// longer has the session; `lsn` 0, `body` null).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShipRecord {
-    /// Per-stripe monotone sequence number (1-based).
-    pub seq: u64,
-    /// Numeric session ID the op belongs to.
+    /// Numeric session ID the record belongs to.
     pub session: u64,
-    /// Session-local LSN of the mirrored op (0 for `remove`).
+    /// Session-local LSN of the op (0 for `remove`).
     pub lsn: u64,
-    /// Op kind string (`create`/`knowledge`/… or `remove`/`checkpoint`).
+    /// Op kind string (`create`/`knowledge`/… or `checkpoint`/`remove`).
     pub op: String,
     /// The op body exactly as logged.
     pub body: Json,
 }
 
 impl ShipRecord {
-    /// Serialize to the `ship.log` payload text. Assembled textually
-    /// (keys in `sider_json`'s sorted order) like the WAL hot path, so
-    /// shipping never deep-clones a large create body.
-    pub fn to_payload(&self) -> String {
-        let body_text = self.body.dump();
-        let mut payload = String::with_capacity(body_text.len() + 80);
-        payload.push_str("{\"body\":");
-        payload.push_str(&body_text);
-        payload.push_str(",\"lsn\":");
-        payload.push_str(&self.lsn.to_string());
-        payload.push_str(",\"op\":\"");
-        payload.push_str(&self.op);
-        payload.push_str("\",\"seq\":");
-        payload.push_str(&self.seq.to_string());
-        payload.push_str(",\"session\":");
-        payload.push_str(&self.session.to_string());
-        payload.push('}');
-        payload
+    /// The wire `record` frame payload.
+    pub fn into_wire(self) -> String {
+        Json::obj([
+            ("body", self.body),
+            ("lsn", Json::from(self.lsn)),
+            ("op", Json::from(self.op)),
+            ("session", Json::from(self.session)),
+            ("type", Json::from("record")),
+        ])
+        .dump()
     }
 
-    /// Parse a `ship.log` payload (or a wire `record` frame, which is a
-    /// superset) back into a record.
-    pub fn from_payload(payload: &str) -> Result<ShipRecord, String> {
-        let json = Json::parse(payload).map_err(|e| format!("ship record: {e}"))?;
-        ShipRecord::from_json(&json)
-    }
-
-    /// Parse from an already-parsed JSON object.
+    /// Parse a wire `record` frame.
     pub fn from_json(json: &Json) -> Result<ShipRecord, String> {
         let num = |key: &str| {
-            json.require_num(key)
-                .map_err(|e| format!("ship record: {e}"))
-                .and_then(|n| {
-                    if n.is_finite() && n >= 0.0 && n.fract() == 0.0 {
-                        Ok(n as u64)
-                    } else {
-                        Err(format!("ship record: bad {key} {n}"))
-                    }
-                })
+            json.get(key)
+                .and_then(uint)
+                .ok_or_else(|| format!("ship record: bad or missing {key}"))
         };
         Ok(ShipRecord {
-            seq: num("seq")?,
             session: num("session")?,
             lsn: num("lsn")?,
             op: json
@@ -181,18 +133,17 @@ impl ShipRecord {
             body: json.get("body").cloned().unwrap_or(Json::Null),
         })
     }
+}
 
-    /// The wire `record` frame payload: the file payload extended with
-    /// `stripe` and `type` (which sort after the file keys, so this is a
-    /// cheap textual splice, byte-identical to a full re-serialization).
-    pub fn to_wire(&self, stripe: usize) -> String {
-        let mut text = self.to_payload();
-        text.pop();
-        text.push_str(",\"stripe\":");
-        text.push_str(&stripe.to_string());
-        text.push_str(",\"type\":\"record\"}");
-        text
-    }
+/// A JSON number that is a non-negative integer.
+fn uint(v: &Json) -> Option<u64> {
+    v.as_num()
+        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as u64)
+}
+
+fn uints(values: &[u64]) -> Json {
+    Json::Arr(values.iter().map(|&v| Json::from(v)).collect())
 }
 
 /// Write one framed wire message (`len | crc | payload`) and flush.
@@ -221,14 +172,20 @@ pub fn read_frame(r: &mut impl Read) -> Result<Json, ShipError> {
     Json::parse(text).map_err(|e| ShipError::Protocol(format!("frame payload: {e}")))
 }
 
-/// Build the follower's `hello` handshake frame.
-pub fn hello(stripes: usize, cursors: &[u64]) -> String {
+/// Build the follower's `hello` handshake frame from its per-session
+/// `(id, last_lsn)` horizons.
+pub fn hello(stripes: usize, horizons: &[(u64, u64)]) -> String {
     Json::obj([
-        (
-            "cursors",
-            Json::Arr(cursors.iter().map(|&c| Json::from(c)).collect()),
-        ),
         ("format", Json::from(SHIP_FORMAT)),
+        (
+            "horizons",
+            Json::Arr(
+                horizons
+                    .iter()
+                    .map(|&(id, lsn)| uints(&[id, lsn]))
+                    .collect(),
+            ),
+        ),
         ("stripes", Json::from(stripes)),
         ("type", Json::from("hello")),
         ("version", Json::from(SHIP_VERSION)),
@@ -236,275 +193,71 @@ pub fn hello(stripes: usize, cursors: &[u64]) -> String {
     .dump()
 }
 
+/// Extract the `[[id, last_lsn], …]` horizons of a `hello` frame.
+pub fn parse_horizons(hello: &Json) -> Result<Vec<(u64, u64)>, String> {
+    hello
+        .require_arr("horizons")
+        .map_err(|e| e.to_string())?
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([id, lsn]) => uint(id).zip(uint(lsn)),
+            _ => None,
+        })
+        .map(|pair| pair.ok_or_else(|| "bad horizon entry (want [id, last_lsn])".to_string()))
+        .collect()
+}
+
 /// Build the leader's `welcome` handshake frame.
-pub fn welcome(stripes: usize, heartbeat_ms: u64, seqs: &[u64]) -> String {
+pub fn welcome(stripes: usize, heartbeat_ms: u64, next_id: u64, shipped: &[u64]) -> String {
     Json::obj([
         ("heartbeat_ms", Json::from(heartbeat_ms)),
-        (
-            "seqs",
-            Json::Arr(seqs.iter().map(|&s| Json::from(s)).collect()),
-        ),
+        ("next_id", Json::from(next_id)),
+        ("shipped", uints(shipped)),
         ("stripes", Json::from(stripes)),
         ("type", Json::from("welcome")),
     ])
     .dump()
 }
 
-/// Build the leader's handshake-rejection frame.
+/// Build a `heartbeat` frame.
+pub fn heartbeat(next_id: u64, shipped: &[u64]) -> String {
+    Json::obj([
+        ("next_id", Json::from(next_id)),
+        ("shipped", uints(shipped)),
+        ("type", Json::from("heartbeat")),
+    ])
+    .dump()
+}
+
+/// Extract the leader's announcement from a `welcome` or `heartbeat`:
+/// its `next_id` and its per-stripe `shipped` sums of `last_lsn`.
+pub fn parse_announce(msg: &Json, stripes: usize) -> Result<(u64, Vec<u64>), String> {
+    let next_id = msg
+        .get("next_id")
+        .and_then(uint)
+        .ok_or("bad or missing next_id")?;
+    let shipped: Vec<u64> = msg
+        .require_arr("shipped")
+        .map_err(|e| e.to_string())?
+        .iter()
+        .map(|v| uint(v).ok_or("bad shipped entry"))
+        .collect::<Result<_, _>>()?;
+    if shipped.len() != stripes {
+        return Err(format!(
+            "expected {stripes} shipped sums, got {}",
+            shipped.len()
+        ));
+    }
+    Ok((next_id, shipped))
+}
+
+/// Build the leader's error frame (handshake rejection or divergence).
 pub fn error_frame(message: &str) -> String {
     Json::obj([
         ("error", Json::from(message)),
         ("type", Json::from("error")),
     ])
     .dump()
-}
-
-/// Build an idle-link `heartbeat` frame carrying the leader's seqs.
-pub fn heartbeat(seqs: &[u64]) -> String {
-    Json::obj([
-        (
-            "seqs",
-            Json::Arr(seqs.iter().map(|&s| Json::from(s)).collect()),
-        ),
-        ("type", Json::from("heartbeat")),
-    ])
-    .dump()
-}
-
-/// Build the follower's `ack` frame for an applied record.
-pub fn ack(stripe: usize, seq: u64) -> String {
-    Json::obj([
-        ("seq", Json::from(seq)),
-        ("stripe", Json::from(stripe)),
-        ("type", Json::from("ack")),
-    ])
-    .dump()
-}
-
-/// Extract a `seqs` array (one entry per stripe) from a wire message.
-pub fn parse_seqs(msg: &Json, stripes: usize) -> Result<Vec<u64>, String> {
-    let arr = msg.require_arr("seqs").map_err(|e| e.to_string())?;
-    if arr.len() != stripes {
-        return Err(format!("expected {stripes} seqs, got {}", arr.len()));
-    }
-    arr.iter()
-        .map(|v| {
-            v.as_num()
-                .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-                .map(|n| n as u64)
-                .ok_or_else(|| "bad seq entry".to_string())
-        })
-        .collect()
-}
-
-/// The open per-stripe ship log: append handle plus the next sequence
-/// number. Lives inside [`Store`](crate::Store) behind a mutex; appends
-/// are serialized with the per-record buffer push so followers observe
-/// commit order.
-#[derive(Debug)]
-pub struct ShipLog {
-    file: File,
-    next_seq: u64,
-}
-
-impl ShipLog {
-    /// Path of the ship log inside a store directory.
-    pub fn log_path(dir: &Path) -> PathBuf {
-        dir.join(SHIP_LOG_FILE)
-    }
-
-    /// Open (creating if absent) the ship log of `dir`, truncating any
-    /// torn tail — safe because the log is derived and reconciliation
-    /// rebuilds whatever the tear dropped.
-    pub fn open(dir: &Path) -> Result<ShipLog, StoreError> {
-        let path = Self::log_path(dir);
-        let scan = wal::scan(&path)?;
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if scan.torn {
-            file.set_len(scan.valid_len)?;
-        }
-        let mut next_seq = 1;
-        for payload in &scan.payloads {
-            let text = std::str::from_utf8(payload)
-                .map_err(|_| StoreError::Corrupt(format!("{}: non-utf8 record", path.display())))?;
-            let rec = ShipRecord::from_payload(text)
-                .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
-            next_seq = next_seq.max(rec.seq + 1);
-        }
-        Ok(ShipLog { file, next_seq })
-    }
-
-    /// Sequence number of the last appended record (0 when empty).
-    pub fn last_seq(&self) -> u64 {
-        self.next_seq - 1
-    }
-
-    /// Append one record, assigning the next sequence number. Returns
-    /// the record's payload text (for the in-memory buffer) and seq.
-    pub fn append(
-        &mut self,
-        session: u64,
-        op: &str,
-        lsn: u64,
-        body: &Json,
-    ) -> Result<(u64, String), StoreError> {
-        let seq = self.next_seq;
-        let payload = ShipRecord {
-            seq,
-            session,
-            lsn,
-            op: op.to_string(),
-            body: Json::Null,
-        }
-        .to_payload();
-        // Splice the borrowed body in rather than cloning it into the
-        // record: replace the placeholder "null" after `{"body":`.
-        let body_text = body.dump();
-        let mut text = String::with_capacity(payload.len() + body_text.len());
-        text.push_str("{\"body\":");
-        text.push_str(&body_text);
-        text.push_str(&payload["{\"body\":null".len()..]);
-        wal::append_record(&mut self.file, text.as_bytes())?;
-        self.next_seq += 1;
-        Ok((seq, text))
-    }
-}
-
-/// Per-session shipped horizon recovered by scanning a ship log:
-/// `Some(lsn)` = shipped up to that LSN, `None` = last shipped event was
-/// a `remove`.
-pub type ShipState = BTreeMap<u64, Option<u64>>;
-
-/// Scan a ship log for the per-session shipped horizon (reconciliation
-/// input). A missing file scans empty; a torn tail keeps the valid
-/// prefix.
-pub fn scan_state(dir: &Path) -> Result<ShipState, StoreError> {
-    let path = ShipLog::log_path(dir);
-    let scan = wal::scan(&path)?;
-    let mut state = ShipState::new();
-    for payload in &scan.payloads {
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| StoreError::Corrupt(format!("{}: non-utf8 record", path.display())))?;
-        let rec = ShipRecord::from_payload(text)
-            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
-        if rec.op == "remove" {
-            state.insert(rec.session, None);
-        } else {
-            let prior = state.get(&rec.session).copied().flatten().unwrap_or(0);
-            state.insert(rec.session, Some(prior.max(rec.lsn)));
-        }
-    }
-    Ok(state)
-}
-
-/// Read ship records with `seq >= from` straight from disk — the
-/// degradation path when a follower's cursor has fallen off the
-/// in-memory buffer. Linear in the log size, bounded by `limit` results.
-pub fn read_records(dir: &Path, from: u64, limit: usize) -> Result<Vec<ShipRecord>, StoreError> {
-    let path = ShipLog::log_path(dir);
-    let scan = wal::scan(&path)?;
-    let mut out = Vec::new();
-    for payload in &scan.payloads {
-        if out.len() >= limit {
-            break;
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| StoreError::Corrupt(format!("{}: non-utf8 record", path.display())))?;
-        let rec = ShipRecord::from_payload(text)
-            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
-        if rec.seq >= from {
-            out.push(rec);
-        }
-    }
-    Ok(out)
-}
-
-/// Bounded in-memory tail of the ship log, so a keeping-up follower is
-/// served without touching the disk. Evicts oldest-first past
-/// [`SHIP_BUFFER_MAX_BYTES`]; a reader that asks for an evicted seq gets
-/// `None` and falls back to [`read_records`].
-#[derive(Debug)]
-pub struct ShipBuffer {
-    inner: Mutex<BufferInner>,
-    max_bytes: usize,
-}
-
-#[derive(Debug)]
-struct BufferInner {
-    ring: VecDeque<(u64, String)>,
-    bytes: usize,
-    last_seq: u64,
-}
-
-impl ShipBuffer {
-    /// An empty buffer whose "already caught up" horizon starts at
-    /// `last_seq` (the seq the on-disk log ends at when opened).
-    pub fn new(max_bytes: usize, last_seq: u64) -> ShipBuffer {
-        ShipBuffer {
-            inner: Mutex::new(BufferInner {
-                ring: VecDeque::new(),
-                bytes: 0,
-                last_seq,
-            }),
-            max_bytes,
-        }
-    }
-
-    /// Append one record's payload (callers pass consecutive seqs).
-    pub fn push(&self, seq: u64, payload: String) {
-        let mut inner = self.inner.lock().expect("ship buffer lock");
-        inner.bytes += payload.len();
-        inner.ring.push_back((seq, payload));
-        inner.last_seq = seq;
-        while inner.bytes > self.max_bytes && inner.ring.len() > 1 {
-            if let Some((_, dropped)) = inner.ring.pop_front() {
-                inner.bytes -= dropped.len();
-            }
-        }
-    }
-
-    /// Payload texts of up to `limit` records with `seq >= from`.
-    /// `Some(vec![])` means "caught up, nothing new"; `None` means the
-    /// requested seq was evicted — degrade to the on-disk log.
-    pub fn collect_from(&self, from: u64, limit: usize) -> Option<Vec<String>> {
-        let inner = self.inner.lock().expect("ship buffer lock");
-        if from > inner.last_seq {
-            return Some(Vec::new());
-        }
-        match inner.ring.front() {
-            Some(&(front, _)) if from >= front => Some(
-                inner
-                    .ring
-                    .iter()
-                    .filter(|(seq, _)| *seq >= from)
-                    .take(limit)
-                    .map(|(_, p)| p.clone())
-                    .collect(),
-            ),
-            _ => None,
-        }
-    }
-}
-
-/// Read a follower's persisted resume cursor (0 when absent/invalid).
-pub fn read_cursor(dir: &Path) -> u64 {
-    let path = dir.join(CURSOR_FILE);
-    std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|json| json.get("applied_seq").and_then(Json::as_num))
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
-        .unwrap_or(0)
-}
-
-/// Durably persist a follower's resume cursor (atomic replace).
-pub fn write_cursor(dir: &Path, applied_seq: u64) -> std::io::Result<()> {
-    let doc = Json::obj([("applied_seq", Json::from(applied_seq))]);
-    write_atomic(
-        &dir.join(CURSOR_FILE),
-        format!("{}\n", doc.dump()).as_bytes(),
-    )
 }
 
 /// Path of the follower role marker for a data-dir root.
@@ -551,53 +304,50 @@ pub fn backoff(attempt: u32, seed: u64) -> Duration {
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("sider_ship_test_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
-    fn record_payload_roundtrips_and_matches_full_serialization() {
+    fn record_wire_roundtrips() {
         let rec = ShipRecord {
-            seq: 42,
             session: 7,
             lsn: 3,
             op: "knowledge".into(),
             body: Json::parse(r#"{"kind":"cluster","rows":[1,2,3]}"#).unwrap(),
         };
-        let payload = rec.to_payload();
-        // The textual assembly must match sorted-key JSON serialization.
-        assert_eq!(payload, Json::parse(&payload).unwrap().dump());
-        assert_eq!(ShipRecord::from_payload(&payload).unwrap(), rec);
-        let wire = rec.to_wire(3);
-        let msg = Json::parse(&wire).unwrap();
-        assert_eq!(wire, msg.dump());
+        let msg = Json::parse(&rec.clone().into_wire()).unwrap();
         assert_eq!(msg.require_str("type").unwrap(), "record");
-        assert_eq!(msg.require_num("stripe").unwrap(), 3.0);
         assert_eq!(ShipRecord::from_json(&msg).unwrap(), rec);
+    }
+
+    #[test]
+    fn handshake_frames_roundtrip_and_reject_bad_entries() {
+        let hello = Json::parse(&hello(4, &[(1, 5), (6, 2)])).unwrap();
+        assert_eq!(parse_horizons(&hello).unwrap(), [(1, 5), (6, 2)]);
+        let bad = Json::parse(r#"{"horizons":[[1,5],[2]]}"#).unwrap();
+        assert!(parse_horizons(&bad).is_err());
+        let welcome = Json::parse(&welcome(2, 1000, 9, &[5, 6])).unwrap();
+        assert_eq!(parse_announce(&welcome, 2).unwrap(), (9, vec![5, 6]));
+        assert!(parse_announce(&welcome, 3).is_err());
+        let beat = Json::parse(&heartbeat(4, &[1])).unwrap();
+        assert_eq!(parse_announce(&beat, 1).unwrap(), (4, vec![1]));
     }
 
     #[test]
     fn frames_roundtrip_and_torn_frames_are_rejected() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &hello(4, &[1, 2, 3, 4])).unwrap();
-        write_frame(&mut buf, &heartbeat(&[9, 9, 9, 9])).unwrap();
+        write_frame(&mut buf, &hello(4, &[(1, 2)])).unwrap();
+        write_frame(&mut buf, &heartbeat(3, &[9, 9, 9, 9])).unwrap();
         let mut r = &buf[..];
-        let msg = read_frame(&mut r).unwrap();
-        assert_eq!(msg.require_str("type").unwrap(), "hello");
         assert_eq!(
-            parse_seqs(&Json::parse(&heartbeat(&[5, 6])).unwrap(), 2).unwrap(),
-            [5, 6]
+            read_frame(&mut r).unwrap().require_str("type").unwrap(),
+            "hello"
         );
-        let msg = read_frame(&mut r).unwrap();
-        assert_eq!(msg.require_str("type").unwrap(), "heartbeat");
+        assert_eq!(
+            read_frame(&mut r).unwrap().require_str("type").unwrap(),
+            "heartbeat"
+        );
 
         // A flipped payload byte is a torn frame, not a parse error.
         let mut damaged = Vec::new();
-        write_frame(&mut damaged, &ack(0, 1)).unwrap();
+        write_frame(&mut damaged, &error_frame("x")).unwrap();
         damaged[wal::FRAME_HEADER_BYTES] ^= 0x20;
         assert!(matches!(
             read_frame(&mut &damaged[..]),
@@ -606,85 +356,17 @@ mod tests {
         // A frame cut mid-payload (killed mid-record) is an Io error —
         // the reconnect path, not a protocol failure.
         let mut cut = Vec::new();
-        write_frame(&mut cut, &ack(0, 2)).unwrap();
+        write_frame(&mut cut, &error_frame("y")).unwrap();
         cut.truncate(cut.len() - 3);
         assert!(matches!(read_frame(&mut &cut[..]), Err(ShipError::Io(_))));
     }
 
     #[test]
-    fn ship_log_appends_resume_across_reopen_and_truncate_torn_tails() {
-        let dir = temp_dir("log");
-        let mut log = ShipLog::open(&dir).unwrap();
-        assert_eq!(log.last_seq(), 0);
-        let body = Json::parse(r#"{"dataset":"fig2"}"#).unwrap();
-        let (seq, text) = log.append(1, "create", 1, &body).unwrap();
-        assert_eq!(seq, 1);
-        assert_eq!(ShipRecord::from_payload(&text).unwrap().op, "create");
-        log.append(1, "update", 2, &Json::parse("{}").unwrap())
-            .unwrap();
-        drop(log);
-
-        // Torn tail: half a record appended by a crash.
-        let torn = wal::frame(b"never-finished");
-        let mut bytes = std::fs::read(ShipLog::log_path(&dir)).unwrap();
-        let good_len = bytes.len() as u64;
-        bytes.extend_from_slice(&torn[..torn.len() - 4]);
-        std::fs::write(ShipLog::log_path(&dir), &bytes).unwrap();
-
-        let log = ShipLog::open(&dir).unwrap();
-        assert_eq!(log.last_seq(), 2);
-        assert_eq!(
-            std::fs::metadata(ShipLog::log_path(&dir)).unwrap().len(),
-            good_len
-        );
-        let recs = read_records(&dir, 2, 16).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].seq, 2);
-        assert_eq!(recs[0].op, "update");
-        let state = scan_state(&dir).unwrap();
-        assert_eq!(state.get(&1), Some(&Some(2)));
+    fn marker_roundtrips() {
+        let dir =
+            std::env::temp_dir().join(format!("sider_ship_test_{}_marker", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scan_state_tracks_removes() {
-        let dir = temp_dir("state");
-        let mut log = ShipLog::open(&dir).unwrap();
-        let body = Json::parse("{}").unwrap();
-        log.append(3, "create", 1, &body).unwrap();
-        log.append(3, "view", 2, &body).unwrap();
-        log.append(3, "remove", 0, &Json::Null).unwrap();
-        log.append(5, "create", 1, &body).unwrap();
-        let state = scan_state(&dir).unwrap();
-        assert_eq!(state.get(&3), Some(&None));
-        assert_eq!(state.get(&5), Some(&Some(1)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn buffer_serves_tail_and_signals_eviction() {
-        let buf = ShipBuffer::new(64, 10);
-        // Caught up: nothing new past the on-disk horizon.
-        assert_eq!(buf.collect_from(11, 8), Some(Vec::new()));
-        // Asking below the horizon with an empty ring = evicted.
-        assert_eq!(buf.collect_from(5, 8), None);
-        buf.push(11, "a".repeat(30));
-        buf.push(12, "b".repeat(30));
-        assert_eq!(buf.collect_from(11, 8).unwrap().len(), 2);
-        // Over budget: seq 11 is evicted, 13 retained.
-        buf.push(13, "c".repeat(30));
-        assert_eq!(buf.collect_from(11, 8), None);
-        let tail = buf.collect_from(13, 8).unwrap();
-        assert_eq!(tail.len(), 1);
-        assert!(tail[0].starts_with("ccc"));
-    }
-
-    #[test]
-    fn cursor_and_marker_roundtrip() {
-        let dir = temp_dir("cursor");
-        assert_eq!(read_cursor(&dir), 0);
-        write_cursor(&dir, 99).unwrap();
-        assert_eq!(read_cursor(&dir), 99);
+        std::fs::create_dir_all(&dir).unwrap();
         assert_eq!(read_marker(&dir), None);
         write_marker(&dir, "127.0.0.1:7007").unwrap();
         assert_eq!(read_marker(&dir).as_deref(), Some("127.0.0.1:7007"));

@@ -107,7 +107,8 @@ fn is_legacy_layout(dir: &Path) -> bool {
 
 /// Migrate a legacy unstriped store in place: rename each `sessions/s{n}`
 /// into `stripe-{stripe_of(n)}/sessions/s{n}` and move the root
-/// `meta.json` (the persisted ID counter) into stripe 0. Renames only —
+/// `meta.json` (the persisted ID counter) into stripe 0, and delete the
+/// root's retired replication files. Renames only —
 /// no WAL or checkpoint bytes are rewritten, so recovery replays exactly
 /// the histories the legacy server wrote.
 fn migrate_legacy(dir: &Path, stripes: usize) -> Result<(), StoreError> {
@@ -141,6 +142,7 @@ fn migrate_legacy(dir: &Path, stripes: usize) -> Result<(), StoreError> {
         std::fs::create_dir_all(&stripe0)?;
         std::fs::rename(&legacy_meta, stripe0.join("meta.json"))?;
     }
+    crate::remove_retired_files(dir)?;
     Ok(())
 }
 

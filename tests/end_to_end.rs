@@ -184,7 +184,8 @@ fn twod_constraints_absorb_view_moments() {
 fn explore_on_a_single_row_runs() {
     // `sider explore` on a one-row CSV: the simulated user sees one
     // cluster of one row, which is under its minimum size, so nothing is
-    // marked and the loop ends without a panic.
+    // marked. The loop records that round as stopped and ends, without a
+    // panic and without refitting to show the same view again.
     let ds = Dataset::unlabeled("one-row", Matrix::from_rows(&[vec![1.0, 2.0]]));
     let mut session = EdaSession::new(ds, 7).unwrap();
     let mut user = SimulatedUser::new(6, 3, 7 ^ 0xFACE);
@@ -194,7 +195,8 @@ fn explore_on_a_single_row_runs() {
         ..ExplorationConfig::default()
     };
     let records = explore(&mut session, &mut user, &config).unwrap();
-    assert!(records.iter().all(|r| r.marked_clusters.is_empty()));
+    assert_eq!(records.len(), 1, "{records:?}");
+    assert!(records[0].stopped && records[0].marked_clusters.is_empty());
 }
 
 #[test]

@@ -42,20 +42,24 @@ fn bnc_scores_drop_after_selections() {
         ..FitOpts::default()
     };
     let first = session.next_view(&Method::Pca).unwrap().scores()[0];
-    let mut marked: Vec<Vec<usize>> = Vec::new();
+    // Known, as (rows, Jaccard bound): each marked selection and each
+    // one's complement, as in `bnc_use_case`.
+    let mut known: Vec<(Vec<usize>, f64)> = Vec::new();
     for _ in 0..3 {
         let view = session.next_view(&Method::Pca).unwrap();
         let clusters = user.perceive_clusters(&view);
         let Some(sel) = clusters
             .iter()
             .rev()
-            .find(|c| marked.iter().all(|m| jaccard(c, m) < 0.5))
+            .find(|c| known.iter().all(|(m, bound)| jaccard(c, m) < *bound))
             .cloned()
         else {
             break;
         };
         session.add_cluster_constraint(&sel).unwrap();
-        marked.push(sel);
+        let n = session.dataset().n();
+        known.push(((0..n).filter(|i| !sel.contains(i)).collect(), 0.9));
+        known.push((sel, 0.5));
         session.update_background(&fit).unwrap();
     }
     let last = session.next_view(&Method::Pca).unwrap().scores()[0];
