@@ -299,25 +299,20 @@ fn health(manager: &SessionManager) -> ApiResult {
 
 /// The `/health` replication block. Progress is per-stripe sums of
 /// `last_lsn` over the open session logs: a follower's `applied` equals
-/// the leader's `shipped` once every session has caught up. On a leader,
-/// each connected follower reports the sums it was `sent`; on a
-/// follower, `lag` is the distance to the leader's last announcement.
+/// the leader's `shipped` once every session has caught up. A leader
+/// lists its connected followers; a follower reports its `lag`, the
+/// distance to the leader's last announcement.
 fn replication_health(manager: &SessionManager) -> Json {
     let sums = |values: Vec<u64>| Json::arr(values.into_iter().map(Json::from));
-    let lag = |ahead: &[u64], behind: &[u64]| {
-        sums(
-            ahead
-                .iter()
-                .zip(behind)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        )
-    };
     let own = manager.lsn_sums();
     if let Some(state) = manager.follow_state() {
         let leader_shipped = state.leader_shipped();
+        let lag = leader_shipped.iter().zip(&own);
         let mut fields = vec![
-            ("lag", lag(&leader_shipped, &own)),
+            (
+                "lag",
+                sums(lag.map(|(l, a)| l.saturating_sub(*a)).collect()),
+            ),
             ("applied", sums(own)),
             ("connected", Json::from(state.is_connected())),
             ("leader", Json::from(state.leader.as_str())),
@@ -335,14 +330,7 @@ fn replication_health(manager: &SessionManager) -> Json {
         .map(|hub| {
             hub.live()
                 .into_iter()
-                .map(|conn| {
-                    let sent = conn.sent();
-                    Json::obj([
-                        ("lag", lag(&own, &sent)),
-                        ("peer", Json::from(conn.peer.as_str())),
-                        ("sent", sums(sent)),
-                    ])
-                })
+                .map(|conn| Json::obj([("peer", Json::from(conn.peer.as_str()))]))
                 .collect::<Vec<_>>()
         })
         .unwrap_or_default();
@@ -352,8 +340,7 @@ fn replication_health(manager: &SessionManager) -> Json {
 /// `POST /api/promote`: turn a follower into the serving leader — stop
 /// the replication link, clear the replica marker, lift the read-only
 /// gate. The response names what the new leader holds (per-stripe sums
-/// of `last_lsn`) and the next ID it will mint. `409` when already
-/// leading.
+/// of `last_lsn`). `409` when already leading.
 fn promote(manager: &SessionManager) -> ApiResult {
     manager.promote().map_err(|e| ApiError(409, e))?;
     Ok(Response::json(
@@ -363,7 +350,6 @@ fn promote(manager: &SessionManager) -> ApiResult {
                 "applied",
                 Json::arr(manager.lsn_sums().into_iter().map(Json::from)),
             ),
-            ("next_id", Json::from(manager.next_id())),
             ("promoted", Json::from(true)),
             ("role", Json::from(manager.role().as_str())),
         ]),

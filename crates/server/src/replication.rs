@@ -6,10 +6,13 @@
 //! per-session horizons: the `last_lsn` of every session log its own
 //! store holds. The leader's writer for that connection keeps those
 //! horizons and, for each session above them, ships straight from the
-//! WAL under the session's log lock — the checkpoint document when the
-//! follower is below it, then the ops above its LSN — and a `remove` for
-//! a session the leader no longer has. There is no second history and no
-//! acknowledgement: the follower's store is its cursor.
+//! session's files — the checkpoint document when the follower is below
+//! it, then the WAL ops above its LSN — and a `remove` for a session the
+//! leader no longer has. A horizon the writer advanced also remembers
+//! where those ops ended in the WAL, so the next read starts there. The
+//! writer walks a stripe's logs only when the stripe changed since its
+//! last walk. There is no second history and no acknowledgement: the
+//! follower's store is its cursor.
 //!
 //! The follower replays every record through the **same** `ops::apply`
 //! path recovery uses, into its own striped store — which is what makes
@@ -35,7 +38,7 @@ use sider_json::Json;
 use sider_store::ops::{self, OpKind};
 use sider_store::ship::{self, ShipError, ShipRecord};
 use sider_store::stripes::stripe_of;
-use sider_store::Store;
+use sider_store::{Horizon, Store};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -72,16 +75,6 @@ impl Role {
             Role::Leader => "leader",
             Role::Follower => "follower",
         }
-    }
-}
-
-fn load_all(values: &[AtomicU64]) -> Vec<u64> {
-    values.iter().map(|v| v.load(Ordering::Acquire)).collect()
-}
-
-fn store_all(values: &[AtomicU64], new: &[u64]) {
-    for (v, &n) in values.iter().zip(new) {
-        v.store(n, Ordering::Release);
     }
 }
 
@@ -143,7 +136,8 @@ impl FollowState {
 
     /// The leader's per-stripe sums of `last_lsn`, as last announced.
     pub fn leader_shipped(&self) -> Vec<u64> {
-        load_all(&self.leader_shipped)
+        let sums = self.leader_shipped.iter();
+        sums.map(|v| v.load(Ordering::Acquire)).collect()
     }
 
     /// Records taken from the leader since this process started
@@ -158,13 +152,13 @@ impl FollowState {
     }
 }
 
-/// One follower connection as the leader sees it.
+/// One follower connection as the leader sees it. What the follower
+/// applied is known only to the follower: its `/health` reports the lag.
 #[derive(Debug)]
 pub struct ConnState {
     /// Peer address, for the `/health` report.
     pub peer: String,
     alive: AtomicBool,
-    sent: Vec<AtomicU64>,
 }
 
 impl ConnState {
@@ -172,15 +166,9 @@ impl ConnState {
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
-
-    /// Per-stripe sums of the follower's horizons: what it held at
-    /// `hello` plus what this connection has shipped since.
-    pub fn sent(&self) -> Vec<u64> {
-        load_all(&self.sent)
-    }
 }
 
-/// The leader's registry of follower connections (`/health` lag report).
+/// The leader's registry of follower connections (`/health` report).
 #[derive(Debug, Default)]
 pub struct ShipHub {
     conns: Mutex<Vec<Arc<ConnState>>>,
@@ -308,35 +296,25 @@ fn serve_follower(
     {
         return reject(&mut writer, "expected a sider-ship hello".into());
     }
-    let version = hello.get("version").and_then(Json::as_num);
-    if version != Some(ship::SHIP_VERSION) {
-        return reject(
-            &mut writer,
-            format!(
-                "protocol version mismatch: leader {}, follower {}",
-                ship::SHIP_VERSION,
-                version.map_or("?".into(), |v| v.to_string())
-            ),
-        );
-    }
     if stores.len() != stripes {
         return reject(&mut writer, "leader has no durable store to ship".into());
     }
-    let follower_stripes = hello
-        .get("stripes")
-        .and_then(Json::as_num)
-        .map(|n| n as usize);
-    if follower_stripes != Some(stripes) {
-        return reject(
-            &mut writer,
-            format!(
-                "stripe count mismatch: leader {stripes}, follower {}",
-                follower_stripes.map_or("?".into(), |n| n.to_string())
-            ),
-        );
+    for (what, key, ours) in [
+        ("protocol version", "version", ship::SHIP_VERSION),
+        ("stripe count", "stripes", stripes as f64),
+    ] {
+        let theirs = hello.get(key).and_then(Json::as_num);
+        if theirs != Some(ours) {
+            let theirs = theirs.map_or("?".into(), |v| v.to_string());
+            let msg = format!("{what} mismatch: leader {ours}, follower {theirs}");
+            return reject(&mut writer, msg);
+        }
     }
-    let mut horizons: BTreeMap<u64, u64> = match ship::parse_horizons(&hello) {
-        Ok(h) => h.into_iter().collect(),
+    let mut horizons: BTreeMap<u64, Horizon> = match ship::parse_horizons(&hello) {
+        Ok(h) => h
+            .into_iter()
+            .map(|(id, lsn)| (id, Horizon::at(lsn)))
+            .collect(),
         Err(e) => return reject(&mut writer, format!("hello horizons: {e}")),
     };
     ship::write_frame(
@@ -355,104 +333,43 @@ fn serve_follower(
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "?".into()),
         alive: AtomicBool::new(true),
-        sent: (0..stripes).map(|_| AtomicU64::new(0)).collect(),
     });
-    store_all(&conn.sent, &horizon_sums(&horizons, stripes));
     hub.register(Arc::clone(&conn));
-    let result = ship_until_stopped(&mut writer, manager, &stores, &mut horizons, &conn, stop);
+    let result = ship_until_stopped(&mut writer, manager, &stores, &mut horizons, stop);
     conn.alive.store(false, Ordering::SeqCst);
     let _ = stream.shutdown(std::net::Shutdown::Both);
     result
 }
 
-/// Per-stripe sums of a horizon map's LSNs.
-fn horizon_sums(horizons: &BTreeMap<u64, u64>, stripes: usize) -> Vec<u64> {
-    let mut sums = vec![0; stripes];
-    for (&id, &lsn) in horizons {
-        sums[stripe_of(id, stripes)] += lsn;
-    }
-    sums
-}
-
-/// The writer loop: each turn walks every open session log of every
-/// stripe and ships what the follower lacks, then a `remove` for each
-/// session the follower holds and the leader no longer has. A turn that
-/// shipped ends with a heartbeat, so the follower's view of the leader
-/// is current; an idle turn sleeps, and sends one once a second.
+/// The writer loop. Each turn walks the open session logs of every
+/// stripe that changed since its last complete walk and ships what the
+/// follower lacks. A turn that shipped ends with a heartbeat, so the
+/// follower's view of the leader is current; an idle turn sleeps, and
+/// sends one once a second.
 fn ship_until_stopped(
     writer: &mut &TcpStream,
     manager: &SessionManager,
     stores: &[Arc<Store>],
-    horizons: &mut BTreeMap<u64, u64>,
-    conn: &ConnState,
+    horizons: &mut BTreeMap<u64, Horizon>,
     stop: &AtomicBool,
 ) -> Result<(), ShipError> {
     let mut last_beat = Instant::now();
+    // Per stripe: its change count when last walked in full, and its sum
+    // of `last_lsn` then.
+    let mut seen = vec![None; stores.len()];
+    let mut shipped = vec![0; stores.len()];
     while !stop.load(Ordering::SeqCst) {
         let mut sent = false;
-        let mut live = BTreeSet::new();
-        for store in stores {
-            for (id, lsn) in store.horizons() {
-                live.insert(id);
-                let have = horizons.get(&id).copied().unwrap_or(0);
-                if have > lsn {
-                    let msg =
-                        format!("s{id}: follower horizon {have} is above the leader's LSN {lsn}");
-                    let _ = ship::write_frame(writer, &ship::error_frame(&msg));
-                    return Err(ShipError::Protocol(msg));
-                }
-                if have == lsn {
-                    continue;
-                }
-                // `None`: removed since `horizons()`; the next turn ships
-                // the remove.
-                let Some(history) = store
-                    .history_since(id, have)
-                    .map_err(|e| ShipError::Protocol(e.to_string()))?
-                else {
-                    continue;
-                };
-                let fold = history.checkpoint.map(|(lsn, doc)| ShipRecord {
-                    session: id,
-                    lsn,
-                    op: "checkpoint".into(),
-                    body: doc,
-                });
-                let ops = history.ops.into_iter().map(|op| ShipRecord {
-                    session: id,
-                    lsn: op.lsn,
-                    op: op.kind.as_str().into(),
-                    body: op.body,
-                });
-                for rec in fold.into_iter().chain(ops) {
-                    let lsn = rec.lsn;
-                    ship::write_frame(writer, &rec.into_wire())?;
-                    horizons.insert(id, lsn);
-                    sent = true;
-                }
+        for (k, store) in stores.iter().enumerate() {
+            let changes = store.changes();
+            if seen[k] != Some(changes) {
+                let (sum, complete) = ship_stripe(writer, k, stores, horizons, &mut sent)?;
+                shipped[k] = sum;
+                seen[k] = complete.then_some(changes);
             }
         }
-        let gone: Vec<u64> = horizons
-            .keys()
-            .filter(|id| !live.contains(id))
-            .copied()
-            .collect();
-        for id in gone {
-            let remove = ShipRecord {
-                session: id,
-                lsn: 0,
-                op: "remove".into(),
-                body: Json::Null,
-            };
-            ship::write_frame(writer, &remove.into_wire())?;
-            horizons.remove(&id);
-            sent = true;
-        }
-        if sent {
-            store_all(&conn.sent, &horizon_sums(horizons, stores.len()));
-        }
         if sent || last_beat.elapsed() >= HEARTBEAT {
-            let beat = ship::heartbeat(manager.next_id(), &manager.lsn_sums());
+            let beat = ship::heartbeat(manager.next_id(), &shipped);
             ship::write_frame(writer, &beat)?;
             last_beat = Instant::now();
         } else {
@@ -460,6 +377,70 @@ fn ship_until_stopped(
         }
     }
     Ok(())
+}
+
+/// Ship what the follower lacks of stripe `k`: each session above its
+/// horizon, then a `remove` for each session of the stripe it holds and
+/// the leader no longer has. Returns the stripe's sum of `last_lsn` and
+/// whether every session was read; one that was not is read next turn.
+fn ship_stripe(
+    writer: &mut &TcpStream,
+    k: usize,
+    stores: &[Arc<Store>],
+    horizons: &mut BTreeMap<u64, Horizon>,
+    sent: &mut bool,
+) -> Result<(u64, bool), ShipError> {
+    let (mut sum, mut complete) = (0, true);
+    let mut live = BTreeSet::new();
+    for (id, lsn) in stores[k].horizons() {
+        live.insert(id);
+        sum += lsn;
+        let held = horizons.get(&id).copied().unwrap_or_default();
+        let have = held.last_lsn;
+        if have > lsn {
+            let msg = format!("s{id}: follower horizon {have} is above the leader's LSN {lsn}");
+            let _ = ship::write_frame(writer, &ship::error_frame(&msg));
+            return Err(ShipError::Protocol(msg));
+        }
+        if have == lsn {
+            continue;
+        }
+        // `None`: removed since `horizons()`, or a checkpoint moved the
+        // files mid-read; the next turn ships the remove or asks again.
+        let Some(history) = stores[k]
+            .history_since(id, &held)
+            .map_err(|e| ShipError::Protocol(e.to_string()))?
+        else {
+            if let Some(h) = horizons.get_mut(&id) {
+                *h = Horizon::at(h.last_lsn);
+            }
+            complete = false;
+            continue;
+        };
+        horizons.insert(id, history.reached);
+        let fold = history
+            .checkpoint
+            .map(|(lsn, doc)| (lsn, "checkpoint", doc));
+        let ops = history
+            .ops
+            .into_iter()
+            .map(|op| (op.lsn, op.kind.as_str(), op.body));
+        for (lsn, op, body) in fold.into_iter().chain(ops) {
+            ship::write_frame(writer, &ship::record(id, lsn, op, body))?;
+            *sent = true;
+        }
+    }
+    let gone: Vec<u64> = horizons
+        .keys()
+        .filter(|&&id| stripe_of(id, stores.len()) == k && !live.contains(&id))
+        .copied()
+        .collect();
+    for id in gone {
+        ship::write_frame(writer, &ship::record(id, 0, "remove", Json::Null))?;
+        horizons.remove(&id);
+        *sent = true;
+    }
+    Ok((sum, complete))
 }
 
 // ---------------------------------------------------------------------------
@@ -518,10 +499,19 @@ fn announce(manager: &SessionManager, state: &FollowState, msg: &Json) {
     let Ok((next_id, shipped)) = ship::parse_announce(msg, manager.stripes()) else {
         return;
     };
-    store_all(&state.leader_shipped, &shipped);
+    for (sum, value) in state.leader_shipped.iter().zip(shipped) {
+        sum.store(value, Ordering::Release);
+    }
     if let Err(e) = manager.raise_next_id(next_id) {
         eprintln!("sider_server: cannot persist the leader's next_id {next_id}: {e}");
     }
+}
+
+/// The message of a leader's `error` frame.
+fn error_of(msg: &Json) -> &str {
+    msg.get("error")
+        .and_then(Json::as_str)
+        .unwrap_or("unspecified")
 }
 
 /// One connection lifetime: connect, handshake, replay until the link
@@ -562,12 +552,7 @@ fn follow_once(manager: &Arc<SessionManager>, state: &FollowState) -> LinkEnd {
         Some("error") => {
             // The leader rejected the handshake (layout mismatch, no
             // store): reconnecting can never succeed.
-            let msg = welcome
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("handshake rejected")
-                .to_string();
-            state.set_broken(format!("leader rejected handshake: {msg}"));
+            state.set_broken(format!("leader rejected handshake: {}", error_of(&welcome)));
             return LinkEnd::Broken;
         }
         _ => return LinkEnd::Retry,
@@ -612,12 +597,7 @@ fn follow_once(manager: &Arc<SessionManager>, state: &FollowState) -> LinkEnd {
                 }
             }
             Some("error") => {
-                let msg = msg
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("leader error")
-                    .to_string();
-                state.set_broken(format!("leader: {msg}"));
+                state.set_broken(format!("leader: {}", error_of(&msg)));
                 return LinkEnd::Broken;
             }
             // Unknown message types are skipped (forward compatibility);

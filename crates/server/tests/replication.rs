@@ -479,11 +479,16 @@ fn killed_follower_resumes_from_durable_cursor_at_stripes_1_and_4() {
     kill_follower_mid_stream(4, "resume_s4");
 }
 
-/// A session created and deleted on the leader while the follower is
-/// down never reaches the follower, yet its ID is spent: after catch-up
-/// and promotion, the follower's next create must mint the ID a
-/// never-failed twin mints. The leader's `next_id` rides on `welcome`.
-fn burned_id_survives_failover(stripes: usize, tag: &str) {
+/// Deletes reach the follower by both paths a `remove` can take, and a
+/// spent ID survives failover. While the follower is connected, `s2` is
+/// created, replicated and deleted: the live walk ships its `remove`.
+/// `s3` is replicated, then deleted while the follower is down, and `s4`
+/// is created and deleted before it comes back: the hello names `s3`, so
+/// the reconnect ships its `remove`, and `s4` never reaches the follower
+/// at all, yet its ID is spent. After catch-up and promotion, the
+/// follower's session list and its next create (`s5`) must equal a
+/// never-failed twin's.
+fn deletes_and_burned_ids_survive_failover(stripes: usize, tag: &str) {
     let leader_dir = temp_dir(&format!("{tag}_leader"));
     let follower_dir = temp_dir(&format!("{tag}_follower"));
     let leader = start_node(stripes, Some(&leader_dir), true, None);
@@ -495,25 +500,50 @@ fn burned_id_survives_failover(stripes: usize, tag: &str) {
             Some(leader.ship_addr().to_string()),
         )
     };
+    let create = |seed: u64| {
+        (
+            "POST",
+            "/api/sessions",
+            format!(r#"{{"dataset":"fig2","seed":{seed}}}"#),
+        )
+    };
+    let holds = |addr, id: &str| store_rows(addr).iter().any(|(row, _)| row == id);
     let follower = follow();
-    let mut transcript = run_steps(leader.addr, &script_prefix());
+    let mut steps = script_prefix();
+    let mut transcript = run_steps(leader.addr, &steps);
+
+    // Live: s2 reaches the follower, then its delete does.
+    let step = [create(9)];
+    transcript.extend(run_steps(leader.addr, &step));
+    steps.extend(step);
+    wait_caught_up(&format!("{tag} (s2)"), leader.addr, follower.addr, stripes);
+    assert!(holds(follower.addr, "s2"), "{tag}: s2 never replicated");
+    let step = [("DELETE", "/api/sessions/s2", String::new()), create(10)];
+    transcript.extend(run_steps(leader.addr, &step));
+    steps.extend(step);
     wait_caught_up(
-        &format!("{tag} (first life)"),
+        &format!("{tag} (s2 deleted live)"),
         leader.addr,
         follower.addr,
         stripes,
     );
-    follower.kill();
-    let burn = [
-        (
-            "POST",
-            "/api/sessions",
-            r#"{"dataset":"fig2","seed":9}"#.to_string(),
-        ),
-        ("DELETE", "/api/sessions/s2", String::new()),
-    ];
-    transcript.extend(run_steps(leader.addr, &burn));
+    assert!(!holds(follower.addr, "s2"), "{tag}: s2 outlived its delete");
+    assert!(holds(follower.addr, "s3"), "{tag}: s3 never replicated");
+    assert_eq!(
+        replication_num(follower.addr, "reconnects"),
+        0,
+        "{tag}: the live delete must not need a reconnect"
+    );
 
+    // Down: s3's delete and all of s4 happen while the follower is away.
+    follower.kill();
+    let step = [
+        ("DELETE", "/api/sessions/s3", String::new()),
+        create(11),
+        ("DELETE", "/api/sessions/s4", String::new()),
+    ];
+    transcript.extend(run_steps(leader.addr, &step));
+    steps.extend(step);
     let follower = follow();
     wait_caught_up(
         &format!("{tag} (second life)"),
@@ -521,32 +551,42 @@ fn burned_id_survives_failover(stripes: usize, tag: &str) {
         follower.addr,
         stripes,
     );
+    assert!(!holds(follower.addr, "s3"), "{tag}: s3 outlived its delete");
+    assert_eq!(
+        replication_num(follower.addr, "records"),
+        1,
+        "{tag}: the second link ships s3's remove and nothing else"
+    );
     leader.kill();
     promote(tag, follower.addr);
-    let create = [(
-        "POST",
-        "/api/sessions",
-        r#"{"dataset":"fig2","seed":11}"#.to_string(),
-    )];
-    transcript.extend(run_steps(follower.addr, &create));
+    let step = [
+        ("GET", "/api/sessions", String::new()),
+        create(12),
+        ("GET", "/api/sessions", String::new()),
+    ];
+    transcript.extend(run_steps(follower.addr, &step));
+    steps.extend(step);
     follower.kill();
     assert_all_ok(tag, &transcript);
 
     let twin = start_node(1, None, false, None);
-    let mut expected = run_steps(twin.addr, &script_prefix());
-    expected.extend(run_steps(twin.addr, &burn));
-    expected.extend(run_steps(twin.addr, &create));
+    let expected = run_steps(twin.addr, &steps);
     twin.kill();
-    assert!(body_of(expected.last().unwrap()).contains("\"id\":\"s3\""));
+    let minted = &expected[expected.len() - 2];
+    assert!(
+        body_of(minted).contains("\"id\":\"s5\""),
+        "{}",
+        body_of(minted)
+    );
     assert_transcripts_equal(tag, &transcript, &expected);
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
 }
 
 #[test]
-fn burned_id_survives_failover_at_stripes_1_and_4() {
-    burned_id_survives_failover(1, "burned_s1");
-    burned_id_survives_failover(4, "burned_s4");
+fn deletes_and_burned_ids_survive_failover_at_stripes_1_and_4() {
+    deletes_and_burned_ids_survive_failover(1, "deletes_s1");
+    deletes_and_burned_ids_survive_failover(4, "deletes_s4");
 }
 
 /// A follower that holds more of a session than the leader has diverged

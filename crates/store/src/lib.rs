@@ -49,6 +49,7 @@ use sider_par::ThreadPool;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Environment variable naming the store directory (`sider serve
@@ -212,14 +213,39 @@ impl SessionStatus {
     }
 }
 
-/// A session's history above some LSN (see [`Store::history_since`]).
+/// How far a reader holds a session's history: its `last_lsn` and,
+/// once read from this store, where the ops up to it end — the WAL's
+/// first `wal_len` bytes above `checkpoint_lsn` — so the next
+/// [`Store::history_since`] reads only what follows.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Horizon {
+    /// LSN of the last op held.
+    pub last_lsn: u64,
+    checkpoint_lsn: Option<u64>,
+    wal_len: u64,
+}
+
+impl Horizon {
+    /// A horizon known only by its LSN: the next read starts at the
+    /// WAL's first byte.
+    pub fn at(last_lsn: u64) -> Horizon {
+        Horizon {
+            last_lsn,
+            ..Horizon::default()
+        }
+    }
+}
+
+/// A session's history above some horizon (see [`Store::history_since`]).
 #[derive(Debug, Default)]
 pub struct History {
     /// `(last_lsn, document)` of the session's checkpoint, when the
-    /// requested LSN is below it.
+    /// horizon is below it.
     pub checkpoint: Option<(u64, Json)>,
-    /// Logged ops above the requested LSN, in LSN order.
+    /// Logged ops above the horizon, in LSN order.
     pub ops: Vec<Op>,
+    /// The horizon this read reaches.
+    pub reached: Horizon,
 }
 
 /// A torn WAL tail truncated during recovery — the record (or records)
@@ -308,6 +334,15 @@ impl SessionLog {
         Ok(())
     }
 
+    /// Where the log stands: the horizon of a reader holding all of it.
+    fn position(&self) -> Result<Horizon, StoreError> {
+        Ok(Horizon {
+            last_lsn: self.last_lsn,
+            checkpoint_lsn: self.checkpoint_lsn,
+            wal_len: self.file.metadata()?.len(),
+        })
+    }
+
     fn status(&self) -> SessionStatus {
         let dir = &self.dir;
         SessionStatus {
@@ -370,16 +405,73 @@ fn parse_wal_ops(dir: &Path, payloads: &[Vec<u8>]) -> Result<Vec<Op>, StoreError
         .collect()
 }
 
-/// Files an earlier layout kept in a store directory, as `(stem,
-/// extension)`: a second copy of every logged op for replication, and a
+/// The history of the session log in `dir` between a reader's horizon
+/// and the log's `position`, read without the log's lock; `None` when a
+/// checkpoint replaced the document or cut the WAL since, or the session
+/// was removed.
+fn read_history(
+    dir: &Path,
+    position: Horizon,
+    reader: &Horizon,
+) -> Result<Option<History>, StoreError> {
+    let mut history = History {
+        reached: position,
+        ..History::default()
+    };
+    let mut from = *reader;
+    if let Some(lsn) = position.checkpoint_lsn.filter(|&lsn| lsn > from.last_lsn) {
+        let doc = read_checkpoint_doc(dir)?;
+        match doc.filter(|doc| doc.get("last_lsn").and_then(Json::as_num) == Some(lsn as f64)) {
+            Some(doc) => history.checkpoint = Some((lsn, doc)),
+            None => return Ok(None),
+        }
+        from = Horizon::at(lsn);
+    }
+    if from.last_lsn >= position.last_lsn {
+        return Ok(Some(history));
+    }
+    // The WAL's LSNs run consecutively up to `last_lsn`, so the ops above
+    // `from` are the last `last_lsn - from` records of its first
+    // `wal_len` bytes; a horizon read above the same checkpoint says
+    // where they start.
+    let same = from.checkpoint_lsn == position.checkpoint_lsn;
+    let skip = if same { from.wal_len } else { 0 };
+    let scan = wal::scan_range(&SessionLog::wal_path(dir), skip, position.wal_len)?;
+    let want = usize::try_from(position.last_lsn - from.last_lsn).unwrap_or(usize::MAX);
+    let Some(start) = scan.payloads.len().checked_sub(want) else {
+        return Ok(None);
+    };
+    history.ops = parse_wal_ops(dir, &scan.payloads[start..])?;
+    let lsns = history.ops.iter().map(|op| op.lsn);
+    let whole = lsns.eq(from.last_lsn + 1..=position.last_lsn);
+    Ok(whole.then_some(history))
+}
+
+/// The ID of a session named `s{n}` (a directory or an `"id"` field).
+fn parse_session_name(name: &str) -> Option<u64> {
+    name.strip_prefix('s')?.parse().ok()
+}
+
+/// Numeric IDs of the `s{n}` directories under `sessions_dir`, sorted.
+fn session_ids_in(sessions_dir: &Path) -> std::io::Result<Vec<u64>> {
+    let mut ids = Vec::new();
+    for entry in std::fs::read_dir(sessions_dir)? {
+        ids.extend(entry?.file_name().to_str().and_then(parse_session_name));
+    }
+    ids.sort_unstable();
+    Ok(ids)
+}
+
+/// Files an earlier layout kept in a store directory: `ship.log`, a
+/// second copy of every logged op for replication, and `cursor.json`, a
 /// follower's resume cursor. Replication now reads the WALs and a
 /// follower's own logs are its cursor, so [`Store::open`] deletes both.
-const RETIRED_FILES: [(&str, &str); 2] = [("ship", "log"), ("cursor", "json")];
+const RETIRED_FILES: [&str; 2] = ["ship.log", "cursor.json"];
 
 /// Delete the [`RETIRED_FILES`] from a store directory, if present.
 pub(crate) fn remove_retired_files(dir: &Path) -> std::io::Result<()> {
-    for (stem, extension) in RETIRED_FILES {
-        match std::fs::remove_file(dir.join(stem).with_extension(extension)) {
+    for name in RETIRED_FILES {
+        match std::fs::remove_file(dir.join(name)) {
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
             _ => {}
         }
@@ -418,6 +510,8 @@ pub struct Store {
     logs: Mutex<BTreeMap<u64, Arc<Mutex<SessionLog>>>>,
     /// Torn WAL tails truncated by recovery since this handle opened.
     recovered: Mutex<Vec<TornTail>>,
+    /// Bumped after every change to what [`Store::horizons`] reports.
+    changes: AtomicU64,
 }
 
 impl Store {
@@ -452,6 +546,7 @@ impl Store {
             next_id: Mutex::new(next_id),
             logs: Mutex::new(BTreeMap::new()),
             recovered: Mutex::new(Vec::new()),
+            changes: AtomicU64::new(0),
         })
     }
 
@@ -492,20 +587,7 @@ impl Store {
 
     /// Numeric IDs of every session directory on disk.
     pub fn session_ids(&self) -> Result<Vec<u64>, StoreError> {
-        let mut ids = Vec::new();
-        for entry in std::fs::read_dir(&self.sessions_dir)? {
-            let entry = entry?;
-            if let Some(id) = entry
-                .file_name()
-                .to_str()
-                .and_then(|name| name.strip_prefix('s'))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                ids.push(id);
-            }
-        }
-        ids.sort_unstable();
-        Ok(ids)
+        Ok(session_ids_in(&self.sessions_dir)?)
     }
 
     fn log_of(&self, id: u64) -> Result<Arc<Mutex<SessionLog>>, StoreError> {
@@ -541,6 +623,7 @@ impl Store {
             .lock()
             .expect("logs lock")
             .insert(id, Arc::new(Mutex::new(log)));
+        self.changes.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -549,8 +632,10 @@ impl Store {
         let log = self.log_of(id)?;
         let mut log = log.lock().expect("session log lock");
         let lsn = log.last_lsn + 1;
-        log.append(lsn, kind, body, self.config.fsync)?;
-        Ok(lsn)
+        // Counted even when the fsync fails: the op is in the file.
+        let written = log.append(lsn, kind, body, self.config.fsync);
+        self.changes.fetch_add(1, Ordering::Release);
+        written.map(|()| lsn)
     }
 
     /// Ops accumulated in a session's WAL since its last checkpoint —
@@ -603,6 +688,7 @@ impl Store {
     /// client deletes and idle eviction.
     pub fn remove_session(&self, id: u64) -> Result<(), StoreError> {
         self.logs.lock().expect("logs lock").remove(&id);
+        self.changes.fetch_add(1, Ordering::Release);
         match std::fs::remove_dir_all(self.session_dir(id)) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -705,6 +791,7 @@ impl Store {
             .lock()
             .expect("logs lock")
             .insert(id, Arc::new(Mutex::new(log)));
+        self.changes.fetch_add(1, Ordering::Release);
         Ok(session)
     }
 
@@ -743,6 +830,13 @@ impl Store {
         self.recovered.lock().expect("recovered lock").clone()
     }
 
+    /// How many times the sessions [`Store::horizons`] reports have
+    /// changed since this store opened: a reader that saw this count
+    /// before its last walk has nothing new to find.
+    pub fn changes(&self) -> u64 {
+        self.changes.load(Ordering::Acquire)
+    }
+
     /// `(id, last_lsn)` of every open session log, in ID order: what
     /// this store holds durably. A follower sends these as its horizons,
     /// so its own store is its replication cursor.
@@ -764,36 +858,23 @@ impl Store {
             .collect()
     }
 
-    /// What session `id` logged above LSN `after`, read under its log
-    /// lock so no append or checkpoint interleaves: the checkpoint
-    /// document when `after` is below its LSN (the ops it folded exist
-    /// only there), then the WAL ops above `after`. `None` when the
-    /// session is not open in this store.
-    pub fn history_since(&self, id: u64, after: u64) -> Result<Option<History>, StoreError> {
+    /// What session `id` logged above a reader's horizon: the
+    /// checkpoint document when the horizon is below its LSN (the ops it
+    /// folded exist only there), then the WAL ops above the horizon. Only
+    /// the log's position is taken under its lock; the files are read
+    /// after, so an append never waits on this. `None` when the session
+    /// is not open in this store, or when a checkpoint or removal moved
+    /// the files before they were read: the caller asks again from
+    /// [`Horizon::at`] its LSN.
+    pub fn history_since(&self, id: u64, reader: &Horizon) -> Result<Option<History>, StoreError> {
         let Ok(log) = self.log_of(id) else {
             return Ok(None);
         };
-        let log = log.lock().expect("session log lock");
-        let mut history = History::default();
-        if after >= log.last_lsn {
-            return Ok(Some(history));
-        }
-        if let Some(lsn) = log.checkpoint_lsn.filter(|&lsn| lsn > after) {
-            let doc = read_checkpoint_doc(&log.dir)?.ok_or_else(|| {
-                StoreError::Corrupt(format!("session s{id}: checkpoint at LSN {lsn} is missing"))
-            })?;
-            history.checkpoint = Some((lsn, doc));
-        }
-        // The WAL's LSNs run consecutively up to `last_lsn`, so only its
-        // last `last_lsn - after` records can be above `after`.
-        let scan = wal::scan(&SessionLog::wal_path(&log.dir))?;
-        let tail = usize::try_from(log.last_lsn - after).unwrap_or(usize::MAX);
-        let from = scan.payloads.len().saturating_sub(tail);
-        history.ops = parse_wal_ops(&log.dir, &scan.payloads[from..])?
-            .into_iter()
-            .filter(|op| op.lsn > after)
-            .collect();
-        Ok(Some(history))
+        let (dir, position) = {
+            let log = log.lock().expect("session log lock");
+            (log.dir.clone(), log.position()?)
+        };
+        read_history(&dir, position, reader)
     }
 
     /// Install a replicated checkpoint as a session's entire on-disk
@@ -818,6 +899,7 @@ impl Store {
             .open(SessionLog::wal_path(&dir))?;
         wal.sync_data()?;
         self.logs.lock().expect("logs lock").remove(&id);
+        self.changes.fetch_add(1, Ordering::Release);
         self.persist_next_id(id + 1)?;
         Ok(())
     }
@@ -873,10 +955,11 @@ fn inspect_striped(dir: &Path, n: usize) -> Result<Json, String> {
             }
         }
         let rows = inspect_sessions(&sdir.join("sessions"))?;
+        // Folded from +0.0: an empty `f64` sum is -0.0, printed as `-0`.
         let total = |key: &str| {
             rows.iter()
                 .filter_map(|r| r.get(key).and_then(Json::as_num))
-                .sum::<f64>()
+                .fold(0.0, |sum, v| sum + v)
         };
         per_stripe.push(Json::obj([
             ("stripe", Json::from(k)),
@@ -888,25 +971,12 @@ fn inspect_striped(dir: &Path, n: usize) -> Result<Json, String> {
         for mut row in rows {
             if let Json::Obj(map) = &mut row {
                 map.insert("stripe".into(), Json::from(k));
-                next_id = next_id.max(
-                    map.get("id")
-                        .and_then(Json::as_str)
-                        .and_then(|s| s.strip_prefix('s'))
-                        .and_then(|d| d.parse::<u64>().ok())
-                        .map(|id| id + 1)
-                        .unwrap_or(1),
-                );
             }
+            next_id = next_id.max(row_id(&row).map_or(1, |id| id + 1));
             sessions.push(row);
         }
     }
-    sessions.sort_by_key(|row| {
-        row.get("id")
-            .and_then(Json::as_str)
-            .and_then(|s| s.strip_prefix('s'))
-            .and_then(|d| d.parse::<u64>().ok())
-            .unwrap_or(u64::MAX)
-    });
+    sessions.sort_by_key(|row| row_id(row).unwrap_or(u64::MAX));
     Ok(Json::obj([
         ("dir", Json::from(dir.display().to_string())),
         ("stripes", Json::from(n)),
@@ -915,6 +985,13 @@ fn inspect_striped(dir: &Path, n: usize) -> Result<Json, String> {
         ("sessions", Json::Arr(sessions)),
         ("replica", inspect_replica(dir)),
     ]))
+}
+
+/// The session ID of an inspect row.
+fn row_id(row: &Json) -> Option<u64> {
+    row.get("id")
+        .and_then(Json::as_str)
+        .and_then(parse_session_name)
 }
 
 /// Replication state readable offline: the follower role marker (if the
@@ -953,22 +1030,8 @@ fn inspect_flat(dir: &Path) -> Result<Json, String> {
 /// Per-session status rows (in ID order) for every `s{n}` directory under
 /// `sessions_dir`, read without mutating anything.
 fn inspect_sessions(sessions_dir: &Path) -> Result<Vec<Json>, String> {
-    let mut ids = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(sessions_dir) {
-        for entry in entries.flatten() {
-            if let Some(id) = entry
-                .file_name()
-                .to_str()
-                .and_then(|name| name.strip_prefix('s'))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                ids.push(id);
-            }
-        }
-    }
-    ids.sort_unstable();
     let mut sessions = Vec::new();
-    for id in ids {
+    for id in session_ids_in(sessions_dir).unwrap_or_default() {
         let sdir = sessions_dir.join(format!("s{id}"));
         let scan = wal::scan(&SessionLog::wal_path(&sdir))
             .map_err(|e| format!("{}: {e}", SessionLog::wal_path(&sdir).display()))?;
@@ -1285,13 +1348,28 @@ mod tests {
     }
 
     #[test]
+    fn striped_inspect_totals_an_empty_stripe_as_zero() {
+        let config = temp_store("inspect_striped");
+        let dir = config.dir.clone();
+        let stores = stripes::open_striped(&config, 2).unwrap();
+        let id = (1..).find(|&id| stripes::stripe_of(id, 2) == 0).unwrap();
+        scripted_history(&stores[0], id);
+        let report = inspect(&dir).unwrap();
+        assert_eq!(
+            report.require_arr("per_stripe").unwrap()[1].dump(),
+            r#"{"checkpoint_bytes":0,"sessions":0,"stripe":1,"wal_bytes":0,"wal_records":0}"#
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn history_since_reads_the_wal_above_a_horizon() {
         let config = temp_store("since");
         let dir = config.dir.clone();
         let store = Store::open(config).unwrap();
         scripted_history(&store, 1);
         assert_eq!(store.horizons(), [(1, 5)]);
-        let history = store.history_since(1, 2).unwrap().unwrap();
+        let history = store.history_since(1, &Horizon::at(2)).unwrap().unwrap();
         assert!(history.checkpoint.is_none());
         let kinds: Vec<_> = history.ops.iter().map(|op| (op.lsn, op.kind)).collect();
         assert_eq!(
@@ -1303,13 +1381,13 @@ mod tests {
             ]
         );
         // Caught up: nothing to read.
-        let history = store.history_since(1, 5).unwrap().unwrap();
+        let history = store.history_since(1, &Horizon::at(5)).unwrap().unwrap();
         assert!(history.checkpoint.is_none() && history.ops.is_empty());
         // Not open here: neither a session that never existed nor a
         // removed one has a history.
-        assert!(store.history_since(9, 0).unwrap().is_none());
+        assert!(store.history_since(9, &Horizon::at(0)).unwrap().is_none());
         store.remove_session(1).unwrap();
-        assert!(store.history_since(1, 0).unwrap().is_none());
+        assert!(store.history_since(1, &Horizon::at(0)).unwrap().is_none());
         assert!(store.horizons().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1326,12 +1404,12 @@ mod tests {
         store.append(1, OpKind::Update, &body("{}")).unwrap();
         // The ops at or below LSN 5 now exist only folded: a follower
         // below it gets the fold, then the tail.
-        let history = store.history_since(1, 2).unwrap().unwrap();
+        let history = store.history_since(1, &Horizon::at(2)).unwrap().unwrap();
         let (lsn, doc) = history.checkpoint.unwrap();
         assert_eq!(lsn, 5);
         assert_eq!(history.ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [6]);
         // A follower at the fold gets only the tail.
-        let tail = store.history_since(1, 5).unwrap().unwrap();
+        let tail = store.history_since(1, &Horizon::at(5)).unwrap().unwrap();
         assert!(tail.checkpoint.is_none());
         assert_eq!(tail.ops.len(), 1);
 
@@ -1354,6 +1432,97 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_between_position_and_read_asks_again() {
+        let config = temp_store("sincerace");
+        let dir = config.dir.clone();
+        let store = Store::open(config).unwrap();
+        scripted_history(&store, 1);
+        let log = store.log_of(1).unwrap();
+        let sdir = log.lock().unwrap().dir.clone();
+        let position = || log.lock().unwrap().position().unwrap();
+        let read = |position, after| read_history(&sdir, position, &Horizon::at(after)).unwrap();
+        let lsns = |history: &History| history.ops.iter().map(|op| op.lsn).collect::<Vec<_>>();
+        // The reader holds a position at LSN 5; a checkpoint cuts the WAL
+        // and three appends refill it before the files are read.
+        let stale = position();
+        store
+            .checkpoint(1, "three-d-four-clusters", 150, 3)
+            .unwrap();
+        for _ in 0..3 {
+            store.append(1, OpKind::Update, &body("{}")).unwrap();
+        }
+        assert!(read(stale, 2).is_none());
+        // Below the fold, a document a later checkpoint replaced is
+        // refused too.
+        let stale = position();
+        store
+            .checkpoint(1, "three-d-four-clusters", 150, 3)
+            .unwrap();
+        assert!(read(stale, 2).is_none());
+        // Asked again, the store names its current files.
+        let history = store.history_since(1, &Horizon::at(2)).unwrap().unwrap();
+        assert_eq!(history.checkpoint.map(|(lsn, _)| lsn), Some(8));
+        assert!(history.ops.is_empty());
+        // Appends past a position leave its history as it was.
+        store.append(1, OpKind::Update, &body("{}")).unwrap();
+        let held = position();
+        store.append(1, OpKind::Update, &body("{}")).unwrap();
+        let history = read(held, 7).unwrap();
+        assert_eq!(lsns(&history), [9]);
+        assert_eq!(history.checkpoint.map(|(lsn, _)| lsn), Some(8));
+        assert_eq!(lsns(&read(position(), 8).unwrap()), [9, 10]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reached_horizon_resumes_past_what_it_read() {
+        let config = temp_store("sinceresume");
+        let dir = config.dir.clone();
+        let store = Store::open(config).unwrap();
+        scripted_history(&store, 1);
+        let first = store.history_since(1, &Horizon::at(0)).unwrap().unwrap();
+        assert_eq!(first.ops.len(), 5);
+        store.append(1, OpKind::Update, &body("{}")).unwrap();
+        store.append(1, OpKind::View, &body("{}")).unwrap();
+        let tail = |history: History| {
+            assert_eq!(history.reached.last_lsn, 7);
+            let ops: Vec<_> = history.ops.iter().map(|op| (op.lsn, op.kind)).collect();
+            assert_eq!(ops, [(6, OpKind::Update), (7, OpKind::View)]);
+        };
+        // A hint that does not name a frame boundary reads nothing; from
+        // its bare LSN the read starts over.
+        let bogus = Horizon {
+            wal_len: first.reached.wal_len + 3,
+            ..first.reached
+        };
+        assert!(store.history_since(1, &bogus).unwrap().is_none());
+        tail(store.history_since(1, &Horizon::at(5)).unwrap().unwrap());
+        // Damage the bytes the first read covered: a read from the WAL's
+        // first byte now stops there, one from the reached horizon does
+        // not look at them.
+        let wal = SessionLog::wal_path(&store.log_of(1).unwrap().lock().unwrap().dir);
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[wal::FRAME_HEADER_BYTES] ^= 0xff;
+        std::fs::write(&wal, &bytes).unwrap();
+        assert!(store.history_since(1, &Horizon::at(5)).unwrap().is_none());
+        let second = store.history_since(1, &first.reached).unwrap().unwrap();
+        let reached = second.reached;
+        tail(second);
+        // A checkpoint at the horizon cuts the WAL under it: the next read
+        // starts at the first byte again.
+        bytes[wal::FRAME_HEADER_BYTES] ^= 0xff;
+        std::fs::write(&wal, &bytes).unwrap();
+        store
+            .checkpoint(1, "three-d-four-clusters", 150, 3)
+            .unwrap();
+        store.append(1, OpKind::Update, &body("{}")).unwrap();
+        let third = store.history_since(1, &reached).unwrap().unwrap();
+        assert!(third.checkpoint.is_none());
+        assert_eq!(third.ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [8]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn an_earlier_striped_dir_drops_its_replication_files_and_recovers() {
         // An earlier layout kept two more files in each stripe dir: a
         // second copy of every op for followers, and a follower's resume
@@ -1370,13 +1539,13 @@ mod tests {
         let mut planted = Vec::new();
         for k in 0..2 {
             let sdir = stripes::stripe_path(&dir, k);
-            let copy = sdir.join("ship").with_extension("log");
+            let copy = sdir.join("ship.log");
             let record = format!(
                 r#"{{"body":{{"dataset":"fig2","seed":7}},"lsn":1,"op":"create","seq":1,"session":{}}}"#,
                 id_on(k)
             );
             std::fs::write(&copy, wal::frame(record.as_bytes())).unwrap();
-            let cursor = sdir.join("cursor").with_extension("json");
+            let cursor = sdir.join("cursor.json");
             std::fs::write(&cursor, "{\"applied_seq\":5}\n").unwrap();
             planted.extend([copy, cursor]);
         }

@@ -2,10 +2,10 @@
 //! followers speak over TCP, and the follower's role marker.
 //!
 //! Replication keeps no history of its own. A leader ships each
-//! session's checkpoint and WAL ops, read from the store under the
-//! session's log lock ([`Store::history_since`](crate::Store::history_since)),
-//! and a follower's own store is its resume cursor: the `last_lsn` of
-//! every open session log ([`Store::horizons`](crate::Store::horizons)).
+//! session's checkpoint and WAL ops, read from the store's own files
+//! ([`Store::history_since`](crate::Store::history_since)), and a
+//! follower's own store is its resume cursor: the `last_lsn` of every
+//! open session log ([`Store::horizons`](crate::Store::horizons)).
 //!
 //! ```text
 //! <data-dir>/replica.json  # follower role marker: {"leader":addr}
@@ -84,13 +84,7 @@ impl From<std::io::Error> for ShipError {
     }
 }
 
-/// One shipped record.
-///
-/// `op` is a WAL [`OpKind`](crate::ops::OpKind) string for logged ops,
-/// or one of two replication kinds: `"checkpoint"` (`body` is the
-/// checkpoint document, `lsn` its `last_lsn` — shipped when the follower
-/// is below the leader's compaction point) and `"remove"` (the leader no
-/// longer has the session; `lsn` 0, `body` null).
+/// One shipped record, as the follower reads it (see [`record`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShipRecord {
     /// Numeric session ID the record belongs to.
@@ -103,19 +97,24 @@ pub struct ShipRecord {
     pub body: Json,
 }
 
-impl ShipRecord {
-    /// The wire `record` frame payload.
-    pub fn into_wire(self) -> String {
-        Json::obj([
-            ("body", self.body),
-            ("lsn", Json::from(self.lsn)),
-            ("op", Json::from(self.op)),
-            ("session", Json::from(self.session)),
-            ("type", Json::from("record")),
-        ])
-        .dump()
-    }
+/// The wire `record` frame payload of one shipped record. `op` is a WAL
+/// [`OpKind`](crate::ops::OpKind) string for logged ops, or one of two
+/// replication kinds: `"checkpoint"` (`body` is the checkpoint document,
+/// `lsn` its `last_lsn` — shipped when the follower is below the
+/// leader's compaction point) and `"remove"` (the leader no longer has
+/// the session; `lsn` 0, `body` null).
+pub fn record(session: u64, lsn: u64, op: &str, body: Json) -> String {
+    Json::obj([
+        ("body", body),
+        ("lsn", Json::from(lsn)),
+        ("op", Json::from(op)),
+        ("session", Json::from(session)),
+        ("type", Json::from("record")),
+    ])
+    .dump()
+}
 
+impl ShipRecord {
     /// Parse a wire `record` frame.
     pub fn from_json(json: &Json) -> Result<ShipRecord, String> {
         let num = |key: &str| {
@@ -312,7 +311,7 @@ mod tests {
             op: "knowledge".into(),
             body: Json::parse(r#"{"kind":"cluster","rows":[1,2,3]}"#).unwrap(),
         };
-        let msg = Json::parse(&rec.clone().into_wire()).unwrap();
+        let msg = Json::parse(&record(7, 3, "knowledge", rec.body.clone())).unwrap();
         assert_eq!(msg.require_str("type").unwrap(), "record");
         assert_eq!(ShipRecord::from_json(&msg).unwrap(), rec);
     }

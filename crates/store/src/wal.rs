@@ -21,7 +21,7 @@
 //! client).
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Each record's frame header: payload length + CRC, both `u32` LE.
@@ -100,11 +100,24 @@ pub struct WalScan {
 /// record that follows garbage), which collapses every corruption case
 /// into the torn-tail case: keep the valid prefix, drop the rest.
 pub fn scan(path: &Path) -> std::io::Result<WalScan> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+    scan_range(path, 0, u64::MAX)
+}
+
+/// [`scan`] over the bytes `start..end` of the file only: the records
+/// between two frame boundaries, whatever was appended since. Offsets in
+/// the result count from `start`.
+pub fn scan_range(path: &Path, start: u64, end: u64) -> std::io::Result<WalScan> {
+    let mut bytes = Vec::new();
+    match File::open(path) {
+        Ok(mut file) => {
+            let len = file.metadata()?.len().min(end).saturating_sub(start);
+            bytes.reserve_exact(len as usize);
+            file.seek(SeekFrom::Start(start))?;
+            file.take(len).read_to_end(&mut bytes)?;
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => return Err(e),
-    };
+    }
     let mut payloads = Vec::new();
     let mut offset = 0usize;
     loop {
