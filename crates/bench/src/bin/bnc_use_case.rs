@@ -38,7 +38,6 @@ fn main() {
         moment_tol: 1e-4,
         max_sweeps: 2000,
         time_cutoff: Some(std::time::Duration::from_secs(10)),
-        ..FitOpts::default()
     };
     let mut session = EdaSession::new(dataset, 5).expect("session");
     session.add_margin_constraints().expect("margins");

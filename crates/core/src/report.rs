@@ -170,7 +170,6 @@ mod tests {
                 max_moment_change: 2e-4,
                 max_residual: 5e-7,
             }),
-            trace: vec![],
         };
         let s = format_convergence(&r);
         assert!(s.contains("converged after 12 sweeps"));

@@ -11,8 +11,6 @@
 //! * **constraints** ([`constraint_to_json`] / [`constraint_from_json`]) —
 //!   primitive MaxEnt constraints, useful for debugging and for clients
 //!   that persist the raw constraint set;
-//! * **fit options** ([`fit_opts_to_json`] / [`fit_opts_from_json`]) —
-//!   every field optional, missing fields take [`FitOpts::default`];
 //! * **session snapshots** ([`snapshot_to_json`] / [`snapshot_from_json`])
 //!   — the one snapshot format (the server's export/replay body and the
 //!   CLI's `*_session.json`): knowledge statements only, replayable
@@ -43,10 +41,9 @@ use crate::Result;
 use sider_json::Json;
 use sider_linalg::Matrix;
 use sider_maxent::{
-    Constraint, ConstraintKind, ConvergenceReport, FitOpts, RefreshStats, RowSet, SweepInfo,
+    Constraint, ConstraintKind, ConvergenceReport, RefreshStats, RowSet, SweepInfo,
 };
 use sider_projection::Projection;
-use std::time::Duration;
 
 fn bad(msg: impl Into<String>) -> CoreError {
     CoreError::BadWire(msg.into())
@@ -228,72 +225,6 @@ pub fn constraint_from_json(v: &Json) -> Result<Constraint> {
 }
 
 // ---------------------------------------------------------------------------
-// Fit options
-// ---------------------------------------------------------------------------
-
-/// Serialize [`FitOpts`] (the wall-clock cutoff as `time_cutoff_ms`).
-pub fn fit_opts_to_json(o: &FitOpts) -> Json {
-    let mut obj = vec![
-        ("lambda_tol", Json::from(o.lambda_tol)),
-        ("moment_tol", Json::from(o.moment_tol)),
-        ("max_sweeps", Json::from(o.max_sweeps)),
-        ("lambda_max", Json::from(o.lambda_max)),
-        ("trace", Json::from(o.trace)),
-    ];
-    if let Some(cutoff) = o.time_cutoff {
-        obj.push(("time_cutoff_ms", Json::from(cutoff.as_millis() as f64)));
-    }
-    Json::obj(obj)
-}
-
-/// Parse [`FitOpts`] from a (possibly partial) object: every missing field
-/// takes its [`FitOpts::default`] value, so `{}` is valid.
-pub fn fit_opts_from_json(v: &Json) -> Result<FitOpts> {
-    if v.as_obj().is_none() {
-        return Err(bad("fit options must be an object"));
-    }
-    let defaults = FitOpts::default();
-    let num = |key: &str, dflt: f64| -> Result<f64> {
-        match v.get(key) {
-            None => Ok(dflt),
-            Some(_) => v.require_num(key).map_err(bad),
-        }
-    };
-    let lambda_tol = num("lambda_tol", defaults.lambda_tol)?;
-    let moment_tol = num("moment_tol", defaults.moment_tol)?;
-    let lambda_max = num("lambda_max", defaults.lambda_max)?;
-    let max_sweeps = as_index(num("max_sweeps", defaults.max_sweeps as f64)?, "max_sweeps")?;
-    let time_cutoff = match v.get("time_cutoff_ms") {
-        None | Some(Json::Null) => defaults.time_cutoff,
-        Some(_) => {
-            // `require_num` already guarantees finiteness.
-            let ms = v.require_num("time_cutoff_ms").map_err(bad)?;
-            if ms < 0.0 {
-                return Err(bad("'time_cutoff_ms' must be >= 0"));
-            }
-            Some(Duration::from_millis(ms as u64))
-        }
-    };
-    let trace = match v.get("trace") {
-        None => defaults.trace,
-        Some(t) => t.as_bool().ok_or_else(|| bad("'trace' is not a boolean"))?,
-    };
-    // All three are finite (via `require_num`), so plain comparisons
-    // cover the NaN case too.
-    if lambda_tol <= 0.0 || moment_tol <= 0.0 || lambda_max <= 0.0 {
-        return Err(bad("tolerances and lambda_max must be positive"));
-    }
-    Ok(FitOpts {
-        lambda_tol,
-        moment_tol,
-        max_sweeps,
-        time_cutoff,
-        lambda_max,
-        trace,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Reports and stats
 // ---------------------------------------------------------------------------
 
@@ -319,9 +250,6 @@ pub fn report_to_json(r: &ConvergenceReport) -> Json {
     ];
     if let Some(last) = &r.last {
         obj.push(("last", sweep_info_to_json(last)));
-    }
-    if !r.trace.is_empty() {
-        obj.push(("trace", Json::arr(r.trace.iter().map(sweep_info_to_json))));
     }
     Json::obj(obj)
 }
@@ -690,6 +618,7 @@ pub fn snapshot_from_json(session: &mut EdaSession, v: &Json) -> Result<usize> {
 mod tests {
     use super::*;
     use sider_data::synthetic::three_d_four_clusters;
+    use sider_maxent::FitOpts;
     use sider_projection::Method;
 
     fn session() -> EdaSession {
@@ -733,38 +662,10 @@ mod tests {
     }
 
     #[test]
-    fn fit_opts_defaults_and_roundtrip() {
-        let parsed = fit_opts_from_json(&Json::parse("{}").unwrap()).unwrap();
-        let d = FitOpts::default();
-        assert_eq!(parsed.lambda_tol, d.lambda_tol);
-        assert_eq!(parsed.max_sweeps, d.max_sweeps);
-        assert_eq!(parsed.time_cutoff, None);
-
-        let opts = FitOpts {
-            lambda_tol: 1e-6,
-            moment_tol: 1e-5,
-            max_sweeps: 123,
-            time_cutoff: Some(Duration::from_millis(2500)),
-            lambda_max: 1e9,
-            trace: true,
-        };
-        let back = fit_opts_from_json(&fit_opts_to_json(&opts)).unwrap();
-        assert_eq!(back.lambda_tol, opts.lambda_tol);
-        assert_eq!(back.moment_tol, opts.moment_tol);
-        assert_eq!(back.max_sweeps, opts.max_sweeps);
-        assert_eq!(back.time_cutoff, opts.time_cutoff);
-        assert_eq!(back.lambda_max, opts.lambda_max);
-        assert_eq!(back.trace, opts.trace);
-    }
-
-    #[test]
     fn bad_payloads_rejected() {
         assert!(matrix_from_json(&Json::parse("[]").unwrap()).is_err());
         assert!(matrix_from_json(&Json::parse("[[1,2],[3]]").unwrap()).is_err());
         assert!(matrix_from_json(&Json::parse("3").unwrap()).is_err());
-        assert!(fit_opts_from_json(&Json::parse("[]").unwrap()).is_err());
-        assert!(fit_opts_from_json(&Json::parse(r#"{"lambda_tol": -1}"#).unwrap()).is_err());
-        assert!(fit_opts_from_json(&Json::parse(r#"{"max_sweeps": 1.5}"#).unwrap()).is_err());
         assert!(constraint_from_json(&Json::parse(r#"{"kind":"cubic"}"#).unwrap()).is_err());
         assert!(view_from_json(&Json::parse(r#"{"method":"UMAP"}"#).unwrap()).is_err());
     }

@@ -10,7 +10,6 @@ use sider_json::Json;
 use sider_linalg::Matrix;
 use sider_maxent::{FitOpts, RefreshStats};
 use sider_projection::Method;
-use std::time::Duration;
 
 fn session() -> EdaSession {
     EdaSession::new(three_d_four_clusters(2018), 7).unwrap()
@@ -78,30 +77,6 @@ proptest! {
         prop_assert_eq!(wire::snapshot_to_json(&restored).dump(), text);
     }
 
-    #[test]
-    fn fit_opts_payloads_roundtrip(
-        tol_exp in 1u32..10,
-        sweeps in 1usize..5000,
-        cutoff_ms in 0u64..100_000,
-        trace in 0u64..2,
-    ) {
-        let opts = FitOpts {
-            lambda_tol: 10f64.powi(-(tol_exp as i32)),
-            moment_tol: 10f64.powi(-(tol_exp as i32) / 2),
-            max_sweeps: sweeps,
-            time_cutoff: (cutoff_ms % 2 == 0).then(|| Duration::from_millis(cutoff_ms)),
-            lambda_max: 10f64.powi(tol_exp as i32 + 2),
-            trace: trace == 1,
-        };
-        let text = wire::fit_opts_to_json(&opts).dump();
-        let back = wire::fit_opts_from_json(&Json::parse(&text).unwrap()).unwrap();
-        prop_assert_eq!(back.lambda_tol.to_bits(), opts.lambda_tol.to_bits());
-        prop_assert_eq!(back.moment_tol.to_bits(), opts.moment_tol.to_bits());
-        prop_assert_eq!(back.max_sweeps, opts.max_sweeps);
-        prop_assert_eq!(back.time_cutoff, opts.time_cutoff);
-        prop_assert_eq!(back.lambda_max.to_bits(), opts.lambda_max.to_bits());
-        prop_assert_eq!(back.trace, opts.trace);
-    }
 }
 
 #[test]

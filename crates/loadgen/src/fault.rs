@@ -35,8 +35,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// What trouble the proxy injects, and when. Parsed from the
-/// `--fault` CLI spec; value-equal schedules misbehave identically.
+/// What trouble the proxy injects, and when; value-equal schedules
+/// misbehave identically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Master seed for every per-connection random draw.
@@ -76,48 +76,6 @@ impl FaultSchedule {
             delay_ms: 0,
             drop_after: 0,
         }
-    }
-
-    /// Parse a CLI spec: comma-separated `key[=value]` terms over the
-    /// [`FaultSchedule::clean`] baseline, or the preset name `flaky`.
-    ///
-    /// Terms: `split`, `delay=MS` (stall every 7th chunk by MS),
-    /// `delay_every=N`, `drop=BYTES`, `seed=N`. Example:
-    /// `split,delay=2,drop=8192,seed=7`.
-    pub fn parse(spec: &str) -> Result<FaultSchedule, String> {
-        if spec == "flaky" {
-            return Ok(FaultSchedule::flaky());
-        }
-        let mut schedule = FaultSchedule::clean();
-        for term in spec.split(',').filter(|t| !t.is_empty()) {
-            let (key, value) = match term.split_once('=') {
-                Some((k, v)) => (k, Some(v)),
-                None => (term, None),
-            };
-            let number = |v: Option<&str>| -> Result<u64, String> {
-                v.ok_or_else(|| format!("--fault term {key:?} needs =VALUE"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--fault term {key:?}: {e}"))
-            };
-            match key {
-                "split" => schedule.split = true,
-                "delay" => {
-                    schedule.delay_ms = number(value)?;
-                    if schedule.delay_every == 0 {
-                        schedule.delay_every = 7;
-                    }
-                }
-                "delay_every" => schedule.delay_every = number(value)? as usize,
-                "drop" => schedule.drop_after = number(value)? as usize,
-                "seed" => schedule.seed = number(value)?,
-                _ => {
-                    return Err(format!(
-                        "--fault term {key:?} not one of split/delay/delay_every/drop/seed/flaky"
-                    ));
-                }
-            }
-        }
-        Ok(schedule)
     }
 }
 
@@ -342,26 +300,6 @@ fn pump(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_presets_and_terms() {
-        assert_eq!(
-            FaultSchedule::parse("flaky").unwrap(),
-            FaultSchedule::flaky()
-        );
-        let s = FaultSchedule::parse("split,delay=3,drop=1024,seed=9").unwrap();
-        assert!(s.split);
-        assert_eq!(s.delay_ms, 3);
-        assert_eq!(s.delay_every, 7, "delay= implies the default cadence");
-        assert_eq!(s.drop_after, 1024);
-        assert_eq!(s.seed, 9);
-        assert_eq!(FaultSchedule::parse("").unwrap(), FaultSchedule::clean());
-        assert!(FaultSchedule::parse("bogus").is_err());
-        assert!(
-            FaultSchedule::parse("delay").is_err(),
-            "delay needs a value"
-        );
-    }
 
     /// An echo server good for one connection at a time.
     fn echo_server() -> (SocketAddr, std::thread::JoinHandle<()>) {

@@ -39,7 +39,6 @@
 
 pub mod fault;
 
-use fault::{FaultSchedule, FlakyProxy};
 use sider_json::Json;
 use sider_stats::Rng;
 use std::io::{Read, Write};
@@ -109,6 +108,10 @@ pub struct ScheduledRequest {
     pub body: String,
 }
 
+/// Rows of `fig2`, the dataset of every session the create phase makes;
+/// a knowledge statement marks a tenth of them.
+const FIG2_ROWS: usize = 150;
+
 /// Workload parameters. Everything that shapes the traffic is here, so a
 /// config value-equal to another produces the byte-identical schedule.
 #[derive(Debug, Clone)]
@@ -125,9 +128,6 @@ pub struct LoadConfig {
     pub workers: usize,
     /// Master seed for the workload mix.
     pub seed: u64,
-    /// Rows in the target dataset (knowledge statements sample row
-    /// indices below this; `fig2` has 150).
-    pub dataset_rows: usize,
     /// Connection-churn scenario: alongside every scheduled request each
     /// worker also opens a short-lived throwaway connection — alternating
     /// a mid-request abort (ragged prefix, then hang up) and an
@@ -140,15 +140,6 @@ pub struct LoadConfig {
     /// The other endpoint weights shrink proportionally, so `0.0` leaves
     /// the classic mix byte-identical and `1.0` is a suggest-only run.
     pub suggest: f64,
-    /// Fault-injection scenario: interpose a seeded [`FlakyProxy`]
-    /// between the workers and the server for the mixed phase, so the
-    /// latency digests measure the server as seen through a link that
-    /// splits, delays, and severs connections. The create phase always
-    /// dials the server directly — the session population is setup,
-    /// not the system under test, and a severed create would leave a
-    /// half-built population. Proxy counters land in
-    /// [`LoadReport::fault`].
-    pub fault: Option<FaultSchedule>,
 }
 
 impl LoadConfig {
@@ -162,10 +153,8 @@ impl LoadConfig {
             rps: 400.0,
             workers: 32,
             seed: 2018,
-            dataset_rows: 150,
             churn: false,
             suggest: 0.0,
-            fault: None,
         }
     }
 
@@ -178,10 +167,8 @@ impl LoadConfig {
             rps: 120.0,
             workers: 8,
             seed: 2018,
-            dataset_rows: 150,
             churn: false,
             suggest: 0.0,
-            fault: None,
         }
     }
 
@@ -245,8 +232,7 @@ pub fn build_schedule(config: &LoadConfig) -> Vec<ScheduledRequest> {
             let endpoint = kinds[rng.weighted_index(&weights)];
             let (method, path, body) = match endpoint {
                 Endpoint::Knowledge => {
-                    let k = (config.dataset_rows / 10).clamp(2, 25);
-                    let rows = rng.sample_indices(config.dataset_rows, k);
+                    let rows = rng.sample_indices(FIG2_ROWS, FIG2_ROWS / 10);
                     let rows = rows
                         .iter()
                         .map(|r| r.to_string())
@@ -374,39 +360,15 @@ pub struct LoadReport {
     /// Short-lived churn connections opened alongside the workload
     /// (0 unless [`LoadConfig::churn`] was set).
     pub churn_conns: usize,
-    /// Flaky-proxy counters when [`LoadConfig::fault`] interposed one.
-    pub fault: Option<FaultCounters>,
     /// Per-endpoint digests, in [`Endpoint::ALL`] order.
     pub endpoints: Vec<(Endpoint, EndpointStats)>,
-}
-
-/// What the interposed [`FlakyProxy`] did during a `--fault` run.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultCounters {
-    /// Connections the proxy accepted.
-    pub conns: usize,
-    /// Connections it severed mid-stream (drop budget exhausted).
-    pub drops: usize,
-    /// Bytes it forwarded across all connections and directions.
-    pub bytes: u64,
-}
-
-impl FaultCounters {
-    /// JSON form (`fault` key of the report).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("conns", Json::from(self.conns)),
-            ("drops", Json::from(self.drops)),
-            ("bytes", Json::from(self.bytes)),
-        ])
-    }
 }
 
 impl LoadReport {
     /// JSON form for `BENCH_serve.json` (endpoint keys sort, like every
     /// `sider_json` object).
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj([
             ("create_wall_s", Json::from(self.create_wall_s)),
             ("mixed_wall_s", Json::from(self.mixed_wall_s)),
             ("total_requests", Json::from(self.total_requests)),
@@ -422,11 +384,7 @@ impl LoadReport {
                         .collect(),
                 ),
             ),
-        ];
-        if let Some(fault) = &self.fault {
-            fields.push(("fault", fault.to_json()));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -523,15 +481,7 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
         ));
     }
 
-    // Phase 2: the open-loop mixed schedule — through the flaky proxy
-    // when the fault scenario asked for one.
-    let proxy = match &config.fault {
-        Some(schedule) => Some(
-            FlakyProxy::start(addr, schedule.clone()).map_err(|e| format!("fault proxy: {e}"))?,
-        ),
-        None => None,
-    };
-    let mixed_addr = proxy.as_ref().map_or(addr, |p| p.local_addr());
+    // Phase 2: the open-loop mixed schedule.
     let schedule = build_schedule(config);
     let cursor = AtomicUsize::new(0);
     let churn_opened = AtomicUsize::new(0);
@@ -552,11 +502,11 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
                         std::thread::sleep(due - now);
                     }
                     if config.churn {
-                        churn_connection(mixed_addr, i.is_multiple_of(2));
+                        churn_connection(addr, i.is_multiple_of(2));
                         churn_opened.fetch_add(1, Ordering::Relaxed);
                     }
                     let ok = matches!(
-                        http_request(mixed_addr, req.method, &req.path, &req.body),
+                        http_request(addr, req.method, &req.path, &req.body),
                         Ok(s) if s < 400
                     );
                     local.push(Sample {
@@ -571,15 +521,6 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
     });
     let mixed_wall_s = phase_start.elapsed().as_secs_f64();
     let samples = samples.into_inner().expect("samples lock");
-    let fault = proxy.map(|p| {
-        let counters = FaultCounters {
-            conns: p.conns(),
-            drops: p.drops(),
-            bytes: p.bytes(),
-        };
-        p.stop();
-        counters
-    });
 
     let mut endpoints = Vec::new();
     let mut total_errors = create_errors;
@@ -613,7 +554,6 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
         total_errors,
         throughput_rps: samples.len() as f64 / mixed_wall_s.max(1e-9),
         churn_conns: churn_opened.into_inner(),
-        fault,
         endpoints,
     })
 }
@@ -630,10 +570,8 @@ mod tests {
             rps: 1000.0,
             workers: 4,
             seed: 7,
-            dataset_rows: 150,
             churn: false,
             suggest: 0.0,
-            fault: None,
         }
     }
 
@@ -762,7 +700,6 @@ mod tests {
             total_errors: 0,
             throughput_rps: 20.0,
             churn_conns: 3,
-            fault: None,
             endpoints: vec![(
                 Endpoint::View,
                 EndpointStats {

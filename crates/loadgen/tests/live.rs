@@ -15,10 +15,8 @@ fn base_config(addr: String) -> LoadConfig {
         rps: 300.0,
         workers: 4,
         seed: 7,
-        dataset_rows: 150,
         churn: false,
         suggest: 0.0,
-        fault: None,
     }
 }
 

@@ -111,7 +111,7 @@ impl ClassModel {
 
 /// Precision eigenvalues above this are treated as **collapsed**: the
 /// direction was pinned by a zero-variance quadratic constraint whose
-/// multiplier clamped at `FitOpts::lambda_max` (paper §II-A-2 — clusters
+/// multiplier clamped at the solver's `lambda_max` (paper §II-A-2 — clusters
 /// with `|I| ≤ d` necessarily produce such directions). The data along a
 /// collapsed direction has *exactly zero* spread for the affected rows —
 /// that is where the `v̂ = 0` target came from — so any residual left by a

@@ -29,6 +29,10 @@ use crate::Result;
 use sider_linalg::{vector, woodbury, Matrix};
 use std::time::{Duration, Instant};
 
+/// Clamp for unbounded multipliers (zero-variance targets): the
+/// `lambda_max` every [`Solver::fit`] sweeps with.
+const LAMBDA_MAX: f64 = 1e12;
+
 /// Options controlling [`Solver::fit`].
 ///
 /// The defaults mirror the paper: convergence when the maximal absolute
@@ -47,10 +51,6 @@ pub struct FitOpts {
     pub max_sweeps: usize,
     /// Optional wall-clock cutoff (the SIDER default is ~10 s).
     pub time_cutoff: Option<Duration>,
-    /// Clamp for unbounded multipliers (zero-variance targets).
-    pub lambda_max: f64,
-    /// Record a [`SweepInfo`] per sweep in the report.
-    pub trace: bool,
 }
 
 impl Default for FitOpts {
@@ -60,8 +60,6 @@ impl Default for FitOpts {
             moment_tol: 1e-2,
             max_sweeps: 500,
             time_cutoff: None,
-            lambda_max: 1e12,
-            trace: false,
         }
     }
 }
@@ -107,8 +105,6 @@ pub struct ConvergenceReport {
     pub elapsed: Duration,
     /// Info of the final sweep.
     pub last: Option<SweepInfo>,
-    /// Per-sweep trace (only if `FitOpts::trace`).
-    pub trace: Vec<SweepInfo>,
 }
 
 impl ConvergenceReport {
@@ -601,7 +597,6 @@ impl Solver {
     /// Run sweeps until convergence (per `opts`) or budget exhaustion.
     pub fn fit(&mut self, opts: &FitOpts) -> ConvergenceReport {
         let start = Instant::now();
-        let mut trace = Vec::new();
         let mut last = None;
         let mut converged = false;
         let mut hit_time_cutoff = false;
@@ -616,15 +611,11 @@ impl Solver {
                 hit_time_cutoff: false,
                 elapsed: start.elapsed(),
                 last: None,
-                trace,
             };
         }
         for _ in 0..opts.max_sweeps {
-            let info = self.sweep(opts.lambda_max);
+            let info = self.sweep(LAMBDA_MAX);
             sweeps += 1;
-            if opts.trace {
-                trace.push(info);
-            }
             let lambda_ok = info.max_lambda_change <= opts.lambda_tol;
             let moment_ok = info.max_moment_change <= opts.moment_tol * self.sd_full;
             last = Some(info);
@@ -646,7 +637,6 @@ impl Solver {
             hit_time_cutoff,
             elapsed: start.elapsed(),
             last,
-            trace,
         }
     }
 
@@ -936,23 +926,10 @@ mod tests {
             moment_tol: 0.0,
             max_sweeps: usize::MAX,
             time_cutoff: Some(Duration::from_millis(50)),
-            ..FitOpts::default()
         });
         assert!(report.hit_time_cutoff);
         assert!(!report.converged);
         assert!(report.elapsed < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn trace_records_every_sweep() {
-        let data = adversarial_data();
-        let mut s = Solver::new(&data, case_a_constraints(&data)).unwrap();
-        let report = s.fit(&FitOpts {
-            trace: true,
-            ..FitOpts::default()
-        });
-        assert_eq!(report.trace.len(), report.sweeps);
-        assert_eq!(report.last, report.trace.last().copied());
     }
 
     #[test]

@@ -12,9 +12,6 @@ pub enum ProjectionError {
     RankDeficient { rank: usize, requested: usize },
     /// Underlying linear algebra failed.
     Linalg(LinalgError),
-    /// FastICA did not converge (the best iterate is still returned by
-    /// callers that tolerate this; see `IcaOpts::strict`).
-    NotConverged { iterations: usize },
 }
 
 impl fmt::Display for ProjectionError {
@@ -25,9 +22,6 @@ impl fmt::Display for ProjectionError {
                 write!(f, "data rank {rank} below requested {requested} components")
             }
             ProjectionError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
-            ProjectionError::NotConverged { iterations } => {
-                write!(f, "FastICA did not converge within {iterations} iterations")
-            }
         }
     }
 }

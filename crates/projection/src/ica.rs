@@ -52,11 +52,10 @@ pub struct IcaOpts {
     pub n_components: Option<usize>,
     /// Maximum fixed-point iterations.
     pub max_iter: usize,
-    /// Convergence tolerance on `1 − |⟨w_new, w_old⟩|`.
+    /// Convergence tolerance on `1 − |⟨w_new, w_old⟩|`. A run that does
+    /// not meet it within `max_iter` returns its last iterate with
+    /// [`IcaResult::converged`] false, as the R package does.
     pub tol: f64,
-    /// Error out when the iteration does not converge; when `false` the
-    /// best iterate is returned (the R package behaves like `false`).
-    pub strict: bool,
     /// Component ordering.
     pub order: ComponentOrder,
     /// Independent random initializations of the fixed-point iteration;
@@ -74,7 +73,6 @@ impl Default for IcaOpts {
             n_components: None,
             max_iter: 200,
             tol: 1e-6,
-            strict: false,
             order: ComponentOrder::AbsoluteDesc,
             restarts: 1,
         }
@@ -169,10 +167,10 @@ pub fn fastica_with(
     let runs = pool.par_map(&seeds, |&seed| {
         run_restart(&z, &kmat, k, opts, &mut Rng::seed_from_u64(seed))
     });
-    // Restarts exist for robustness: a failed run (e.g. `strict` hitting
-    // `max_iter` from one unlucky start) is simply out of the running, and
-    // an error surfaces only when *every* restart failed. Selection walks
-    // the runs in seed order, so the winner is deterministic.
+    // Restarts exist for robustness: a failed run is simply out of the
+    // running, and an error surfaces only when *every* restart failed.
+    // Selection walks the runs in seed order, so the winner is
+    // deterministic.
     let mut best: Option<IcaResult> = None;
     let mut first_err: Option<crate::ProjectionError> = None;
     for run in runs {
@@ -220,9 +218,6 @@ fn run_restart(
 
     // 3. Fixed-point iteration in the whitened space.
     let (w, converged, iterations) = symmetric_iteration(z, k, opts, rng)?;
-    if opts.strict && !converged {
-        return Err(ProjectionError::NotConverged { iterations });
-    }
 
     // 4. Sources, input-space directions, scores.
     let mut sources = z.matmul(&w.transpose()); // n × k
@@ -638,26 +633,16 @@ mod tests {
     }
 
     #[test]
-    fn restarts_error_only_when_every_restart_fails() {
+    fn unconverged_restarts_return_the_best_iterate() {
         let (data, _, _) = mixed_sources(2000, 0.4, 60);
-        // strict + max_iter 1 + impossible tolerance: every restart fails.
-        let all_fail = IcaOpts {
+        // max_iter 1 + impossible tolerance: no restart converges.
+        let opts = IcaOpts {
             restarts: 3,
-            strict: true,
             max_iter: 1,
             tol: 1e-15,
             ..IcaOpts::default()
         };
-        assert!(matches!(
-            fastica(&data, &all_fail, &mut Rng::seed_from_u64(61)),
-            Err(ProjectionError::NotConverged { .. })
-        ));
-        // Same setup without strict: best iterate is still returned.
-        let lenient = IcaOpts {
-            strict: false,
-            ..all_fail
-        };
-        let res = fastica(&data, &lenient, &mut Rng::seed_from_u64(61)).unwrap();
+        let res = fastica(&data, &opts, &mut Rng::seed_from_u64(61)).unwrap();
         assert!(!res.converged);
         assert_eq!(res.directions.rows(), 2);
     }

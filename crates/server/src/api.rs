@@ -842,7 +842,8 @@ mod tests {
             let resp = handle(&m, &request("POST", "/api/sessions/s1/knowledge", body));
             assert_eq!(resp.status, 400, "{body}");
         }
-        // Wrongly-typed option flags are 400s, not silent defaults.
+        // Options `update` does not take, and wrongly-typed view flags,
+        // are 400s, not silent defaults.
         let resp = handle(
             &m,
             &request("POST", "/api/sessions/s1/update", r#"{"cold":1}"#),
@@ -962,6 +963,23 @@ mod tests {
             &request("POST", "/api/sessions/s1/knowledge", r#"{"kind":"margin"}"#),
         );
         handle(&m, &request("POST", "/api/sessions/s1/update", "{}"));
+        // `update` takes no options: each key is a 400 naming it, and
+        // nothing reaches the WAL (last_lsn stays 3 below).
+        for (key, value) in [
+            ("lambda_tol", "0.001"),
+            ("moment_tol", "0.001"),
+            ("max_sweeps", "50"),
+            ("time_cutoff_ms", "10000"),
+            ("lambda_max", "1e9"),
+            ("trace", "true"),
+            ("cold", "true"),
+        ] {
+            let body = format!(r#"{{"{key}":{value}}}"#);
+            let resp = handle(&m, &request("POST", "/api/sessions/s1/update", &body));
+            assert_eq!(resp.status, 400, "{body}");
+            let error = json(&resp).require_str("error").unwrap().to_string();
+            assert!(error.contains(key), "{body}: {error}");
+        }
 
         let resp = handle(&m, &request("GET", "/api/store", ""));
         let body = json(&resp);

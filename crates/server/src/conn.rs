@@ -1,5 +1,5 @@
-//! Per-connection state machine + timer wheel for the event loop that
-//! serves every client connection.
+//! Per-connection state machine, with its deadline, for the event loop
+//! that serves every client connection.
 //!
 //! A [`Conn`] owns one non-blocking stream and walks it through the
 //! protocol's phases — **Reading** (incremental [`RequestParser`] over
@@ -16,19 +16,18 @@
 //! slowloris client trickling (or sipping) one byte at a time is closed
 //! when its budget runs out, however steadily it sends.
 //!
-//! Deadlines live in a [`TimerWheel`] keyed by `(token, generation)`:
-//! every phase transition bumps the connection's generation, so a timer
-//! armed for an earlier phase expires into a stale pair and is ignored —
-//! cancellation without searching the wheel. The wheel works purely in
-//! abstract tick numbers (no clock reads), so deadline tests inject any
-//! "now" they like and run in microseconds.
+//! Each connection carries one deadline, which its phase sets: the read
+//! deadline from accept, none while a worker holds the request, and the
+//! write deadline from the first refused write. The caller passes the
+//! time in (no clock reads here), so deadline tests inject any "now" they
+//! like and run in microseconds.
 
 use crate::http::{HttpError, Request, RequestParser, Response};
 use std::io::{Read, Write};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Timer wheel granularity. Deadlines are rounded up to the next tick —
-/// coarse is fine, the deadlines are tens of seconds.
+/// How often the event loop looks for expired connections while any is
+/// open — coarse is fine, the deadlines are tens of seconds.
 pub const TICK: Duration = Duration::from_millis(100);
 
 /// Total time budget for reading one request (request line + headers +
@@ -38,17 +37,6 @@ pub const READ_DEADLINE: Duration = Duration::from_secs(30);
 /// Total time budget for writing one response, counted from the moment
 /// the socket first refuses more bytes.
 pub const WRITE_DEADLINE: Duration = Duration::from_secs(60);
-
-/// [`READ_DEADLINE`] in ticks.
-pub const READ_DEADLINE_TICKS: u64 = ticks(READ_DEADLINE);
-
-/// [`WRITE_DEADLINE`] in ticks.
-pub const WRITE_DEADLINE_TICKS: u64 = ticks(WRITE_DEADLINE);
-
-/// Whole ticks in `budget`, rounded up.
-const fn ticks(budget: Duration) -> u64 {
-    budget.as_millis().div_ceil(TICK.as_millis()) as u64
-}
 
 /// Which protocol phase a connection is in.
 #[derive(Debug)]
@@ -69,7 +57,7 @@ pub enum ReadStep {
     /// A full request framed: hand it to the workers, drop I/O interest.
     Dispatch(Request),
     /// A protocol error staged an error response: switch to write
-    /// interest and arm the write deadline.
+    /// interest.
     Respond,
     /// The peer is gone (EOF/reset mid-request) — close now.
     Close,
@@ -90,23 +78,26 @@ pub enum WriteStep {
 #[derive(Debug)]
 pub struct Conn<S> {
     stream: S,
-    /// Poller token (stable for the connection's lifetime, never reused).
-    pub token: u64,
-    /// Phase generation: bumped on every transition so deadline entries
-    /// armed for earlier phases become stale instead of firing.
-    pub gen: u64,
+    /// When the connection is closed if it is still open (see the module
+    /// docs); `None` while a worker holds the request.
+    deadline: Option<Instant>,
     phase: Phase,
 }
 
 impl<S: Read + Write> Conn<S> {
-    /// A fresh connection in the Reading phase.
-    pub fn new(stream: S, token: u64) -> Conn<S> {
+    /// A connection accepted at `now`, in the Reading phase with the
+    /// read deadline set.
+    pub fn new(stream: S, now: Instant) -> Conn<S> {
         Conn {
             stream,
-            token,
-            gen: 0,
+            deadline: Some(now + READ_DEADLINE),
             phase: Phase::Reading(RequestParser::new()),
         }
+    }
+
+    /// True once the connection's deadline has passed at `now`.
+    pub fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|deadline| now >= deadline)
     }
 
     /// The underlying stream (the event loop needs its fd).
@@ -127,8 +118,8 @@ impl<S: Read + Write> Conn<S> {
     /// Pump reads: pull whatever the socket has through the parser.
     ///
     /// `scratch` is the caller's reusable read buffer (one per event
-    /// loop, not per connection). EAGAIN leaves the phase — and the
-    /// generation, hence the armed read deadline — untouched.
+    /// loop, not per connection). EAGAIN leaves the phase — and with it
+    /// the read deadline — untouched.
     pub fn on_readable(&mut self, scratch: &mut [u8]) -> ReadStep {
         loop {
             let Phase::Reading(parser) = &mut self.phase else {
@@ -139,7 +130,7 @@ impl<S: Read + Write> Conn<S> {
             };
             match parser.poll() {
                 Ok(Some(request)) => {
-                    self.gen += 1;
+                    self.deadline = None;
                     self.phase = Phase::Handling;
                     return ReadStep::Dispatch(request);
                 }
@@ -181,16 +172,18 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// Queue a serialized response for draining and enter the Writing
-    /// phase (bumping the generation, which retires any read deadline).
+    /// phase. This retires any read deadline; the write deadline is set
+    /// by the first refused write.
     pub fn stage_response(&mut self, response: &Response) {
         let mut buf = Vec::new();
         response.to_bytes(&mut buf);
-        self.gen += 1;
+        self.deadline = None;
         self.phase = Phase::Writing { buf, written: 0 };
     }
 
-    /// Pump writes: push staged response bytes until done or EAGAIN.
-    pub fn on_writable(&mut self) -> WriteStep {
+    /// Pump writes at `now`: push staged response bytes until done or
+    /// EAGAIN. The first EAGAIN sets the write deadline; later ones keep it.
+    pub fn on_writable(&mut self, now: Instant) -> WriteStep {
         loop {
             let Phase::Writing { buf, written } = &mut self.phase else {
                 return WriteStep::Blocked; // spurious wakeup
@@ -202,84 +195,14 @@ impl<S: Read + Write> Conn<S> {
             match self.stream.write(&buf[*written..]) {
                 Ok(0) => return WriteStep::Close,
                 Ok(n) => *written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return WriteStep::Blocked,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.deadline.get_or_insert(now + WRITE_DEADLINE);
+                    return WriteStep::Blocked;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return WriteStep::Close,
             }
         }
-    }
-}
-
-/// One armed deadline: expires for `(token, gen)` at tick `due`.
-#[derive(Debug, Clone, Copy)]
-struct TimerEntry {
-    token: u64,
-    gen: u64,
-    due: u64,
-}
-
-/// A hashed timer wheel over abstract tick numbers.
-///
-/// `schedule` is O(1); `advance(now)` visits only the slots between the
-/// cursor and `now` (capped at one full rotation). Entries further than
-/// one rotation out simply survive extra scans — their `due` has not
-/// arrived. Cancellation is lazy: the event loop compares an expired
-/// entry's generation against the live connection's and ignores stale
-/// pairs, so retiring a deadline costs nothing.
-#[derive(Debug)]
-pub struct TimerWheel {
-    slots: Vec<Vec<TimerEntry>>,
-    /// Next tick not yet processed by `advance`.
-    cursor: u64,
-    armed: usize,
-}
-
-impl TimerWheel {
-    /// A wheel with `nslots` buckets (one rotation = `nslots` ticks).
-    pub fn new(nslots: usize) -> TimerWheel {
-        TimerWheel {
-            slots: (0..nslots.max(1)).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            armed: 0,
-        }
-    }
-
-    /// Arm a deadline for `(token, gen)` at tick `due` (clamped to the
-    /// cursor so a deadline in the past fires on the next advance).
-    pub fn schedule(&mut self, token: u64, gen: u64, due: u64) {
-        let due = due.max(self.cursor);
-        let slot = (due % self.slots.len() as u64) as usize;
-        self.slots[slot].push(TimerEntry { token, gen, due });
-        self.armed += 1;
-    }
-
-    /// Collect every entry due at or before `now` into `expired`
-    /// (appended as `(token, gen)` pairs) and move the cursor past `now`.
-    pub fn advance(&mut self, now: u64, expired: &mut Vec<(u64, u64)>) {
-        if now < self.cursor {
-            return;
-        }
-        let nslots = self.slots.len() as u64;
-        let span = (now - self.cursor + 1).min(nslots);
-        for i in 0..span {
-            let idx = ((self.cursor + i) % nslots) as usize;
-            let before = self.slots[idx].len();
-            self.slots[idx].retain(|e| {
-                if e.due <= now {
-                    expired.push((e.token, e.gen));
-                    false
-                } else {
-                    true
-                }
-            });
-            self.armed -= before - self.slots[idx].len();
-        }
-        self.cursor = now + 1;
-    }
-
-    /// Number of armed entries (stale ones included until they expire).
-    pub fn armed(&self) -> usize {
-        self.armed
     }
 }
 
@@ -353,7 +276,7 @@ mod tests {
         stream.push_read(b"nt-Length: 2\r\n\r\n");
         stream.push_eagain();
         stream.push_read(b"ok");
-        let mut conn = Conn::new(stream, 2);
+        let mut conn = Conn::new(stream, Instant::now());
         let mut scratch = vec![0u8; 4096];
 
         assert!(matches!(conn.on_readable(&mut scratch), ReadStep::Continue));
@@ -372,11 +295,11 @@ mod tests {
     fn malformed_request_stages_error_response() {
         let mut stream = FakeStream::new();
         stream.push_read(b"NOT HTTP AT ALL\r\n\r\n");
-        let mut conn = Conn::new(stream, 2);
+        let mut conn = Conn::new(stream, Instant::now());
         let mut scratch = vec![0u8; 4096];
         assert!(matches!(conn.on_readable(&mut scratch), ReadStep::Respond));
         assert!(conn.is_writing());
-        assert_eq!(conn.on_writable(), WriteStep::Done);
+        assert_eq!(conn.on_writable(Instant::now()), WriteStep::Done);
     }
 
     #[test]
@@ -384,7 +307,7 @@ mod tests {
         let mut stream = FakeStream::new();
         stream.push_read(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nab");
         stream.push_read(b""); // EOF
-        let mut conn = Conn::new(stream, 2);
+        let mut conn = Conn::new(stream, Instant::now());
         let mut scratch = vec![0u8; 4096];
         assert!(matches!(conn.on_readable(&mut scratch), ReadStep::Close));
     }
@@ -396,7 +319,7 @@ mod tests {
         let mut stream = FakeStream::new();
         stream.push_read(b"GET /health HTTP/1.1\r\n\r\n");
         stream.push_read(b""); // EOF
-        let mut conn = Conn::new(stream, 2);
+        let mut conn = Conn::new(stream, Instant::now());
         let mut scratch = vec![0u8; 4096];
         assert!(matches!(
             conn.on_readable(&mut scratch),
@@ -408,7 +331,7 @@ mod tests {
     fn partial_writes_drain_across_eagain_cycles() {
         let mut stream = FakeStream::new();
         stream.write_budget = 5;
-        let mut conn = Conn::new(stream, 2);
+        let mut conn = Conn::new(stream, Instant::now());
         let response = Response::error(404, "nope");
         let mut expected = Vec::new();
         response.to_bytes(&mut expected);
@@ -416,7 +339,7 @@ mod tests {
 
         let mut rounds = 0;
         loop {
-            match conn.on_writable() {
+            match conn.on_writable(Instant::now()) {
                 WriteStep::Done => break,
                 WriteStep::Blocked => {
                     // Socket drained by the peer: restore some budget.
@@ -432,78 +355,49 @@ mod tests {
         assert!(rounds > 1, "test must actually exercise partial writes");
     }
 
-    // ---- timer wheel ----
-
-    #[test]
-    fn wheel_expires_due_entries_in_cursor_order() {
-        let mut wheel = TimerWheel::new(8);
-        wheel.schedule(10, 0, 3);
-        wheel.schedule(11, 0, 5);
-        wheel.schedule(12, 0, 100); // beyond one rotation
-        assert_eq!(wheel.armed(), 3);
-
-        let mut expired = Vec::new();
-        wheel.advance(2, &mut expired);
-        assert!(expired.is_empty(), "nothing due yet");
-        wheel.advance(4, &mut expired);
-        assert_eq!(expired, vec![(10, 0)]);
-        expired.clear();
-        wheel.advance(99, &mut expired);
-        assert_eq!(expired, vec![(11, 0)]);
-        expired.clear();
-        wheel.advance(100, &mut expired);
-        assert_eq!(expired, vec![(12, 0)]);
-        assert_eq!(wheel.armed(), 0);
-    }
-
-    #[test]
-    fn wheel_clamps_past_deadlines_to_next_advance() {
-        let mut wheel = TimerWheel::new(4);
-        let mut expired = Vec::new();
-        wheel.advance(50, &mut expired);
-        wheel.schedule(1, 0, 10); // already past: clamped to cursor (51)
-        wheel.advance(51, &mut expired);
-        assert_eq!(expired, vec![(1, 0)]);
-    }
+    // ---- deadlines ----
 
     #[test]
     fn expired_read_deadline_mid_header_closes_connection() {
-        // The client sent half a request line and stalled. The read
-        // deadline armed at accept must fire with the original
-        // generation — which still matches, so the loop would close.
+        // The client sent half a request line and stalled: the read
+        // deadline set at accept expires READ_DEADLINE later.
         let mut stream = FakeStream::new();
         stream.push_read(b"GET /slow");
-        let mut conn = Conn::new(stream, 7);
+        let accepted = Instant::now();
+        let mut conn = Conn::new(stream, accepted);
         let mut scratch = vec![0u8; 4096];
-        let mut wheel = TimerWheel::new(512);
-        wheel.schedule(conn.token, conn.gen, READ_DEADLINE_TICKS);
 
         assert!(matches!(conn.on_readable(&mut scratch), ReadStep::Continue));
-        let mut expired = Vec::new();
-        wheel.advance(READ_DEADLINE_TICKS, &mut expired);
-        assert_eq!(expired, vec![(7, 0)]);
-        let (token, gen) = expired[0];
-        assert_eq!((token, gen), (conn.token, conn.gen), "deadline is live");
+        let due = accepted + READ_DEADLINE;
+        assert!(!conn.expired(due - Duration::from_millis(1)));
+        assert!(conn.expired(due), "read deadline counts from accept");
     }
 
     #[test]
     fn expired_write_deadline_mid_body_is_live() {
         // Response partially drained, client stopped reading: the write
-        // deadline (armed at stage_response with the bumped generation)
-        // must still match the connection when it fires.
+        // deadline counts from the first refused write, and later refused
+        // writes do not push it back.
         let mut stream = FakeStream::new();
         stream.write_budget = 3;
-        let mut conn = Conn::new(stream, 9);
+        let accepted = Instant::now();
+        let mut conn = Conn::new(stream, accepted);
         conn.stage_response(&Response::error(404, "x"));
-        let mut wheel = TimerWheel::new(1024);
-        let now = 42;
-        wheel.schedule(conn.token, conn.gen, now + WRITE_DEADLINE_TICKS);
+        let refused = accepted + Duration::from_secs(40);
 
-        assert_eq!(conn.on_writable(), WriteStep::Blocked);
-        assert_eq!(conn.on_writable(), WriteStep::Blocked, "EAGAIN is sticky");
-        let mut expired = Vec::new();
-        wheel.advance(now + WRITE_DEADLINE_TICKS, &mut expired);
-        assert_eq!(expired, vec![(conn.token, conn.gen)], "write deadline live");
+        assert_eq!(conn.on_writable(refused), WriteStep::Blocked);
+        let later = refused + Duration::from_secs(30);
+        assert_eq!(
+            conn.on_writable(later),
+            WriteStep::Blocked,
+            "EAGAIN is sticky"
+        );
+        let due = refused + WRITE_DEADLINE;
+        assert!(!conn.expired(due - Duration::from_millis(1)));
+        assert!(
+            conn.expired(due),
+            "write deadline counts from the first refusal"
+        );
     }
 
     #[test]
@@ -513,32 +407,21 @@ mod tests {
         stream.push_eagain();
         stream.push_eagain();
         stream.push_read(b"TP/1.1\r\n\r\n");
-        let mut conn = Conn::new(stream, 5);
+        let accepted = Instant::now();
+        let mut conn = Conn::new(stream, accepted);
         let mut scratch = vec![0u8; 4096];
-        let mut wheel = TimerWheel::new(512);
-        wheel.schedule(conn.token, conn.gen, READ_DEADLINE_TICKS);
 
-        // Three EAGAIN-terminated pump rounds: generation must not move,
-        // the armed deadline stays valid the whole time.
-        let gen_at_accept = conn.gen;
+        // EAGAIN-terminated pump rounds keep the accept-time deadline.
         assert!(matches!(conn.on_readable(&mut scratch), ReadStep::Continue));
         assert!(matches!(conn.on_readable(&mut scratch), ReadStep::Continue));
-        assert_eq!(conn.gen, gen_at_accept, "EAGAIN must not bump generation");
+        assert!(conn.expired(accepted + READ_DEADLINE));
 
-        // The rest arrives; dispatch bumps the generation.
+        // The rest arrives; while a worker holds the request, nothing
+        // expires, however long the handler runs.
         assert!(matches!(
             conn.on_readable(&mut scratch),
             ReadStep::Dispatch(_)
         ));
-        assert_ne!(conn.gen, gen_at_accept);
-
-        // When the old read deadline fires it is stale: generations
-        // mismatch, so the event loop ignores it instead of closing a
-        // connection that progressed.
-        let mut expired = Vec::new();
-        wheel.advance(READ_DEADLINE_TICKS, &mut expired);
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].0, conn.token);
-        assert_ne!(expired[0].1, conn.gen, "expired entry is stale");
+        assert!(!conn.expired(accepted + READ_DEADLINE + WRITE_DEADLINE));
     }
 }

@@ -425,13 +425,12 @@ impl Server {
     /// descriptors.
     /// Workers push finished responses to a completion list and write
     /// one byte to the wake pipe; the loop stages the bytes and drains
-    /// them as the socket allows. Read/write deadlines live in a
-    /// [`conn::TimerWheel`] advanced from the wait timeout.
+    /// them as the socket allows. Each connection carries its own
+    /// read/write deadline; while any connection is open the loop wakes
+    /// every [`conn::TICK`] and closes the expired ones in one pass.
     #[cfg(unix)]
     fn run_events(self) -> std::io::Result<()> {
-        use conn::{
-            Conn, ReadStep, TimerWheel, WriteStep, READ_DEADLINE_TICKS, TICK, WRITE_DEADLINE_TICKS,
-        };
+        use conn::{Conn, ReadStep, WriteStep, TICK};
         use poller::Poller;
         use std::collections::{HashMap, VecDeque};
         use std::io::Write;
@@ -439,6 +438,7 @@ impl Server {
         use std::os::unix::net::UnixStream;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::{Condvar, Mutex};
+        use std::time::Instant;
 
         const LISTENER: u64 = 0;
         const WAKER: u64 = 1;
@@ -510,27 +510,27 @@ impl Server {
         }
 
         let mut conns: HashMap<u64, Conn<TcpStream>> = HashMap::new();
-        let mut wheel = TimerWheel::new(1024);
         let mut next_token: u64 = 2; // 0/1 are the listener and the waker
-        let started = std::time::Instant::now();
+        let mut next_sweep = Instant::now();
         let mut events = Vec::new();
-        let mut expired: Vec<(u64, u64)> = Vec::new();
+        let mut expired: Vec<u64> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
         let mut fatal: Option<std::io::Error> = None;
 
         while !self.stop.load(Ordering::SeqCst) {
-            // With deadlines armed, wake every tick to advance the wheel;
-            // otherwise only a readiness event or shutdown matters.
-            let timeout = if wheel.armed() > 0 {
-                TICK
-            } else {
+            // While a connection is open, wake every tick to check its
+            // deadline; otherwise only a readiness event or shutdown
+            // matters.
+            let timeout = if conns.is_empty() {
                 Duration::from_millis(500)
+            } else {
+                TICK
             };
             if let Err(e) = poller.wait(&mut events, Some(timeout)) {
                 fatal = Some(e);
                 break;
             }
-            let now_tick = (started.elapsed().as_millis() / TICK.as_millis()) as u64;
+            let now = Instant::now();
 
             for &ev in &events {
                 match ev.token {
@@ -548,9 +548,8 @@ impl Server {
                                 {
                                     continue;
                                 }
-                                wheel.schedule(token, 0, now_tick + READ_DEADLINE_TICKS);
                                 self.manager.conn_opened();
-                                conns.insert(token, Conn::new(stream, token));
+                                conns.insert(token, Conn::new(stream, now));
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -575,7 +574,7 @@ impl Server {
                         let fd = connection.stream().as_raw_fd();
                         if connection.is_writing() {
                             if ev.writable {
-                                match connection.on_writable() {
+                                match connection.on_writable(now) {
                                     WriteStep::Blocked => {}
                                     WriteStep::Done | WriteStep::Close => {
                                         close_conn(&mut poller, &mut conns, &self.manager, token);
@@ -599,14 +598,9 @@ impl Server {
                                     drop(state);
                                     jobs.ready.notify_one();
                                 }
-                                ReadStep::Respond => match connection.on_writable() {
+                                ReadStep::Respond => match connection.on_writable(now) {
                                     WriteStep::Blocked => {
                                         let _ = poller.modify(fd, token, false, true);
-                                        wheel.schedule(
-                                            token,
-                                            connection.gen,
-                                            now_tick + WRITE_DEADLINE_TICKS,
-                                        );
                                     }
                                     WriteStep::Done | WriteStep::Close => {
                                         close_conn(&mut poller, &mut conns, &self.manager, token);
@@ -632,11 +626,10 @@ impl Server {
                         continue; // client aborted while the worker ran
                     };
                     connection.stage_response(&response);
-                    let step = connection.on_writable();
+                    let step = connection.on_writable(now);
                     if step == WriteStep::Blocked {
                         let fd = connection.stream().as_raw_fd();
                         let _ = poller.modify(fd, token, false, true);
-                        wheel.schedule(token, connection.gen, now_tick + WRITE_DEADLINE_TICKS);
                     }
                     step
                 };
@@ -645,13 +638,18 @@ impl Server {
                 }
             }
 
-            // Fire deadlines. Stale generations (the connection has moved
-            // to a later phase since the timer was armed) are ignored.
-            wheel.advance(now_tick, &mut expired);
-            for (token, gen) in expired.drain(..) {
-                if conns.get(&token).is_some_and(|c| c.gen == gen) {
+            // Close expired connections, one pass per tick.
+            if now >= next_sweep {
+                expired.extend(
+                    conns
+                        .iter()
+                        .filter(|(_, c)| c.expired(now))
+                        .map(|(&token, _)| token),
+                );
+                for token in expired.drain(..) {
                     close_conn(&mut poller, &mut conns, &self.manager, token);
                 }
+                next_sweep = now + TICK;
             }
         }
 

@@ -8,7 +8,10 @@
 
 #![cfg(unix)]
 
-use sider_server::{Server, ServerConfig, ShutdownHandle};
+mod common;
+
+use common::*;
+use sider_server::ServerConfig;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -18,38 +21,11 @@ use std::time::Duration;
 /// table and hold large batches of sockets, so they must not overlap.
 static CHURN_LOCK: Mutex<()> = Mutex::new(());
 
-struct RunningServer {
-    addr: SocketAddr,
-    handle: ShutdownHandle,
-    joiner: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
 fn start(threads: usize) -> RunningServer {
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        max_sessions: 16,
+    common::start(ServerConfig {
         idle_timeout: Duration::from_secs(600),
-        threads: Some(threads),
-        stripes: 4,
-        store: None,
-        ..ServerConfig::default()
+        ..config(threads, 4)
     })
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let joiner = std::thread::spawn(move || server.run());
-    RunningServer {
-        addr,
-        handle,
-        joiner,
-    }
-}
-
-impl RunningServer {
-    fn stop(self) {
-        self.handle.shutdown();
-        self.joiner.join().unwrap().unwrap();
-    }
 }
 
 /// Number of open file descriptors in this process.
@@ -57,38 +33,12 @@ fn fd_count() -> usize {
     std::fs::read_dir("/proc/self/fd").expect("procfs").count()
 }
 
-fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: sider\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    response
-}
-
 /// Same request but advertising `Connection: keep-alive`; the protocol
 /// is one request per connection, so the server still closes after the
 /// response — the client just reads to EOF like everyone else.
 fn keep_alive_request(addr: SocketAddr, path: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: sider\r\nConnection: keep-alive\r\n\r\n"
-    )
-    .expect("write request");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    response
+    let request = format!("GET {path} HTTP/1.1\r\nHost: sider\r\nConnection: keep-alive\r\n\r\n");
+    exchange(addr, request.as_bytes())
 }
 
 /// Connect, write a ragged request prefix, and hang up mid-request.
@@ -120,11 +70,6 @@ fn slow_drip_request(addr: SocketAddr, path: &str) -> Vec<u8> {
     let mut response = Vec::new();
     stream.read_to_end(&mut response).expect("read response");
     response
-}
-
-fn status_of(raw: &[u8]) -> u16 {
-    let text = std::str::from_utf8(&raw[..raw.len().min(64)]).unwrap();
-    text.split_whitespace().nth(1).unwrap().parse().unwrap()
 }
 
 /// Deterministic read-only script a churn wave replays: session detail,

@@ -10,88 +10,27 @@
 //! recommendation engine's chunk-ordered scoring is pinned under the
 //! same contract.
 
+mod common;
+
+use common::*;
 use sider_par::ThreadPool;
 use sider_server::http::RequestParser;
 use sider_server::manager::SessionManager;
-use sider_server::{api, Server, ServerConfig, ShutdownHandle};
+use sider_server::{api, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-struct RunningServer {
-    addr: SocketAddr,
-    handle: ShutdownHandle,
-    joiner: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
 fn start_striped(threads: usize, stripes: usize, idle_timeout: Duration) -> RunningServer {
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        max_sessions: 16,
+    common::start(ServerConfig {
         idle_timeout,
-        threads: Some(threads),
-        stripes,
-        store: None,
-        ..ServerConfig::default()
+        ..config(threads, stripes)
     })
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let joiner = std::thread::spawn(move || server.run());
-    RunningServer {
-        addr,
-        handle,
-        joiner,
-    }
 }
 
 fn start(threads: usize, idle_timeout: Duration) -> RunningServer {
     start_striped(threads, 1, idle_timeout)
-}
-
-impl RunningServer {
-    fn stop(self) {
-        self.handle.shutdown();
-        self.joiner.join().unwrap().unwrap();
-    }
-}
-
-/// The bytes of one scripted HTTP request.
-fn request_bytes(method: &str, path: &str, body: &str) -> Vec<u8> {
-    format!(
-        "{method} {path} HTTP/1.1\r\nHost: sider\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-/// One scripted HTTP request; returns the raw response bytes (status
-/// line, headers and body — everything the server put on the wire).
-fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream
-        .write_all(&request_bytes(method, path, body))
-        .expect("write request");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    response
-}
-
-fn status_of(raw: &[u8]) -> u16 {
-    let text = std::str::from_utf8(&raw[..raw.len().min(64)]).unwrap();
-    text.split_whitespace().nth(1).unwrap().parse().unwrap()
-}
-
-fn body_of(raw: &[u8]) -> &str {
-    let pos = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    std::str::from_utf8(&raw[pos + 4..]).expect("utf-8 body")
 }
 
 /// The scripted client of the acceptance criteria: two full loop
@@ -100,7 +39,7 @@ fn body_of(raw: &[u8]) -> &str {
 /// `suggest` call against each background (prior, then post-knowledge),
 /// returning every raw response.
 fn scripted_loop(addr: SocketAddr) -> Vec<Vec<u8>> {
-    let steps: Vec<(&str, &str, String)> = vec![
+    let steps: Vec<Step<&str>> = vec![
         (
             "POST",
             "/api/sessions",
@@ -121,10 +60,7 @@ fn scripted_loop(addr: SocketAddr) -> Vec<Vec<u8>> {
         (
             "POST",
             "/api/sessions/s1/knowledge",
-            format!(
-                r#"{{"kind":"cluster","rows":[{}]}}"#,
-                (0..40).map(|i| i.to_string()).collect::<Vec<_>>().join(",")
-            ),
+            format!(r#"{{"kind":"cluster","rows":[{}]}}"#, rows(0..40)),
         ),
         ("POST", "/api/sessions/s1/update", "{}".into()),
         (
@@ -136,13 +72,7 @@ fn scripted_loop(addr: SocketAddr) -> Vec<Vec<u8>> {
         (
             "POST",
             "/api/sessions/s1/knowledge",
-            format!(
-                r#"{{"kind":"cluster","rows":[{}]}}"#,
-                (50..90)
-                    .map(|i| i.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
+            format!(r#"{{"kind":"cluster","rows":[{}]}}"#, rows(50..90)),
         ),
         ("POST", "/api/sessions/s1/update", "{}".into()),
         (
@@ -161,10 +91,7 @@ fn scripted_loop(addr: SocketAddr) -> Vec<Vec<u8>> {
         ("GET", "/api/sessions/s1/snapshot", String::new()),
         ("GET", "/api/sessions/s1", String::new()),
     ];
-    steps
-        .iter()
-        .map(|(method, path, body)| raw_request(addr, method, path, body))
-        .collect()
+    run_steps(addr, &steps)
 }
 
 #[test]
@@ -179,14 +106,7 @@ fn two_loop_iterations_byte_identical_across_pool_sizes() {
     let parallel = run(4);
 
     // Every step succeeded…
-    for (i, raw) in serial.iter().enumerate() {
-        let status = status_of(raw);
-        assert!(
-            status == 200 || status == 201,
-            "step {i} failed with {status}: {}",
-            body_of(raw)
-        );
-    }
+    assert_all_ok("1 thread", &serial);
     // …the warm path was actually exercised…
     let second_update = body_of(&serial[7]);
     assert!(
@@ -206,23 +126,14 @@ fn two_loop_iterations_byte_identical_across_pool_sizes() {
         "suggest must score against the current background"
     );
     // …and the whole transcript is byte-identical across pool sizes.
-    assert_eq!(serial.len(), parallel.len());
-    for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(
-            a,
-            b,
-            "step {i}: 1-thread and 4-thread responses differ:\n{}\nvs\n{}",
-            body_of(a),
-            body_of(b)
-        );
-    }
+    assert_transcripts_equal("1-vs-4 threads", &serial, &parallel);
 }
 
 /// Steps spanning several sessions, so sessions actually land on
 /// different stripes of a striped manager: interleaved creates, knowledge,
 /// updates, views and listings across four concurrent-ish dialogues.
-fn multi_session_steps() -> Vec<(&'static str, String, String)> {
-    let mut steps: Vec<(&str, String, String)> = Vec::new();
+fn multi_session_steps() -> Vec<Step<String>> {
+    let mut steps = Vec::new();
     for seed in 1..=4u64 {
         steps.push((
             "POST",
@@ -234,10 +145,7 @@ fn multi_session_steps() -> Vec<(&'static str, String, String)> {
         steps.push((
             "POST",
             format!("/api/sessions/s{id}/knowledge"),
-            format!(
-                r#"{{"kind":"cluster","rows":[{}]}}"#,
-                (0..30).map(|i| i.to_string()).collect::<Vec<_>>().join(",")
-            ),
+            format!(r#"{{"kind":"cluster","rows":[{}]}}"#, rows(0..30)),
         ));
         steps.push(("POST", format!("/api/sessions/s{id}/update"), "{}".into()));
         steps.push((
@@ -265,10 +173,7 @@ fn multi_session_steps() -> Vec<(&'static str, String, String)> {
 
 /// [`multi_session_steps`] over TCP, one connection per step.
 fn multi_session_script(addr: SocketAddr) -> Vec<Vec<u8>> {
-    multi_session_steps()
-        .iter()
-        .map(|(method, path, body)| raw_request(addr, method, path, body))
-        .collect()
+    run_steps(addr, &multi_session_steps())
 }
 
 #[test]
@@ -281,24 +186,8 @@ fn multi_session_transcript_byte_identical_across_stripe_counts() {
     };
     let unstriped = run(1, 1);
     let striped = run(1, 4);
-    for (i, raw) in unstriped.iter().enumerate() {
-        let status = status_of(raw);
-        assert!(
-            status == 200 || status == 201,
-            "step {i} failed with {status}: {}",
-            body_of(raw)
-        );
-    }
-    assert_eq!(unstriped.len(), striped.len());
-    for (i, (a, b)) in unstriped.iter().zip(&striped).enumerate() {
-        assert_eq!(
-            a,
-            b,
-            "step {i}: 1-stripe and 4-stripe responses differ:\n{}\nvs\n{}",
-            body_of(a),
-            body_of(b)
-        );
-    }
+    assert_all_ok("1 stripe", &unstriped);
+    assert_transcripts_equal("1-vs-4 stripes", &unstriped, &striped);
 }
 
 #[test]
@@ -325,22 +214,8 @@ fn tcp_transcript_equals_in_process_handler_at_stripes_4() {
         })
         .collect();
 
-    assert_eq!(over_tcp.len(), in_process.len());
-    for (i, (a, b)) in over_tcp.iter().zip(&in_process).enumerate() {
-        let status = status_of(a);
-        assert!(
-            status == 200 || status == 201,
-            "step {i} failed with {status}: {}",
-            body_of(a)
-        );
-        assert_eq!(
-            a,
-            b,
-            "step {i}: socket and in-process responses differ:\n{}\nvs\n{}",
-            body_of(a),
-            body_of(b)
-        );
-    }
+    assert_all_ok("socket", &over_tcp);
+    assert_transcripts_equal("socket-vs-in-process", &over_tcp, &in_process);
 }
 
 #[test]

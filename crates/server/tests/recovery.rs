@@ -10,164 +10,22 @@
 //! the store's point of view, from `kill -9` after the last acknowledged
 //! response.
 
-use sider_server::{Server, ServerConfig, ShutdownHandle};
-use sider_store::StoreConfig;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::time::Duration;
+mod common;
 
-struct RunningServer {
-    addr: SocketAddr,
-    handle: ShutdownHandle,
-    joiner: std::thread::JoinHandle<std::io::Result<()>>,
+use common::*;
+use sider_server::ServerConfig;
+use sider_store::StoreConfig;
+use std::path::Path;
+
+fn start_striped(threads: usize, stripes: usize, data_dir: Option<&Path>) -> RunningServer {
+    common::start(ServerConfig {
+        store: data_dir.map(StoreConfig::new),
+        ..config(threads, stripes)
+    })
 }
 
 fn start(threads: usize, data_dir: Option<&Path>) -> RunningServer {
     start_striped(threads, 1, data_dir)
-}
-
-fn start_striped(threads: usize, stripes: usize, data_dir: Option<&Path>) -> RunningServer {
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        max_sessions: 16,
-        idle_timeout: Duration::from_secs(3600),
-        threads: Some(threads),
-        stripes,
-        store: data_dir.map(StoreConfig::new),
-        ..ServerConfig::default()
-    })
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let joiner = std::thread::spawn(move || server.run());
-    RunningServer {
-        addr,
-        handle,
-        joiner,
-    }
-}
-
-impl RunningServer {
-    fn kill(self) {
-        self.handle.shutdown();
-        self.joiner.join().unwrap().unwrap();
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("sider_recovery_test_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: sider\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    response
-}
-
-fn status_of(raw: &[u8]) -> u16 {
-    let text = std::str::from_utf8(&raw[..raw.len().min(64)]).unwrap();
-    text.split_whitespace().nth(1).unwrap().parse().unwrap()
-}
-
-fn body_of(raw: &[u8]) -> &str {
-    let pos = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    std::str::from_utf8(&raw[pos + 4..]).expect("utf-8 body")
-}
-
-fn rows(range: std::ops::Range<usize>) -> String {
-    range.map(|i| i.to_string()).collect::<Vec<_>>().join(",")
-}
-
-/// The exploration script, split at the kill point. The prefix ends
-/// mid-loop — knowledge added and fitted, a view served — and the suffix
-/// continues the same warm session, so recovery must reproduce the warm
-/// solver trajectory *and* the RNG position, not just the knowledge list.
-fn script_prefix() -> Vec<(&'static str, &'static str, String)> {
-    vec![
-        (
-            "POST",
-            "/api/sessions",
-            r#"{"dataset":"fig2","seed":7}"#.into(),
-        ),
-        (
-            "POST",
-            "/api/sessions/s1/view",
-            r#"{"method":"pca"}"#.into(),
-        ),
-        (
-            "POST",
-            "/api/sessions/s1/knowledge",
-            format!(r#"{{"kind":"cluster","rows":[{}]}}"#, rows(0..40)),
-        ),
-        ("POST", "/api/sessions/s1/update", "{}".into()),
-        (
-            "POST",
-            "/api/sessions/s1/view",
-            r#"{"method":"pca"}"#.into(),
-        ),
-    ]
-}
-
-fn script_suffix() -> Vec<(&'static str, &'static str, String)> {
-    vec![
-        (
-            "POST",
-            "/api/sessions/s1/knowledge",
-            format!(r#"{{"kind":"cluster","rows":[{}]}}"#, rows(50..90)),
-        ),
-        ("POST", "/api/sessions/s1/update", "{}".into()),
-        (
-            "POST",
-            "/api/sessions/s1/view",
-            r#"{"method":"pca"}"#.into(),
-        ),
-        ("POST", "/api/sessions/s1/undo", String::new()),
-        ("POST", "/api/sessions/s1/update", "{}".into()),
-        (
-            "POST",
-            "/api/sessions/s1/view",
-            r#"{"method":"ica","restarts":2}"#.into(),
-        ),
-        ("GET", "/api/sessions/s1/snapshot", String::new()),
-        ("GET", "/api/sessions/s1", String::new()),
-    ]
-}
-
-fn run_steps(addr: SocketAddr, steps: &[(&str, &str, String)]) -> Vec<Vec<u8>> {
-    steps
-        .iter()
-        .map(|(method, path, body)| raw_request(addr, method, path, body))
-        .collect()
-}
-
-fn assert_transcripts_equal(tag: &str, a: &[Vec<u8>], b: &[Vec<u8>]) {
-    assert_eq!(a.len(), b.len(), "{tag}: step count");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            x,
-            y,
-            "{tag}: step {i} differs:\n{}\nvs\n{}",
-            body_of(x),
-            body_of(y)
-        );
-    }
 }
 
 fn kill_and_recover(threads: usize, checkpoint_mid_flight: bool, tag: &str) -> Vec<Vec<u8>> {
@@ -191,7 +49,7 @@ fn kill_and_recover_striped(
         let raw = raw_request(durable.addr, "POST", "/api/sessions/s1/checkpoint", "");
         assert_eq!(status_of(&raw), 200, "{}", body_of(&raw));
     }
-    durable.kill();
+    durable.stop();
 
     // Restart from the data dir and continue the same session.
     let recovered = start_striped(threads, stripes, Some(&dir));
@@ -206,7 +64,7 @@ fn kill_and_recover_striped(
     );
     assert_eq!(status_of(&raw), 201);
     assert!(body_of(&raw).contains("\"id\":\"s2\""), "{}", body_of(&raw));
-    recovered.kill();
+    recovered.stop();
 
     // The never-restarted, store-less — and always **unstriped** — twin
     // serves the whole script: recovered striped transcripts must be
@@ -214,16 +72,9 @@ fn kill_and_recover_striped(
     let twin = start(threads, None);
     let mut expected = run_steps(twin.addr, &script_prefix());
     expected.extend(run_steps(twin.addr, &script_suffix()));
-    twin.kill();
+    twin.stop();
 
-    for (i, raw) in transcript.iter().enumerate() {
-        let status = status_of(raw);
-        assert!(
-            status == 200 || status == 201,
-            "{tag}: step {i} failed with {status}: {}",
-            body_of(raw)
-        );
-    }
+    assert_all_ok(tag, &transcript);
     assert_transcripts_equal(tag, &transcript, &expected);
     let _ = std::fs::remove_dir_all(&dir);
     transcript
@@ -263,7 +114,7 @@ fn torn_wal_tail_recovers_to_last_complete_op() {
     let dir = temp_dir("torn");
     let durable = start(1, Some(&dir));
     run_steps(durable.addr, &script_prefix());
-    durable.kill();
+    durable.stop();
 
     // Simulate a crash mid-append: garbage where the next record starts.
     let wal = dir.join("sessions/s1/wal.log");
@@ -287,7 +138,7 @@ fn torn_wal_tail_recovers_to_last_complete_op() {
         "{}",
         body_of(&store)
     );
-    recovered.kill();
+    recovered.stop();
 
     let twin = start(1, None);
     run_steps(twin.addr, &script_prefix());
@@ -295,7 +146,7 @@ fn torn_wal_tail_recovers_to_last_complete_op() {
         raw_request(twin.addr, "GET", "/api/sessions/s1/snapshot", ""),
         raw_request(twin.addr, "GET", "/api/sessions/s1", ""),
     ];
-    twin.kill();
+    twin.stop();
     assert_transcripts_equal("torn tail", &got, &expected);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -317,7 +168,7 @@ fn store_survives_repeated_restarts_and_deletes() {
     assert!(body_of(&raw).contains("\"id\":\"s2\""));
     let raw = raw_request(s.addr, "DELETE", "/api/sessions/s2", "");
     assert_eq!(status_of(&raw), 200);
-    s.kill();
+    s.stop();
 
     let s = start(2, Some(&dir));
     let listing = raw_request(s.addr, "GET", "/api/sessions", "");
@@ -334,13 +185,13 @@ fn store_survives_repeated_restarts_and_deletes() {
         r#"{"kind":"margin"}"#,
     );
     assert_eq!(status_of(&raw), 200);
-    s.kill();
+    s.stop();
 
     let s = start(2, Some(&dir));
     let detail = raw_request(s.addr, "GET", "/api/sessions/s1", "");
     let body = body_of(&detail);
     assert!(body.contains("\"n_knowledge\":2"), "{body}");
     assert!(body.contains("\"dirty\":true"), "{body}");
-    s.kill();
+    s.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,21 +8,16 @@
 //! these tests simultaneously pin that replication, striping, and
 //! durability are all invisible on the wire.
 
+mod common;
+
+use common::*;
 use sider_json::Json;
 use sider_loadgen::fault::{FaultSchedule, FlakyProxy};
-use sider_server::{Server, ServerConfig, ShutdownHandle};
+use sider_server::{Server, ServerConfig};
 use sider_store::StoreConfig;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-struct RunningServer {
-    addr: SocketAddr,
-    ship: Option<SocketAddr>,
-    handle: ShutdownHandle,
-    joiner: std::thread::JoinHandle<std::io::Result<()>>,
-}
 
 /// A replication node: optionally durable, optionally a shipping leader
 /// (`ship` = true binds an ephemeral ship port), optionally a follower
@@ -33,167 +28,12 @@ fn start_node(
     ship: bool,
     follow: Option<String>,
 ) -> RunningServer {
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        max_sessions: 16,
-        idle_timeout: Duration::from_secs(3600),
-        threads: Some(1),
-        stripes,
+    start(ServerConfig {
         store: data_dir.map(StoreConfig::new),
         ship_addr: ship.then(|| "127.0.0.1:0".to_string()),
         follow,
-        ..ServerConfig::default()
+        ..config(1, stripes)
     })
-    .expect("bind");
-    let addr = server.local_addr();
-    let ship = server.ship_addr();
-    let handle = server.shutdown_handle();
-    let joiner = std::thread::spawn(move || server.run());
-    RunningServer {
-        addr,
-        ship,
-        handle,
-        joiner,
-    }
-}
-
-impl RunningServer {
-    fn ship_addr(&self) -> SocketAddr {
-        self.ship.expect("node has no ship listener")
-    }
-
-    fn kill(self) {
-        self.handle.shutdown();
-        self.joiner.join().unwrap().unwrap();
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "sider_replication_test_{}_{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: sider\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    response
-}
-
-fn status_of(raw: &[u8]) -> u16 {
-    let text = std::str::from_utf8(&raw[..raw.len().min(64)]).unwrap();
-    text.split_whitespace().nth(1).unwrap().parse().unwrap()
-}
-
-fn body_of(raw: &[u8]) -> &str {
-    let pos = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    std::str::from_utf8(&raw[pos + 4..]).expect("utf-8 body")
-}
-
-fn rows(range: std::ops::Range<usize>) -> String {
-    range.map(|i| i.to_string()).collect::<Vec<_>>().join(",")
-}
-
-/// The exploration script, split at the failover point: the prefix runs
-/// on the original leader, the suffix on whoever survives. Identical to
-/// the recovery battery's script, so a promoted follower is held to the
-/// exact standard of a recovered leader.
-fn script_prefix() -> Vec<(&'static str, &'static str, String)> {
-    vec![
-        (
-            "POST",
-            "/api/sessions",
-            r#"{"dataset":"fig2","seed":7}"#.into(),
-        ),
-        (
-            "POST",
-            "/api/sessions/s1/view",
-            r#"{"method":"pca"}"#.into(),
-        ),
-        (
-            "POST",
-            "/api/sessions/s1/knowledge",
-            format!(r#"{{"kind":"cluster","rows":[{}]}}"#, rows(0..40)),
-        ),
-        ("POST", "/api/sessions/s1/update", "{}".into()),
-        (
-            "POST",
-            "/api/sessions/s1/view",
-            r#"{"method":"pca"}"#.into(),
-        ),
-    ]
-}
-
-fn script_suffix() -> Vec<(&'static str, &'static str, String)> {
-    vec![
-        (
-            "POST",
-            "/api/sessions/s1/knowledge",
-            format!(r#"{{"kind":"cluster","rows":[{}]}}"#, rows(50..90)),
-        ),
-        ("POST", "/api/sessions/s1/update", "{}".into()),
-        (
-            "POST",
-            "/api/sessions/s1/view",
-            r#"{"method":"pca"}"#.into(),
-        ),
-        ("POST", "/api/sessions/s1/undo", String::new()),
-        ("POST", "/api/sessions/s1/update", "{}".into()),
-        (
-            "POST",
-            "/api/sessions/s1/view",
-            r#"{"method":"ica","restarts":2}"#.into(),
-        ),
-        ("GET", "/api/sessions/s1/snapshot", String::new()),
-        ("GET", "/api/sessions/s1", String::new()),
-    ]
-}
-
-fn run_steps(addr: SocketAddr, steps: &[(&str, &str, String)]) -> Vec<Vec<u8>> {
-    steps
-        .iter()
-        .map(|(method, path, body)| raw_request(addr, method, path, body))
-        .collect()
-}
-
-fn assert_all_ok(tag: &str, transcript: &[Vec<u8>]) {
-    for (i, raw) in transcript.iter().enumerate() {
-        let status = status_of(raw);
-        assert!(
-            status == 200 || status == 201,
-            "{tag}: step {i} failed with {status}: {}",
-            body_of(raw)
-        );
-    }
-}
-
-fn assert_transcripts_equal(tag: &str, a: &[Vec<u8>], b: &[Vec<u8>]) {
-    assert_eq!(a.len(), b.len(), "{tag}: step count");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            x,
-            y,
-            "{tag}: step {i} differs:\n{}\nvs\n{}",
-            body_of(x),
-            body_of(y)
-        );
-    }
 }
 
 fn json_of(raw: &[u8]) -> Json {
@@ -274,7 +114,7 @@ fn twin_transcript() -> Vec<Vec<u8>> {
     let twin = start_node(1, None, false, None);
     let mut expected = run_steps(twin.addr, &script_prefix());
     expected.extend(run_steps(twin.addr, &script_suffix()));
-    twin.kill();
+    twin.stop();
     expected
 }
 
@@ -296,11 +136,11 @@ fn replicate_and_promote(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
     wait_caught_up(tag, leader.addr, follower.addr, stripes);
 
     // Kill-leader-then-promote: the follower takes over mid-exploration.
-    leader.kill();
+    leader.stop();
     promote(tag, follower.addr);
     transcript.extend(run_steps(follower.addr, &script_suffix()));
     assert_all_ok(tag, &transcript);
-    follower.kill();
+    follower.stop();
 
     assert_transcripts_equal(tag, &transcript, &twin_transcript());
     let _ = std::fs::remove_dir_all(&leader_dir);
@@ -367,7 +207,7 @@ fn replicate_through_flaky_link(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
     );
 
     // The follower survived the flaky link; now survive the leader too.
-    leader.kill();
+    leader.stop();
     proxy.stop();
     promote(tag, follower.addr);
     let verification = [
@@ -375,13 +215,13 @@ fn replicate_through_flaky_link(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
         ("GET", "/api/sessions/s1", String::new()),
     ];
     let got = run_steps(follower.addr, &verification);
-    follower.kill();
+    follower.stop();
 
     let twin = start_node(1, None, false, None);
     let mut expected = run_steps(twin.addr, &script_prefix());
     expected.extend(run_steps(twin.addr, &script_suffix()));
     let expected_tail = run_steps(twin.addr, &verification);
-    twin.kill();
+    twin.stop();
     assert_transcripts_equal(tag, &transcript, &expected);
     assert_transcripts_equal(&format!("{tag} (promoted reads)"), &got, &expected_tail);
     let _ = std::fs::remove_dir_all(&leader_dir);
@@ -420,7 +260,7 @@ fn kill_follower_mid_stream(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
     let held = store_rows(follower.addr);
     // Die mid-stream, then the leader keeps exploring without a
     // follower attached (its WALs keep everything).
-    follower.kill();
+    follower.stop();
     transcript.extend(run_steps(leader.addr, &script_suffix()));
     let lacking: u64 = store_rows(leader.addr)
         .iter()
@@ -450,7 +290,7 @@ fn kill_follower_mid_stream(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
         lacking,
         "{tag}: the second link must ship exactly the ops the follower lacks"
     );
-    leader.kill();
+    leader.stop();
     promote(tag, follower.addr);
 
     let verification = [
@@ -458,14 +298,14 @@ fn kill_follower_mid_stream(stripes: usize, tag: &str) -> Vec<Vec<u8>> {
         ("GET", "/api/sessions/s1", String::new()),
     ];
     let got = run_steps(follower.addr, &verification);
-    follower.kill();
+    follower.stop();
     assert_all_ok(tag, &transcript);
 
     let twin = start_node(1, None, false, None);
     let mut expected = run_steps(twin.addr, &script_prefix());
     expected.extend(run_steps(twin.addr, &script_suffix()));
     let expected_tail = run_steps(twin.addr, &verification);
-    twin.kill();
+    twin.stop();
     assert_transcripts_equal(tag, &transcript, &expected);
     assert_transcripts_equal(&format!("{tag} (promoted reads)"), &got, &expected_tail);
     let _ = std::fs::remove_dir_all(&leader_dir);
@@ -536,7 +376,7 @@ fn deletes_and_burned_ids_survive_failover(stripes: usize, tag: &str) {
     );
 
     // Down: s3's delete and all of s4 happen while the follower is away.
-    follower.kill();
+    follower.stop();
     let step = [
         ("DELETE", "/api/sessions/s3", String::new()),
         create(11),
@@ -557,7 +397,7 @@ fn deletes_and_burned_ids_survive_failover(stripes: usize, tag: &str) {
         1,
         "{tag}: the second link ships s3's remove and nothing else"
     );
-    leader.kill();
+    leader.stop();
     promote(tag, follower.addr);
     let step = [
         ("GET", "/api/sessions", String::new()),
@@ -566,12 +406,12 @@ fn deletes_and_burned_ids_survive_failover(stripes: usize, tag: &str) {
     ];
     transcript.extend(run_steps(follower.addr, &step));
     steps.extend(step);
-    follower.kill();
+    follower.stop();
     assert_all_ok(tag, &transcript);
 
     let twin = start_node(1, None, false, None);
     let expected = run_steps(twin.addr, &steps);
-    twin.kill();
+    twin.stop();
     let minted = &expected[expected.len() - 2];
     assert!(
         body_of(minted).contains("\"id\":\"s5\""),
@@ -608,8 +448,8 @@ fn follower_ahead_of_its_leader_breaks_the_link() {
     run_steps(first.addr, &script_prefix());
     wait_caught_up("ahead", first.addr, follower.addr, 1);
     let held = store_rows(follower.addr);
-    follower.kill();
-    first.kill();
+    follower.stop();
+    first.stop();
 
     // A second leader whose s1 holds only its create.
     let second = start_node(1, Some(&second_dir), true, None);
@@ -639,8 +479,8 @@ fn follower_ahead_of_its_leader_breaks_the_link() {
         held,
         "ahead: follower history moved"
     );
-    follower.kill();
-    second.kill();
+    follower.stop();
+    second.stop();
     for dir in [first_dir, second_dir, follower_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -684,7 +524,7 @@ fn partition_and_heal(stripes: usize, tag: &str) {
         follower.addr,
         stripes,
     );
-    leader.kill();
+    leader.stop();
     proxy.stop();
     promote(tag, follower.addr);
     let verification = [
@@ -692,13 +532,13 @@ fn partition_and_heal(stripes: usize, tag: &str) {
         ("GET", "/api/sessions/s1", String::new()),
     ];
     let got = run_steps(follower.addr, &verification);
-    follower.kill();
+    follower.stop();
 
     let twin = start_node(1, None, false, None);
     let mut expected = run_steps(twin.addr, &script_prefix());
     expected.extend(run_steps(twin.addr, &script_suffix()));
     let expected_tail = run_steps(twin.addr, &verification);
-    twin.kill();
+    twin.stop();
     assert_transcripts_equal(tag, &transcript, &expected);
     assert_transcripts_equal(&format!("{tag} (promoted reads)"), &got, &expected_tail);
     let _ = std::fs::remove_dir_all(&leader_dir);
@@ -805,7 +645,7 @@ fn follower_is_read_only_until_promoted() {
         body_of(&leader_health)
     );
 
-    leader.kill();
+    leader.stop();
     promote("read-only", follower.addr);
     // Writes flow after promotion.
     let raw = raw_request(follower.addr, "POST", "/api/sessions/s1/update", "{}");
@@ -813,7 +653,7 @@ fn follower_is_read_only_until_promoted() {
     // A second promote is a 409: already the leader.
     let raw = raw_request(follower.addr, "POST", "/api/promote", "");
     assert_eq!(status_of(&raw), 409, "{}", body_of(&raw));
-    follower.kill();
+    follower.stop();
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
 }
@@ -876,8 +716,8 @@ fn suggest_on_pair(stripes: usize, tag: &str) -> Vec<u8> {
         );
     }
 
-    follower.kill();
-    leader.kill();
+    follower.stop();
+    leader.stop();
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
     on_leader
@@ -910,7 +750,7 @@ fn replica_marker_blocks_plain_restart() {
     );
     run_steps(leader.addr, &script_prefix());
     wait_caught_up("marker", leader.addr, follower.addr, 1);
-    follower.kill();
+    follower.stop();
 
     // A replica data dir refuses to serve as a plain leader: silently
     // coming up writable would fork history from the real leader.
@@ -923,21 +763,14 @@ fn replica_marker_blocks_plain_restart() {
     assert!(err.to_string().contains("replica"), "{err}");
 
     // --promote at bind time clears the marker and takes over.
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        max_sessions: 16,
+    let promoted = start(ServerConfig {
         store: Some(StoreConfig::new(&follower_dir)),
         promote: true,
-        ..ServerConfig::default()
-    })
-    .expect("promote at bind");
-    let addr = server.local_addr();
-    let handle = server.shutdown_handle();
-    let joiner = std::thread::spawn(move || server.run());
-    let raw = raw_request(addr, "POST", "/api/sessions/s1/update", "{}");
+        ..config(1, 1)
+    });
+    let raw = raw_request(promoted.addr, "POST", "/api/sessions/s1/update", "{}");
     assert_eq!(status_of(&raw), 200, "{}", body_of(&raw));
-    handle.shutdown();
-    joiner.join().unwrap().unwrap();
+    promoted.stop();
 
     // The marker is gone: a plain restart now works.
     let plain = start_node(1, Some(&follower_dir), false, None);
@@ -947,9 +780,9 @@ fn replica_marker_blocks_plain_restart() {
         "{}",
         body_of(&raw)
     );
-    plain.kill();
+    plain.stop();
 
-    leader.kill();
+    leader.stop();
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
 }

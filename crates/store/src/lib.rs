@@ -1212,6 +1212,26 @@ mod tests {
     }
 
     #[test]
+    fn replay_refuses_an_update_with_options() {
+        let config = temp_store("update_options");
+        let dir = config.dir.clone();
+        {
+            let store = Store::open(config.clone()).unwrap();
+            scripted_history(&store, 1);
+            // `update` takes no options: replay refuses one that has any.
+            store
+                .append(1, OpKind::Update, &body(r#"{"cold":true}"#))
+                .unwrap();
+        }
+        let store = Store::open(config).unwrap();
+        let err = store.recover_session(1, pool()).unwrap_err().to_string();
+        for part in ["session s1", "update (lsn 6)", "'cold'"] {
+            assert!(err.contains(part), "{part:?} missing from: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_wal_tail_recovers_to_last_complete_op() {
         let config = temp_store("torn");
         let dir = config.dir.clone();

@@ -41,7 +41,7 @@ pub enum OpKind {
     Create,
     /// Add one knowledge statement (margin / one-cluster / cluster / twod).
     Knowledge,
-    /// Refit the background (warm by default, `"cold": true` from scratch).
+    /// Refit the background (cold the first time, warm after).
     Update,
     /// Drop the most recent knowledge statement.
     Undo,
@@ -365,23 +365,21 @@ fn apply_knowledge(session: &mut EdaSession, body: &Json) -> Result<Applied, OpE
 }
 
 /// Refit the background with all accumulated constraints — warm after the
-/// first call. Body: fit options (all fields optional) plus the strict
-/// boolean `cold` (`{"cold": 1}` must not silently take the warm path).
+/// first call. The stopping rule is the server's (`FitOpts::default()`),
+/// so the body is an empty object, and any key in it is refused by name,
+/// live and on replay alike.
 fn apply_update(session: &mut EdaSession, body: &Json) -> Result<Applied, OpError> {
-    let opts = wire::fit_opts_from_json(body)?;
-    let cold = match body.get("cold") {
-        None => false,
-        Some(v) => v.as_bool().ok_or_else(|| bad("'cold' must be a boolean"))?,
-    };
-    let warm_before = session.has_warm_solver();
-    let report = if cold {
-        session.refit_cold(&opts)?
-    } else {
-        session.update_background(&opts)?
-    };
+    let keys = body
+        .as_obj()
+        .ok_or_else(|| bad("update body must be an object"))?;
+    if let Some(key) = keys.keys().next() {
+        return Err(bad(format!("update takes no options, got '{key}'")));
+    }
+    let was_warm = session.has_warm_solver();
+    let report = session.update_background(&Default::default())?;
     Ok(Applied::Update {
         report: wire::report_to_json(&report),
-        was_warm: warm_before && !cold,
+        was_warm,
         refresh: session
             .last_refresh_stats()
             .map(|s| wire::refresh_stats_to_json(&s)),
@@ -502,6 +500,7 @@ mod tests {
             (OpKind::Knowledge, r#"{"kind":"cluster","rows":[9999]}"#),
             (OpKind::Knowledge, r#"{"kind":"twod","rows":[0]}"#),
             (OpKind::Update, r#"{"cold":1}"#),
+            (OpKind::Update, "[]"),
             (OpKind::View, r#"{"method":"umap"}"#),
             (OpKind::View, r#"{"method":"ica","restarts":0}"#),
             (OpKind::Snapshot, r#"{"format":"x"}"#),
@@ -509,8 +508,26 @@ mod tests {
         ] {
             assert!(apply(&mut s, kind, &body(b)).is_err(), "{b}");
         }
+        // Each fit setting `update` once took, with a value it accepted,
+        // is now refused by name, and the session is not refitted.
+        for (key, value) in [
+            ("lambda_tol", "0.001"),
+            ("moment_tol", "0.001"),
+            ("max_sweeps", "50"),
+            ("time_cutoff_ms", "10000"),
+            ("lambda_max", "1e9"),
+            ("trace", "true"),
+            ("cold", "true"),
+        ] {
+            let b = format!(r#"{{"{key}":{value}}}"#);
+            match apply(&mut s, OpKind::Update, &body(&b)) {
+                Err(OpError::Bad(msg)) => assert!(msg.contains(key), "{b}: {msg}"),
+                other => panic!("{b}: expected a bad op, got {other:?}"),
+            }
+        }
         assert_eq!(s.n_constraints(), 0);
         assert!(!s.is_dirty());
+        assert!(!s.has_warm_solver(), "a refused update must not fit");
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //!
 //! sider loadgen --addr HOST:PORT [--sessions N] [--requests N]
 //!               [--rps R] [--workers K] [--seed S] [--churn]
-//!               [--suggest SHARE] [--fault SPEC] [--out FILE.json]
+//!               [--suggest SHARE] [--out FILE.json]
 //!     Replay a fixed-seed open-loop mixed workload (create / knowledge /
 //!     warm update / view / snapshot) against a running server and print
 //!     the per-endpoint p50/p99/p999 latency + throughput report as
@@ -61,12 +61,7 @@
 //!     connection alongside every scheduled request, stressing the
 //!     server's accept/teardown path. --suggest dedicates SHARE
 //!     (0.0..=1.0) of the mixed phase to guided-exploration suggest
-//!     calls. --fault routes the mixed phase
-//!     through a seeded flaky TCP proxy (SPEC is `flaky` or
-//!     comma-separated `split`, `delay=MS`, `delay_every=N`,
-//!     `drop=BYTES`, `seed=N` terms) so the digests measure the server
-//!     through a link that splits, delays, and severs connections.
-//!     Defaults are the full BENCH_serve workload, or the smoke
+//!     calls. Defaults are the full BENCH_serve workload, or the smoke
 //!     workload when SIDER_BENCH_SMOKE=1.
 //!
 //! sider store inspect <DIR>
@@ -165,7 +160,7 @@ const USAGE: &str = "usage:
                  [--json]
   sider loadgen  --addr HOST:PORT [--sessions N] [--requests N] [--rps R]
                  [--workers K] [--seed S] [--churn] [--suggest SHARE]
-                 [--fault SPEC] [--out FILE.json]
+                 [--out FILE.json]
   sider store    inspect <DIR>";
 
 fn load_csv(path: &str) -> Result<Dataset, String> {
@@ -184,20 +179,11 @@ fn load_csv(path: &str) -> Result<Dataset, String> {
     Ok(ds)
 }
 
+/// A builtin dataset by name, from the table a server's create op uses,
+/// so `sider demo bnc` explores the corpus of a server's `bnc` session.
 fn builtin(name: &str) -> Result<Dataset, String> {
-    match name {
-        "fig2" => Ok(sider::data::synthetic::three_d_four_clusters(2018)),
-        "xhat5" => Ok(sider::data::synthetic::xhat5(1000, 42)),
-        "bnc" => Ok(sider::data::bnc::bnc_like_corpus(
-            &sider::data::bnc::BncOpts::default(),
-            2018,
-        )),
-        "segmentation" => Ok(sider::data::segmentation::segmentation_like(
-            &sider::data::segmentation::SegmentationOpts::default(),
-            2018,
-        )),
-        other => Err(format!("unknown demo dataset: {other}\n{USAGE}")),
-    }
+    let body = sider::json::Json::obj([("dataset", sider::json::Json::from(name))]);
+    sider::store::ops::resolve_dataset(&body).map_err(|e| format!("{e}\n{USAGE}"))
 }
 
 fn cmd_overview(cli: &Cli) -> Result<(), String> {
@@ -417,9 +403,6 @@ fn cmd_loadgen(cli: &Cli) -> Result<(), String> {
     config.seed = cli.get_or("seed", config.seed)?;
     config.churn = cli.flag("churn");
     config.suggest = cli.get_or("suggest", config.suggest)?;
-    if let Some(spec) = cli.get("fault") {
-        config.fault = Some(sider::loadgen::fault::FaultSchedule::parse(spec)?);
-    }
     if config.sessions == 0 || config.rps <= 0.0 {
         return Err("loadgen needs --sessions >= 1 and --rps > 0".into());
     }
@@ -437,8 +420,6 @@ fn cmd_loadgen(cli: &Cli) -> Result<(), String> {
         config.seed,
         if config.churn {
             ", with connection churn"
-        } else if config.fault.is_some() {
-            ", through a flaky proxy"
         } else {
             ""
         },
