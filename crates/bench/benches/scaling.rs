@@ -46,7 +46,9 @@
 //! A top-level `suggest` array times `sider_suggest::recommend` on the
 //! two guided-exploration shapes of the closed-loop benchmark: builtin
 //! `bnc` (1335×100) with batch 16 and builtin `segmentation` (2310×19)
-//! with batch 64, each fitted with margins and one label-class cluster.
+//! with batch 64, and on `bnc` with batch 64, the first d = 100 shape
+//! whose batch outgrows the 28 PCA pairs and reaches FastICA. Each is
+//! fitted with margins and one label-class cluster.
 //! Each row records `suggest_ns` at 1 and `max` threads, and
 //! `bit_identical_across_threads` compares the two response dumps.
 //!
@@ -149,6 +151,13 @@ fn main() {
             "bnc",
             bnc_like_corpus(&BncOpts::default(), 2018),
             16,
+            max_threads,
+            reps,
+        ),
+        run_suggest(
+            "bnc",
+            bnc_like_corpus(&BncOpts::default(), 2018),
+            64,
             max_threads,
             reps,
         ),

@@ -17,9 +17,10 @@
 //! divide-and-conquer dispatch vs raw Jacobi on the same class precision)
 //! must be ≥ 1.0 wherever `d ≥ 32` — the dispatch threshold above which
 //! D&C carries every decomposition. `BENCH_scaling.json` must also carry
-//! a `suggest` row for both the `bnc` and the `segmentation` shape, each
-//! timed (`suggest_ns > 0`) at 1 and `max_threads` threads with
-//! byte-identical responses, and a `fit` row for `bnc`: five refit rounds
+//! a `suggest` row for `bnc` at batch 16 and at batch 64 and for
+//! `segmentation` at batch 64, each timed (`suggest_ns > 0`) at 1 and
+//! `max_threads` threads with byte-identical responses and under the
+//! paper's 2 s at 1 thread, and a `fit` row for `bnc`: five refit rounds
 //! (margins, then four class statements), each with `sweeps >= 1` and
 //! `fit_ns > 0`, then a `cold_refit` of the final knowledge with
 //! `sweeps`, `eigen_recomputed` and `fit_ns` each `>= 1`, at 1 and
@@ -188,13 +189,15 @@ fn check_scaling(doc: &Json) -> Result<(), String> {
     check_scaling_fit(doc)
 }
 
-/// The row of the `array` rows whose `dataset` is `dataset`, with its JSON
-/// path. Its shape (`n`, `d`) must be recorded and its results must be
+/// The row of the `array` rows whose `dataset` is `dataset` and, when
+/// `batch` is given, whose `batch` is `batch`, with its JSON path. Its
+/// shape (`n`, `d`) must be recorded and its results must be
 /// bit-identical across thread counts.
 fn dataset_row<'a>(
     doc: &'a Json,
     array: &str,
     dataset: &str,
+    batch: Option<f64>,
 ) -> Result<(String, &'a Json), String> {
     let rows = doc
         .get(array)
@@ -203,8 +206,14 @@ fn dataset_row<'a>(
     let (i, row) = rows
         .iter()
         .enumerate()
-        .find(|(_, r)| r.get("dataset").and_then(Json::as_str) == Some(dataset))
-        .ok_or_else(|| format!("no '{array}' row with dataset == \"{dataset}\""))?;
+        .find(|(_, r)| {
+            r.get("dataset").and_then(Json::as_str) == Some(dataset)
+                && batch.is_none_or(|b| r.get("batch").and_then(Json::as_num) == Some(b))
+        })
+        .ok_or_else(|| match batch {
+            Some(b) => format!("no '{array}' row with dataset == \"{dataset}\" and batch == {b}"),
+            None => format!("no '{array}' row with dataset == \"{dataset}\""),
+        })?;
     let at = format!("{array}[{i}]");
     for key in ["n", "d"] {
         if require_num_at(row, &at, key)? < 1.0 {
@@ -247,23 +256,34 @@ fn thread_runs<'a>(row: &'a Json, at: &str, max_threads: f64) -> Result<&'a [Jso
     Ok(runs)
 }
 
-/// The `suggest` rows of `BENCH_scaling.json`: `recommend` timed on the
-/// closed-loop benchmark's two guided-exploration shapes, at 1 and
-/// `max_threads` pool threads, with byte-identical responses.
+/// The `suggest` rows of `BENCH_scaling.json` by dataset and batch: the
+/// closed-loop benchmark's two guided-exploration shapes, and `bnc` at
+/// batch 64, the first d = 100 shape whose batch reaches FastICA past the
+/// PCA pairs.
+const SUGGEST_ROWS: [(&str, f64); 3] = [("bnc", 16.0), ("bnc", 64.0), ("segmentation", 64.0)];
+
+/// The `suggest` rows: `recommend` timed at 1 and `max_threads` pool
+/// threads, with byte-identical responses, each 1-thread run under the
+/// paper's interactive 2 s.
 fn check_scaling_suggest(doc: &Json) -> Result<(), String> {
     let max_threads = require_num_at(doc, "", "max_threads")?;
-    for dataset in ["bnc", "segmentation"] {
-        let (at, row) = dataset_row(doc, "suggest", dataset)?;
-        for key in ["batch", "k"] {
-            if require_num_at(row, &at, key)? < 1.0 {
-                return Err(format!("JSON path '{at}.{key}' must be >= 1"));
-            }
+    for (dataset, batch) in SUGGEST_ROWS {
+        let (at, row) = dataset_row(doc, "suggest", dataset, Some(batch))?;
+        if require_num_at(row, &at, "k")? < 1.0 {
+            return Err(format!("JSON path '{at}.k' must be >= 1"));
         }
         for (j, run) in thread_runs(row, &at, max_threads)?.iter().enumerate() {
             let at = format!("{at}.runs[{j}]");
-            if require_num_at(run, &at, "suggest_ns")? < 1.0 {
+            let t = require_num_at(run, &at, "suggest_ns")?;
+            if t < 1.0 {
                 return Err(format!(
                     "JSON path '{at}.suggest_ns' is zero — suggest was not timed"
+                ));
+            }
+            if run.get("threads").and_then(Json::as_num) == Some(1.0) && t >= STAGE_BOUND_NS {
+                return Err(format!(
+                    "JSON path '{at}.suggest_ns': {:.2} s at 1 thread is not under the paper's 2 s (§IV-A)",
+                    t / 1e9
                 ));
             }
         }
@@ -278,7 +298,7 @@ fn check_scaling_suggest(doc: &Json) -> Result<(), String> {
 fn check_scaling_fit(doc: &Json) -> Result<(), String> {
     const ROUNDS: usize = 5;
     let max_threads = require_num_at(doc, "", "max_threads")?;
-    let (at, row) = dataset_row(doc, "fit", "bnc")?;
+    let (at, row) = dataset_row(doc, "fit", "bnc", None)?;
     for (j, run) in thread_runs(row, &at, max_threads)?.iter().enumerate() {
         let at = format!("{at}.runs[{j}]");
         if require_num_at(run, &at, "total_fit_ns")? < 1.0 {
@@ -536,7 +556,8 @@ fn check_serve(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// The paper's bound on every Table II stage but OPTIM and ICA (§IV-A).
+/// The paper's interactive bound (§IV-A): on every Table II stage but
+/// OPTIM and ICA, and on each 1-thread `suggest` run of the scaling bench.
 const STAGE_BOUND_NS: f64 = 2e9;
 /// OPTIM times below this are too short to read a per-sweep cost from.
 const OPTIM_FLOOR_NS: f64 = 10e6;
@@ -801,8 +822,8 @@ mod tests {
     }
 
     /// A minimal valid `BENCH_scaling.json`: one scenario past the D&C
-    /// dispatch threshold, both suggest shapes and the five-round fit row
-    /// with its cold refit.
+    /// dispatch threshold, the three suggest rows and the five-round fit
+    /// row with its cold refit.
     fn scaling() -> Json {
         let runs =
             |extra: &str| format!(r#"[{{"threads": 1, {extra}}}, {{"threads": 2, {extra}}}]"#);
@@ -811,9 +832,9 @@ mod tests {
             r#""total_fit_ns": 5000, "rounds": [{}], "cold_refit": {round}"#,
             [round; 5].join(", ")
         );
-        let suggest = |dataset: &str| {
+        let suggest = |dataset: &str, batch: usize| {
             format!(
-                r#"{{"dataset": "{dataset}", "n": 100, "d": 10, "batch": 16, "k": 8,
+                r#"{{"dataset": "{dataset}", "n": 100, "d": 10, "batch": {batch}, "k": 8,
                     "bit_identical_across_threads": true, "runs": {}}}"#,
                 runs(r#""suggest_ns": 1000"#)
             )
@@ -827,11 +848,12 @@ mod tests {
                     "parallel_speedup_max_vs_1": 1.5, "bit_identical_across_threads": true,
                     "runs": [{{"threads": 1, "sample_ns": 1, "refresh_ns": 1, "whiten_ns": 1,
                         "pca_ns": 1, "matmul_ns": 1, "hot_total_ns": 2}}]}}],
-                "suggest": [{}, {}],
+                "suggest": [{}, {}, {}],
                 "fit": [{{"dataset": "bnc", "n": 1335, "d": 100,
                     "bit_identical_across_threads": true, "runs": {}}}]}}"#,
-            suggest("bnc"),
-            suggest("segmentation"),
+            suggest("bnc", 16),
+            suggest("bnc", 64),
+            suggest("segmentation", 64),
             runs(&rounds),
         ))
         .unwrap()
@@ -917,6 +939,37 @@ mod tests {
         // Below d = 32 the dispatch is Jacobi and the ratio is noise.
         let small = with(&scaling(), "scenarios[0].d", 16usize);
         check_scaling(&with(&small, "scenarios[0].eigen.dc_speedup", 0.5)).unwrap();
+    }
+
+    #[test]
+    fn suggest_rows_are_keyed_by_dataset_and_batch() {
+        let mut missing = scaling();
+        let Json::Arr(rows) = at(&mut missing, "suggest") else {
+            panic!("suggest is not an array")
+        };
+        rows.remove(1);
+        // The batch-16 row does not stand in for the batch-64 one.
+        let err = check_scaling(&missing).unwrap_err();
+        assert!(
+            err.contains(r#"dataset == "bnc" and batch == 64"#),
+            "error {err:?} does not name the missing row"
+        );
+    }
+
+    #[test]
+    fn suggest_at_one_thread_stays_under_two_seconds() {
+        for i in 0..3 {
+            let path = format!("suggest[{i}].runs[0].suggest_ns");
+            assert_rejects(check_scaling, &scaling(), &path, 2_000_000_000usize);
+            check_scaling(&with(&scaling(), &path, 1_999_999_999usize)).unwrap();
+        }
+        // The bound is on the serial figure.
+        check_scaling(&with(
+            &scaling(),
+            "suggest[1].runs[1].suggest_ns",
+            2_000_000_000usize,
+        ))
+        .unwrap();
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub enum ComponentOrder {
 /// Options for [`fastica`].
 #[derive(Debug, Clone)]
 pub struct IcaOpts {
-    /// Number of components to extract (`None` = numerical rank of the data).
+    /// Most components to extract: `Some(k)` extracts `min(k, rank)`,
+    /// `None` the numerical rank of the data. A cap at or above the rank
+    /// takes the same path, with the same draws, as `None`.
     pub n_components: Option<usize>,
     /// Maximum fixed-point iterations.
     pub max_iter: usize,
@@ -130,20 +132,13 @@ pub fn fastica_with(
         }
     }
     let rank = keep.len();
-    let k_req = opts.n_components.unwrap_or(rank);
-    if rank == 0 || k_req == 0 {
+    let k = opts.n_components.map_or(rank, |cap| cap.min(rank));
+    if k == 0 {
         return Err(ProjectionError::RankDeficient {
             rank,
-            requested: k_req.max(1),
+            requested: opts.n_components.unwrap_or(1).max(1),
         });
     }
-    if k_req > rank {
-        return Err(ProjectionError::RankDeficient {
-            rank,
-            requested: k_req,
-        });
-    }
-    let k = k_req;
     // Whitening matrix K (rank × d): z = K (x − μ) has identity covariance.
     let mut kmat = Matrix::zeros(rank, d);
     for (row, &idx) in keep.iter().enumerate() {
@@ -502,17 +497,62 @@ mod tests {
         assert_eq!(res.directions.rows(), 2); // rank, not 3
     }
 
-    #[test]
-    fn requesting_too_many_components_errors() {
+    /// 2000 rows of rank 3 in four columns: a uniform, a Laplace-ish
+    /// and a Gaussian source, mixed, with column 3 repeating column 0.
+    fn rank_three_of_four() -> Matrix {
         let mut rng = Rng::seed_from_u64(14);
-        let data = rng.standard_normal_matrix(100, 2);
+        let rows: Vec<Vec<f64>> = (0..2000)
+            .map(|_| {
+                let a = (rng.uniform() - 0.5) * 3.4641;
+                let sign = if rng.bernoulli(0.5) { 1.0 } else { -1.0 };
+                let b = sign * (-(1.0 - rng.uniform()).ln());
+                let c = rng.normal(0.0, 1.0);
+                vec![a + 0.5 * b, b - 0.3 * c, c, a + 0.5 * b]
+            })
+            .collect();
+        Matrix::from_rows(&rows)
+    }
+
+    fn capped_at(data: &Matrix, n_components: Option<usize>) -> Result<IcaResult> {
         let opts = IcaOpts {
-            n_components: Some(5),
+            n_components,
             ..IcaOpts::default()
         };
-        let mut rng2 = Rng::seed_from_u64(15);
+        fastica(data, &opts, &mut Rng::seed_from_u64(15))
+    }
+
+    #[test]
+    fn a_cap_at_or_above_the_rank_is_the_full_rank_run() {
+        let data = rank_three_of_four();
+        let full = capped_at(&data, None).unwrap();
+        assert_eq!(full.directions.rows(), 3);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cap in [3, 4, 100] {
+            let capped = capped_at(&data, Some(cap)).unwrap();
+            assert_eq!(
+                bits(capped.directions.as_slice()),
+                bits(full.directions.as_slice()),
+                "cap {cap}"
+            );
+            assert_eq!(bits(&capped.scores), bits(&full.scores), "cap {cap}");
+            assert_eq!(capped.iterations, full.iterations, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn a_cap_below_the_rank_returns_that_many_unit_rows() {
+        let data = rank_three_of_four();
+        for cap in [1, 2] {
+            let capped = capped_at(&data, Some(cap)).unwrap();
+            assert_eq!(capped.directions.shape(), (cap, 4));
+            assert_eq!(capped.scores.len(), cap);
+            assert_eq!(capped.sources.shape(), (2000, cap));
+            for k in 0..cap {
+                assert!((vector::norm2(capped.directions.row(k)) - 1.0).abs() < 1e-12);
+            }
+        }
         assert!(matches!(
-            fastica(&data, &opts, &mut rng2),
+            capped_at(&data, Some(0)),
             Err(ProjectionError::RankDeficient { .. })
         ));
     }

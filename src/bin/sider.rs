@@ -14,7 +14,7 @@
 //!     written as an SVG; the per-iteration scores (Table-I style) and
 //!     the information absorbed (in nats) are printed.
 //!
-//! sider demo <fig2|xhat5|bnc|segmentation>
+//! sider demo <fig2|xhat5|bnc|segmentation> [explore's flags but --data]
 //!     The same, on the paper's built-in datasets.
 //!
 //! sider serve [--addr HOST:PORT] [--max-sessions N] [--threads K]
@@ -72,8 +72,9 @@
 //!     is torn.
 //! ```
 //!
-//! The CSV format is the one written by `sider::data::csv`: a header row
-//! of column names, then one numeric row per data point.
+//! Every command refuses a flag it does not read. The CSV format is the
+//! one written by `sider::data::csv`: a header row of column names, then
+//! one numeric row per data point.
 
 use sider::core::report::{format_convergence, format_score_table};
 use sider::core::{explore, EdaSession, ExplorationConfig, SimulatedUser};
@@ -143,14 +144,39 @@ impl Cli {
     fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
     }
+
+    /// Refuse any `--key` outside `keys`, the keys the command reads, so a
+    /// misspelled or removed flag never runs the command on its defaults.
+    fn only(&self, keys: &[&str]) -> Result<(), String> {
+        match self.pairs.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+            Some((key, _)) => Err(format!(
+                "unknown flag --{key} for sider {}\n{USAGE}",
+                self.command
+            )),
+            None => Ok(()),
+        }
+    }
 }
+
+/// The flags `explore` and `demo` read besides the one naming their data.
+const EXPLORE_FLAGS: [&str; 7] = [
+    "out",
+    "seed",
+    "iterations",
+    "threshold",
+    "method",
+    "margins",
+    "one-cluster",
+];
 
 const USAGE: &str = "usage:
   sider overview --data FILE.csv [--out DIR]
   sider explore  --data FILE.csv [--method pca|ica] [--iterations N]
                  [--threshold T] [--seed S] [--margins] [--one-cluster]
                  [--out DIR]
-  sider demo     <fig2|xhat5|bnc|segmentation> [--out DIR]
+  sider demo     <fig2|xhat5|bnc|segmentation> [--method pca|ica]
+                 [--iterations N] [--threshold T] [--seed S] [--margins]
+                 [--one-cluster] [--out DIR]
   sider serve    [--addr HOST:PORT] [--max-sessions N] [--threads K]
                  [--stripes S] [--data-dir DIR]
                  [--fsync always|never|N] [--checkpoint-every N]
@@ -181,12 +207,15 @@ fn load_csv(path: &str) -> Result<Dataset, String> {
 
 /// A builtin dataset by name, from the table a server's create op uses,
 /// so `sider demo bnc` explores the corpus of a server's `bnc` session.
+/// A name is all it takes: the create op's inline CSV has no flag here.
 fn builtin(name: &str) -> Result<Dataset, String> {
     let body = sider::json::Json::obj([("dataset", sider::json::Json::from(name))]);
-    sider::store::ops::resolve_dataset(&body).map_err(|e| format!("{e}\n{USAGE}"))
+    sider::store::ops::resolve_dataset(&body)
+        .map_err(|_| format!("unknown dataset '{name}' (fig2|xhat5|bnc|segmentation)\n{USAGE}"))
 }
 
 fn cmd_overview(cli: &Cli) -> Result<(), String> {
+    cli.only(&["data", "out"])?;
     let data = cli.get("data").ok_or(format!("--data required\n{USAGE}"))?;
     let out: PathBuf = cli.get_or("out", "out".to_string())?.into();
     let ds = load_csv(data)?;
@@ -220,7 +249,23 @@ fn cmd_overview(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explore(cli: &Cli, ds: Dataset) -> Result<(), String> {
+fn cmd_explore(cli: &Cli) -> Result<(), String> {
+    cli.only(&[["data"].as_slice(), &EXPLORE_FLAGS].concat())?;
+    let data = cli.get("data").ok_or(format!("--data required\n{USAGE}"))?;
+    run_exploration(cli, load_csv(data)?)
+}
+
+fn cmd_demo(cli: &Cli) -> Result<(), String> {
+    cli.only(&[["dataset"].as_slice(), &EXPLORE_FLAGS].concat())?;
+    let name = cli
+        .get("dataset")
+        .ok_or(format!("demo needs a dataset\n{USAGE}"))?;
+    run_exploration(cli, builtin(name)?)
+}
+
+/// The exploration loop of `explore` and `demo` on `ds`, with the
+/// `EXPLORE_FLAGS` settings.
+fn run_exploration(cli: &Cli, ds: Dataset) -> Result<(), String> {
     let out: PathBuf = cli.get_or("out", "out".to_string())?.into();
     let seed: u64 = cli.get_or("seed", 7u64)?;
     let iterations: usize = cli.get_or("iterations", 6usize)?;
@@ -307,6 +352,18 @@ fn cmd_explore(cli: &Cli, ds: Dataset) -> Result<(), String> {
 }
 
 fn cmd_serve(cli: &Cli) -> Result<(), String> {
+    cli.only(&[
+        "addr",
+        "max-sessions",
+        "threads",
+        "stripes",
+        "data-dir",
+        "fsync",
+        "checkpoint-every",
+        "ship-addr",
+        "follow",
+        "promote",
+    ])?;
     let mut config = sider::server::ServerConfig::from_env()?;
     if let Some(addr) = cli.get("addr") {
         config.addr = addr.to_string();
@@ -394,6 +451,9 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
 }
 
 fn cmd_loadgen(cli: &Cli) -> Result<(), String> {
+    cli.only(&[
+        "addr", "sessions", "requests", "rps", "workers", "seed", "churn", "suggest", "out",
+    ])?;
     let addr = cli.get("addr").ok_or(format!("--addr required\n{USAGE}"))?;
     let mut config = sider::loadgen::LoadConfig::from_env(addr);
     config.sessions = cli.get_or("sessions", config.sessions)?;
@@ -445,6 +505,16 @@ fn cmd_loadgen(cli: &Cli) -> Result<(), String> {
 }
 
 fn cmd_suggest(cli: &Cli) -> Result<(), String> {
+    cli.only(&[
+        "data",
+        "dataset",
+        "seed",
+        "batch",
+        "k",
+        "margins",
+        "one-cluster",
+        "json",
+    ])?;
     let ds = match (cli.get("data"), cli.get("dataset")) {
         (Some(path), None) => load_csv(path)?,
         (None, Some(name)) => builtin(name)?,
@@ -528,6 +598,7 @@ fn cmd_suggest(cli: &Cli) -> Result<(), String> {
 }
 
 fn cmd_store(cli: &Cli) -> Result<(), String> {
+    cli.only(&[])?;
     match cli.positionals.first().map(String::as_str) {
         Some("inspect") => {
             let dir = cli
@@ -543,22 +614,12 @@ fn cmd_store(cli: &Cli) -> Result<(), String> {
     }
 }
 
-fn run() -> Result<(), String> {
-    let cli = Cli::parse(std::env::args().skip(1)).map_err(|e| format!("{e}\n{USAGE}"))?;
+fn run(args: impl IntoIterator<Item = String>) -> Result<(), String> {
+    let cli = Cli::parse(args).map_err(|e| format!("{e}\n{USAGE}"))?;
     match cli.command.as_str() {
         "overview" => cmd_overview(&cli),
-        "explore" => {
-            let data = cli.get("data").ok_or(format!("--data required\n{USAGE}"))?;
-            let ds = load_csv(data)?;
-            cmd_explore(&cli, ds)
-        }
-        "demo" => {
-            let name = cli
-                .get("dataset")
-                .ok_or(format!("demo needs a dataset\n{USAGE}"))?;
-            let ds = builtin(name)?;
-            cmd_explore(&cli, ds)
-        }
+        "explore" => cmd_explore(&cli),
+        "demo" => cmd_demo(&cli),
         "serve" => cmd_serve(&cli),
         "suggest" => cmd_suggest(&cli),
         "loadgen" => cmd_loadgen(&cli),
@@ -572,7 +633,7 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    match run(std::env::args().skip(1)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -602,6 +663,48 @@ mod tests {
         let c = cli(&["explore", "--margins", "--data", "x.csv"]).unwrap();
         assert!(c.flag("margins"));
         assert!(!c.flag("one-cluster"));
+    }
+
+    #[test]
+    fn refuses_flags_the_command_does_not_read() {
+        // Each command line but its last flag would fail at once on
+        // an argument, so a missing check shows as a different error.
+        for (args, flag) in [
+            (
+                &["loadgen", "--addr", "127.0.0.1:1", "--fault", "flaky"][..],
+                "fault",
+            ),
+            (
+                &["overview", "--data", "/nonexistent.csv", "--seed", "3"],
+                "seed",
+            ),
+            (
+                &["explore", "--data", "/nonexistent.csv", "--dataset", "fig2"],
+                "dataset",
+            ),
+            (
+                &["demo", "fig2", "--iterations", "x", "--data", "a.csv"],
+                "data",
+            ),
+            (&["serve", "--stripes", "x", "--sessions", "4"], "sessions"),
+            (
+                &[
+                    "suggest",
+                    "--dataset",
+                    "fig2",
+                    "--batch",
+                    "0",
+                    "--iterations",
+                    "2",
+                ],
+                "iterations",
+            ),
+            (&["store", "inspect", "/nonexistent/x", "--json"], "json"),
+        ] {
+            let err = run(args.iter().map(|s| s.to_string())).unwrap_err();
+            let want = format!("unknown flag --{flag} for sider {}\n", args[0]);
+            assert!(err.starts_with(&want), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -661,7 +764,13 @@ mod tests {
     fn builtin_datasets_resolve() {
         assert!(builtin("fig2").is_ok());
         assert!(builtin("xhat5").is_ok());
-        assert!(builtin("nope").is_err());
+        // Neither `demo` nor `suggest --dataset` takes inline CSV.
+        let err = builtin("nope").unwrap_err();
+        assert!(
+            err.starts_with("unknown dataset 'nope' (fig2|xhat5|bnc|segmentation)\n"),
+            "{err}"
+        );
+        assert!(!err.contains("inline"), "{err}");
     }
 
     #[test]
