@@ -428,6 +428,7 @@ impl EdaSession {
 mod tests {
     use super::*;
     use sider_data::synthetic::three_d_four_clusters;
+    use sider_projection::IcaOpts;
 
     fn session() -> EdaSession {
         EdaSession::new(three_d_four_clusters(2018), 7).unwrap()
@@ -483,6 +484,40 @@ mod tests {
         assert_eq!(view.projected_background.shape(), (150, 2));
         assert!(view.axis_labels[0].starts_with("PCA1["));
         assert_eq!(view.projection.axes.shape(), (2, 3));
+    }
+
+    #[test]
+    fn an_ica_view_draws_only_fastica_start_and_one_sample_seed() {
+        // Whatever FastICA's iterations compute, an ICA view moves the
+        // session RNG exactly as far as its start (k × r normals, k and r
+        // fixed by the rank) or its restart seeds, plus the background
+        // sample's seed — so no logged byte depends on the iterations'
+        // numerics. The second view starts from the spare normal the
+        // first one's odd count of 3 × 3 left cached.
+        let mut s = session();
+        s.add_margin_constraints().unwrap();
+        s.update_background(&FitOpts::default()).unwrap();
+        let mut twin = s.rng.clone();
+        for restarts in [1, 1, 2] {
+            let opts = IcaOpts {
+                restarts,
+                ..IcaOpts::default()
+            };
+            s.next_view(&Method::Ica(opts)).unwrap();
+            if restarts == 1 {
+                twin.standard_normal_matrix(3, 3);
+            } else {
+                for _ in 0..restarts {
+                    twin.next_u64();
+                }
+            }
+            twin.next_u64();
+            assert_eq!(
+                format!("{:?}", s.rng),
+                format!("{twin:?}"),
+                "restarts {restarts}"
+            );
+        }
     }
 
     #[test]

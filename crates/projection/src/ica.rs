@@ -11,13 +11,24 @@
 //!    directions — the whitened SIDER data can be rank-deficient when
 //!    constraints collapse directions);
 //! 3. fixed-point iteration `w ← E[z·g(wᵀz)] − E[g′(wᵀz)]·w` with
-//!    symmetric decorrelation, `g = tanh`. One step reads each whitened
-//!    row once for all components and evaluates the contrast once per
-//!    projection; every expectation sums the rows in ascending order, so
-//!    iterates, iteration counts and results are fixed bits;
+//!    symmetric decorrelation, `g = tanh`. One step works through the
+//!    whitened rows in blocks: it projects a block for all components,
+//!    evaluates the contrast over the whole block in one vectorized loop
+//!    (the owned [`tanh`](sider_stats::gaussianity::tanh), not the host's
+//!    libm), then adds the block up. Every expectation sums the rows in
+//!    ascending order, so iterates, iteration counts and results are
+//!    fixed bits on every IEEE host;
 //! 4. map the unmixing directions back to the input space and score each
 //!    component by the signed negentropy proxy `E[G(s)] − E[G(ν)]`,
 //!    sorting by absolute value exactly like the paper's Table I.
+//!
+//! Only a run's start draws from the caller's generator: `k × r` normals
+//! (`k` and `r` fixed by the rank and the cap), or one seed per restart.
+//! The iterations draw nothing, so a change to their numerics (such as the
+//! owned tanh) moves the directions and scores a run returns, and with
+//! them the bytes of ICA view and suggest responses, but never the
+//! generator's position: a session's later draws, its WAL, checkpoints
+//! and replay keep their bytes.
 
 use crate::error::ProjectionError;
 use crate::Result;
@@ -254,36 +265,67 @@ fn run_restart(
     })
 }
 
+/// Rows of `z` that [`fixed_point_step`] projects, contrasts and adds up
+/// as one block.
+const BLOCK_ROWS: usize = 32;
+/// Components that [`fixed_point_step`] projects together, one register
+/// lane each.
+const LANES: usize = 8;
+
 /// One fixed-point step for all rows of `w` at once:
 /// `w⁺ = E[z·g(wᵀz)] − E[g′(wᵀz)]·w`.
 ///
-/// Row-outer: each row of `z` is read once. Its `k` projections build up
-/// in `k` independent lanes over the columns of `Wᵀ` — each lane starts at
-/// `-0.0` and adds in ascending coordinate order, exactly like
-/// [`vector::dot`] — then the contrast runs once per projection
-/// ([`g_pair`]) and `g·zᵢ` is added into row `c` of a `k × r`
-/// accumulator. Every `(c, j)` sum still runs over the rows in ascending
-/// order, so the step is bit-identical to one dot chain and two contrast
-/// calls per component per row.
+/// Blocked: `BLOCK_ROWS` rows of `z` at a time are projected into a
+/// buffer, in lane groups of `LANES` components (the last group padded
+/// with zero directions). Each lane starts at `-0.0` and adds its row's
+/// coordinates in ascending order, exactly like [`vector::dot`]. The
+/// contrast ([`g_pair`], on the owned [`tanh`](sider_stats::gaussianity::tanh))
+/// then runs over the whole buffer in one loop that vectorizes, and the
+/// block's `g·zᵢ` and `g′` are added into the `k × r` accumulator and
+/// `E[g′]` in ascending row order. Every `(c, j)` sum still runs over the
+/// rows in ascending order, so the step is bit-identical to one dot chain
+/// and two contrast calls per component per row.
 fn fixed_point_step(z: &Matrix, w: &Matrix) -> Matrix {
     let (n, r) = z.shape();
     let k = w.rows();
-    let wt = w.transpose(); // r × k: row j holds coordinate j of every w_c
+    let kp = k.div_ceil(LANES) * LANES;
+    // r × kp: row j holds coordinate j of every w_c, then zeros.
+    let mut wt = vec![0.0; r * kp];
+    for c in 0..k {
+        for (j, &wcj) in w.row(c).iter().enumerate() {
+            wt[j * kp + c] = wcj;
+        }
+    }
     let mut ezg = Matrix::zeros(k, r);
     let mut eg_prime = vec![0.0; k];
-    let mut u = vec![0.0; k];
-    for i in 0..n {
-        let zi = z.row(i);
-        u.fill(-0.0);
-        for (j, &zij) in zi.iter().enumerate() {
-            for (uc, &wcj) in u.iter_mut().zip(wt.row(j)) {
-                *uc += zij * wcj;
+    // `g` first holds a block's projections, then their contrast g(u).
+    let mut g = vec![0.0; BLOCK_ROWS * kp];
+    let mut g_prime = vec![0.0; BLOCK_ROWS * kp];
+    for start in (0..n).step_by(BLOCK_ROWS) {
+        let rows = start..n.min(start + BLOCK_ROWS);
+        let used = rows.len() * kp;
+        for (i, u) in rows.clone().zip(g.chunks_exact_mut(kp)) {
+            let zi = z.row(i);
+            for (group, u) in u.chunks_exact_mut(LANES).enumerate() {
+                let mut lanes = [-0.0; LANES];
+                for (j, &zij) in zi.iter().enumerate() {
+                    let wj = &wt[j * kp + group * LANES..][..LANES];
+                    for (lane, &wcj) in lanes.iter_mut().zip(wj) {
+                        *lane += zij * wcj;
+                    }
+                }
+                u.copy_from_slice(&lanes);
             }
         }
-        for (c, (&uc, egp)) in u.iter().zip(&mut eg_prime).enumerate() {
-            let (g, g_prime) = g_pair(uc);
-            vector::axpy(g, zi, ezg.row_mut(c));
-            *egp += g_prime;
+        for (u, gp) in g[..used].iter_mut().zip(&mut g_prime[..used]) {
+            (*u, *gp) = g_pair(*u);
+        }
+        for (i, (gi, gpi)) in rows.zip(g.chunks_exact(kp).zip(g_prime.chunks_exact(kp))) {
+            let zi = z.row(i);
+            for (c, egp) in eg_prime.iter_mut().enumerate() {
+                vector::axpy(gi[c], zi, ezg.row_mut(c));
+                *egp += gpi[c];
+            }
         }
     }
     let inv_n = 1.0 / n as f64;
@@ -334,6 +376,7 @@ fn symmetric_iteration(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sider_stats::gaussianity::tanh;
 
     /// Mix two independent non-Gaussian sources by a rotation.
     fn mixed_sources(n: usize, angle: f64, seed: u64) -> (Matrix, [f64; 2], [f64; 2]) {
@@ -358,11 +401,11 @@ mod tests {
 
     /// Column-outer reference step: one `vector::dot` chain and two
     /// separate contrast derivatives per component per row, with the
-    /// log-cosh derivative formulas written out inline.
+    /// log-cosh derivative formulas written out inline on the owned tanh.
     fn reference_step(z: &Matrix, w: &Matrix) -> Matrix {
-        let g = |u: f64| u.tanh();
+        let g = |u: f64| tanh(u);
         let g_prime = |u: f64| {
-            let t = u.tanh();
+            let t = tanh(u);
             1.0 - t * t
         };
         let (n, r) = z.shape();
@@ -391,7 +434,15 @@ mod tests {
 
     #[test]
     fn fixed_point_step_matches_column_outer_reference_bitwise() {
-        for (n, r, k) in [(2310, 19, 19), (500, 12, 7), (100, 5, 3), (37, 1, 1)] {
+        // Whole and partial row blocks, whole and padded lane groups.
+        for (n, r, k) in [
+            (2310, 19, 19),
+            (2310, 19, 8),
+            (500, 12, 7),
+            (100, 5, 3),
+            (64, 9, 16),
+            (37, 1, 1),
+        ] {
             let mut rng = Rng::seed_from_u64((n * 131 + r * 17 + k) as u64);
             let mut z = rng.standard_normal_matrix(n, r);
             // Signed-zero rows give zero projections of both signs; a

@@ -24,7 +24,7 @@ use sider_json::Json;
 use sider_par::ThreadPool;
 use sider_projection::{IcaOpts, Method};
 use std::io::BufReader;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Most ICA restarts one `view` op may ask for — each restart is a full
 /// FastICA run, so the cap bounds how long a single request can hold a
@@ -221,6 +221,30 @@ pub fn index_arr(v: &Json, what: &str) -> Result<Vec<usize>, OpError> {
         .collect()
 }
 
+/// One of the paper's builtin datasets (`None` for an unknown name),
+/// generated once per process: every later create and every replayed
+/// create gets a clone instead of regenerating it (the BNC corpus costs
+/// about 0.1 s and a 10 MB word-count matrix each time).
+fn builtin(name: &str) -> Option<Dataset> {
+    use sider_data::{bnc, segmentation, synthetic};
+    static FIG2: OnceLock<Dataset> = OnceLock::new();
+    static XHAT5: OnceLock<Dataset> = OnceLock::new();
+    static BNC: OnceLock<Dataset> = OnceLock::new();
+    static SEGMENTATION: OnceLock<Dataset> = OnceLock::new();
+    let (cell, generate): (&OnceLock<Dataset>, fn() -> Dataset) = match name {
+        "fig2" => (&FIG2, || synthetic::three_d_four_clusters(2018)),
+        "xhat5" => (&XHAT5, || synthetic::xhat5(1000, 42)),
+        "bnc" => (&BNC, || {
+            bnc::bnc_like_corpus(&bnc::BncOpts::default(), 2018)
+        }),
+        "segmentation" => (&SEGMENTATION, || {
+            segmentation::segmentation_like(&segmentation::SegmentationOpts::default(), 2018)
+        }),
+        _ => return None,
+    };
+    Some(cell.get_or_init(generate).clone())
+}
+
 /// Resolve the dataset of a create op: `{"dataset": "fig2"}` for the
 /// paper's builtins, or `{"name": …, "csv": "a,b\n1,2\n…"}` for inline
 /// data.
@@ -239,19 +263,9 @@ pub fn resolve_dataset(body: &Json) -> Result<Dataset, String> {
         return Ok(ds);
     }
     match body.get("dataset").and_then(Json::as_str) {
-        Some("fig2") => Ok(sider_data::synthetic::three_d_four_clusters(2018)),
-        Some("xhat5") => Ok(sider_data::synthetic::xhat5(1000, 42)),
-        Some("bnc") => Ok(sider_data::bnc::bnc_like_corpus(
-            &sider_data::bnc::BncOpts::default(),
-            2018,
-        )),
-        Some("segmentation") => Ok(sider_data::segmentation::segmentation_like(
-            &sider_data::segmentation::SegmentationOpts::default(),
-            2018,
-        )),
-        Some(other) => Err(format!(
-            "unknown dataset '{other}' (fig2|xhat5|bnc|segmentation, or inline 'csv')"
-        )),
+        Some(name) => builtin(name).ok_or_else(|| {
+            format!("unknown dataset '{name}' (fig2|xhat5|bnc|segmentation, or inline 'csv')")
+        }),
         None => Err("need 'dataset' (builtin name) or 'csv'".into()),
     }
 }
@@ -430,6 +444,39 @@ mod tests {
 
     fn body(text: &str) -> Json {
         Json::parse(text).unwrap()
+    }
+
+    #[test]
+    fn builtins_resolve_to_the_bits_of_a_fresh_generation() {
+        let bits = |ds: &Dataset| {
+            ds.matrix
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        use sider_data::{bnc, segmentation, synthetic};
+        let fresh_generations = [
+            ("fig2", synthetic::three_d_four_clusters(2018)),
+            ("xhat5", synthetic::xhat5(1000, 42)),
+            ("bnc", bnc::bnc_like_corpus(&bnc::BncOpts::default(), 2018)),
+            (
+                "segmentation",
+                segmentation::segmentation_like(&segmentation::SegmentationOpts::default(), 2018),
+            ),
+        ];
+        for (name, fresh) in fresh_generations {
+            let request = body(&format!(r#"{{"dataset":"{name}"}}"#));
+            for _ in 0..2 {
+                let got = resolve_dataset(&request).unwrap();
+                assert_eq!(got.name, fresh.name, "{name}");
+                assert_eq!(bits(&got), bits(&fresh), "{name}");
+                assert_eq!(got.column_names, fresh.column_names, "{name}");
+                assert_eq!(got.labels, fresh.labels, "{name}");
+            }
+        }
+        let err = resolve_dataset(&body(r#"{"dataset":"mars"}"#)).unwrap_err();
+        assert!(err.contains("unknown dataset 'mars'"), "{err}");
     }
 
     #[test]
