@@ -49,8 +49,12 @@
 //! with batch 64, and on `bnc` with batch 64, the first d = 100 shape
 //! whose batch outgrows the 28 PCA pairs and reaches FastICA. Each is
 //! fitted with margins and one label-class cluster.
-//! Each row records `suggest_ns` at 1 and `max` threads, and
-//! `bit_identical_across_threads` compares the two response dumps.
+//! Each row records, at 1 and `max` threads, the median of its `reps`
+//! timings as `suggest_ns` and the fastest and slowest of them as
+//! `suggest_ns_min` and `suggest_ns_max`, and
+//! `bit_identical_across_threads` compares the two response dumps. A row
+//! is one run on one host: quote a speed-up only from runs of both builds
+//! made side by side.
 //!
 //! A top-level `fit` array times the feedback loop's refits on the shape
 //! of the closed-loop benchmark's fit-bound workload: builtin `bnc`
@@ -257,7 +261,7 @@ fn run_scenario(sc: &Scenario, thread_counts: &[usize], max_threads: usize, reps
     // class precision (the O(d³) kernel behind every cold refresh and
     // cold refit). Spectrum agreement is gated before the ratio is
     // trusted: a fast-but-wrong solver must not produce a metric. ----
-    let prec0 = bg.precision(0).clone();
+    let prec0 = params[0].prec.clone();
     let eigen_jacobi = median_of(reps, || time(|| sym_eigen(&prec0).expect("bench jacobi")).1);
     let eigen_dc = median_of(reps, || {
         time(|| SymEigen::decompose(&prec0).expect("bench decompose")).1
@@ -441,11 +445,16 @@ fn run_suggest(name: &str, ds: Dataset, batch: usize, max_threads: usize, reps: 
         session.add_cluster_constraint(&class).expect("cluster");
         session.update_background(&FitOpts::default()).expect("fit");
         let recommend = || sider_suggest::recommend(&session, &req).expect("recommend");
-        let suggest_ns = median_of(reps, || time(recommend).1);
+        let mut times: Vec<Duration> = (0..reps).map(|_| time(recommend).1).collect();
+        let suggest_ns = median_duration(&mut times);
+        // Sorted by the median: the ends are the run's fastest and slowest.
+        let (fastest, slowest) = (times[0], times[times.len() - 1]);
         dumps.push(suggest_response_to_json(&recommend()).dump());
         runs.push(Json::obj([
             ("threads", Json::from(threads)),
             ("suggest_ns", Json::from(suggest_ns.as_nanos() as u64)),
+            ("suggest_ns_min", Json::from(fastest.as_nanos() as u64)),
+            ("suggest_ns_max", Json::from(slowest.as_nanos() as u64)),
         ]));
         println!(
             "scaling/suggest {name} {n}x{d} batch {batch}: {threads} threads {:.1}ms",

@@ -20,7 +20,9 @@
 //! a `suggest` row for `bnc` at batch 16 and at batch 64 and for
 //! `segmentation` at batch 64, each timed (`suggest_ns > 0`) at 1 and
 //! `max_threads` threads with byte-identical responses and under the
-//! paper's 2 s at 1 thread, and a `fit` row for `bnc`: five refit rounds
+//! paper's 2 s at 1 thread, each run's median between the fastest and
+//! slowest of its reps (`suggest_ns_min <= suggest_ns <= suggest_ns_max`),
+//! and a `fit` row for `bnc`: five refit rounds
 //! (margins, then four class statements), each with `sweeps >= 1` and
 //! `fit_ns > 0`, then a `cold_refit` of the final knowledge with
 //! `sweeps`, `eigen_recomputed` and `fit_ns` each `>= 1`, at 1 and
@@ -264,7 +266,8 @@ const SUGGEST_ROWS: [(&str, f64); 3] = [("bnc", 16.0), ("bnc", 64.0), ("segmenta
 
 /// The `suggest` rows: `recommend` timed at 1 and `max_threads` pool
 /// threads, with byte-identical responses, each 1-thread run under the
-/// paper's interactive 2 s.
+/// paper's interactive 2 s, and each run's median recorded between its
+/// fastest and slowest rep.
 fn check_scaling_suggest(doc: &Json) -> Result<(), String> {
     let max_threads = require_num_at(doc, "", "max_threads")?;
     for (dataset, batch) in SUGGEST_ROWS {
@@ -284,6 +287,18 @@ fn check_scaling_suggest(doc: &Json) -> Result<(), String> {
                 return Err(format!(
                     "JSON path '{at}.suggest_ns': {:.2} s at 1 thread is not under the paper's 2 s (§IV-A)",
                     t / 1e9
+                ));
+            }
+            let fastest = require_num_at(run, &at, "suggest_ns_min")?;
+            if fastest > t {
+                return Err(format!(
+                    "JSON path '{at}.suggest_ns_min' ({fastest}) is above the median suggest_ns ({t})"
+                ));
+            }
+            let slowest = require_num_at(run, &at, "suggest_ns_max")?;
+            if slowest < t {
+                return Err(format!(
+                    "JSON path '{at}.suggest_ns_max' ({slowest}) is below the median suggest_ns ({t})"
                 ));
             }
         }
@@ -836,7 +851,7 @@ mod tests {
             format!(
                 r#"{{"dataset": "{dataset}", "n": 100, "d": 10, "batch": {batch}, "k": 8,
                     "bit_identical_across_threads": true, "runs": {}}}"#,
-                runs(r#""suggest_ns": 1000"#)
+                runs(r#""suggest_ns": 1000, "suggest_ns_min": 1000, "suggest_ns_max": 3000000000"#)
             )
         };
         Json::parse(&format!(
@@ -968,6 +983,39 @@ mod tests {
             &scaling(),
             "suggest[1].runs[1].suggest_ns",
             2_000_000_000usize,
+        ))
+        .unwrap();
+    }
+
+    #[test]
+    fn suggest_runs_record_their_spread() {
+        for field in ["suggest_ns_min", "suggest_ns_max"] {
+            let mut missing = scaling();
+            let Json::Obj(run) = at(&mut missing, "suggest[2].runs[0]") else {
+                panic!("suggest[2].runs[0] is not an object")
+            };
+            run.remove(field);
+            let path = format!("suggest[2].runs[0].{field}");
+            let err = check_scaling(&missing).unwrap_err();
+            assert!(err.contains(&path), "error {err:?} does not name {path}");
+        }
+        // The median sits between the fastest and the slowest rep.
+        assert_rejects(
+            check_scaling,
+            &scaling(),
+            "suggest[0].runs[1].suggest_ns_min",
+            1001usize,
+        );
+        assert_rejects(
+            check_scaling,
+            &scaling(),
+            "suggest[1].runs[0].suggest_ns_max",
+            999usize,
+        );
+        check_scaling(&with(
+            &scaling(),
+            "suggest[1].runs[0].suggest_ns_max",
+            1000usize,
         ))
         .unwrap();
     }

@@ -575,7 +575,12 @@ mod tests {
     }
 
     fn tight() -> FitOpts {
-        FitOpts::with_tolerance(1e-8, 5000)
+        FitOpts {
+            lambda_tol: 1e-8,
+            moment_tol: 1e-8,
+            max_sweeps: 5000,
+            ..FitOpts::default()
+        }
     }
 
     #[test]
@@ -630,14 +635,14 @@ mod tests {
             {
                 assert!((a - b).abs() < 1e-5, "row {row}: {a} vs {b}");
             }
-            assert!(
-                warm.background()
-                    .cov(row)
-                    .max_abs_diff(cold.background().cov(row))
-                    < 1e-5,
-                "row {row}"
+            let (kw, kc) = (
+                warm.background().kl_from_prior(row),
+                cold.background().kl_from_prior(row),
             );
+            assert!((kw - kc).abs() < 1e-5, "row {row}: KL {kw} vs {kc}");
         }
+        let (yw, yc) = (warm.whitened().unwrap(), cold.whitened().unwrap());
+        assert!(yw.max_abs_diff(&yc) < 1e-5, "whitened data");
     }
 
     #[test]
@@ -705,13 +710,14 @@ mod tests {
             {
                 assert!((a - b).abs() < 1e-12);
             }
-            assert!(
-                s.background()
-                    .cov(row)
-                    .max_abs_diff(fresh.background().cov(row))
-                    < 1e-12
+            let (ks, kf) = (
+                s.background().kl_from_prior(row),
+                fresh.background().kl_from_prior(row),
             );
+            assert!((ks - kf).abs() < 1e-12, "row {row}: KL {ks} vs {kf}");
         }
+        let (ys, yf) = (s.whitened().unwrap(), fresh.whitened().unwrap());
+        assert!(ys.max_abs_diff(&yf) < 1e-12, "whitened data");
         assert!((s.information_nats() - fresh.information_nats()).abs() < 1e-9);
     }
 

@@ -1,25 +1,20 @@
 //! JSON wire formats for session state — the vocabulary of the
 //! `sider_server` HTTP API.
 //!
-//! Everything a client exchanges with a SIDER service is expressible in
-//! four payload families, each with a `*_to_json` serializer and (where a
-//! client can send it) a `*_from_json` parser:
+//! The module holds the encoders of everything a SIDER service sends, and
+//! decoders only for what it reads:
 //!
-//! * **views** ([`view_to_json`] / [`view_from_json`]) — the full
-//!   [`ViewState`]: projection axes, scores, axis captions, projected data
-//!   and background sample;
-//! * **constraints** ([`constraint_to_json`] / [`constraint_from_json`]) —
-//!   primitive MaxEnt constraints, useful for debugging and for clients
-//!   that persist the raw constraint set;
+//! * **views** ([`view_to_json`]) — the full [`ViewState`]: projection
+//!   axes, scores, axis captions, projected data and background sample;
+//! * **fit reports** ([`report_to_json`], [`refresh_stats_to_json`]);
 //! * **session snapshots** ([`snapshot_to_json`] / [`snapshot_from_json`])
 //!   — the one snapshot format (the server's export/replay body and the
 //!   CLI's `*_session.json`): knowledge statements only, replayable
 //!   against the same dataset;
-//! * **suggestions** ([`suggest_request_to_json`] /
-//!   [`suggest_request_from_json`], [`suggest_response_to_json`] /
-//!   [`suggest_response_from_json`]) — the guided-exploration vocabulary:
-//!   a candidate-batch spec (request seed, batch size, top-k) and the
-//!   ranked scored candidates the `sider_suggest` engine returns.
+//! * **suggestions** ([`suggest_request_from_json`] /
+//!   [`suggest_response_to_json`]) — the guided-exploration vocabulary:
+//!   a candidate-batch spec (request seed, batch size, top-k) in, and the
+//!   ranked scored candidates the `sider_suggest` engine returns out.
 //!
 //! Serialization is **deterministic**: object keys are emitted sorted
 //! (`sider_json` stores objects in a `BTreeMap`) and every number is
@@ -31,8 +26,8 @@
 //! durations are deliberately **not** serialized ([`report_to_json`] omits
 //! `ConvergenceReport::elapsed`).
 //!
-//! Round-trip guarantees (`from_json ∘ to_json = id`) are property-tested
-//! in `crates/core/tests/wire.rs`.
+//! The snapshot round trip (`from_json ∘ to_json = id`) is
+//! property-tested in `crates/core/tests/wire.rs`.
 
 use crate::error::CoreError;
 use crate::session::{EdaSession, KnowledgeKind, KnowledgeRecord};
@@ -40,10 +35,7 @@ use crate::view::ViewState;
 use crate::Result;
 use sider_json::Json;
 use sider_linalg::Matrix;
-use sider_maxent::{
-    Constraint, ConstraintKind, ConvergenceReport, RefreshStats, RowSet, SweepInfo,
-};
-use sider_projection::Projection;
+use sider_maxent::{ConvergenceReport, RefreshStats, SweepInfo};
 
 fn bad(msg: impl Into<String>) -> CoreError {
     CoreError::BadWire(msg.into())
@@ -127,103 +119,6 @@ pub fn view_to_json(view: &ViewState) -> Json {
     ])
 }
 
-/// Parse a [`ViewState`] back from [`view_to_json`] output — for clients
-/// that post-process views offline.
-pub fn view_from_json(v: &Json) -> Result<ViewState> {
-    let method = match v.require_str("method").map_err(bad)? {
-        "PCA" => "PCA",
-        "ICA" => "ICA",
-        other => return Err(bad(format!("unknown projection method '{other}'"))),
-    };
-    let axes = matrix_from_json(v.get("axes").ok_or_else(|| bad("missing 'axes'"))?)?;
-    let scores = v.require_num_arr("scores").map_err(bad)?;
-    if scores.len() != 2 {
-        return Err(bad("'scores' must have exactly 2 elements"));
-    }
-    let all_scores = v.require_num_arr("all_scores").map_err(bad)?;
-    let labels = v.require_arr("axis_labels").map_err(bad)?;
-    let [Some(l0), Some(l1)] = [labels.first(), labels.get(1)].map(|l| l.and_then(Json::as_str))
-    else {
-        return Err(bad("'axis_labels' must be 2 strings"));
-    };
-    let projected_data = matrix_from_json(
-        v.get("projected_data")
-            .ok_or_else(|| bad("missing 'projected_data'"))?,
-    )?;
-    let projected_background = matrix_from_json(
-        v.get("projected_background")
-            .ok_or_else(|| bad("missing 'projected_background'"))?,
-    )?;
-    if projected_data.shape() != projected_background.shape() || projected_data.cols() != 2 {
-        return Err(bad("projected matrices must both be n×2"));
-    }
-    Ok(ViewState {
-        projection: Projection {
-            axes,
-            scores: [scores[0], scores[1]],
-            all_scores,
-            method,
-        },
-        projected_data,
-        projected_background,
-        axis_labels: [l0.to_string(), l1.to_string()],
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Constraints
-// ---------------------------------------------------------------------------
-
-fn kind_str(kind: ConstraintKind) -> &'static str {
-    match kind {
-        ConstraintKind::Linear => "linear",
-        ConstraintKind::Quadratic => "quadratic",
-    }
-}
-
-/// Serialize a primitive MaxEnt constraint with its data-derived target.
-pub fn constraint_to_json(c: &Constraint) -> Json {
-    Json::obj([
-        ("kind", Json::from(kind_str(c.kind))),
-        ("rows", Json::from(c.rows.to_usize_vec())),
-        ("w", Json::from(c.w.clone())),
-        ("target", Json::from(c.target)),
-        ("mhat", Json::from(c.mhat.clone())),
-        ("delta", Json::from(c.delta)),
-        ("label", Json::from(c.label.as_str())),
-    ])
-}
-
-/// Parse a primitive constraint back from [`constraint_to_json`] output.
-pub fn constraint_from_json(v: &Json) -> Result<Constraint> {
-    let kind = match v.require_str("kind").map_err(bad)? {
-        "linear" => ConstraintKind::Linear,
-        "quadratic" => ConstraintKind::Quadratic,
-        other => return Err(bad(format!("unknown constraint kind '{other}'"))),
-    };
-    let rows = index_arr(v.get("rows").ok_or_else(|| bad("missing 'rows'"))?, "rows")?;
-    if rows.is_empty() {
-        return Err(bad("'rows' is empty"));
-    }
-    let w = v.require_num_arr("w").map_err(bad)?;
-    let mhat = v.require_num_arr("mhat").map_err(bad)?;
-    if w.is_empty() || w.len() != mhat.len() {
-        return Err(bad("'w' and 'mhat' must be non-empty and equal length"));
-    }
-    let target = v.require_num("target").map_err(bad)?;
-    let delta = v.require_num("delta").map_err(bad)?;
-    let label = v.require_str("label").map_err(bad)?.to_string();
-    Ok(Constraint {
-        kind,
-        rows: RowSet::from_indices(&rows),
-        w,
-        target,
-        mhat,
-        delta,
-        label,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Reports and stats
 // ---------------------------------------------------------------------------
@@ -263,28 +158,6 @@ pub fn refresh_stats_to_json(s: &RefreshStats) -> Json {
         ("mean_updated", Json::from(s.mean_updated)),
         ("cloned_from_parent", Json::from(s.cloned_from_parent)),
     ])
-}
-
-/// Parse [`RefreshStats`] from a (possibly partial) object. Every missing
-/// counter defaults to 0, and keys this version no longer knows are
-/// ignored, so payloads from older servers still parse (backward
-/// compatibility across the wire).
-pub fn refresh_stats_from_json(v: &Json) -> Result<RefreshStats> {
-    if v.as_obj().is_none() {
-        return Err(bad("refresh stats must be an object"));
-    }
-    let count = |key: &str| -> Result<usize> {
-        match v.get(key) {
-            None => Ok(0),
-            Some(_) => as_index(v.require_num(key).map_err(bad)?, key),
-        }
-    };
-    Ok(RefreshStats {
-        classes_total: count("classes_total")?,
-        eigen_recomputed: count("eigen_recomputed")?,
-        mean_updated: count("mean_updated")?,
-        cloned_from_parent: count("cloned_from_parent")?,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -370,15 +243,6 @@ fn seed_from_json(v: &Json, what: &str) -> Result<u64> {
     }
 }
 
-/// Serialize a [`SuggestRequest`].
-pub fn suggest_request_to_json(r: &SuggestRequest) -> Json {
-    Json::obj([
-        ("seed", Json::from(r.seed)),
-        ("batch", Json::from(r.batch)),
-        ("k", Json::from(r.k)),
-    ])
-}
-
 /// Parse a [`SuggestRequest`] from a (possibly partial) object: every
 /// missing field takes its [`SuggestRequest::default`] value, so `{}` is a
 /// valid request. The batch is capped at [`MAX_SUGGEST_BATCH`] and `k`
@@ -420,47 +284,6 @@ fn suggestion_to_json(s: &Suggestion) -> Json {
     ])
 }
 
-fn suggestion_from_json(v: &Json, i: usize) -> Result<Suggestion> {
-    let source = match v.require_str("source").map_err(bad)? {
-        "pca" => "pca",
-        "ica" => "ica",
-        "attr" => "attr",
-        "random" => "random",
-        other => {
-            return Err(bad(format!(
-                "suggestions[{i}]: unknown candidate source '{other}'"
-            )))
-        }
-    };
-    let candidate = as_index(
-        v.require_num("candidate").map_err(bad)?,
-        &format!("suggestions[{i}].candidate"),
-    )?;
-    let label = v.require_str("label").map_err(bad)?.to_string();
-    let axes = matrix_from_json(
-        v.get("axes")
-            .ok_or_else(|| bad(format!("suggestions[{i}]: missing 'axes'")))?,
-    )?;
-    if axes.rows() != 2 {
-        return Err(bad(format!("suggestions[{i}]: 'axes' must be 2 x d")));
-    }
-    let gain = v.require_num("gain").map_err(bad)?;
-    let axis_gains = v.require_num_arr("axis_gains").map_err(bad)?;
-    if axis_gains.len() != 2 {
-        return Err(bad(format!(
-            "suggestions[{i}]: 'axis_gains' must have exactly 2 elements"
-        )));
-    }
-    Ok(Suggestion {
-        candidate,
-        source,
-        label,
-        axes,
-        gain,
-        axis_gains: [axis_gains[0], axis_gains[1]],
-    })
-}
-
 /// Serialize a [`SuggestResponse`] — the echoed request spec plus the
 /// ranked suggestions.
 pub fn suggest_response_to_json(r: &SuggestResponse) -> Json {
@@ -473,30 +296,6 @@ pub fn suggest_response_to_json(r: &SuggestResponse) -> Json {
             Json::arr(r.suggestions.iter().map(suggestion_to_json)),
         ),
     ])
-}
-
-/// Parse a [`SuggestResponse`] back from [`suggest_response_to_json`]
-/// output — for clients that post-process recommendations offline.
-pub fn suggest_response_from_json(v: &Json) -> Result<SuggestResponse> {
-    let seed = seed_from_json(v.get("seed").ok_or_else(|| bad("missing 'seed'"))?, "seed")?;
-    let batch = as_index(v.require_num("batch").map_err(bad)?, "batch")?;
-    let k = as_index(v.require_num("k").map_err(bad)?, "k")?;
-    let suggestions = v
-        .require_arr("suggestions")
-        .map_err(bad)?
-        .iter()
-        .enumerate()
-        .map(|(i, s)| suggestion_from_json(s, i))
-        .collect::<Result<Vec<_>>>()?;
-    if suggestions.len() > k {
-        return Err(bad("more suggestions than 'k'"));
-    }
-    Ok(SuggestResponse {
-        seed,
-        batch,
-        k,
-        suggestions,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -619,46 +418,9 @@ mod tests {
     use super::*;
     use sider_data::synthetic::three_d_four_clusters;
     use sider_maxent::FitOpts;
-    use sider_projection::Method;
 
     fn session() -> EdaSession {
         EdaSession::new(three_d_four_clusters(2018), 7).unwrap()
-    }
-
-    #[test]
-    fn view_roundtrips() {
-        let mut s = session();
-        let view = s.next_view(&Method::Pca).unwrap();
-        let json = view_to_json(&view);
-        let back = view_from_json(&Json::parse(&json.dump()).unwrap()).unwrap();
-        assert_eq!(back.projection.method, "PCA");
-        assert_eq!(
-            back.projected_data.as_slice(),
-            view.projected_data.as_slice()
-        );
-        assert_eq!(
-            back.projected_background.as_slice(),
-            view.projected_background.as_slice()
-        );
-        assert_eq!(back.axis_labels, view.axis_labels);
-        assert_eq!(back.projection.scores, view.projection.scores);
-    }
-
-    #[test]
-    fn constraint_roundtrips_bitwise() {
-        let mut s = session();
-        s.add_margin_constraints().unwrap();
-        s.add_cluster_constraint(&[0, 5, 9]).unwrap();
-        for c in s.constraints() {
-            let json = constraint_to_json(c);
-            let back = constraint_from_json(&Json::parse(&json.dump()).unwrap()).unwrap();
-            assert_eq!(back.kind, c.kind);
-            assert_eq!(back.rows.to_usize_vec(), c.rows.to_usize_vec());
-            assert_eq!(back.w, c.w);
-            assert_eq!(back.target.to_bits(), c.target.to_bits());
-            assert_eq!(back.delta.to_bits(), c.delta.to_bits());
-            assert_eq!(back.label, c.label);
-        }
     }
 
     #[test]
@@ -666,12 +428,15 @@ mod tests {
         assert!(matrix_from_json(&Json::parse("[]").unwrap()).is_err());
         assert!(matrix_from_json(&Json::parse("[[1,2],[3]]").unwrap()).is_err());
         assert!(matrix_from_json(&Json::parse("3").unwrap()).is_err());
-        assert!(constraint_from_json(&Json::parse(r#"{"kind":"cubic"}"#).unwrap()).is_err());
-        assert!(view_from_json(&Json::parse(r#"{"method":"UMAP"}"#).unwrap()).is_err());
     }
 
     fn tight() -> FitOpts {
-        FitOpts::with_tolerance(1e-8, 5000)
+        FitOpts {
+            lambda_tol: 1e-8,
+            moment_tol: 1e-8,
+            max_sweeps: 5000,
+            ..FitOpts::default()
+        }
     }
 
     /// Replay `donor`'s snapshot (through its JSON text) into a fresh
@@ -695,15 +460,14 @@ mod tests {
             {
                 assert!((a - b).abs() < tol, "row {row}: {a} vs {b}");
             }
-            assert!(
-                donor
-                    .background()
-                    .cov(row)
-                    .max_abs_diff(restored.background().cov(row))
-                    < tol,
-                "row {row}"
+            let (kd, kr) = (
+                donor.background().kl_from_prior(row),
+                restored.background().kl_from_prior(row),
             );
+            assert!((kd - kr).abs() < tol, "row {row}: KL {kd} vs {kr}");
         }
+        let (yd, yr) = (donor.whitened().unwrap(), restored.whitened().unwrap());
+        assert!(yd.max_abs_diff(&yr) < tol, "whitened data");
         let nats_tol = tol.max(1e-9);
         assert!((donor.information_nats() - restored.information_nats()).abs() < nats_tol);
     }

@@ -15,14 +15,21 @@ use sider_data::synthetic::three_d_four_clusters;
 use sider_maxent::FitOpts;
 
 fn tight() -> FitOpts {
-    FitOpts::with_tolerance(1e-8, 5000)
+    FitOpts {
+        lambda_tol: 1e-8,
+        moment_tol: 1e-8,
+        max_sweeps: 5000,
+        ..FitOpts::default()
+    }
 }
 
 fn session() -> EdaSession {
     EdaSession::new(three_d_four_clusters(2018), 7).unwrap()
 }
 
-/// Assert two sessions model every row identically (within `tol`).
+/// Assert two sessions model every row identically (within `tol`) in what
+/// the program reads of a background: each row's mean and information,
+/// and the whitened data.
 fn assert_same_background(a: &EdaSession, b: &EdaSession, tol: f64) {
     for row in 0..a.dataset().n() {
         for (x, y) in a
@@ -33,14 +40,14 @@ fn assert_same_background(a: &EdaSession, b: &EdaSession, tol: f64) {
         {
             assert!((x - y).abs() < tol, "row {row} mean {x} vs {y}");
         }
-        assert!(
-            a.background()
-                .cov(row)
-                .max_abs_diff(b.background().cov(row))
-                < tol,
-            "row {row} covariance"
+        let (ka, kb) = (
+            a.background().kl_from_prior(row),
+            b.background().kl_from_prior(row),
         );
+        assert!((ka - kb).abs() < tol, "row {row} KL {ka} vs {kb}");
     }
+    let (ya, yb) = (a.whitened().unwrap(), b.whitened().unwrap());
+    assert!(ya.max_abs_diff(&yb) < tol, "whitened data");
 }
 
 proptest! {

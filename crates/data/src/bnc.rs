@@ -237,13 +237,14 @@ mod tests {
         // Mean per-class centroid distances: conversations should be the
         // farthest (in standardized space) from every other genre, while
         // academic and broadsheet are the closest pair.
-        let ds = bnc_small(4).standardized();
+        let ds = bnc_small(4);
+        let (z, _) = sider_stats::descriptive::standardize(&ds.matrix);
         let ls = ds.primary_labels().unwrap().clone();
         let centroid = |class: usize| -> Vec<f64> {
             let idx = ls.class_indices(class);
-            (0..ds.d())
+            (0..z.cols())
                 .map(|j| {
-                    let vals: Vec<f64> = idx.iter().map(|&i| ds.matrix[(i, j)]).collect();
+                    let vals: Vec<f64> = idx.iter().map(|&i| z[(i, j)]).collect();
                     mean(&vals)
                 })
                 .collect()

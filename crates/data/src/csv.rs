@@ -1,29 +1,10 @@
-//! Minimal CSV reading/writing for matrices and experiment outputs.
+//! Minimal CSV reading for data matrices.
 //!
-//! Deliberately tiny: comma separator, no quoting (our column names never
-//! contain commas), header row with column names. Enough to export every
-//! experiment table and reload it.
+//! Deliberately tiny: comma separator, no quoting, header row with column
+//! names.
 
 use sider_linalg::Matrix;
-use std::io::{self, BufRead, Write};
-
-/// Write a matrix with a header row.
-pub fn write_matrix<W: Write>(out: &mut W, header: &[String], matrix: &Matrix) -> io::Result<()> {
-    assert_eq!(header.len(), matrix.cols(), "csv: header/column mismatch");
-    writeln!(out, "{}", header.join(","))?;
-    for i in 0..matrix.rows() {
-        let row: Vec<String> = matrix.row(i).iter().map(|v| format!("{v}")).collect();
-        writeln!(out, "{}", row.join(","))?;
-    }
-    Ok(())
-}
-
-/// Serialize to a string.
-pub fn matrix_to_string(header: &[String], matrix: &Matrix) -> String {
-    let mut buf = Vec::new();
-    write_matrix(&mut buf, header, matrix).expect("in-memory write cannot fail");
-    String::from_utf8(buf).expect("csv output is UTF-8")
-}
+use std::io::{self, BufRead};
 
 /// Parse a CSV with a header row into `(header, matrix)`.
 pub fn read_matrix<R: BufRead>(input: R) -> io::Result<(Vec<String>, Matrix)> {
@@ -69,30 +50,19 @@ pub fn read_matrix<R: BufRead>(input: R) -> io::Result<(Vec<String>, Matrix)> {
     Ok((header, Matrix::from_vec(rows, d, data)))
 }
 
-/// Parse from a string.
-pub fn matrix_from_string(s: &str) -> io::Result<(Vec<String>, Matrix)> {
-    read_matrix(io::BufReader::new(s.as_bytes()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.5], vec![-3.0, 0.125]]);
-        let header = vec!["a".to_string(), "b".to_string()];
-        let s = matrix_to_string(&header, &m);
-        let (h2, m2) = matrix_from_string(&s).unwrap();
-        assert_eq!(h2, header);
-        assert_eq!(m2.max_abs_diff(&m), 0.0);
+    fn matrix_from_string(s: &str) -> io::Result<(Vec<String>, Matrix)> {
+        read_matrix(s.as_bytes())
     }
 
     #[test]
-    fn header_first_line() {
-        let m = Matrix::from_rows(&[vec![1.0]]);
-        let s = matrix_to_string(&["col".to_string()], &m);
-        assert!(s.starts_with("col\n"));
+    fn reads_header_and_rows() {
+        let (h, m) = matrix_from_string("a, b\n1,2.5\n-3, 0.125\n").unwrap();
+        assert_eq!(h, vec!["a", "b"]);
+        assert_eq!(m, Matrix::from_rows(&[vec![1.0, 2.5], vec![-3.0, 0.125]]));
     }
 
     #[test]
@@ -120,9 +90,7 @@ mod tests {
 
     #[test]
     fn preserves_precision() {
-        let m = Matrix::from_rows(&[vec![std::f64::consts::PI]]);
-        let s = matrix_to_string(&["pi".to_string()], &m);
-        let (_, m2) = matrix_from_string(&s).unwrap();
-        assert_eq!(m2[(0, 0)], std::f64::consts::PI);
+        let (_, m) = matrix_from_string("pi\n3.141592653589793\n").unwrap();
+        assert_eq!(m[(0, 0)], std::f64::consts::PI);
     }
 }

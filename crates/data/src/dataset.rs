@@ -1,7 +1,6 @@
 //! Labeled dataset container.
 
 use sider_linalg::Matrix;
-use sider_stats::descriptive;
 use sider_stats::Rng;
 
 /// One labeling of the rows (datasets can carry several, e.g. X̂₅ has the
@@ -84,26 +83,6 @@ impl Dataset {
     /// The first labeling, if any.
     pub fn primary_labels(&self) -> Option<&LabelSet> {
         self.labels.first()
-    }
-
-    /// Standardize columns to zero mean / unit variance (returns a copy;
-    /// constant columns are centered only).
-    pub fn standardized(&self) -> Dataset {
-        let (m, _) = descriptive::standardize(&self.matrix);
-        Dataset {
-            name: format!("{}-standardized", self.name),
-            matrix: m,
-            column_names: self.column_names.clone(),
-            labels: self.labels.clone(),
-        }
-    }
-
-    /// Random row subsample of size `k` (labels subsampled consistently).
-    pub fn subsample(&self, k: usize, rng: &mut Rng) -> Dataset {
-        let k = k.min(self.n());
-        let mut idx = rng.sample_indices(self.n(), k);
-        idx.sort_unstable();
-        self.select_rows(&idx)
     }
 
     /// Replicate every row `copies` times with iid Gaussian noise of the
@@ -257,40 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn standardized_columns_have_unit_variance() {
-        let ds = sample().standardized();
-        let stats = sider_stats::descriptive::column_stats(&ds.matrix);
-        for cs in stats {
-            assert!(cs.mean.abs() < 1e-12);
-            assert!((cs.sd - 1.0).abs() < 1e-12);
-        }
-        // Labels preserved.
-        assert_eq!(ds.labels.len(), 1);
-    }
-
-    #[test]
     fn select_rows_remaps_labels() {
         let ds = sample().select_rows(&[1, 3]);
         assert_eq!(ds.n(), 2);
         assert_eq!(ds.labels[0].assignments, vec![0, 1]);
-    }
-
-    #[test]
-    fn subsample_is_consistent() {
-        let ds = sample();
-        let mut rng = Rng::seed_from_u64(5);
-        let sub = ds.subsample(3, &mut rng);
-        assert_eq!(sub.n(), 3);
-        assert_eq!(sub.labels[0].assignments.len(), 3);
-        // Each subsampled row matches its label from the original.
-        for i in 0..sub.n() {
-            let x = sub.matrix[(i, 0)];
-            let orig_row = (x - 1.0) as usize;
-            assert_eq!(
-                sub.labels[0].assignments[i],
-                ds.labels[0].assignments[orig_row]
-            );
-        }
     }
 
     #[test]

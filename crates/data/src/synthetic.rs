@@ -4,30 +4,6 @@ use crate::dataset::{Dataset, LabelSet};
 use sider_linalg::Matrix;
 use sider_stats::Rng;
 
-/// Generic Gaussian-mixture generator: one spherical blob per centroid.
-///
-/// `spec` holds `(centroid, sigma, count)` triples. Rows are emitted blob
-/// by blob; the returned labels follow the spec order.
-pub fn gaussian_mixture(spec: &[(Vec<f64>, f64, usize)], rng: &mut Rng) -> (Matrix, Vec<usize>) {
-    assert!(!spec.is_empty(), "gaussian_mixture: empty spec");
-    let d = spec[0].0.len();
-    let n: usize = spec.iter().map(|s| s.2).sum();
-    let mut m = Matrix::zeros(n, d);
-    let mut labels = Vec::with_capacity(n);
-    let mut row = 0;
-    for (k, (center, sigma, count)) in spec.iter().enumerate() {
-        assert_eq!(center.len(), d, "gaussian_mixture: ragged centroids");
-        for _ in 0..*count {
-            for j in 0..d {
-                m[(row, j)] = rng.normal(center[j], *sigma);
-            }
-            labels.push(k);
-            row += 1;
-        }
-    }
-    (m, labels)
-}
-
 /// The 3-D introduction dataset (paper §I, Fig. 2): 150 points in four
 /// clusters of 50/50/25/25. The two small clusters share their (X1, X2)
 /// location and differ only in X3 (partially overlapping there), so the
@@ -205,7 +181,7 @@ mod tests {
         // (X1, X2) plane — this is what makes the C/D split invisible at
         // first, as in paper Fig. 2a.
         let ds = three_d_four_clusters(2018);
-        let sm = sider_stats::descriptive::second_moment(&ds.matrix);
+        let sm = ds.matrix.gram().scale(1.0 / ds.n() as f64);
         assert!(sm[(0, 0)] > 1.4, "X1 second moment {}", sm[(0, 0)]);
         assert!(sm[(1, 1)] > 1.4, "X2 second moment {}", sm[(1, 1)]);
         assert!(
@@ -291,18 +267,5 @@ mod tests {
         assert_eq!(m[(0, 0)], 1.0);
         assert_eq!(m[(1, 1)], 1.0);
         assert_eq!(m.row(2), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn gaussian_mixture_blob_means() {
-        let mut rng = Rng::seed_from_u64(3);
-        let (m, labels) = gaussian_mixture(
-            &[(vec![5.0, 0.0], 0.1, 200), (vec![-5.0, 0.0], 0.1, 100)],
-            &mut rng,
-        );
-        assert_eq!(m.rows(), 300);
-        assert_eq!(labels.iter().filter(|&&l| l == 0).count(), 200);
-        let blob0: Vec<f64> = (0..200).map(|i| m[(i, 0)]).collect();
-        assert!((mean(&blob0) - 5.0).abs() < 0.05);
     }
 }

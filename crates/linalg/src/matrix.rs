@@ -379,16 +379,6 @@ impl Matrix {
         }
     }
 
-    /// Transposed matrix–vector product `selfᵀ * x`.
-    pub fn tr_matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "tr_matvec: length mismatch");
-        let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            vector::axpy(x[i], self.row(i), &mut out);
-        }
-        out
-    }
-
     /// `selfᵀ * self` (Gram matrix), exploiting symmetry.
     pub fn gram(&self) -> Matrix {
         let d = self.cols;
@@ -411,18 +401,6 @@ impl Matrix {
             }
         }
         g
-    }
-
-    /// Element-wise sum.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "add: shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
     }
 
     /// Element-wise difference.
@@ -491,7 +469,7 @@ impl Matrix {
     }
 
     /// Maximum absolute deviation from symmetry.
-    pub fn asymmetry(&self) -> f64 {
+    fn asymmetry(&self) -> f64 {
         if !self.is_square() {
             return f64::INFINITY;
         }
@@ -836,12 +814,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_tr_matvec_agree_with_transpose() {
+    fn matvec_computes_row_dots() {
         let m = sample();
         let x = vec![1.0, -1.0];
-        let y = vec![1.0, 0.0, 2.0];
         assert_eq!(m.matvec(&x), vec![-1.0, -1.0, -1.0]);
-        assert_eq!(m.tr_matvec(&y), m.transpose().matvec(&y));
     }
 
     #[test]
@@ -857,7 +833,6 @@ mod tests {
     fn elementwise_ops() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let b = Matrix::from_rows(&[vec![3.0, 5.0]]);
-        assert_eq!(a.add(&b), Matrix::from_rows(&[vec![4.0, 7.0]]));
         assert_eq!(b.sub(&a), Matrix::from_rows(&[vec![2.0, 3.0]]));
         assert_eq!(a.scale(2.0), Matrix::from_rows(&[vec![2.0, 4.0]]));
         let mut c = a.clone();

@@ -28,8 +28,9 @@ pub struct Tridiagonal {
 }
 
 impl Tridiagonal {
-    /// Reconstruct the dense tridiagonal `T` (mainly for testing).
-    pub fn dense_t(&self) -> Matrix {
+    /// Reconstruct the dense tridiagonal `T`.
+    #[cfg(test)]
+    fn dense_t(&self) -> Matrix {
         let n = self.diag.len();
         let mut t = Matrix::zeros(n, n);
         for i in 0..n {

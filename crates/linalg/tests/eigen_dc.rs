@@ -192,7 +192,12 @@ fn tridiagonalization_round_trips_and_stays_orthogonal() {
         let a = rng.spd(n);
         let t = tridiagonalize(&a).unwrap();
         let scale = a.frobenius_norm().max(1.0);
-        let recon = t.q.matmul(&t.dense_t()).matmul(&t.q.transpose());
+        let mut dense_t = Matrix::from_diag(&t.diag);
+        for (k, &e) in t.off.iter().enumerate() {
+            dense_t[(k + 1, k)] = e;
+            dense_t[(k, k + 1)] = e;
+        }
+        let recon = t.q.matmul(&dense_t).matmul(&t.q.transpose());
         assert!(
             recon.max_abs_diff(&a) <= 1e-13 * scale,
             "n={n}: Q·T·Qᵀ off by {}",

@@ -37,8 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod fault;
-
 use sider_json::Json;
 use sider_stats::Rng;
 use std::io::{Read, Write};
@@ -390,9 +388,8 @@ impl LoadReport {
 
 /// One blocking HTTP/1.1 request (`Connection: close`, the server's
 /// model); returns the response status code and the raw response bytes
-/// (status line, headers, and body). Public so the bench harness and
-/// fault batteries can poll `/health` and compare full transcripts with
-/// the same client the load workers use.
+/// (status line, headers, and body). Public so the bench harness can poll
+/// `/health` with the same client the load workers use.
 pub fn http_exchange(
     addr: SocketAddr,
     method: &str,

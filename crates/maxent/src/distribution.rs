@@ -25,12 +25,11 @@ use sider_stats::Rng;
 /// per-row RNG substreams the results would be identical for any split.
 const ROW_CHUNK: usize = 256;
 
-/// Per-class Gaussian with precomputed spectral transforms.
+/// Per-class Gaussian with precomputed spectral transforms. `Σ` and `P`
+/// themselves live only in the solver's [`ClassParams`].
 #[derive(Debug, Clone)]
 struct ClassModel {
     m: Vec<f64>,
-    sigma: Matrix,
-    prec: Matrix,
     /// `U·D^{1/2}·Uᵀ` of the precision — the whitening map.
     whiten: Matrix,
     /// Eigenvectors of the precision (columns).
@@ -49,7 +48,7 @@ pub struct BackgroundDistribution {
     classes: Vec<ClassModel>,
 }
 
-/// What [`BackgroundDistribution::refresh_from_class_params`] had to do —
+/// What [`BackgroundDistribution::refresh_from_class_params_with`] had to do —
 /// the instrumentation proving that warm refits recompute spectral
 /// decompositions only for classes the solver actually moved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,8 +98,6 @@ impl ClassModel {
         }
         ClassModel {
             m: p.m.clone(),
-            sigma: p.sigma.clone(),
-            prec: p.prec.clone(),
             whiten,
             u: eig.vectors,
             sample_scale,
@@ -153,7 +150,9 @@ impl BackgroundDistribution {
     }
 
     /// Update the distribution in place after an (incremental) solver fit,
-    /// recomputing spectral decompositions only where required:
+    /// recomputing spectral decompositions only where required, with the
+    /// per-class decompositions of the cov-dirty classes distributed over
+    /// `pool`:
     ///
     /// * classes with `cov_dirty` set — their precision changed, so the
     ///   cached eigendecomposition is stale and is recomputed by
@@ -170,29 +169,10 @@ impl BackgroundDistribution {
     /// Every class ends up as a fresh decomposition of its current
     /// parameters would build it, so the refreshed distribution equals a
     /// cold [`BackgroundDistribution::from_class_params`] of the same
-    /// parameters bit for bit. Returns counts of each path taken, which
-    /// tests and benches use to assert the cache really short-circuits.
-    pub fn refresh_from_class_params(
-        &mut self,
-        class_of_row: Vec<u32>,
-        params: &[ClassParams],
-        parent_of_class: &[u32],
-        mean_dirty: &[bool],
-        cov_dirty: &[bool],
-    ) -> RefreshStats {
-        self.refresh_from_class_params_with(
-            class_of_row,
-            params,
-            parent_of_class,
-            mean_dirty,
-            cov_dirty,
-            &ThreadPool::serial(),
-        )
-    }
-
-    /// [`BackgroundDistribution::refresh_from_class_params`] with the
-    /// per-class decompositions of the cov-dirty classes distributed over
-    /// `pool`. Identical results and [`RefreshStats`] at any pool size.
+    /// parameters bit for bit, at any pool size. Returns counts of each
+    /// path taken ([`RefreshStats`], also identical at any pool size),
+    /// which tests and benches use to assert the cache really
+    /// short-circuits.
     pub fn refresh_from_class_params_with(
         &mut self,
         class_of_row: Vec<u32>,
@@ -211,15 +191,13 @@ impl BackgroundDistribution {
         };
         // Pass 1: materialize new classes from their parents' cached
         // models (before those parents are themselves refreshed). Their
-        // params — including the mean — are copied here, so pass 2 only
-        // needs them again if the covariance must be re-decomposed.
+        // mean is copied here, so pass 2 only needs their params again if
+        // the covariance must be re-decomposed.
         let n_cached = self.classes.len();
         for c in n_cached..params.len() {
             let parent = parent_of_class[c] as usize;
             let mut model = self.classes[parent].clone();
             model.m = params[c].m.clone();
-            model.sigma = params[c].sigma.clone();
-            model.prec = params[c].prec.clone();
             self.classes.push(model);
             if !cov_dirty[c] {
                 stats.cloned_from_parent += 1;
@@ -273,16 +251,6 @@ impl BackgroundDistribution {
     /// Mean of row `i`'s Gaussian.
     pub fn mean(&self, row: usize) -> &[f64] {
         &self.classes[self.class_of_row(row)].m
-    }
-
-    /// Covariance of row `i`'s Gaussian.
-    pub fn cov(&self, row: usize) -> &Matrix {
-        &self.classes[self.class_of_row(row)].sigma
-    }
-
-    /// Precision of row `i`'s Gaussian.
-    pub fn precision(&self, row: usize) -> &Matrix {
-        &self.classes[self.class_of_row(row)].prec
     }
 
     /// Whiten a dataset against this distribution (paper Eq. 14). The input
@@ -767,7 +735,11 @@ mod tests {
     /// straightforward `matvec` + `set_row` formulation with per-row
     /// allocations. The scratch-buffer kernel must reproduce it bit for
     /// bit — reusing buffers is a pure optimization.
-    fn sample_reference(bg: &BackgroundDistribution, rng: &mut Rng) -> Matrix {
+    fn sample_reference(
+        bg: &BackgroundDistribution,
+        params: &[ClassParams],
+        rng: &mut Rng,
+    ) -> Matrix {
         let master = rng.next_u64();
         let n = bg.n();
         let d = bg.d();
@@ -789,10 +761,10 @@ mod tests {
                 };
             }
             carried = row_rng.take_spare_normal();
-            // Rebuild the scaled spectral draw through public accessors:
+            // Rebuild the scaled spectral draw from the fitted parameters:
             // x = m + U·(z ⊙ scale). The test helper recomputes U and the
             // scales from the precision like ClassModel does.
-            let eig = SymEigen::decompose(bg.precision(i)).unwrap();
+            let eig = SymEigen::decompose(&params[bg.class_of_row(i)].prec).unwrap();
             let mut scaled = vec![0.0; d];
             for k in 0..d {
                 let ev = eig.values[k].max(0.0);
@@ -825,7 +797,7 @@ mod tests {
         let mut rng_a = Rng::seed_from_u64(9);
         let mut rng_b = Rng::seed_from_u64(9);
         let fast = bg.sample(&mut rng_a);
-        let reference = sample_reference(&bg, &mut rng_b);
+        let reference = sample_reference(&bg, solver.class_params(), &mut rng_b);
         assert_eq!(
             fast.as_slice(),
             reference.as_slice(),
@@ -994,9 +966,16 @@ mod tests {
             solver.class_params(),
             &pool,
         );
+        assert_eq!(
+            serial.whiten(&data).unwrap().as_slice(),
+            par.whiten(&data).unwrap().as_slice()
+        );
         for row in 0..serial.n() {
             assert_eq!(serial.mean(row), par.mean(row));
-            assert_eq!(serial.cov(row), par.cov(row));
+            assert_eq!(
+                serial.kl_from_prior(row).to_bits(),
+                par.kl_from_prior(row).to_bits()
+            );
         }
         // Refresh with every class marked cov-dirty: parallel and serial
         // paths must agree bit for bit (and report the same stats).
@@ -1009,12 +988,13 @@ mod tests {
             .collect();
         let mut a = serial.clone();
         let mut b = serial.clone();
-        let stats_a = a.refresh_from_class_params(
+        let stats_a = a.refresh_from_class_params_with(
             class_of_row.clone(),
             solver.class_params(),
             &parents,
             &no_mean,
             &all_dirty,
+            &sider_par::ThreadPool::serial(),
         );
         let stats_b = b.refresh_from_class_params_with(
             class_of_row,
@@ -1051,7 +1031,6 @@ mod tests {
         assert_eq!(bg.n_classes(), 1);
         assert_eq!(bg.class_of_row(3), 0);
         assert_eq!(bg.mean(0), &[0.0, 0.0]);
-        assert_eq!(bg.cov(0), &Matrix::identity(2));
-        assert_eq!(bg.precision(0), &Matrix::identity(2));
+        assert_eq!(bg.kl_from_prior(0), 0.0);
     }
 }

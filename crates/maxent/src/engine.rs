@@ -13,7 +13,7 @@
 //!    ([`crate::Solver::append_constraints`]);
 //! 3. the cached [`BackgroundDistribution`] re-runs
 //!    `SymEigen::decompose` only for classes whose covariance actually
-//!    changed ([`BackgroundDistribution::refresh_from_class_params`]), so
+//!    changed ([`BackgroundDistribution::refresh_from_class_params_with`]), so
 //!    the cache always equals a cold rebuild of the solver's current class
 //!    parameters bit for bit — checked in `tests/refresh_cache.rs`.
 //!
@@ -30,7 +30,7 @@ use sider_par::ThreadPool;
 use std::sync::Arc;
 
 /// Solver + fitted background distribution that persist across feedback
-/// rounds. Create it with [`SolverState::cold`] on the first
+/// rounds. Create it with [`SolverState::cold_with`] on the first
 /// `update_background`; afterwards feed each round's new constraints to
 /// [`SolverState::refit`].
 ///
@@ -47,17 +47,9 @@ pub struct SolverState {
 
 impl SolverState {
     /// Fit from scratch: build the solver, run a full fit over every
-    /// constraint, and decompose every class (serial pool).
-    pub fn cold(
-        data: &Matrix,
-        constraints: Vec<Constraint>,
-        opts: &FitOpts,
-    ) -> Result<(Self, ConvergenceReport)> {
-        Self::cold_with(data, constraints, opts, Arc::new(ThreadPool::serial()))
-    }
-
-    /// [`SolverState::cold`] parallelizing the class decompositions over
-    /// `pool`; the engine keeps the handle for later warm refreshes.
+    /// constraint, and decompose every class, parallelizing the
+    /// decompositions over `pool`; the engine keeps the handle for later
+    /// warm refreshes.
     pub fn cold_with(
         data: &Matrix,
         constraints: Vec<Constraint>,
@@ -147,7 +139,20 @@ mod tests {
     use sider_stats::Rng;
 
     fn tight() -> FitOpts {
-        FitOpts::with_tolerance(1e-8, 5000)
+        FitOpts {
+            lambda_tol: 1e-8,
+            moment_tol: 1e-8,
+            max_sweeps: 5000,
+            ..FitOpts::default()
+        }
+    }
+
+    fn cold(
+        data: &Matrix,
+        cs: Vec<Constraint>,
+        opts: &FitOpts,
+    ) -> (SolverState, ConvergenceReport) {
+        SolverState::cold_with(data, cs, opts, Arc::new(ThreadPool::serial())).unwrap()
     }
 
     fn gen_data(seed: u64, n: usize, d: usize) -> Matrix {
@@ -160,15 +165,13 @@ mod tests {
     #[test]
     fn cold_then_empty_refit_is_free() {
         let data = gen_data(3, 40, 3);
-        let (mut state, report) =
-            SolverState::cold(&data, margin_constraints(&data).unwrap(), &tight()).unwrap();
+        let (mut state, report) = cold(&data, margin_constraints(&data).unwrap(), &tight());
         assert!(report.converged);
         assert!(report.sweeps_done() > 0);
         // Nothing new: the refit must not sweep or re-decompose at all.
         let report2 = state.refit(Vec::new(), &tight()).unwrap();
         assert!(report2.converged);
         assert_eq!(report2.sweeps_done(), 0);
-        assert_eq!(state.solver().n_active(), 0, "active set must be empty");
         assert_eq!(state.last_refresh().eigen_recomputed, 0);
         assert_eq!(state.last_refresh().mean_updated, 0);
     }
@@ -187,14 +190,14 @@ mod tests {
             max_sweeps: 1,
             ..tight()
         };
-        let (mut state, report) = SolverState::cold(&data, cs.clone(), &truncated).unwrap();
+        let (mut state, report) = cold(&data, cs.clone(), &truncated);
         assert!(!report.converged, "1 sweep must not converge this system");
 
         let resume = state.refit(Vec::new(), &tight()).unwrap();
         assert!(resume.converged);
         assert!(resume.sweeps_done() > 0, "resume must actually sweep");
 
-        let (full, _) = SolverState::cold(&data, cs, &tight()).unwrap();
+        let (full, _) = cold(&data, cs, &tight());
         for row in 0..25 {
             for (a, b) in state
                 .background()
@@ -214,12 +217,12 @@ mod tests {
         let cluster =
             cluster_constraints(&data, RowSet::from_indices(&[0, 1, 2, 3, 4, 5, 6]), "c").unwrap();
 
-        let (mut warm, _) = SolverState::cold(&data, margins.clone(), &tight()).unwrap();
+        let (mut warm, _) = cold(&data, margins.clone(), &tight());
         warm.refit(cluster.clone(), &tight()).unwrap();
 
         let mut all = margins;
         all.extend(cluster);
-        let (cold, _) = SolverState::cold(&data, all, &tight()).unwrap();
+        let (cold, _) = cold(&data, all, &tight());
 
         for row in 0..30 {
             let mw = warm.background().mean(row);
@@ -228,12 +231,18 @@ mod tests {
                 assert!((a - b).abs() < 1e-6, "row {row} mean {a} vs {b}");
             }
             assert!(
-                warm.background()
-                    .cov(row)
-                    .max_abs_diff(cold.background().cov(row))
+                warm.solver()
+                    .params_for_row(row)
+                    .sigma
+                    .max_abs_diff(&cold.solver().params_for_row(row).sigma)
                     < 1e-6,
                 "row {row}"
             );
+            let (kw, kc) = (
+                warm.background().kl_from_prior(row),
+                cold.background().kl_from_prior(row),
+            );
+            assert!((kw - kc).abs() < 1e-6, "row {row} KL {kw} vs {kc}");
         }
     }
 
@@ -244,7 +253,7 @@ mod tests {
         let data = gen_data(17, 24, 2);
         let a = cluster_constraints(&data, RowSet::from_indices(&[0, 1, 2, 3, 4]), "a").unwrap();
         let b = cluster_constraints(&data, RowSet::from_indices(&[10, 11, 12, 13]), "b").unwrap();
-        let (mut state, _) = SolverState::cold(&data, a, &tight()).unwrap();
+        let (mut state, _) = cold(&data, a, &tight());
         let classes_before = state.solver().n_classes();
         state.refit(b, &tight()).unwrap();
         let stats = state.last_refresh();
@@ -257,8 +266,15 @@ mod tests {
         );
         // The refreshed background must still match a cold rebuild.
         let rebuilt = state.solver().distribution();
+        assert_eq!(
+            state.background().whiten(&data).unwrap().as_slice(),
+            rebuilt.whiten(&data).unwrap().as_slice()
+        );
         for row in 0..24 {
-            assert_eq!(state.background().cov(row), rebuilt.cov(row));
+            assert_eq!(
+                state.background().kl_from_prior(row).to_bits(),
+                rebuilt.kl_from_prior(row).to_bits()
+            );
         }
     }
 }

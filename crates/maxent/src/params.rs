@@ -53,7 +53,8 @@ impl ClassParams {
     }
 
     /// Internal-consistency check: `Σ·P ≈ I` and `m ≈ Σ·h`, within `tol`.
-    pub fn is_consistent(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    fn is_consistent(&self, tol: f64) -> bool {
         let d = self.sigma.rows();
         let id = Matrix::identity(d);
         if self.sigma.matmul(&self.prec).max_abs_diff(&id) > tol {

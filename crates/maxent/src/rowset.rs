@@ -69,11 +69,6 @@ impl RowSet {
     pub fn as_slice(&self) -> &[u32] {
         &self.rows
     }
-
-    /// Indices as a `Vec<usize>`.
-    pub fn to_usize_vec(&self) -> Vec<usize> {
-        self.iter().collect()
-    }
 }
 
 impl FromIterator<usize> for RowSet {
@@ -122,7 +117,7 @@ mod tests {
     #[test]
     fn iteration_and_conversion() {
         let s = RowSet::from_indices(&[2, 0]);
-        assert_eq!(s.to_usize_vec(), vec![0, 2]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(s.iter().sum::<usize>(), 2);
     }
 

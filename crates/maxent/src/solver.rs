@@ -64,20 +64,6 @@ impl Default for FitOpts {
     }
 }
 
-impl FitOpts {
-    /// Options with both convergence tolerances set to `tol` and the given
-    /// sweep budget — the common shape for tight fits (tests, oracles,
-    /// warm-vs-cold equivalence checks).
-    pub fn with_tolerance(tol: f64, max_sweeps: usize) -> Self {
-        FitOpts {
-            lambda_tol: tol,
-            moment_tol: tol,
-            max_sweeps,
-            ..FitOpts::default()
-        }
-    }
-}
-
 /// Diagnostics of one sweep over all constraints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepInfo {
@@ -675,11 +661,6 @@ impl Solver {
         self.sd_full
     }
 
-    /// Number of constraints in the current active set.
-    pub fn n_active(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
-    }
-
     /// Per-class flags: mean changed since the last [`Solver::reset_dirty`].
     pub fn mean_dirty(&self) -> &[bool] {
         &self.mean_dirty
@@ -692,7 +673,7 @@ impl Solver {
     }
 
     /// Clear the per-class dirty flags (call after syncing downstream
-    /// caches such as `BackgroundDistribution::refresh_from_class_params`).
+    /// caches such as `BackgroundDistribution::refresh_from_class_params_with`).
     pub fn reset_dirty(&mut self) {
         self.mean_dirty.iter_mut().for_each(|f| *f = false);
         self.cov_dirty.iter_mut().for_each(|f| *f = false);

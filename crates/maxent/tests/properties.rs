@@ -9,8 +9,10 @@ use proptest::prelude::*;
 use sider_linalg::Matrix;
 use sider_maxent::constraint::{cluster_constraints, margin_constraints};
 use sider_maxent::naive::NaiveSolver;
-use sider_maxent::{FitOpts, RowSet, Solver, SolverState};
+use sider_maxent::{Constraint, ConvergenceReport, FitOpts, RowSet, Solver, SolverState};
+use sider_par::ThreadPool;
 use sider_stats::Rng;
+use std::sync::Arc;
 
 /// Deterministic pseudo-random data from a seed: n rows, d columns with
 /// per-column scale/offset so margins are non-trivial.
@@ -19,6 +21,23 @@ fn gen_data(seed: u64, n: usize, d: usize) -> Matrix {
     Matrix::from_fn(n, d, |_, j| {
         rng.normal(0.3 * j as f64 - 0.5, 0.5 + 0.4 * j as f64)
     })
+}
+
+fn tight() -> FitOpts {
+    FitOpts {
+        lambda_tol: 1e-9,
+        moment_tol: 1e-9,
+        max_sweeps: 5000,
+        ..FitOpts::default()
+    }
+}
+
+fn cold(
+    data: &Matrix,
+    cs: Vec<Constraint>,
+    pool: Arc<ThreadPool>,
+) -> (SolverState, ConvergenceReport) {
+    SolverState::cold_with(data, cs, &tight(), pool).unwrap()
 }
 
 proptest! {
@@ -108,20 +127,20 @@ proptest! {
         // refitting reaches the same optimum — same residuals, same
         // per-row moments — as fitting everything from scratch.
         let data = gen_data(seed, n, d);
-        let opts = FitOpts::with_tolerance(1e-9, 5000);
+        let serial = Arc::new(ThreadPool::serial());
         let margins = margin_constraints(&data).unwrap();
         let cluster_rows: Vec<usize> = (0..(d + 3)).collect();
         let cluster =
             cluster_constraints(&data, RowSet::from_indices(&cluster_rows), "c").unwrap();
 
-        let (mut warm, first) = SolverState::cold(&data, margins.clone(), &opts).unwrap();
+        let (mut warm, first) = cold(&data, margins.clone(), serial.clone());
         prop_assert!(first.converged);
-        let warm_report = warm.refit(cluster.clone(), &opts).unwrap();
+        let warm_report = warm.refit(cluster.clone(), &tight()).unwrap();
         prop_assert!(warm_report.converged);
 
         let mut all = margins;
         all.extend(cluster);
-        let (cold, cold_report) = SolverState::cold(&data, all, &opts).unwrap();
+        let (cold, cold_report) = cold(&data, all, serial);
         prop_assert!(cold_report.converged);
 
         // Same constraint residuals (within the fit tolerance scale)…
@@ -146,13 +165,19 @@ proptest! {
                 prop_assert!((a - b).abs() < 1e-5, "row {} mean {} vs {}", row, a, b);
             }
             prop_assert!(
-                warm.background()
-                    .cov(row)
-                    .max_abs_diff(cold.background().cov(row))
+                warm.solver()
+                    .params_for_row(row)
+                    .sigma
+                    .max_abs_diff(&cold.solver().params_for_row(row).sigma)
                     < 1e-5,
                 "row {}",
                 row
             );
+            let (kw, kc) = (
+                warm.background().kl_from_prior(row),
+                cold.background().kl_from_prior(row),
+            );
+            prop_assert!((kw - kc).abs() < 1e-5, "row {} KL {} vs {}", row, kw, kc);
         }
     }
 
@@ -162,17 +187,15 @@ proptest! {
         // split, background refresh, sampling, whitening — must produce
         // exactly the same bytes on a 1-thread and a 4-thread pool.
         let data = gen_data(seed, n, d);
-        let opts = FitOpts::with_tolerance(1e-9, 5000);
         let margins = margin_constraints(&data).unwrap();
         let cluster_rows: Vec<usize> = (0..(d + 3)).collect();
         let cluster =
             cluster_constraints(&data, RowSet::from_indices(&cluster_rows), "c").unwrap();
 
         let run = |threads: usize| {
-            let pool = std::sync::Arc::new(sider_par::ThreadPool::new(threads));
-            let (mut state, _) =
-                SolverState::cold_with(&data, margins.clone(), &opts, pool.clone()).unwrap();
-            state.refit(cluster.clone(), &opts).unwrap();
+            let pool = Arc::new(ThreadPool::new(threads));
+            let (mut state, _) = cold(&data, margins.clone(), pool.clone());
+            state.refit(cluster.clone(), &tight()).unwrap();
             let mut rng = Rng::seed_from_u64(seed ^ 0xfeed);
             let sample = state.background().sample_with(&mut rng, &pool);
             let whitened = state.background().whiten_with(&data, &pool).unwrap();
@@ -186,15 +209,21 @@ proptest! {
         prop_assert_eq!(whitened1.as_slice(), whitened4.as_slice());
         for row in 0..n {
             prop_assert_eq!(state1.background().mean(row), state4.background().mean(row));
-            prop_assert_eq!(state1.background().cov(row), state4.background().cov(row));
+            prop_assert_eq!(
+                &state1.solver().params_for_row(row).sigma,
+                &state4.solver().params_for_row(row).sigma
+            );
+            prop_assert_eq!(
+                state1.background().kl_from_prior(row).to_bits(),
+                state4.background().kl_from_prior(row).to_bits()
+            );
         }
         // Warm-vs-cold equivalence (PR 1's invariant) must survive the
         // parallel refresh path: a cold fit of everything on the 4-thread
         // pool lands on the same optimum within fit tolerance.
         let mut all = margins.clone();
         all.extend(cluster.clone());
-        let pool4 = std::sync::Arc::new(sider_par::ThreadPool::new(4));
-        let (cold4, report) = SolverState::cold_with(&data, all, &opts, pool4).unwrap();
+        let (cold4, report) = cold(&data, all, Arc::new(ThreadPool::new(4)));
         prop_assert!(report.converged);
         for row in 0..n {
             for (a, b) in state4
@@ -207,13 +236,19 @@ proptest! {
             }
             prop_assert!(
                 state4
-                    .background()
-                    .cov(row)
-                    .max_abs_diff(cold4.background().cov(row))
+                    .solver()
+                    .params_for_row(row)
+                    .sigma
+                    .max_abs_diff(&cold4.solver().params_for_row(row).sigma)
                     < 1e-5,
                 "row {}",
                 row
             );
+            let (kw, kc) = (
+                state4.background().kl_from_prior(row),
+                cold4.background().kl_from_prior(row),
+            );
+            prop_assert!((kw - kc).abs() < 1e-5, "row {} KL {} vs {}", row, kw, kc);
         }
     }
 

@@ -21,7 +21,12 @@ use std::sync::Arc;
 /// Cache equality must hold for truncated fits too, so a small sweep cap
 /// keeps the d = 36 cluster rounds cheap without weakening the check.
 fn opts() -> FitOpts {
-    FitOpts::with_tolerance(1e-6, 30)
+    FitOpts {
+        lambda_tol: 1e-6,
+        moment_tol: 1e-6,
+        max_sweeps: 30,
+        ..FitOpts::default()
+    }
 }
 
 fn gen_data(seed: u64, n: usize, d: usize) -> Matrix {
@@ -213,7 +218,12 @@ fn split_from_dirty_parent_keeps_cache_consistent() {
         }
         0.7 * shared + rng.normal(0.0, 0.8)
     });
-    let tight = FitOpts::with_tolerance(1e-8, 5000);
+    let tight = FitOpts {
+        lambda_tol: 1e-8,
+        moment_tol: 1e-8,
+        max_sweeps: 5000,
+        ..FitOpts::default()
+    };
     let mut s = Solver::new(&data, margin_constraints(&data).unwrap()).unwrap();
     s.fit(&tight);
     let mut bg = s.distribution();

@@ -7,13 +7,13 @@
 //! dependencies, so this crate provides the missing piece: a small,
 //! std-only [`ThreadPool`] with the data-parallel operations the rest of
 //! the stack needs ([`ThreadPool::par_map`], [`ThreadPool::par_chunks_mut`],
-//! [`ThreadPool::for_each_index`], [`ThreadPool::map_reduce`]).
+//! [`ThreadPool::map_reduce`]).
 //!
 //! # Determinism contract
 //!
 //! Every primitive is **bit-identical at any thread count**:
 //!
-//! * `par_map` / `for_each_index` / `par_chunks_mut` assign each result to
+//! * `par_map` / `par_chunks_mut` assign each result to
 //!   a fixed slot keyed by item index — scheduling can reorder *execution*
 //!   but never *placement*;
 //! * [`ThreadPool::map_reduce`] carves the index space into chunks whose
@@ -250,33 +250,6 @@ impl ThreadPool {
         assert!(!worker_panicked, "a pool worker panicked during the job");
     }
 
-    /// Apply `f` to every index in `0..n`, distributing contiguous chunks
-    /// of indices across the pool. Placement of side effects is up to `f`;
-    /// execution order across chunks is unspecified.
-    pub fn for_each_index(&self, n: usize, f: impl Fn(usize) + Sync) {
-        if n == 0 {
-            return;
-        }
-        let chunk = default_chunk(n, self.threads);
-        // One chunk of work cannot be split: skip the dispatch handshake.
-        if self.workers.is_empty() || n <= chunk {
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        self.run(&|| loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            for i in start..(start + chunk).min(n) {
-                f(i);
-            }
-        });
-    }
-
     /// Map `f` over `items`, returning results in item order regardless of
     /// scheduling.
     pub fn par_map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
@@ -458,7 +431,6 @@ fn default_chunk(n: usize, threads: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn serial_pool_spawns_no_workers_and_runs_inline() {
@@ -469,8 +441,10 @@ mod tests {
         pool.run(&|| {
             // Single closure invocation, on the calling thread.
         });
-        pool.for_each_index(3, |_| {});
         let ran_on = Mutex::new(Vec::new());
+        pool.par_map(&[(); 3], |_| {
+            ran_on.lock().unwrap().push(std::thread::current().id());
+        });
         pool.par_chunks_mut(&mut [0u8; 4][..], 2, |_, _| {
             ran_on.lock().unwrap().push(std::thread::current().id());
         });
@@ -489,16 +463,6 @@ mod tests {
             let out = pool.par_map(&items, |&x| x * 3 + 1);
             assert_eq!(out, items.iter().map(|&x| x * 3 + 1).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn for_each_index_visits_every_index_once() {
-        let pool = ThreadPool::new(4);
-        let counts: Vec<AtomicU64> = (0..777).map(|_| AtomicU64::new(0)).collect();
-        pool.for_each_index(counts.len(), |i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -543,14 +507,10 @@ mod tests {
     #[test]
     fn nested_dispatch_runs_inline_without_deadlock() {
         let pool = ThreadPool::new(4);
-        let total = AtomicU64::new(0);
-        pool.for_each_index(8, |_| {
-            // Nested use of the same pool from inside a job.
-            pool.for_each_index(8, |_| {
-                total.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 64);
+        let items: Vec<u64> = (0..8).collect();
+        // Nested use of the same pool from inside a job.
+        let sums = pool.par_map(&items, |_| pool.par_map(&items, |&x| x).iter().sum::<u64>());
+        assert_eq!(sums, vec![28; 8]);
     }
 
     #[test]
@@ -584,7 +544,8 @@ mod tests {
     fn worker_panic_is_reported() {
         let pool = ThreadPool::new(2);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.for_each_index(64, |i| {
+            let items: Vec<usize> = (0..64).collect();
+            pool.par_map(&items, |&i| {
                 if i == 63 {
                     panic!("boom");
                 }

@@ -35,8 +35,7 @@ pub use pca::{
     PcaResult,
 };
 pub use projector::{
-    most_informative_projection, most_informative_projection_with, project, projection_from_pca,
-    Method, Projection,
+    most_informative_projection_with, project, projection_from_pca, Method, Projection,
 };
 
 /// Result alias used across the crate.

@@ -4,7 +4,7 @@ use crate::error::ProjectionError;
 use crate::Result;
 use sider_linalg::{Matrix, SymEigen};
 use sider_par::ThreadPool;
-use sider_stats::descriptive::{covariance, second_moment_with};
+use sider_stats::descriptive::{covariance_with, second_moment_with};
 use sider_stats::gaussianity::pca_score;
 
 /// Principal directions with their variances and informativeness scores.
@@ -67,7 +67,11 @@ pub fn pca_directions_from_moment(n_rows: usize, moment: Matrix) -> Result<PcaRe
 /// conventional "first two principal components" view used for reference
 /// and for tests.
 pub fn pca_classic(data: &Matrix) -> Result<PcaResult> {
-    build(data.rows(), covariance(data), SortBy::Variance)
+    build(
+        data.rows(),
+        covariance_with(data, &ThreadPool::serial()),
+        SortBy::Variance,
+    )
 }
 
 enum SortBy {

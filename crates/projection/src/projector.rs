@@ -83,23 +83,14 @@ pub fn projection_from_pca(p: crate::pca::PcaResult) -> Projection {
     }
 }
 
-/// Find the most informative 2-D projection of (whitened) data.
+/// Find the most informative 2-D projection of (whitened) data, with the
+/// heavy stages — PCA moment accumulation, ICA whitening and fixed-point
+/// restarts — distributed over `pool`. Bit-identical at any pool size
+/// (the crate-level determinism contract of `sider_par` plus per-restart
+/// seeding in [`fastica_with`]).
 ///
 /// For rank-1 situations the second axis duplicates the first (matching
 /// `PcaResult::top2`); callers can inspect `scores[1]` to detect this.
-pub fn most_informative_projection(
-    whitened: &Matrix,
-    method: &Method,
-    rng: &mut Rng,
-) -> Result<Projection> {
-    most_informative_projection_with(whitened, method, rng, &ThreadPool::serial())
-}
-
-/// [`most_informative_projection`] with the heavy stages — PCA moment
-/// accumulation, ICA whitening and fixed-point restarts — distributed
-/// over `pool`. Bit-identical to the serial path at any pool size (the
-/// crate-level determinism contract of `sider_par` plus per-restart
-/// seeding in [`fastica_with`]).
 pub fn most_informative_projection_with(
     whitened: &Matrix,
     method: &Method,
@@ -135,6 +126,14 @@ pub fn project(data: &Matrix, axes: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::axes::default_names;
+
+    fn most_informative_projection(
+        data: &Matrix,
+        method: &Method,
+        rng: &mut Rng,
+    ) -> Result<Projection> {
+        most_informative_projection_with(data, method, rng, &ThreadPool::serial())
+    }
 
     fn clustered_data(seed: u64) -> Matrix {
         let mut rng = Rng::seed_from_u64(seed);

@@ -190,6 +190,9 @@ pub struct SessionManager {
     /// endpoints 409) until promoted; a leader with a ship listener
     /// carries the hub its `/health` lag report reads.
     replication: Mutex<Replication>,
+    /// The data dir the manager was opened on (where bind writes the
+    /// replica marker); `None` when in-memory.
+    data_root: Option<std::path::PathBuf>,
 }
 
 /// The manager's replication cell (see [`crate::replication`]).
@@ -241,6 +244,7 @@ impl SessionManager {
             open_conns: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
             replication: Mutex::new(Replication::leader()),
+            data_root: None,
         }
     }
 
@@ -252,7 +256,8 @@ impl SessionManager {
         idle_timeout: Duration,
         store: Arc<Store>,
     ) -> Result<Self, StoreError> {
-        SessionManager::from_stores(vec![pool], max_sessions, idle_timeout, vec![store])
+        let root = store.config().dir.clone();
+        SessionManager::from_stores(vec![pool], max_sessions, idle_timeout, vec![store], root)
     }
 
     /// A durable striped manager: open (or create, or migrate a legacy
@@ -272,18 +277,19 @@ impl SessionManager {
             .into_iter()
             .map(Arc::new)
             .collect();
-        SessionManager::from_stores(pools, max_sessions, idle_timeout, stores)
+        SessionManager::from_stores(pools, max_sessions, idle_timeout, stores, config.dir)
     }
 
-    /// Assemble a durable manager from per-stripe stores, recovering
-    /// every stripe. Recovery failure is a hard error: silently dropping
-    /// a session would lose exactly the knowledge the store exists to
-    /// keep.
+    /// Assemble a durable manager over data dir `root` from its
+    /// per-stripe stores, recovering every stripe. Recovery failure is a
+    /// hard error: silently dropping a session would lose exactly the
+    /// knowledge the store exists to keep.
     fn from_stores(
         pools: Vec<Arc<ThreadPool>>,
         max_sessions: usize,
         idle_timeout: Duration,
         stores: Vec<Arc<Store>>,
+        root: std::path::PathBuf,
     ) -> Result<Self, StoreError> {
         assert_eq!(pools.len(), stores.len(), "one store per stripe");
         assert!(!pools.is_empty(), "a manager needs at least one stripe");
@@ -314,6 +320,7 @@ impl SessionManager {
             open_conns: AtomicUsize::new(0),
             live: AtomicUsize::new(live),
             replication: Mutex::new(Replication::leader()),
+            data_root: Some(root),
         })
     }
 
@@ -386,8 +393,8 @@ impl SessionManager {
                 PROMOTE_STOP_TIMEOUT
             );
         }
-        if let Some(root) = self.data_root() {
-            let marker = ship::marker_path(&root);
+        if let Some(root) = &self.data_root {
+            let marker = ship::marker_path(root);
             if marker.exists() {
                 if let Err(e) = std::fs::remove_file(&marker) {
                     eprintln!("sider_server: promote: cannot remove replica marker: {e}");
@@ -420,21 +427,6 @@ impl SessionManager {
             .iter()
             .map(|store| store.horizons().iter().map(|&(_, lsn)| lsn).sum())
             .collect()
-    }
-
-    /// The data-dir *root* (where the replica marker lives): stripe 0's
-    /// store directory, stepping out of its `stripe-0/` subdirectory
-    /// when the layout is striped.
-    pub fn data_root(&self) -> Option<std::path::PathBuf> {
-        let dir = &self.store()?.config().dir;
-        let striped = dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("stripe-"));
-        Some(match (striped, dir.parent()) {
-            (true, Some(parent)) => parent.to_path_buf(),
-            _ => dir.clone(),
-        })
     }
 
     /// Replay a shipped `create` into this replica: build the session

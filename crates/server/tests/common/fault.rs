@@ -1,4 +1,5 @@
-//! Seeded fault injection: a flaky in-tree TCP proxy.
+//! Seeded fault injection for the replication battery: a flaky in-tree
+//! TCP proxy. Only `replication.rs` declares this module.
 //!
 //! Replication robustness claims are only worth something if they are
 //! demonstrated against a link that actually misbehaves, and they are
@@ -297,7 +298,6 @@ fn pump(
     let _ = to.shutdown(Shutdown::Both);
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 

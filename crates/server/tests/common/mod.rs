@@ -6,6 +6,7 @@
 // Each suite compiles this module on its own and uses part of it.
 #![allow(dead_code)]
 
+use sider_json::Json;
 use sider_server::{Server, ServerConfig, ShutdownHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -183,7 +184,29 @@ pub fn run_steps<P: AsRef<str>>(addr: SocketAddr, steps: &[Step<P>]) -> Vec<Vec<
         .collect()
 }
 
-/// Every step answered 200 or 201.
+/// The path of the first `null` a fit left in a reply: `information_nats`,
+/// or any field under `report` or `last_report`. `sider_json` writes a
+/// non-finite number as `null`, so this is how a NaN fit reaches a client.
+fn null_fit_field(json: &Json, in_report: bool) -> Option<String> {
+    match json {
+        Json::Null if in_report => Some(String::new()),
+        Json::Obj(map) => map.iter().find_map(|(key, value)| {
+            let hit = if key == "information_nats" && matches!(value, Json::Null) {
+                Some(String::new())
+            } else {
+                null_fit_field(value, in_report || key == "report" || key == "last_report")
+            };
+            hit.map(|rest| format!(".{key}{rest}"))
+        }),
+        Json::Arr(items) => items.iter().enumerate().find_map(|(i, item)| {
+            null_fit_field(item, in_report).map(|rest| format!("[{i}]{rest}"))
+        }),
+        _ => None,
+    }
+}
+
+/// Every step answered 200 or 201, and no JSON reply carries a `null`
+/// fit number.
 pub fn assert_all_ok(tag: &str, transcript: &[Vec<u8>]) {
     for (i, raw) in transcript.iter().enumerate() {
         let status = status_of(raw);
@@ -192,6 +215,14 @@ pub fn assert_all_ok(tag: &str, transcript: &[Vec<u8>]) {
             "{tag}: step {i} failed with {status}: {}",
             body_of(raw)
         );
+        if let Ok(json) = Json::parse(body_of(raw)) {
+            if let Some(path) = null_fit_field(&json, false) {
+                panic!(
+                    "{tag}: step {i} answered {status} with null {path}: {}",
+                    body_of(raw)
+                );
+            }
+        }
     }
 }
 

@@ -10,9 +10,12 @@
 
 mod common;
 
+#[path = "common/fault.rs"]
+mod fault;
+
 use common::*;
+use fault::{FaultSchedule, FlakyProxy};
 use sider_json::Json;
-use sider_loadgen::fault::{FaultSchedule, FlakyProxy};
 use sider_server::{Server, ServerConfig};
 use sider_store::StoreConfig;
 use std::net::SocketAddr;
@@ -785,4 +788,40 @@ fn replica_marker_blocks_plain_restart() {
     leader.stop();
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
+#[test]
+fn promote_clears_the_marker_of_a_flat_dir_named_like_a_stripe() {
+    // A one-stripe follower serves a flat data dir; naming it `stripe-a`
+    // must not send promote looking for the marker in the parent dir.
+    let leader_dir = temp_dir("stripe_named_leader");
+    let parent = temp_dir("stripe_named");
+    let follower_dir = parent.join("stripe-a");
+    let leader = start_node(1, Some(&leader_dir), true, None);
+    let follower = start_node(
+        1,
+        Some(&follower_dir),
+        false,
+        Some(leader.ship_addr().to_string()),
+    );
+    run_steps(leader.addr, &script_prefix());
+    wait_caught_up("stripe-named", leader.addr, follower.addr, 1);
+    leader.stop();
+    promote("stripe-named", follower.addr);
+    follower.stop();
+    assert!(
+        !sider_store::ship::marker_path(&follower_dir).exists(),
+        "promote left the replica marker in place"
+    );
+
+    // The promoted dir restarts as a plain leader, without --promote.
+    let plain = Server::bind(ServerConfig {
+        store: Some(StoreConfig::new(&follower_dir)),
+        ..config(1, 1)
+    })
+    .unwrap_or_else(|e| panic!("a promoted dir must bind as a plain leader: {e}"));
+    drop(plain);
+
+    let _ = std::fs::remove_dir_all(&leader_dir);
+    let _ = std::fs::remove_dir_all(&parent);
 }

@@ -85,12 +85,8 @@ pub fn column_stats(data: &Matrix) -> Vec<ColumnStats> {
         .collect()
 }
 
-/// Sample covariance matrix (denominator `n − 1`) of the rows of `data`.
-pub fn covariance(data: &Matrix) -> Matrix {
-    covariance_with(data, &sider_par::ThreadPool::serial())
-}
-
-/// [`covariance`] with the moment accumulation distributed over `pool`.
+/// Sample covariance matrix (denominator `n − 1`) of the rows of `data`,
+/// with the moment accumulation distributed over `pool`.
 ///
 /// Rows are reduced in fixed chunks of [`MOMENT_ROW_CHUNK`] whose partial
 /// Gram matrices are folded in chunk order, so the result is bit-identical
@@ -107,13 +103,9 @@ pub fn covariance_with(data: &Matrix, pool: &sider_par::ThreadPool) -> Matrix {
 }
 
 /// Second-moment matrix `XᵀX / n` (uncentered) — used for the PCA view on
-/// whitened data where deviations of the *mean* from zero are signal.
-pub fn second_moment(data: &Matrix) -> Matrix {
-    second_moment_with(data, &sider_par::ThreadPool::serial())
-}
-
-/// [`second_moment`] with the accumulation distributed over `pool`
-/// (bit-identical at any pool size; see [`covariance_with`]).
+/// whitened data where deviations of the *mean* from zero are signal —
+/// with the accumulation distributed over `pool` (bit-identical at any
+/// pool size; see [`covariance_with`]).
 pub fn second_moment_with(data: &Matrix, pool: &sider_par::ThreadPool) -> Matrix {
     let (n, d) = data.shape();
     if n == 0 {
@@ -177,24 +169,6 @@ fn chunked_gram(data: &Matrix, center: Option<&[f64]>, pool: &sider_par::ThreadP
         }
     }
     g
-}
-
-/// Pearson correlation matrix of the columns.
-pub fn correlation(data: &Matrix) -> Matrix {
-    let cov = covariance(data);
-    let d = cov.rows();
-    let mut out = Matrix::zeros(d, d);
-    for i in 0..d {
-        for j in 0..d {
-            let denom = (cov[(i, i)] * cov[(j, j)]).sqrt();
-            out[(i, j)] = if denom > 0.0 {
-                cov[(i, j)] / denom
-            } else {
-                0.0
-            };
-        }
-    }
-    out
 }
 
 /// Standardize columns to zero mean / unit sample sd. Constant columns are
@@ -272,8 +246,8 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
         });
-        let sm1 = second_moment(&data);
-        let cov1 = covariance(&data);
+        let sm1 = second_moment_with(&data, &sider_par::ThreadPool::serial());
+        let cov1 = covariance_with(&data, &sider_par::ThreadPool::serial());
         for threads in [2usize, 4] {
             let pool = sider_par::ThreadPool::new(threads);
             assert_eq!(second_moment_with(&data, &pool), sm1, "{threads} threads");
@@ -295,7 +269,7 @@ mod tests {
             vec![0.0, 2.0],
             vec![0.0, -2.0],
         ]);
-        let c = covariance(&m);
+        let c = covariance_with(&m, &sider_par::ThreadPool::serial());
         assert!((c[(0, 0)] - 2.0 / 3.0).abs() < 1e-12);
         assert!((c[(1, 1)] - 8.0 / 3.0).abs() < 1e-12);
         assert!(c[(0, 1)].abs() < 1e-12);
@@ -304,37 +278,19 @@ mod tests {
     #[test]
     fn covariance_handles_single_row() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        assert_eq!(covariance(&m), Matrix::zeros(2, 2));
+        assert_eq!(
+            covariance_with(&m, &sider_par::ThreadPool::serial()),
+            Matrix::zeros(2, 2)
+        );
     }
 
     #[test]
     fn second_moment_vs_covariance_for_centered_data() {
         let m = Matrix::from_rows(&[vec![1.0, 1.0], vec![-1.0, -1.0]]);
-        let sm = second_moment(&m);
+        let sm = second_moment_with(&m, &sider_par::ThreadPool::serial());
         // centered data: second moment = population covariance
         assert!((sm[(0, 0)] - 1.0).abs() < 1e-12);
         assert!((sm[(0, 1)] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_is_unit_diagonal_and_bounded() {
-        let m = Matrix::from_rows(&[
-            vec![1.0, 2.0],
-            vec![2.0, 4.1],
-            vec![3.0, 5.9],
-            vec![4.0, 8.2],
-        ]);
-        let c = correlation(&m);
-        assert!((c[(0, 0)] - 1.0).abs() < 1e-12);
-        assert!(c[(0, 1)] > 0.99 && c[(0, 1)] <= 1.0);
-    }
-
-    #[test]
-    fn correlation_of_constant_column_is_zero() {
-        let m = Matrix::from_rows(&[vec![1.0, 5.0], vec![2.0, 5.0], vec![3.0, 5.0]]);
-        let c = correlation(&m);
-        assert_eq!(c[(0, 1)], 0.0);
-        assert_eq!(c[(1, 1)], 0.0); // 0/0 convention
     }
 
     #[test]

@@ -93,8 +93,10 @@ pub struct Op {
 }
 
 impl Op {
-    /// Serialize into a WAL record payload.
-    pub fn to_payload(&self) -> Vec<u8> {
+    /// Serialize into a WAL record payload: the canonical form the hot
+    /// append path's hand-assembled record text must equal.
+    #[cfg(test)]
+    pub(crate) fn to_payload(&self) -> Vec<u8> {
         Json::obj([
             ("lsn", Json::from(self.lsn)),
             ("op", Json::from(self.kind.as_str())),

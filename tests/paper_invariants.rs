@@ -159,7 +159,7 @@ fn one_cluster_constraint_equals_full_whitening() {
     });
     let y = solver.distribution().whiten(&data).unwrap();
     // Whitened second moment (about 0) must be the identity.
-    let sm = sider::stats::descriptive::second_moment(&y);
+    let sm = sider::stats::descriptive::second_moment_with(&y, &sider::par::ThreadPool::serial());
     assert!(sm.max_abs_diff(&Matrix::identity(2)) < 1e-6, "{sm:?}");
 }
 

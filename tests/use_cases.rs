@@ -130,22 +130,22 @@ fn bnc_corpus_statistics_are_plausible() {
     // separability measured by a simple centroid classifier.
     let dataset = sider::data::bnc::bnc_small(3);
     let genres = dataset.primary_labels().unwrap().clone();
-    let std = dataset.standardized();
+    let (std, _) = sider::stats::descriptive::standardize(&dataset.matrix);
     // Nearest-centroid accuracy must be high (genres are separable).
-    let mut centroids = vec![vec![0.0; std.d()]; 4];
+    let mut centroids = vec![vec![0.0; std.cols()]; 4];
     let sizes = genres.class_sizes();
-    for i in 0..std.n() {
+    for i in 0..std.rows() {
         let g = genres.assignments[i];
-        for j in 0..std.d() {
-            centroids[g][j] += std.matrix[(i, j)] / sizes[g] as f64;
+        for j in 0..std.cols() {
+            centroids[g][j] += std[(i, j)] / sizes[g] as f64;
         }
     }
     let mut correct = 0;
-    for i in 0..std.n() {
+    for i in 0..std.rows() {
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for (g, c) in centroids.iter().enumerate() {
-            let d = sider::linalg::vector::dist(std.matrix.row(i), c);
+            let d = sider::linalg::vector::dist(std.row(i), c);
             if d < best_d {
                 best_d = d;
                 best = g;
@@ -155,6 +155,6 @@ fn bnc_corpus_statistics_are_plausible() {
             correct += 1;
         }
     }
-    let acc = correct as f64 / std.n() as f64;
+    let acc = correct as f64 / std.rows() as f64;
     assert!(acc > 0.9, "nearest-centroid accuracy {acc}");
 }
