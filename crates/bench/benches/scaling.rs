@@ -39,9 +39,10 @@
 //! cluster-knowledge rounds with warm updates, a view — is written
 //! through the production append path, then the session is rebuilt from
 //! disk with `Store::recover_session_with` (WAL scan + CRC validation +
-//! replay through the single `ops::apply` path on a 1-thread pool). The
-//! resulting state is fingerprint-checked against a live twin before the
-//! timing is trusted.
+//! `ops::replay`, which parses as `ops::apply` does and replays the PCA
+//! view as its one RNG draw, on a 1-thread pool). The resulting state,
+//! RNG position included, is fingerprint-checked against a live twin
+//! before the timing is trusted.
 //!
 //! A top-level `suggest` array times `sider_suggest::recommend` on the
 //! two guided-exploration shapes of the closed-loop benchmark: builtin
@@ -85,7 +86,7 @@ use sider_loadgen::smoke_mode;
 use sider_maxent::params::ClassParams;
 use sider_maxent::{BackgroundDistribution, ConvergenceReport, FitOpts};
 use sider_par::ThreadPool;
-use sider_projection::pca_directions_with;
+use sider_projection::{pca_directions_with, Method};
 use sider_stats::Rng;
 use sider_store::ops::OpKind;
 use sider_store::{FsyncPolicy, Store, StoreConfig};
@@ -606,6 +607,8 @@ fn refit_record(session: &EdaSession, report: &ConvergenceReport) -> ((usize, us
 /// recovery wall time, the op count and the WAL size. The recovered
 /// state is fingerprinted against a live twin once before timing — a
 /// recovery that reproduced the wrong bytes must not produce a metric.
+/// The fingerprint ends with both sessions' next PCA view, whose
+/// background sample reads the RNG position the logged view left.
 fn bench_recovery(n: usize, d: usize, reps: usize) -> (Duration, u64, u64) {
     let dir = std::env::temp_dir().join(format!(
         "sider_bench_recover_{}_{n}x{d}",
@@ -654,13 +657,17 @@ fn bench_recovery(n: usize, d: usize, reps: usize) -> (Duration, u64, u64) {
         for (kind, body) in &history {
             sider_store::ops::apply(&mut live, *kind, body).expect("live op");
         }
-        let recovered = store
+        let mut recovered = store
             .recover_session_with(1, Arc::clone(&pool), &resolver)
             .expect("recover");
         let live_w = live.whitened().expect("live whiten");
         let rec_w = recovered.whitened().expect("recovered whiten");
+        let live_v = live.next_view(&Method::Pca).expect("live view");
+        let rec_v = recovered.next_view(&Method::Pca).expect("recovered view");
         if live_w.as_slice() != rec_w.as_slice()
             || live.information_nats().to_bits() != recovered.information_nats().to_bits()
+            || live_v.projected_data.as_slice() != rec_v.projected_data.as_slice()
+            || live_v.projected_background.as_slice() != rec_v.projected_background.as_slice()
         {
             eprintln!("scaling/{n}x{d}: recovery is not bit-identical to the live session");
             std::process::exit(1);

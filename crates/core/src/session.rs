@@ -407,12 +407,8 @@ impl EdaSession {
             }
         };
         let projected_data = project(self.data(), &projection.axes);
-        // Disjoint field borrows: the engine's distribution (or the prior
-        // fallback) is read while the session RNG advances.
-        let background_sample = match &self.solver {
-            Some(state) => state.background().sample_with(&mut self.rng, &self.pool),
-            None => self.background.sample_with(&mut self.rng, &self.pool),
-        };
+        let seed = self.draw_sample_seed();
+        let background_sample = self.background().sample_from_seed(seed, &self.pool);
         let projected_background = project(&background_sample, &projection.axes);
         let axis_labels = projection.labels(&self.dataset.column_names, 5);
         Ok(ViewState {
@@ -421,6 +417,31 @@ impl EdaSession {
             projected_background,
             axis_labels,
         })
+    }
+
+    /// Replay a view the session served: leave the session exactly as
+    /// [`EdaSession::next_view`] with `method` left it, without building
+    /// the view. A PCA view touches the session only through the one draw
+    /// that seeds its background sample, so replaying it is that draw. An
+    /// ICA view runs in full: FastICA's start draws depend on the rank of
+    /// the whitened data. Only for views that succeeded when served (a
+    /// logged op): a PCA view that failed drew nothing.
+    pub fn skip_view(&mut self, method: &Method) -> Result<()> {
+        match method {
+            Method::Pca => {
+                self.draw_sample_seed();
+                Ok(())
+            }
+            Method::Ica(_) => self.next_view(method).map(drop),
+        }
+    }
+
+    /// The seed of a view's background sample: the one session RNG draw a
+    /// PCA view makes, shared by [`EdaSession::next_view`] and
+    /// [`EdaSession::skip_view`] so that live and replayed sessions step
+    /// the RNG alike.
+    fn draw_sample_seed(&mut self) -> u64 {
+        self.rng.next_u64()
     }
 }
 
@@ -518,6 +539,45 @@ mod tests {
                 "restarts {restarts}"
             );
         }
+    }
+
+    #[test]
+    fn skip_view_steps_the_rng_as_next_view_does() {
+        // Replay's rule: skipping a served view leaves the session RNG
+        // where serving it did. PCA at the prior, after a fit and after an
+        // undo of fitted knowledge (the kept background, no engine); ICA
+        // at restarts 1 and 2.
+        fn step(live: &mut EdaSession, replayed: &mut EdaSession, method: &Method, ctx: &str) {
+            live.next_view(method).unwrap();
+            replayed.skip_view(method).unwrap();
+            assert_eq!(
+                format!("{:?}", live.rng),
+                format!("{:?}", replayed.rng),
+                "{ctx}"
+            );
+        }
+        let ica = |restarts| {
+            Method::Ica(IcaOpts {
+                restarts,
+                ..IcaOpts::default()
+            })
+        };
+        let (mut live, mut replayed) = (session(), session());
+        step(&mut live, &mut replayed, &Method::Pca, "PCA at the prior");
+        for s in [&mut live, &mut replayed] {
+            s.add_margin_constraints().unwrap();
+            s.add_cluster_constraint(&(0..40).collect::<Vec<_>>())
+                .unwrap();
+            s.update_background(&tight()).unwrap();
+        }
+        step(&mut live, &mut replayed, &Method::Pca, "PCA after a fit");
+        step(&mut live, &mut replayed, &ica(1), "ICA, restarts 1");
+        step(&mut live, &mut replayed, &ica(2), "ICA, restarts 2");
+        for s in [&mut live, &mut replayed] {
+            s.undo_last_knowledge().unwrap();
+            assert!(!s.has_warm_solver());
+        }
+        step(&mut live, &mut replayed, &Method::Pca, "PCA after an undo");
     }
 
     #[test]

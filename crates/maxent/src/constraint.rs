@@ -58,7 +58,7 @@ impl Constraint {
         w: Vec<f64>,
         label: impl Into<String>,
     ) -> Result<Self> {
-        Self::build(ConstraintKind::Linear, data, rows, w, label.into())
+        Self::build(ConstraintKind::Linear, data, rows, w, None, label.into())
     }
 
     /// Build a quadratic constraint
@@ -69,14 +69,18 @@ impl Constraint {
         w: Vec<f64>,
         label: impl Into<String>,
     ) -> Result<Self> {
-        Self::build(ConstraintKind::Quadratic, data, rows, w, label.into())
+        Self::build(ConstraintKind::Quadratic, data, rows, w, None, label.into())
     }
 
+    /// Build a primitive, checking its inputs. A bundle passes the
+    /// selection's mean `mhat` (computed once for all its primitives);
+    /// `None` computes it here.
     fn build(
         kind: ConstraintKind,
         data: &Matrix,
         rows: RowSet,
         w: Vec<f64>,
+        mhat: Option<&[f64]>,
         label: String,
     ) -> Result<Self> {
         let (n, d) = data.shape();
@@ -93,7 +97,10 @@ impl Constraint {
         if !vector::is_finite(&w) || vector::norm2(&w) == 0.0 {
             return Err(MaxEntError::ZeroDirection);
         }
-        let mhat = observed_mean(data, &rows);
+        let mhat = match mhat {
+            Some(m) => m.to_vec(),
+            None => observed_mean(data, &rows),
+        };
         let delta = vector::dot(&mhat, &w);
         let target: f64 = match kind {
             ConstraintKind::Linear => rows.iter().map(|i| vector::dot(data.row(i), &w)).sum(),
@@ -159,24 +166,43 @@ pub fn observed_mean(data: &Matrix, rows: &RowSet) -> Vec<f64> {
 pub fn margin_constraints(data: &Matrix) -> Result<Vec<Constraint>> {
     let (n, d) = data.shape();
     let rows = RowSet::all(n);
+    let mhat = observed_mean(data, &rows);
     let mut out = Vec::with_capacity(2 * d);
     for j in 0..d {
         let mut w = vec![0.0; d];
         w[j] = 1.0;
-        out.push(Constraint::linear(
+        out.extend(pair(data, &rows, w, &mhat, &format!("margin[{j}]"))?);
+    }
+    Ok(out)
+}
+
+/// The linear and the quadratic primitive of one bundle direction `w`
+/// (labels `{label}-lin`, `{label}-quad`), sharing the bundle's mean.
+fn pair(
+    data: &Matrix,
+    rows: &RowSet,
+    w: Vec<f64>,
+    mhat: &[f64],
+    label: &str,
+) -> Result<[Constraint; 2]> {
+    Ok([
+        Constraint::build(
+            ConstraintKind::Linear,
             data,
             rows.clone(),
             w.clone(),
-            format!("margin[{j}]-lin"),
-        )?);
-        out.push(Constraint::quadratic(
+            Some(mhat),
+            format!("{label}-lin"),
+        )?,
+        Constraint::build(
+            ConstraintKind::Quadratic,
             data,
             rows.clone(),
             w,
-            format!("margin[{j}]-quad"),
-        )?);
-    }
-    Ok(out)
+            Some(mhat),
+            format!("{label}-quad"),
+        )?,
+    ])
 }
 
 /// Cluster constraints for a marked point set: linear + quadratic
@@ -209,18 +235,12 @@ pub fn cluster_constraints(
     let eig = SymEigen::decompose(&scatter)?;
     let mut out = Vec::with_capacity(2 * d);
     for k in 0..d {
-        let w = eig.vectors.col(k);
-        out.push(Constraint::linear(
+        out.extend(pair(
             data,
-            rows.clone(),
-            w.clone(),
-            format!("{tag}-ev{k}-lin"),
-        )?);
-        out.push(Constraint::quadratic(
-            data,
-            rows.clone(),
-            w,
-            format!("{tag}-ev{k}-quad"),
+            &rows,
+            eig.vectors.col(k),
+            &mhat,
+            &format!("{tag}-ev{k}"),
         )?);
     }
     Ok(out)
@@ -242,20 +262,21 @@ pub fn twod_constraints(
     axis2: &[f64],
     tag: impl Into<String>,
 ) -> Result<Vec<Constraint>> {
+    let (n, d) = data.shape();
+    if n == 0 || d == 0 {
+        return Err(MaxEntError::EmptyData);
+    }
+    rows.validate(n)?;
     let tag = tag.into();
+    let mhat = observed_mean(data, &rows);
     let mut out = Vec::with_capacity(4);
     for (name, axis) in [("x", axis1), ("y", axis2)] {
-        out.push(Constraint::linear(
+        out.extend(pair(
             data,
-            rows.clone(),
+            &rows,
             axis.to_vec(),
-            format!("{tag}-2d{name}-lin"),
-        )?);
-        out.push(Constraint::quadratic(
-            data,
-            rows.clone(),
-            axis.to_vec(),
-            format!("{tag}-2d{name}-quad"),
+            &mhat,
+            &format!("{tag}-2d{name}"),
         )?);
     }
     Ok(out)

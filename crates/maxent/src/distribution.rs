@@ -189,33 +189,43 @@ impl BackgroundDistribution {
             classes_total: params.len(),
             ..RefreshStats::default()
         };
-        // Pass 1: materialize new classes from their parents' cached
-        // models (before those parents are themselves refreshed). Their
-        // mean is copied here, so pass 2 only needs their params again if
-        // the covariance must be re-decomposed.
-        let n_cached = self.classes.len();
-        for c in n_cached..params.len() {
-            let parent = parent_of_class[c] as usize;
-            let mut model = self.classes[parent].clone();
-            model.m = params[c].m.clone();
-            self.classes.push(model);
-            if !cov_dirty[c] {
-                stats.cloned_from_parent += 1;
-            }
-        }
-        // Pass 2: recompute what the fit actually moved. Each class lands
+        // Pass 1: recompute what the fit actually moved. Each class lands
         // in exactly one bucket: eigen-recomputed, mean-only-updated, or
-        // (for new classes handled above) cloned-from-parent. The
-        // per-class decompositions are independent, so they fan out over
-        // the pool; placement is by class id, keeping the result
-        // scheduling-independent.
+        // cloned-from-parent. The per-class decompositions are
+        // independent, so they fan out over the pool; placement is by
+        // class id, keeping the result scheduling-independent.
+        let n_cached = self.classes.len();
         let dirty: Vec<usize> = (0..params.len()).filter(|&c| cov_dirty[c]).collect();
         let d = self.d;
         // O(d³) per decomposition; a few tiny classes run inline.
         let pool = pool.gated(dirty.len().saturating_mul(d * d * d));
-        let refreshed = pool.par_map(&dirty, |&c| ClassModel::compute(d, &params[c]));
+        let mut refreshed: Vec<(usize, ClassModel)> = dirty
+            .iter()
+            .copied()
+            .zip(pool.par_map(&dirty, |&c| ClassModel::compute(d, &params[c])))
+            .collect();
         stats.eigen_recomputed = dirty.len();
-        for (&c, model) in dirty.iter().zip(refreshed) {
+        // Pass 2: append the new classes, in id order. A cov-dirty one
+        // takes its decomposition from pass 1; a clean one clones its
+        // parent's cached model, read before the parents are refreshed
+        // below (a parent is always a cached class).
+        let mut new_dirty = refreshed
+            .split_off(refreshed.partition_point(|&(c, _)| c < n_cached))
+            .into_iter()
+            .peekable();
+        for c in n_cached..params.len() {
+            let model = match new_dirty.next_if(|&(k, _)| k == c) {
+                Some((_, model)) => model,
+                None => {
+                    stats.cloned_from_parent += 1;
+                    let mut model = self.classes[parent_of_class[c] as usize].clone();
+                    model.m = params[c].m.clone();
+                    model
+                }
+            };
+            self.classes.push(model);
+        }
+        for (c, model) in refreshed {
             self.classes[c] = model;
         }
         for (c, p) in params.iter().enumerate() {
@@ -490,7 +500,12 @@ impl BackgroundDistribution {
     /// transform count of a single shared stream (the PR-1 baseline) for
     /// small odd `d`, where the wasted pair was a measurable regression.
     pub fn sample_with(&self, rng: &mut Rng, pool: &ThreadPool) -> Matrix {
-        let master = rng.next_u64();
+        self.sample_from_seed(rng.next_u64(), pool)
+    }
+
+    /// [`BackgroundDistribution::sample_with`] for a caller that drew its
+    /// one `u64` itself: the rows draw from substreams of `master`.
+    pub fn sample_from_seed(&self, master: u64, pool: &ThreadPool) -> Matrix {
         let n = self.n();
         let d = self.d;
         let mut out = Matrix::zeros(n, d);

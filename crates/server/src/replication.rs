@@ -14,7 +14,7 @@
 //! last walk. There is no second history and no acknowledgement: the
 //! follower's store is its cursor.
 //!
-//! The follower replays every record through the **same** `ops::apply`
+//! The follower replays every record through the **same** `ops::replay`
 //! path recovery uses, into its own striped store — which is what makes
 //! a promoted follower byte-identical to a leader that never failed.
 //! `welcome` and every heartbeat also carry the leader's `next_id`,
@@ -608,7 +608,8 @@ fn follow_once(manager: &Arc<SessionManager>, state: &FollowState) -> LinkEnd {
 }
 
 /// Apply one shipped record to the follower's registry + store — the
-/// same `ops::apply` path the API and recovery use. A redelivered op
+/// same `ops::replay` path recovery uses (the API's `ops::apply`, but a
+/// PCA view only steps the RNG). A redelivered op
 /// (`lsn` at or below the session's durable LSN) or create is skipped,
 /// and a remove for an absent session does nothing. An LSN *gap* — or an
 /// op that fails to apply — is fatal divergence: returning `Err` breaks
@@ -651,7 +652,7 @@ fn apply_record(manager: &Arc<SessionManager>, rec: ShipRecord) -> Result<(), St
                 ));
             }
             let mut session = slot.lock()?;
-            ops::apply(&mut session, kind, &rec.body).map_err(|e| format!("s{id}: {op}: {e}"))?;
+            ops::replay(&mut session, kind, &rec.body).map_err(|e| format!("s{id}: {op}: {e}"))?;
             store
                 .append(id, kind, &rec.body)
                 .map_err(|e| format!("s{id}: follower WAL append: {e}"))?;

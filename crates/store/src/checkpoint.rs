@@ -18,7 +18,8 @@
 //!   (which classes split when, which multipliers warm-started) is part
 //!   of the bytes later responses depend on — warm and cold paths agree
 //!   only to solver tolerance, not bitwise. A `view` cannot be dropped
-//!   because it advanced the session RNG.
+//!   because it advanced the session RNG (replay makes a PCA view's one
+//!   draw without rebuilding the view: [`ops::replay`]).
 //!
 //! Compaction therefore bounds *log framing and parsing* overhead and
 //! keeps one self-contained recovery document per session; it does not
@@ -205,14 +206,14 @@ impl Checkpoint {
                 .map_err(|e| format!("folded snapshot: {e}"))?;
         }
         for op in &self.ops {
-            ops::apply(&mut session, op.kind, &op.body)
+            ops::replay(&mut session, op.kind, &op.body)
                 .map_err(|e| format!("{} (lsn {}): {e}", op.kind.as_str(), op.lsn))?;
         }
         // Tail records at or below `last_lsn` were already folded into
         // this document — skipping them makes replay idempotent against a
         // WAL whose truncation raced a crash.
         for op in wal_tail.iter().filter(|op| op.lsn > self.last_lsn) {
-            ops::apply(&mut session, op.kind, &op.body)
+            ops::replay(&mut session, op.kind, &op.body)
                 .map_err(|e| format!("{} (lsn {}): {e}", op.kind.as_str(), op.lsn))?;
         }
         Ok(session)

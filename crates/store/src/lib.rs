@@ -707,9 +707,8 @@ impl Store {
     }
 
     /// Rebuild one session from disk: load the latest valid checkpoint,
-    /// truncate a torn WAL tail, and replay checkpoint + tail through the
-    /// single [`ops::apply`] path. Registers the session's log for
-    /// further appends.
+    /// truncate a torn WAL tail, and replay checkpoint + tail through
+    /// [`ops::replay`]. Registers the session's log for further appends.
     pub fn recover_session_with(
         &self,
         id: u64,
@@ -717,9 +716,21 @@ impl Store {
         resolver: ops::DatasetResolver<'_>,
     ) -> Result<EdaSession, StoreError> {
         let dir = self.session_dir(id);
+        let scan = wal::scan(&SessionLog::wal_path(&dir))?;
+        self.recover_scanned(id, dir, scan, pool, resolver)
+    }
+
+    /// [`Store::recover_session_with`] on a WAL its caller already read.
+    fn recover_scanned(
+        &self,
+        id: u64,
+        dir: PathBuf,
+        scan: wal::WalScan,
+        pool: Arc<ThreadPool>,
+        resolver: ops::DatasetResolver<'_>,
+    ) -> Result<EdaSession, StoreError> {
         let wal_path = SessionLog::wal_path(&dir);
         let prior = read_checkpoint(&dir)?;
-        let scan = wal::scan(&wal_path)?;
         if scan.torn {
             // The tear is the op that never finished being acknowledged;
             // cut it (and anything after it) away so appends resume from
@@ -763,7 +774,7 @@ impl Store {
                 let mut session = ops::create_session(&first.body, pool, resolver)
                     .map_err(|e| StoreError::Replay(format!("session s{id}: create: {e}")))?;
                 for op in &tail[1..] {
-                    ops::apply(&mut session, op.kind, &op.body).map_err(|e| {
+                    ops::replay(&mut session, op.kind, &op.body).map_err(|e| {
                         StoreError::Replay(format!(
                             "session s{id}: {} (lsn {}): {e}",
                             op.kind.as_str(),
@@ -808,9 +819,9 @@ impl Store {
         let mut out = Vec::new();
         for id in self.session_ids()? {
             let dir = self.session_dir(id);
-            if !SessionLog::checkpoint_path(&dir).exists()
-                && wal::scan(&SessionLog::wal_path(&dir))?.payloads.is_empty()
-            {
+            // Read once: the scan that decides the sweep is the one replayed.
+            let scan = wal::scan(&SessionLog::wal_path(&dir))?;
+            if scan.payloads.is_empty() && !SessionLog::checkpoint_path(&dir).exists() {
                 eprintln!(
                     "sider_store: dropping session directory {} with no acknowledged op",
                     dir.display()
@@ -818,7 +829,8 @@ impl Store {
                 let _ = std::fs::remove_dir_all(&dir);
                 continue;
             }
-            let session = self.recover_session(id, Arc::clone(pool))?;
+            let session =
+                self.recover_scanned(id, dir, scan, Arc::clone(pool), &ops::resolve_dataset)?;
             out.push((id, session));
         }
         Ok(out)
@@ -1209,6 +1221,71 @@ mod tests {
         ops::apply(&mut twin, OpKind::Update, &body("{}")).unwrap();
         assert_eq!(fingerprint(&mut session), fingerprint(&mut twin));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replayed_views_leave_the_session_where_served_views_did() {
+        // Replay makes a PCA view's one RNG draw instead of rebuilding the
+        // view, and runs an ICA view in full. A history with PCA views at
+        // the prior and after a fit and ICA views, recovered from the WAL
+        // alone and through a checkpoint (whose kept ops and WAL tail both
+        // hold views), must match a live twin that served every view: its
+        // fingerprint and its next ICA view's bytes.
+        const PCA: &str = r#"{"method":"pca"}"#;
+        let head = [
+            (OpKind::View, PCA),
+            (OpKind::Knowledge, r#"{"kind":"margin"}"#),
+            (OpKind::Update, "{}"),
+            (OpKind::View, PCA),
+            (OpKind::View, r#"{"method":"ica"}"#),
+        ];
+        let tail = [
+            (
+                OpKind::Knowledge,
+                r#"{"kind":"cluster","rows":[0,1,2,3,4,5,6,7]}"#,
+            ),
+            (OpKind::Update, "{}"),
+            (OpKind::View, PCA),
+            (OpKind::View, r#"{"method":"ica","restarts":2}"#),
+            (OpKind::View, PCA),
+        ];
+        let create = body(r#"{"dataset":"fig2","seed":7}"#);
+        let next_views = |s: &mut EdaSession| {
+            let ica = s
+                .next_view(&sider_projection::Method::Ica(Default::default()))
+                .unwrap();
+            (fingerprint(s), sider_core::wire::view_to_json(&ica).dump())
+        };
+        let mut twin = ops::create_session(&create, pool(), &ops::resolve_dataset).unwrap();
+        for (kind, b) in head.iter().chain(&tail) {
+            ops::apply(&mut twin, *kind, &body(b)).unwrap();
+        }
+        let expected = next_views(&mut twin);
+        for through_checkpoint in [false, true] {
+            let config = temp_store(&format!("views_{through_checkpoint}"));
+            let dir = config.dir.clone();
+            {
+                let store = Store::open(config.clone()).unwrap();
+                store.create_session(1, &create).unwrap();
+                for (kind, b) in &head {
+                    store.append(1, *kind, &body(b)).unwrap();
+                }
+                if through_checkpoint {
+                    let status = store.checkpoint(1, "fig2", 150, 3).unwrap();
+                    assert_eq!(status.wal_records, 0);
+                }
+                for (kind, b) in &tail {
+                    store.append(1, *kind, &body(b)).unwrap();
+                }
+            }
+            let store = Store::open(config).unwrap();
+            let mut session = store.recover_session(1, pool()).unwrap();
+            assert!(
+                next_views(&mut session) == expected,
+                "checkpoint {through_checkpoint}: recovered session differs from its live twin"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -7,15 +7,21 @@
 //! reconstruct a different session. This module is that code:
 //! `sider_server`'s mutating endpoints parse a request into an [`Op`],
 //! call [`apply`], log the op, and build the response from the returned
-//! [`Applied`]; recovery reads ops back from the log and calls the same
-//! [`apply`].
+//! [`Applied`]. Recovery, checkpoint replay and a follower read ops back
+//! and call [`replay`], which parses every op with the same code and
+//! applies every op but a view through [`apply`] itself.
 //!
 //! Note that `view` **is** a logged, mutating operation even though it
 //! looks like a read: computing a view draws a fresh background sample
 //! from the session RNG, so two sessions that served different view
-//! sequences are in different states. Replaying views (and discarding
-//! their output) is what makes a recovered session's *next* view
-//! byte-identical to the one a never-restarted server would produce.
+//! sequences are in different states. Replay therefore steps the RNG as
+//! the view did, which is what makes a recovered session's *next* view
+//! byte-identical to the one a never-restarted server would produce. It
+//! does not rebuild the view: the one place replay differs from the live
+//! path is a PCA view, whose only effect on the session is the single
+//! draw that seeds its background sample ([`EdaSession::skip_view`]). An
+//! ICA view's start draws depend on the rank of the whitened data, so
+//! replay still runs it in full.
 
 use sider_core::wire;
 use sider_core::{CoreError, EdaSession, ViewState};
@@ -304,10 +310,12 @@ pub fn create_session(
     Ok(EdaSession::with_pool(dataset, seed, pool)?)
 }
 
-/// Apply one non-create op to a session. Errors leave the session
-/// unmodified (each branch validates before mutating, and the snapshot
-/// branch replays into a scratch clone), so a rejected request never
-/// needs to be logged or undone.
+/// Apply one non-create op to a session: the live path, which builds what
+/// a response needs. Errors leave the session unmodified (each branch
+/// validates before mutating, and the snapshot branch replays into a
+/// scratch clone), so a rejected request never needs to be logged or
+/// undone. A logged op is re-applied by [`replay`], which parses it with
+/// this same code and differs only for a PCA view.
 pub fn apply(session: &mut EdaSession, kind: OpKind, body: &Json) -> Result<Applied, OpError> {
     match kind {
         OpKind::Create => Err(bad("create can only start a session history")),
@@ -331,6 +339,19 @@ pub fn apply(session: &mut EdaSession, kind: OpKind, body: &Json) -> Result<Appl
             let applied = wire::snapshot_from_json(session, body)?;
             Ok(Applied::Snapshot { applied })
         }
+    }
+}
+
+/// Re-apply one logged non-create op to a session being rebuilt
+/// (recovery, checkpoint replay, a follower): the session ends exactly as
+/// [`apply`] would leave it, and nothing is returned for a response. Every
+/// op is parsed and validated as [`apply`] does it; a view is replayed by
+/// [`EdaSession::skip_view`], which for a PCA view makes only its one RNG
+/// draw instead of recomputing a view nobody reads.
+pub fn replay(session: &mut EdaSession, kind: OpKind, body: &Json) -> Result<(), OpError> {
+    match kind {
+        OpKind::View => Ok(session.skip_view(&parse_method(body)?)?),
+        _ => apply(session, kind, body).map(drop),
     }
 }
 
@@ -556,6 +577,8 @@ mod tests {
             (OpKind::Create, r#"{"dataset":"fig2"}"#),
         ] {
             assert!(apply(&mut s, kind, &body(b)).is_err(), "{b}");
+            // Replay parses with the same code, so it refuses the same ops.
+            assert!(replay(&mut s, kind, &body(b)).is_err(), "replay {b}");
         }
         // Each fit setting `update` once took, with a value it accepted,
         // is now refused by name, and the session is not refitted.
