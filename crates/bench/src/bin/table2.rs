@@ -15,10 +15,13 @@
 //!   the per-row [`NaiveSolver`] on `runtime_dataset(n, 8, 2, 13)` with
 //!   margins plus 2 clusters, n ∈ {128, 512, 2048};
 //! - `sherman_morrison`: one rank-1 covariance update by
-//!   `woodbury::prepare` + `apply` (the solver's kernel) against
-//!   `precision_update` followed by an LU re-inversion, d ∈ {16, 32, 64,
-//!   128}. One call takes microseconds, so each run times a batch of
-//!   calls and records the time per call.
+//!   `woodbury::prepare` + `apply` against `precision_update` followed by
+//!   an LU re-inversion, d ∈ {16, 32, 64, 128}. `apply` is the
+//!   Sherman–Morrison step itself; the solver runs the same row kernel
+//!   fused with its mean pass (`woodbury::apply_with_mean`), so the
+//!   ablation times the step, not the solver's update. One call takes
+//!   microseconds, so each run times a batch of calls and records the
+//!   time per call.
 //!
 //! Full mode runs 3 reps (the paper used 10) and takes about 16 minutes
 //! on 2 vCPUs, almost all of it in FastICA. `SIDER_BENCH_SMOKE=1` runs

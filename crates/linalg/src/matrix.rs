@@ -1,4 +1,14 @@
 //! Row-major dense matrix of `f64`.
+//!
+//! Matrix–vector products come in two forms with the same bits. The row
+//! form ([`Matrix::matvec_into`], [`Matrix::quad_form`]) takes each output
+//! as a dot of one row with `x`. The column form
+//! ([`Matrix::sym_matvec_into`], [`Matrix::sym_quad_form`]) adds
+//! `row_k·x_k` over rows `k` into 16 outputs at once, which vectorizes
+//! across outputs. It reads row `k` where the row form reads column `k`,
+//! so it has a precondition: the matrix is exactly symmetric, every
+//! `(i, k)` entry with the bits of its `(k, i)` twin. The MaxEnt solver's
+//! covariances hold that by construction (`woodbury` module docs).
 
 use crate::error::LinalgError;
 use crate::vector;
@@ -9,6 +19,10 @@ use std::ops::{Index, IndexMut};
 /// row and of each `other` row stay hot while `k` sweeps. Products narrower
 /// than one tile run exactly the untiled i-k-j loop.
 const MATMUL_J_TILE: usize = 256;
+
+/// Outputs per pass of [`Matrix::sym_matvec_into`]: 16 accumulators take
+/// 8 of the 16 SSE2 registers of baseline x86-64, leaving room for loads.
+const SYM_MATVEC_BLOCK: usize = 16;
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -379,6 +393,63 @@ impl Matrix {
         }
     }
 
+    /// Matrix–vector product `self * x` of an exactly symmetric matrix,
+    /// in column form: `out_i = Σ_k self_ki·x_k`, added in ascending `k`
+    /// from `-0.0`.
+    ///
+    /// Precondition: `self[(k, i)]` and `self[(i, k)]` have the same bits
+    /// for every `i, k`. Then each entry equals `vector::dot(self.row(i),
+    /// x)` (and so [`Matrix::matvec_into`]) bit for bit: the terms are the
+    /// same products, added in the same order. Reading row `k` for every
+    /// output instead of row `i` lets one pass over the matrix update 16
+    /// outputs at once from contiguous memory.
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square or a length differs.
+    pub fn sym_matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        assert!(self.is_square(), "sym_matvec_into: matrix not square");
+        assert_eq!(x.len(), self.cols, "sym_matvec_into: x length mismatch");
+        assert_eq!(out.len(), self.rows, "sym_matvec_into: out length mismatch");
+        let whole = self.cols / SYM_MATVEC_BLOCK * SYM_MATVEC_BLOCK;
+        for j0 in (0..whole).step_by(SYM_MATVEC_BLOCK) {
+            self.sym_matvec_block(x, j0, &mut out[j0..j0 + SYM_MATVEC_BLOCK]);
+        }
+        if whole < self.cols {
+            self.sym_matvec_block(x, whole, &mut out[whole..]);
+        }
+    }
+
+    /// Outputs `j0..j0 + out.len()` of [`Matrix::sym_matvec_into`]: one
+    /// accumulator per output, held in registers while `k` runs over the
+    /// rows. Inlined into both call sites, so the whole-block one runs
+    /// with a constant width.
+    #[inline(always)]
+    fn sym_matvec_block(&self, x: &[f64], j0: usize, out: &mut [f64]) {
+        let width = out.len();
+        let mut acc = [-0.0; SYM_MATVEC_BLOCK];
+        let acc = &mut acc[..width];
+        for (k, &xk) in x.iter().enumerate() {
+            let start = k * self.cols + j0;
+            for (a, &s) in acc.iter_mut().zip(&self.data[start..start + width]) {
+                *a += s * xk;
+            }
+        }
+        out.copy_from_slice(acc);
+    }
+
+    /// Quadratic form `xᵀ self x` of an exactly symmetric matrix, from
+    /// [`Matrix::sym_matvec_into`] written into `scratch`.
+    ///
+    /// `x_i·(self x)_i` is added to a `+0.0` accumulator in ascending `i`,
+    /// so under the precondition of [`Matrix::sym_matvec_into`] the result
+    /// equals [`Matrix::quad_form`] bit for bit.
+    pub fn sym_quad_form(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
+        self.sym_matvec_into(x, scratch);
+        x.iter()
+            .zip(&*scratch)
+            .fold(0.0, |acc, (&xi, &gi)| acc + xi * gi)
+    }
+
     /// `selfᵀ * self` (Gram matrix), exploiting symmetry.
     pub fn gram(&self) -> Matrix {
         let d = self.cols;
@@ -464,6 +535,20 @@ impl Matrix {
                 let v = 0.5 * (self[(i, j)] + self[(j, i)]);
                 self[(i, j)] = v;
                 self[(j, i)] = v;
+            }
+        }
+    }
+
+    /// Copy the upper triangle onto the lower one: `self[(i, j)] =
+    /// self[(j, i)]` for every `j < i`. Makes a matrix whose upper
+    /// triangle is current exactly symmetric.
+    pub fn mirror_upper(&mut self) {
+        assert!(self.is_square(), "mirror_upper: matrix not square");
+        let d = self.cols;
+        for i in 1..d {
+            let (above, below) = self.data.split_at_mut(i * d);
+            for (j, v) in below[..i].iter_mut().enumerate() {
+                *v = above[j * d + i];
             }
         }
     }

@@ -14,11 +14,16 @@
 //!   equivalent to telling the system the data's overall covariance.
 //! * [`twod_constraints`] — mean + variance along the two axes of the
 //!   projection currently on screen (4).
+//!
+//! Every primitive of a bundle holds the bundle's one row set behind an
+//! [`Arc`], so a bundle's rows are stored once however many primitives
+//! (and clones of them) refer to them.
 
 use crate::error::MaxEntError;
 use crate::rowset::RowSet;
 use crate::Result;
 use sider_linalg::{vector, Matrix, SymEigen};
+use std::sync::Arc;
 
 /// Whether a primitive constraint is on the first or second moment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,17 +39,17 @@ pub enum ConstraintKind {
 pub struct Constraint {
     /// Moment kind.
     pub kind: ConstraintKind,
-    /// Rows the constraint sums over.
-    pub rows: RowSet,
+    /// Rows the constraint sums over, shared by every primitive of the
+    /// bundle that made it.
+    pub rows: Arc<RowSet>,
     /// Direction `w` (unit norm for bundle-generated constraints, but any
     /// non-zero vector is accepted).
     pub w: Vec<f64>,
     /// Target `v̂ = f_c(X̂, I, w)`.
     pub target: f64,
-    /// Observed mean `m̂_I` of the rows (a constant of the constraint —
-    /// *not* a random quantity; see the discussion below Eq. 4).
-    pub mhat: Vec<f64>,
-    /// `δ = m̂_Iᵀ w`, cached for the quadratic update rules.
+    /// `δ = m̂_Iᵀ w`, where `m̂_I` is the observed mean of the rows (a
+    /// constant of the constraint — *not* a random quantity; see the
+    /// discussion below Eq. 4). The quadratic update rules read it.
     pub delta: f64,
     /// Human-readable tag for diagnostics (`margin[3]-quad`, …).
     pub label: String,
@@ -58,7 +63,14 @@ impl Constraint {
         w: Vec<f64>,
         label: impl Into<String>,
     ) -> Result<Self> {
-        Self::build(ConstraintKind::Linear, data, rows, w, None, label.into())
+        Self::build(
+            ConstraintKind::Linear,
+            data,
+            Arc::new(rows),
+            w,
+            None,
+            label.into(),
+        )
     }
 
     /// Build a quadratic constraint
@@ -69,7 +81,14 @@ impl Constraint {
         w: Vec<f64>,
         label: impl Into<String>,
     ) -> Result<Self> {
-        Self::build(ConstraintKind::Quadratic, data, rows, w, None, label.into())
+        Self::build(
+            ConstraintKind::Quadratic,
+            data,
+            Arc::new(rows),
+            w,
+            None,
+            label.into(),
+        )
     }
 
     /// Build a primitive, checking its inputs. A bundle passes the
@@ -78,7 +97,7 @@ impl Constraint {
     fn build(
         kind: ConstraintKind,
         data: &Matrix,
-        rows: RowSet,
+        rows: Arc<RowSet>,
         w: Vec<f64>,
         mhat: Option<&[f64]>,
         label: String,
@@ -97,11 +116,10 @@ impl Constraint {
         if !vector::is_finite(&w) || vector::norm2(&w) == 0.0 {
             return Err(MaxEntError::ZeroDirection);
         }
-        let mhat = match mhat {
-            Some(m) => m.to_vec(),
-            None => observed_mean(data, &rows),
+        let delta = match mhat {
+            Some(m) => vector::dot(m, &w),
+            None => vector::dot(&observed_mean(data, &rows), &w),
         };
-        let delta = vector::dot(&mhat, &w);
         let target: f64 = match kind {
             ConstraintKind::Linear => rows.iter().map(|i| vector::dot(data.row(i), &w)).sum(),
             ConstraintKind::Quadratic => rows
@@ -120,7 +138,6 @@ impl Constraint {
             rows,
             w,
             target,
-            mhat,
             delta,
             label,
         })
@@ -165,7 +182,7 @@ pub fn observed_mean(data: &Matrix, rows: &RowSet) -> Vec<f64> {
 /// variance of each attribute.
 pub fn margin_constraints(data: &Matrix) -> Result<Vec<Constraint>> {
     let (n, d) = data.shape();
-    let rows = RowSet::all(n);
+    let rows = Arc::new(RowSet::all(n));
     let mhat = observed_mean(data, &rows);
     let mut out = Vec::with_capacity(2 * d);
     for j in 0..d {
@@ -177,10 +194,11 @@ pub fn margin_constraints(data: &Matrix) -> Result<Vec<Constraint>> {
 }
 
 /// The linear and the quadratic primitive of one bundle direction `w`
-/// (labels `{label}-lin`, `{label}-quad`), sharing the bundle's mean.
+/// (labels `{label}-lin`, `{label}-quad`), sharing the bundle's row set
+/// and mean.
 fn pair(
     data: &Matrix,
-    rows: &RowSet,
+    rows: &Arc<RowSet>,
     w: Vec<f64>,
     mhat: &[f64],
     label: &str,
@@ -189,7 +207,7 @@ fn pair(
         Constraint::build(
             ConstraintKind::Linear,
             data,
-            rows.clone(),
+            Arc::clone(rows),
             w.clone(),
             Some(mhat),
             format!("{label}-lin"),
@@ -197,7 +215,7 @@ fn pair(
         Constraint::build(
             ConstraintKind::Quadratic,
             data,
-            rows.clone(),
+            Arc::clone(rows),
             w,
             Some(mhat),
             format!("{label}-quad"),
@@ -226,6 +244,7 @@ pub fn cluster_constraints(
     }
     rows.validate(n)?;
     let tag = tag.into();
+    let rows = Arc::new(rows);
     let mhat = observed_mean(data, &rows);
     let mut scatter = Matrix::zeros(d, d);
     for i in rows.iter() {
@@ -268,6 +287,7 @@ pub fn twod_constraints(
     }
     rows.validate(n)?;
     let tag = tag.into();
+    let rows = Arc::new(rows);
     let mhat = observed_mean(data, &rows);
     let mut out = Vec::with_capacity(4);
     for (name, axis) in [("x", axis1), ("y", axis2)] {
@@ -300,7 +320,7 @@ mod tests {
         let c = Constraint::linear(&data(), RowSet::from_indices(&[0, 3]), vec![1.0, 0.0], "t")
             .unwrap();
         assert_eq!(c.target, 3.0); // 1 + 2
-        assert_eq!(c.mhat, vec![1.5, 1.0]);
+        assert_eq!(c.delta, 1.5); // m̂ = (1.5, 1.0)
     }
 
     #[test]
@@ -402,6 +422,31 @@ mod tests {
     fn observed_mean_of_subset() {
         let m = observed_mean(&data(), &RowSet::from_indices(&[0, 1]));
         assert_eq!(m, vec![0.5, 0.5]);
+    }
+
+    #[test]
+    fn a_bundles_primitives_share_one_row_set() {
+        let d = data();
+        let bundles = [
+            ("margins", margin_constraints(&d).unwrap()),
+            ("one-cluster", one_cluster_constraints(&d).unwrap()),
+            (
+                "cluster",
+                cluster_constraints(&d, RowSet::from_indices(&[0, 1, 3]), "c").unwrap(),
+            ),
+            (
+                "twod",
+                twod_constraints(&d, RowSet::all(4), &[1.0, 0.0], &[0.0, 1.0], "v").unwrap(),
+            ),
+        ];
+        for (name, cs) in &bundles {
+            assert!(
+                cs.iter().all(|c| Arc::ptr_eq(&c.rows, &cs[0].rows)),
+                "{name}"
+            );
+        }
+        // Two bundles over equal rows still hold a row set each.
+        assert!(!Arc::ptr_eq(&bundles[0].1[0].rows, &bundles[1].1[0].rows));
     }
 
     #[test]

@@ -48,7 +48,10 @@ impl ClassParams {
     }
 
     /// Recompute the dual mean from the natural parameters: `m = Σ·h`.
-    pub fn refresh_mean(&mut self) {
+    /// The solver gets `m` from its fused Sherman–Morrison pass; this is
+    /// the reference its tests compare that pass with.
+    #[cfg(test)]
+    pub(crate) fn refresh_mean(&mut self) {
         self.m = self.sigma.matvec(&self.h);
     }
 

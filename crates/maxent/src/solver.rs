@@ -12,6 +12,30 @@
 //! covariances with the Sherman–Morrison identity
 //! (`sider_linalg::woodbury`), never inverting a matrix.
 //!
+//! Passes over a covered class's `d×d` state, per update:
+//!
+//! - *linear*: one read of `Σ` for `Σw` (column form,
+//!   `Matrix::sym_matvec_into`); `h` and `m` move by `O(d)` steps.
+//! - *quadratic*: one read of `Σ` for `Σw`, skipped when the linear
+//!   partner was the update just before; one read-write pass over `Σ`
+//!   that writes the Sherman–Morrison step and accumulates `m = Σh`
+//!   (`woodbury::apply_with_mean`, after `h += λδw`); and one pass over
+//!   the upper triangle of `P` (`woodbury::precision_update_upper`).
+//! - *convergence pass* (once per sweep and active quadratic
+//!   constraint): one read of `Σ` for `wᵀΣw` (`Matrix::sym_quad_form`).
+//!
+//! A constraint's *linear partner* is the constraint just before it when
+//! that one is linear, it is quadratic, and both hold the same direction
+//! bits and the same row set (one `Arc`). Every knowledge bundle emits
+//! its primitives as such pairs. A linear update leaves every `Σ` as it
+//! is, so its `Σw` is still exact for the partner. Nothing reads `P`
+//! inside a sweep, so its lower triangle may be stale there; before
+//! [`Solver::sweep`] returns, it mirrors the upper triangle of every
+//! class a dense quadratic update touched, so `P` is exactly symmetric
+//! whenever a caller can read it. Each pass equals the plain kernels
+//! (row-form products, `woodbury::apply`, the full
+//! `woodbury::precision_update`, `m = Σh` recomputed) bit for bit.
+//!
 //! A constraint whose direction is a unit axis `e_j` (every margin
 //! constraint) skips the dense `O(d²)` reads: `Σw` is row `j` of `Σ`,
 //! `wᵀΣw` is `Σ_jj`, `mᵀw` is `m_j`, and the natural-parameter updates
@@ -149,6 +173,31 @@ pub struct Solver {
     /// `e_j`, recorded once when the constraint is added. Selects the
     /// unit-axis path of the module docs.
     axis: Vec<Option<usize>>,
+    /// Per constraint: whether constraint `t − 1` is its linear partner
+    /// (module docs), recorded once when the constraint is added.
+    partner: Vec<bool>,
+    /// Buffers the updates write into instead of allocating.
+    scratch: Scratch,
+}
+
+/// Per-update working memory, owned by the solver so that a sweep
+/// allocates nothing once the buffers have grown to size.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// `Σw` of each class the last updated constraint covers, `d` entries
+    /// per class, in `classes_of_constraint` order.
+    g: Vec<f64>,
+    /// The constraint whose `Σw` `g` holds, while every `Σ` it read is
+    /// unchanged.
+    g_of: Option<usize>,
+    /// The quadratic root-finder's per-class terms.
+    items: Vec<QuadItem>,
+    /// A `d`-vector: the scaled direction of a rank-1 update, or `Σw` in
+    /// the convergence pass.
+    v: Vec<f64>,
+    /// Per class: a dense quadratic update wrote `P`'s upper triangle
+    /// only, so the lower one is stale until the sweep mirrors it.
+    lower_stale: Vec<bool>,
 }
 
 /// The axis `j` when `w` is the unit vector `e_j`: exactly one non-zero
@@ -177,12 +226,29 @@ fn add_along(v: &mut [f64], alpha: f64, w: &[f64], axis: Option<usize>) {
     }
 }
 
-/// `Σw`, read as row `j` of the exactly symmetric `Σ` when `w = e_j`.
-fn sigma_times(sigma: &Matrix, w: &[f64], axis: Option<usize>) -> Vec<f64> {
+/// `out = Σw` for the exactly symmetric `Σ`: row `j` when `w = e_j`, the
+/// column-form product otherwise.
+fn sigma_times_into(sigma: &Matrix, w: &[f64], axis: Option<usize>, out: &mut [f64]) {
     match axis {
-        Some(j) => sigma.row(j).to_vec(),
-        None => sigma.matvec(w),
+        Some(j) => out.copy_from_slice(sigma.row(j)),
+        None => sigma.sym_matvec_into(w, out),
     }
+}
+
+/// Whether `prev` is `next`'s linear partner: a linear and a quadratic
+/// constraint, in that order, with the same direction bits on the same
+/// row set (one [`Arc`](std::sync::Arc), as every bundle's pair holds).
+/// Same rows means same classes, and a linear update leaves every `Σ` as
+/// it is, so the quadratic update can reuse the `Σw` its partner read.
+fn is_partner(prev: &Constraint, next: &Constraint) -> bool {
+    prev.kind == ConstraintKind::Linear
+        && next.kind == ConstraintKind::Quadratic
+        && std::sync::Arc::ptr_eq(&prev.rows, &next.rows)
+        && prev
+            .w
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(next.w.iter().map(|x| x.to_bits()))
 }
 
 /// `max(acc, x)` that keeps a NaN on either side (`f64::max` drops it),
@@ -194,6 +260,11 @@ fn max_keep_nan(acc: f64, x: f64) -> f64 {
     } else {
         acc.max(x)
     }
+}
+
+/// Partner flags of `constraints[from..]`, from [`is_partner`].
+fn partner_flags(constraints: &[Constraint], from: usize) -> impl Iterator<Item = bool> + '_ {
+    (from..constraints.len()).map(|t| t > 0 && is_partner(&constraints[t - 1], &constraints[t]))
 }
 
 fn validate_constraints(constraints: &[Constraint], n: usize, d: usize) -> Result<()> {
@@ -245,6 +316,7 @@ impl Solver {
         let n_classes = partition.n_classes();
         let constraints_of_class = invert_partition(&partition);
         let axis = constraints.iter().map(|c| unit_axis(&c.w)).collect();
+        let partner = partner_flags(&constraints, 0).collect();
         let mut solver = Solver {
             d,
             constraints,
@@ -261,6 +333,8 @@ impl Solver {
             constraints_of_class,
             parent_of_class: (0..n_classes as u32).collect(),
             axis,
+            partner,
+            scratch: Scratch::default(),
         };
         solver.prev_moments = (0..k).map(|t| solver.moment(t)).collect();
         Ok(solver)
@@ -293,6 +367,8 @@ impl Solver {
         let first_new = self.constraints.len();
         self.axis.extend(new.iter().map(|c| unit_axis(&c.w)));
         self.constraints.extend(new);
+        self.partner
+            .extend(partner_flags(&self.constraints, first_new));
         let refinement = self.partition.append(&self.constraints, first_new);
 
         // Warm-start split-off classes from their parents; refresh counts.
@@ -394,6 +470,12 @@ impl Solver {
 
     /// Current model expectation `E_p[f_t]` of constraint `t`.
     pub fn expectation(&self, t: usize) -> f64 {
+        self.expectation_with(t, &mut vec![0.0; self.d])
+    }
+
+    /// [`Solver::expectation`] with `x` (a `d`-vector) as scratch for a
+    /// dense `wᵀΣw`, which takes the column-form product.
+    fn expectation_with(&self, t: usize, x: &mut [f64]) -> f64 {
         let c = &self.constraints[t];
         let (w, axis) = (&c.w, self.axis[t]);
         let mut v = 0.0;
@@ -406,7 +488,7 @@ impl Solver {
                 ConstraintKind::Quadratic => {
                     let cvar = match axis {
                         Some(j) => p.sigma[(j, j)],
-                        None => p.sigma.quad_form(w),
+                        None => p.sigma.sym_quad_form(w, x),
                     };
                     let dev = along(&p.m, w, axis) - c.delta;
                     v += count as f64 * (cvar + dev * dev);
@@ -443,6 +525,8 @@ impl Solver {
     /// meets a convergence criterion of [`Solver::fit`].
     pub fn sweep(&mut self, lambda_max: f64) -> SweepInfo {
         let mut max_dl = 0.0_f64;
+        self.scratch.g_of = None;
+        self.scratch.lower_stale.resize(self.params.len(), false);
         for t in 0..self.constraints.len() {
             if !self.active[t] {
                 continue;
@@ -457,14 +541,21 @@ impl Solver {
                 self.mark_touched(t);
             }
         }
+        for (p, stale) in self.params.iter_mut().zip(&mut self.scratch.lower_stale) {
+            if std::mem::take(stale) {
+                p.prec.mirror_upper();
+            }
+        }
         self.sweeps_done += 1;
         let mut max_dm = 0.0_f64;
         let mut max_res = 0.0_f64;
+        let mut x = std::mem::take(&mut self.scratch.v);
+        x.resize(self.d, 0.0);
         for t in 0..self.constraints.len() {
             if !self.active[t] {
                 continue;
             }
-            let v = self.expectation(t);
+            let v = self.expectation_with(t, &mut x);
             let m = self.moment_of(t, v);
             max_dm = max_keep_nan(max_dm, (m - self.prev_moments[t]).abs());
             self.prev_moments[t] = m;
@@ -472,6 +563,7 @@ impl Solver {
                 (v - self.constraints[t].target).abs() / self.constraints[t].rows.len() as f64;
             max_res = max_keep_nan(max_res, res);
         }
+        self.scratch.v = x;
         SweepInfo {
             sweep: self.sweeps_done,
             max_lambda_change: max_dl,
@@ -498,84 +590,89 @@ impl Solver {
     }
 
     /// Closed-form linear update (Eq. 9): `λ = (v̂ − ṽ)/Σ_{i∈I} wᵀΣ̃_i w`,
-    /// then `h += λw`, `m += λΣ̃w`; covariances are untouched.
+    /// then `h += λw`, `m += λΣ̃w`; covariances are untouched, so the
+    /// `Σw` left in the scratch stays valid for a quadratic partner.
     fn update_linear(&mut self, t: usize) -> f64 {
-        let (w, target) = {
-            let c = &self.constraints[t];
-            (c.w.clone(), c.target)
-        };
-        let axis = self.axis[t];
+        let c = &self.constraints[t];
+        let (w, axis) = (&c.w[..], self.axis[t]);
+        let classes = &self.partition.classes_of_constraint[t];
+        let d = self.d;
         // Gather g = Σw per class; accumulate ṽ and the denominator.
-        let classes = self.partition.classes_of_constraint[t].clone();
+        let g = &mut self.scratch.g;
+        g.resize(classes.len() * d, 0.0);
         let mut v_now = 0.0;
         let mut denom = 0.0;
-        let mut gs: Vec<(u32, Vec<f64>)> = Vec::with_capacity(classes.len());
-        for &(class, count) in &classes {
+        for (&(class, count), gc) in classes.iter().zip(g.chunks_exact_mut(d)) {
             let p = &self.params[class as usize];
-            let g = sigma_times(&p.sigma, &w, axis);
-            v_now += count as f64 * along(&p.m, &w, axis);
-            denom += count as f64 * along(&g, &w, axis);
-            gs.push((class, g));
+            sigma_times_into(&p.sigma, w, axis, gc);
+            v_now += count as f64 * along(&p.m, w, axis);
+            denom += count as f64 * along(gc, w, axis);
         }
+        self.scratch.g_of = Some(t);
         if denom <= 1e-300 {
             return 0.0; // fully constrained direction: cannot move
         }
-        let lambda = (target - v_now) / denom;
+        let lambda = (c.target - v_now) / denom;
         if lambda == 0.0 {
             return 0.0;
         }
-        for (class, g) in gs {
+        for (&(class, _), gc) in classes.iter().zip(g.chunks_exact(d)) {
             let p = &mut self.params[class as usize];
-            add_along(&mut p.h, lambda, &w, axis);
-            vector::axpy(lambda, &g, &mut p.m);
+            add_along(&mut p.h, lambda, w, axis);
+            vector::axpy(lambda, gc, &mut p.m);
         }
         lambda
     }
 
     /// Quadratic update (Eq. 10): solve the monotone scalar equation for
-    /// λ, then `P += λwwᵀ` (rank-1), `Σ` via Sherman–Morrison, `h += λδw`,
-    /// `m = Σh`.
+    /// λ, then `h += λδw`, `Σ` via Sherman–Morrison fused with `m = Σh`,
+    /// and `P += λwwᵀ` (rank-1, upper triangle when dense). `Σw` comes
+    /// from the linear partner when it was the update just before.
     fn update_quadratic(&mut self, t: usize, lambda_max: f64) -> f64 {
-        let (w, target, delta) = {
-            let c = &self.constraints[t];
-            (c.w.clone(), c.target, c.delta)
-        };
-        let axis = self.axis[t];
+        let c = &self.constraints[t];
+        let (w, axis) = (&c.w[..], self.axis[t]);
         // `lambda_max` caps the *cumulative* multiplier: a zero-variance
         // target (v̂ = 0) would otherwise push λ by `lambda_max` again on
         // every sweep, blowing up the precision without changing anything.
         let budget = (lambda_max - self.lambdas[t]).max(0.0);
-        let classes = self.partition.classes_of_constraint[t].clone();
-        let mut items = Vec::with_capacity(classes.len());
-        let mut rank1s: Vec<(u32, woodbury::Rank1)> = Vec::with_capacity(classes.len());
-        for &(class, count) in &classes {
-            let p = &self.params[class as usize];
-            let g = sigma_times(&p.sigma, &w, axis);
-            let r = woodbury::Rank1 {
-                c: along(&g, &w, axis),
-                g,
-            };
-            items.push(QuadItem {
-                weight: count as f64,
-                c: r.c.max(0.0),
-                e: along(&p.m, &w, axis),
-            });
-            rank1s.push((class, r));
+        let classes = &self.partition.classes_of_constraint[t];
+        let d = self.d;
+        let scratch = &mut self.scratch;
+        let reuse = self.partner[t] && scratch.g_of == Some(t - 1);
+        if !reuse {
+            scratch.g.resize(classes.len() * d, 0.0);
         }
-        let solve = solve_quad_lambda(&items, delta, target, budget);
-        let lambda = solve.lambda;
+        // Σ moves below; nothing may reuse this Σw.
+        scratch.g_of = None;
+        scratch.v.resize(d, 0.0);
+        scratch.items.clear();
+        for (&(class, count), gc) in classes.iter().zip(scratch.g.chunks_exact_mut(d)) {
+            let p = &self.params[class as usize];
+            if !reuse {
+                sigma_times_into(&p.sigma, w, axis, gc);
+            }
+            scratch.items.push(QuadItem {
+                weight: count as f64,
+                c: along(gc, w, axis).max(0.0),
+                e: along(&p.m, w, axis),
+            });
+        }
+        let lambda = solve_quad_lambda(&scratch.items, c.delta, c.target, budget).lambda;
         if lambda == 0.0 {
             return 0.0;
         }
-        for (class, r) in rank1s {
+        for (&(class, _), gc) in classes.iter().zip(scratch.g.chunks_exact(d)) {
             let p = &mut self.params[class as usize];
-            woodbury::apply(&mut p.sigma, &r, lambda);
+            add_along(&mut p.h, lambda * c.delta, w, axis);
+            let cw = along(gc, w, axis);
+            woodbury::apply_with_mean(&mut p.sigma, gc, cw, lambda, &p.h, &mut p.m, &mut scratch.v);
             match axis {
                 Some(j) => p.prec[(j, j)] += lambda,
-                None => woodbury::precision_update(&mut p.prec, &w, lambda),
+                None => {
+                    woodbury::precision_update_upper(&mut p.prec, w, lambda, &mut scratch.v);
+                    scratch.lower_stale[class as usize] = true;
+                }
             }
-            add_along(&mut p.h, lambda * delta, &w, axis);
-            p.refresh_mean();
         }
         lambda
     }
@@ -1058,6 +1155,236 @@ mod tests {
         // clusters' eigenvector directions do not.
         assert_eq!(with_axes.axis.iter().flatten().count(), 2 * d + 4);
         assert!(dense.axis.iter().all(Option::is_none));
+    }
+
+    /// `Σw` as the plain kernels take it: row `j` when `w = e_j`, the
+    /// row-form product otherwise.
+    fn reference_sigma_times(sigma: &Matrix, w: &[f64], axis: Option<usize>) -> Vec<f64> {
+        match axis {
+            Some(j) => sigma.row(j).to_vec(),
+            None => sigma.matvec(w),
+        }
+    }
+
+    /// [`Solver::expectation`] with the row-form `wᵀΣw`.
+    fn reference_expectation(s: &Solver, t: usize) -> f64 {
+        let c = &s.constraints[t];
+        let (w, axis) = (&c.w, s.axis[t]);
+        let mut v = 0.0;
+        for &(class, count) in &s.partition.classes_of_constraint[t] {
+            let p = &s.params[class as usize];
+            match c.kind {
+                ConstraintKind::Linear => v += count as f64 * along(&p.m, w, axis),
+                ConstraintKind::Quadratic => {
+                    let cvar = match axis {
+                        Some(j) => p.sigma[(j, j)],
+                        None => p.sigma.quad_form(w),
+                    };
+                    let dev = along(&p.m, w, axis) - c.delta;
+                    v += count as f64 * (cvar + dev * dev);
+                }
+            }
+        }
+        v
+    }
+
+    /// Eq. 9 with `Σw` recomputed and owned per class.
+    fn reference_linear(s: &mut Solver, t: usize) -> f64 {
+        let c = s.constraints[t].clone();
+        let axis = s.axis[t];
+        let classes = s.partition.classes_of_constraint[t].clone();
+        let (mut v_now, mut denom) = (0.0, 0.0);
+        let mut gs = Vec::new();
+        for &(class, count) in &classes {
+            let p = &s.params[class as usize];
+            let g = reference_sigma_times(&p.sigma, &c.w, axis);
+            v_now += count as f64 * along(&p.m, &c.w, axis);
+            denom += count as f64 * along(&g, &c.w, axis);
+            gs.push((class, g));
+        }
+        if denom <= 1e-300 {
+            return 0.0;
+        }
+        let lambda = (c.target - v_now) / denom;
+        if lambda == 0.0 {
+            return 0.0;
+        }
+        for (class, g) in gs {
+            let p = &mut s.params[class as usize];
+            add_along(&mut p.h, lambda, &c.w, axis);
+            vector::axpy(lambda, &g, &mut p.m);
+        }
+        lambda
+    }
+
+    /// Eq. 10 on the plain kernels: `Σw` recomputed, `woodbury::apply`,
+    /// the full `precision_update`, then `h += λδw` and `refresh_mean`.
+    fn reference_quadratic(s: &mut Solver, t: usize, lambda_max: f64) -> f64 {
+        let c = s.constraints[t].clone();
+        let axis = s.axis[t];
+        let budget = (lambda_max - s.lambdas[t]).max(0.0);
+        let classes = s.partition.classes_of_constraint[t].clone();
+        let mut items = Vec::new();
+        let mut rank1s = Vec::new();
+        for &(class, count) in &classes {
+            let p = &s.params[class as usize];
+            let g = reference_sigma_times(&p.sigma, &c.w, axis);
+            let r = woodbury::Rank1 {
+                c: along(&g, &c.w, axis),
+                g,
+            };
+            items.push(QuadItem {
+                weight: count as f64,
+                c: r.c.max(0.0),
+                e: along(&p.m, &c.w, axis),
+            });
+            rank1s.push((class, r));
+        }
+        let lambda = solve_quad_lambda(&items, c.delta, c.target, budget).lambda;
+        if lambda == 0.0 {
+            return 0.0;
+        }
+        for (class, r) in rank1s {
+            let p = &mut s.params[class as usize];
+            woodbury::apply(&mut p.sigma, &r, lambda);
+            match axis {
+                Some(j) => p.prec[(j, j)] += lambda,
+                None => woodbury::precision_update(&mut p.prec, &c.w, lambda),
+            }
+            add_along(&mut p.h, lambda * c.delta, &c.w, axis);
+            p.refresh_mean();
+        }
+        lambda
+    }
+
+    /// [`Solver::sweep`] on the plain kernels, with no `Σw` reuse: the
+    /// reference the solver's sweep must match bit for bit.
+    fn reference_sweep(s: &mut Solver, lambda_max: f64) -> SweepInfo {
+        let mut max_dl = 0.0_f64;
+        for t in 0..s.constraints.len() {
+            if !s.active[t] {
+                continue;
+            }
+            let dl = match s.constraints[t].kind {
+                ConstraintKind::Linear => reference_linear(s, t),
+                ConstraintKind::Quadratic => reference_quadratic(s, t, lambda_max),
+            };
+            s.lambdas[t] += dl;
+            max_dl = max_keep_nan(max_dl, dl.abs());
+            if dl != 0.0 {
+                s.mark_touched(t);
+            }
+        }
+        s.sweeps_done += 1;
+        let (mut max_dm, mut max_res) = (0.0_f64, 0.0_f64);
+        for t in 0..s.constraints.len() {
+            if !s.active[t] {
+                continue;
+            }
+            let v = reference_expectation(s, t);
+            let m = s.moment_of(t, v);
+            max_dm = max_keep_nan(max_dm, (m - s.prev_moments[t]).abs());
+            s.prev_moments[t] = m;
+            let res = (v - s.constraints[t].target).abs() / s.constraints[t].rows.len() as f64;
+            max_res = max_keep_nan(max_res, res);
+        }
+        SweepInfo {
+            sweep: s.sweeps_done,
+            max_lambda_change: max_dl,
+            max_moment_change: max_dm,
+            max_residual: max_res,
+        }
+    }
+
+    /// `fit` one sweep at a time on `fast`, [`reference_sweep`] on its
+    /// twin, comparing after every sweep until `fit` converges.
+    fn sweep_next_to_reference(fast: &mut Solver, reference: &mut Solver, stage: &str) {
+        let one_sweep = FitOpts {
+            max_sweeps: 1,
+            ..FitOpts::default()
+        };
+        for sweep in 1..=500 {
+            let report = fast.fit(&one_sweep);
+            let info = reference_sweep(reference, LAMBDA_MAX);
+            reference.last_fit_converged = report.converged;
+            let at = format!("after sweep {sweep} of {stage}");
+            assert_eq!(
+                report.last.map(|i| sweep_bits(&i)),
+                Some(sweep_bits(&info)),
+                "{at}"
+            );
+            assert_same_state(fast, reference, &at);
+            if report.converged {
+                return;
+            }
+        }
+        panic!("{stage} did not converge in 500 sweeps");
+    }
+
+    #[test]
+    fn sweeps_match_the_plain_kernel_reference_bit_for_bit() {
+        for d in [8, 37] {
+            let mut rng = sider_stats::Rng::seed_from_u64(23);
+            let n = 6 * d;
+            let data = Matrix::from_fn(n, d, |i, j| {
+                let center = [1.5, -0.5, 0.25][i % 3] * (1.0 + j as f64 / d as f64);
+                center + rng.normal(0.0, 0.4 + 0.1 * (j % 7) as f64)
+            });
+            let rows = |r: std::ops::Range<usize>| RowSet::from_indices(&r.collect::<Vec<_>>());
+            let axis = |j: usize| {
+                (0..d)
+                    .map(|k| if k == j { 1.0 } else { 0.0 })
+                    .collect::<Vec<_>>()
+            };
+            let mut dense: Vec<f64> = (0..d).map(|k| 1.0 + (k % 3) as f64).collect();
+            vector::normalize(&mut dense);
+
+            let margins = margin_constraints(&data).unwrap();
+            let mut fast = Solver::new(&data, margins.clone()).unwrap();
+            let mut reference = Solver::new(&data, margins).unwrap();
+            sweep_next_to_reference(&mut fast, &mut reference, &format!("margins, d = {d}"));
+
+            let statements = [
+                (
+                    "cluster",
+                    crate::constraint::cluster_constraints(&data, rows(0..n / 3), "c1").unwrap(),
+                ),
+                (
+                    "twod",
+                    crate::constraint::twod_constraints(
+                        &data,
+                        rows(n / 4..3 * n / 4),
+                        &axis(1),
+                        &axis(4),
+                        "v",
+                    )
+                    .unwrap(),
+                ),
+                (
+                    "overlapping cluster",
+                    crate::constraint::cluster_constraints(&data, rows(n / 2..n), "c2").unwrap(),
+                ),
+                (
+                    "pair over different rows",
+                    vec![
+                        Constraint::linear(&data, rows(0..n / 2), dense.clone(), "p-lin").unwrap(),
+                        Constraint::quadratic(&data, rows(n / 3..n), dense.clone(), "p-quad")
+                            .unwrap(),
+                    ],
+                ),
+            ];
+            for (stage, cs) in statements {
+                fast.append_constraints(cs.clone()).unwrap();
+                reference.append_constraints(cs).unwrap();
+                let stage = format!("{stage}, d = {d}");
+                assert_same_state(&fast, &reference, &format!("after appending {stage}"));
+                sweep_next_to_reference(&mut fast, &mut reference, &stage);
+            }
+            // Every bundle pair reuses its Σw (margins, both clusters, the
+            // two twod axes); the hand-built pair does not.
+            assert_eq!(fast.partner.iter().filter(|&&p| p).count(), 3 * d + 2);
+            assert!(!fast.partner[fast.partner.len() - 1]);
+        }
     }
 
     #[test]
