@@ -23,8 +23,8 @@
 //!   microseconds, so each run times a batch of calls and records the
 //!   time per call.
 //!
-//! Full mode runs 3 reps (the paper used 10) and takes about 16 minutes
-//! on 2 vCPUs, almost all of it in FastICA. `SIDER_BENCH_SMOKE=1` runs
+//! Full mode runs 3 reps (the paper used 10) and takes about 4.5 minutes
+//! on 2 vCPUs, most of it in full-rank FastICA. `SIDER_BENCH_SMOKE=1` runs
 //! the CI-sized version with the same JSON schema: n = 2048,
 //! d ∈ {16, 32}, k ∈ {1, 2}, 1 rep, eqclass at n ≤ 512 and
 //! Sherman–Morrison at d ≤ 32.

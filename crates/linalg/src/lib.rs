@@ -15,6 +15,8 @@
 //!   O(d²) trick that makes the MaxEnt optimizer fast (paper §II-A).
 //! * [`sqrtm`] — the symmetric inverse square root behind FastICA's
 //!   symmetric decorrelation (paper §II-B).
+//! * [`avx2_dispatch!`] — one row-kernel source built for the baseline
+//!   target and for AVX2, picked at run time, with the same bits in both.
 //!
 //! Everything is implemented from scratch: no BLAS/LAPACK, no external
 //! linear-algebra crates. Numerical tolerances follow standard choices
@@ -26,6 +28,7 @@
 // part of the math; iterator rewrites obscure it.
 #![allow(clippy::needless_range_loop)]
 
+mod dispatch;
 pub mod eigen;
 pub mod eigen_dc;
 pub mod error;

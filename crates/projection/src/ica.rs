@@ -12,10 +12,17 @@
 //!    constraints collapse directions);
 //! 3. fixed-point iteration `w ← E[z·g(wᵀz)] − E[g′(wᵀz)]·w` with
 //!    symmetric decorrelation, `g = tanh`. One step works through the
-//!    whitened rows in blocks: it projects a block for all components,
+//!    whitened rows in blocks of 32. It projects a block for all
+//!    components, two rows per pass over each group of 8 directions;
 //!    evaluates the contrast over the whole block in one vectorized loop
 //!    (the owned [`tanh`](sider_stats::gaussianity::tanh), not the host's
-//!    libm), then adds the block up. Every expectation sums the rows in
+//!    libm); then adds the block into a transposed `E[z·g]` accumulator,
+//!    whose 4 × 8 partial sums for a run of coordinates and a group of
+//!    components stay in registers across the block. The step is one
+//!    source built twice, for the baseline target and for AVX2
+//!    ([`sider_linalg::avx2_dispatch!`]), the AVX2 build taken when the
+//!    CPU has it. Both builds round every operation alike, and every dot
+//!    and expectation keeps its operands, its start value and its
 //!    ascending order, so iterates, iteration counts and results are
 //!    fixed bits on every IEEE host;
 //! 4. map the unmixing directions back to the input space and score each
@@ -124,6 +131,22 @@ pub fn fastica_with(
     rng: &mut Rng,
     pool: &ThreadPool,
 ) -> Result<IcaResult> {
+    fastica_stepping(y, opts, rng, pool, fixed_point_step)
+}
+
+/// A fixed-point step `w⁺ = E[z·g(wᵀz)] − E[g′(wᵀz)]·w` for all rows of
+/// `w`: the program takes [`fixed_point_step`], and the tests also run
+/// whole iterations on a plain reference step.
+type Step = fn(&Matrix, &Matrix) -> Matrix;
+
+/// [`fastica_with`], iterating on `step`.
+fn fastica_stepping(
+    y: &Matrix,
+    opts: &IcaOpts,
+    rng: &mut Rng,
+    pool: &ThreadPool,
+    step: Step,
+) -> Result<IcaResult> {
     let (n, d) = y.shape();
     if n == 0 || d == 0 {
         return Err(ProjectionError::EmptyData);
@@ -167,11 +190,11 @@ pub fn fastica_with(
     // caller's stream up front and run on independent generators, so the
     // winning result depends only on the seeds — never on scheduling.
     if opts.restarts <= 1 {
-        return run_restart(&z, &kmat, k, opts, rng);
+        return run_restart(&z, &kmat, k, opts, rng, step);
     }
     let seeds: Vec<u64> = (0..opts.restarts).map(|_| rng.next_u64()).collect();
     let runs = pool.par_map(&seeds, |&seed| {
-        run_restart(&z, &kmat, k, opts, &mut Rng::seed_from_u64(seed))
+        run_restart(&z, &kmat, k, opts, &mut Rng::seed_from_u64(seed), step)
     });
     // Restarts exist for robustness: a failed run is simply out of the
     // running, and an error surfaces only when *every* restart failed.
@@ -218,12 +241,13 @@ fn run_restart(
     k: usize,
     opts: &IcaOpts,
     rng: &mut Rng,
+    step: Step,
 ) -> Result<IcaResult> {
     let n = z.rows();
     let d = kmat.cols();
 
     // 3. Fixed-point iteration in the whitened space.
-    let (w, converged, iterations) = symmetric_iteration(z, k, opts, rng)?;
+    let (w, converged, iterations) = symmetric_iteration(z, k, opts, rng, step)?;
 
     // 4. Sources, input-space directions, scores.
     let mut sources = z.matmul(&w.transpose()); // n × k
@@ -271,21 +295,35 @@ const BLOCK_ROWS: usize = 32;
 /// Components that [`fixed_point_step`] projects together, one register
 /// lane each.
 const LANES: usize = 8;
+/// Coordinates whose `E[z·g]` sums the accumulation holds in registers
+/// for one lane group across a block.
+const RUN: usize = 4;
 
-/// One fixed-point step for all rows of `w` at once:
-/// `w⁺ = E[z·g(wᵀz)] − E[g′(wᵀz)]·w`.
+sider_linalg::avx2_dispatch! {
+    /// One fixed-point step for all rows of `w` at once:
+    /// `w⁺ = E[z·g(wᵀz)] − E[g′(wᵀz)]·w`, the body
+    /// [`fixed_point_step_body`] in its AVX2 build when the CPU has it.
+    fn fixed_point_step(z: &Matrix, w: &Matrix) -> Matrix => fixed_point_step_body
+}
+
+/// [`fixed_point_step`], blocked so that each value loaded feeds many
+/// independent accumulators.
 ///
-/// Blocked: `BLOCK_ROWS` rows of `z` at a time are projected into a
-/// buffer, in lane groups of `LANES` components (the last group padded
-/// with zero directions). Each lane starts at `-0.0` and adds its row's
-/// coordinates in ascending order, exactly like [`vector::dot`]. The
-/// contrast ([`g_pair`], on the owned [`tanh`](sider_stats::gaussianity::tanh))
-/// then runs over the whole buffer in one loop that vectorizes, and the
-/// block's `g·zᵢ` and `g′` are added into the `k × r` accumulator and
-/// `E[g′]` in ascending row order. Every `(c, j)` sum still runs over the
-/// rows in ascending order, so the step is bit-identical to one dot chain
-/// and two contrast calls per component per row.
-fn fixed_point_step(z: &Matrix, w: &Matrix) -> Matrix {
+/// `BLOCK_ROWS` rows of `z` at a time are projected into a buffer, in
+/// lane groups of `LANES` components (the last group padded with zero
+/// directions), two rows per pass over a group's directions. Each lane
+/// starts at `-0.0` and adds its row's coordinates in ascending order,
+/// exactly like [`vector::dot`]. The contrast ([`g_pair`], on the owned
+/// [`tanh`](sider_stats::gaussianity::tanh)) then runs over the whole
+/// buffer in one loop that vectorizes. The block is added into a
+/// transposed `r × kp` accumulator: for each lane group and each run of
+/// `RUN` coordinates, `RUN × LANES` partial sums stay in registers while
+/// `g_i[c]·z_ij` is added for the block's rows in ascending order; `E[g′]`
+/// is added the same way. Every `(c, j)` sum starts at `+0.0` and runs
+/// over the rows in ascending order, so the step is bit-identical to one
+/// dot chain and two contrast calls per component per row.
+#[inline(always)]
+fn fixed_point_step_body(z: &Matrix, w: &Matrix) -> Matrix {
     let (n, r) = z.shape();
     let k = w.rows();
     let kp = k.div_ceil(LANES) * LANES;
@@ -296,46 +334,110 @@ fn fixed_point_step(z: &Matrix, w: &Matrix) -> Matrix {
             wt[j * kp + c] = wcj;
         }
     }
-    let mut ezg = Matrix::zeros(k, r);
-    let mut eg_prime = vec![0.0; k];
+    // r × kp: entry (j, c) sums g(w_cᵀz_i)·z_ij over the rows so far.
+    let mut ezg = vec![0.0; r * kp];
+    let mut eg_prime = vec![0.0; kp];
     // `g` first holds a block's projections, then their contrast g(u).
     let mut g = vec![0.0; BLOCK_ROWS * kp];
     let mut g_prime = vec![0.0; BLOCK_ROWS * kp];
-    for start in (0..n).step_by(BLOCK_ROWS) {
-        let rows = start..n.min(start + BLOCK_ROWS);
-        let used = rows.len() * kp;
-        for (i, u) in rows.clone().zip(g.chunks_exact_mut(kp)) {
-            let zi = z.row(i);
-            for (group, u) in u.chunks_exact_mut(LANES).enumerate() {
-                let mut lanes = [-0.0; LANES];
-                for (j, &zij) in zi.iter().enumerate() {
-                    let wj = &wt[j * kp + group * LANES..][..LANES];
-                    for (lane, &wcj) in lanes.iter_mut().zip(wj) {
-                        *lane += zij * wcj;
-                    }
-                }
-                u.copy_from_slice(&lanes);
-            }
+    for zb in z.as_slice().chunks(BLOCK_ROWS * r) {
+        let used = zb.len() / r * kp;
+        let (g, g_prime) = (&mut g[..used], &mut g_prime[..used]);
+        let mut pairs = zb.chunks_exact(2 * r);
+        let mut us = g.chunks_exact_mut(2 * kp);
+        for (zi, ui) in (&mut pairs).zip(&mut us) {
+            project_rows::<2>(zi, r, &wt, ui, kp);
         }
-        for (u, gp) in g[..used].iter_mut().zip(&mut g_prime[..used]) {
+        if !pairs.remainder().is_empty() {
+            project_rows::<1>(pairs.remainder(), r, &wt, us.into_remainder(), kp);
+        }
+        for (u, gp) in g.iter_mut().zip(g_prime.iter_mut()) {
             (*u, *gp) = g_pair(*u);
         }
-        for (i, (gi, gpi)) in rows.zip(g.chunks_exact(kp).zip(g_prime.chunks_exact(kp))) {
-            let zi = z.row(i);
-            for (c, egp) in eg_prime.iter_mut().enumerate() {
-                vector::axpy(gi[c], zi, ezg.row_mut(c));
-                *egp += gpi[c];
+        for lane0 in (0..kp).step_by(LANES) {
+            let mut sums = [0.0; LANES];
+            sums.copy_from_slice(&eg_prime[lane0..][..LANES]);
+            for gpi in g_prime.chunks_exact(kp) {
+                for (s, &gp) in sums.iter_mut().zip(&gpi[lane0..][..LANES]) {
+                    *s += gp;
+                }
+            }
+            eg_prime[lane0..][..LANES].copy_from_slice(&sums);
+            let runs = r / RUN * RUN;
+            for j0 in (0..runs).step_by(RUN) {
+                accumulate_run::<RUN>(zb, r, g, &mut ezg, kp, lane0, j0);
+            }
+            for j0 in runs..r {
+                accumulate_run::<1>(zb, r, g, &mut ezg, kp, lane0, j0);
             }
         }
     }
     let inv_n = 1.0 / n as f64;
-    for (c, &egp) in eg_prime.iter().enumerate() {
+    let mut out = Matrix::zeros(k, r);
+    for (c, &egp) in eg_prime[..k].iter().enumerate() {
         let egp = egp * inv_n;
-        for (e, &wcj) in ezg.row_mut(c).iter_mut().zip(w.row(c)) {
-            *e = *e * inv_n - egp * wcj;
+        for (j, (o, &wcj)) in out.row_mut(c).iter_mut().zip(w.row(c)).enumerate() {
+            *o = ezg[j * kp + c] * inv_n - egp * wcj;
         }
     }
-    ezg
+    out
+}
+
+/// Projects the `M` rows of `z` (`M × r`) onto every direction of `wt`
+/// (`r × kp`, one direction per column) into `u` (`M × kp`). One pass over
+/// a lane group's `r × LANES` directions feeds `M × LANES` dots, each from
+/// `-0.0` over ascending `j` with `z_ij · w_cj`, as [`vector::dot`] adds.
+#[inline(always)]
+fn project_rows<const M: usize>(z: &[f64], r: usize, wt: &[f64], u: &mut [f64], kp: usize) {
+    let z: [&[f64]; M] = std::array::from_fn(|m| &z[m * r..][..r]);
+    for lane0 in (0..kp).step_by(LANES) {
+        let mut lanes = [[-0.0; LANES]; M];
+        for (j, wj) in wt.chunks_exact(kp).enumerate() {
+            let wj = &wj[lane0..][..LANES];
+            for (lanes, zm) in lanes.iter_mut().zip(z) {
+                let zmj = zm[j];
+                for (lane, &wcj) in lanes.iter_mut().zip(wj) {
+                    *lane += zmj * wcj;
+                }
+            }
+        }
+        for (m, lanes) in lanes.iter().enumerate() {
+            u[m * kp + lane0..][..LANES].copy_from_slice(lanes);
+        }
+    }
+}
+
+/// Adds one block's `g_i[c]·z_ij` (`z` the block's rows, `g` their
+/// contrast, `kp` lanes a row) into the transposed accumulator `ezg`
+/// (`r × kp`), for the lane group from `lane0` and coordinates
+/// `j0..j0 + J`. The `J × LANES` sums stay in registers while the rows are
+/// added in ascending order, with the operands in [`vector::axpy`]'s order.
+#[inline(always)]
+fn accumulate_run<const J: usize>(
+    z: &[f64],
+    r: usize,
+    g: &[f64],
+    ezg: &mut [f64],
+    kp: usize,
+    lane0: usize,
+    j0: usize,
+) {
+    let mut sums = [[0.0; LANES]; J];
+    for (jj, s) in sums.iter_mut().enumerate() {
+        s.copy_from_slice(&ezg[(j0 + jj) * kp + lane0..][..LANES]);
+    }
+    for (zi, gi) in z.chunks_exact(r).zip(g.chunks_exact(kp)) {
+        let zi = &zi[j0..][..J];
+        let gi = &gi[lane0..][..LANES];
+        for (s, &zij) in sums.iter_mut().zip(zi) {
+            for (s, &gic) in s.iter_mut().zip(gi) {
+                *s += gic * zij;
+            }
+        }
+    }
+    for (jj, s) in sums.iter().enumerate() {
+        ezg[(j0 + jj) * kp + lane0..][..LANES].copy_from_slice(s);
+    }
 }
 
 /// Symmetric decorrelation `W ← (WWᵀ)^{-1/2} W`.
@@ -355,10 +457,11 @@ fn symmetric_iteration(
     k: usize,
     opts: &IcaOpts,
     rng: &mut Rng,
+    step: Step,
 ) -> Result<(Matrix, bool, usize)> {
     let mut w = random_orthonormal(k, z.cols(), rng)?;
     for iter in 1..=opts.max_iter {
-        let w_new = sym_decorrelate(&fixed_point_step(z, &w))?;
+        let w_new = sym_decorrelate(&step(z, &w))?;
         // Convergence: every direction stable up to sign.
         let mut worst = 0.0_f64;
         for c in 0..k {
@@ -432,14 +535,28 @@ mod tests {
         out
     }
 
+    /// Bits of every entry, with every NaN read as one value: the two
+    /// builds may carry different NaN payloads.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+            .collect()
+    }
+
     #[test]
     fn fixed_point_step_matches_column_outer_reference_bitwise() {
-        // Whole and partial row blocks, whole and padded lane groups.
+        // Whole and partial row blocks with an odd last row pair; `r mod
+        // RUN` of 0, 1, 2 and 3 (`r = 1` too); whole and padded lane
+        // groups (`k` of 1, 3, 7, 8, 9, 16 and 19); BNC's shape.
         for (n, r, k) in [
             (2310, 19, 19),
             (2310, 19, 8),
+            (1335, 100, 8),
+            (1001, 14, 9),
             (500, 12, 7),
+            (333, 7, 3),
             (100, 5, 3),
+            (95, 6, 1),
             (64, 9, 16),
             (37, 1, 1),
         ] {
@@ -452,13 +569,59 @@ mod tests {
             let far: Vec<f64> = z.row(20).iter().map(|v| v * 400.0).collect();
             z.set_row(20, &far);
             let w = random_orthonormal(k, r, &mut rng).unwrap();
-            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&fixed_point_step(&z, &w)),
-                bits(&reference_step(&z, &w)),
-                "({n}, {r}, {k})"
-            );
+            let expected = bits(reference_step(&z, &w).as_slice());
+            // The dispatched step (the AVX2 build on an AVX2 host) and the
+            // body as built for the baseline target.
+            let dispatched = fixed_point_step(&z, &w);
+            let baseline = fixed_point_step_body(&z, &w);
+            assert_eq!(bits(dispatched.as_slice()), expected, "({n}, {r}, {k})");
+            assert_eq!(bits(baseline.as_slice()), expected, "({n}, {r}, {k})");
         }
+    }
+
+    /// 2310 rows of 19 mixed columns: three uniform, three Laplace-ish and
+    /// thirteen Gaussian sources through a random mixing matrix, so that at
+    /// `k = 8` FastICA must also separate two Gaussian components.
+    fn segmentation_sized() -> Matrix {
+        let mut rng = Rng::seed_from_u64(70);
+        let mixing = rng.standard_normal_matrix(19, 19);
+        let sources = Matrix::from_fn(2310, 19, |_, j| match j {
+            0..=2 => (rng.uniform() - 0.5) * 3.4641,
+            3..=5 => {
+                let sign = if rng.bernoulli(0.5) { 1.0 } else { -1.0 };
+                sign * (-(1.0 - rng.uniform()).ln())
+            }
+            _ => rng.normal(0.0, 1.0),
+        });
+        sources.matmul(&mixing)
+    }
+
+    #[test]
+    fn a_whole_run_matches_a_run_on_the_reference_step_bitwise() {
+        let data = segmentation_sized();
+        let opts = IcaOpts {
+            n_components: Some(8),
+            ..IcaOpts::default()
+        };
+        let run = fastica(&data, &opts, &mut Rng::seed_from_u64(71)).unwrap();
+        let reference = fastica_stepping(
+            &data,
+            &opts,
+            &mut Rng::seed_from_u64(71),
+            &ThreadPool::serial(),
+            reference_step,
+        )
+        .unwrap();
+        // A long run: 147 steps, each of which must keep the bits.
+        assert!(reference.converged && reference.iterations > 100);
+        assert_eq!(run.directions.shape(), (8, 19));
+        assert_eq!(
+            bits(run.directions.as_slice()),
+            bits(reference.directions.as_slice())
+        );
+        assert_eq!(bits(&run.scores), bits(&reference.scores));
+        assert_eq!(run.iterations, reference.iterations);
+        assert_eq!(run.converged, reference.converged);
     }
 
     #[test]

@@ -40,10 +40,14 @@
 //! three consumers: the PCA moment (`second_moment_with`'s fixed chunk
 //! tree, bitwise equal to the fused `whitened_second_moment_with` the PCA
 //! view uses), FastICA (seeded substream, fixed-order fixed-point step) and
-//! every candidate's score. A score projects each whitened row with the
-//! same `matvec_into` that `whiten_project_with` runs after its own
-//! whitening pass and sums the squares in row order. The batch fans over
-//! the session's pool with `par_map` — a placement-deterministic,
+//! every candidate's score. Candidates are scored in groups of four: one
+//! pass over a whitened row gives its projections onto the group's eight
+//! axes as lanes, each lane the same dot that `matvec_into` computes (the
+//! kernel `whiten_project_with` runs after its own whitening pass), and
+//! each square is summed in row order. So a grouped score has the bits of
+//! a candidate scored alone, in either build of the kernel (baseline or
+//! AVX2, [`sider_linalg::avx2_dispatch!`]). The batch fans over the
+//! session's pool by group with `par_map` — a placement-deterministic,
 //! order-preserving chunk map. The server e2e and replication suites pin
 //! the resulting response bytes.
 
@@ -72,6 +76,10 @@ const MAX_ICA_COMPONENTS: usize = 4;
 const ICA_COMPONENTS: usize = 8;
 /// Attribute axes considered for pairing.
 const MAX_ATTR_AXES: usize = 12;
+/// Candidates scored together, in one pass over the whitened rows.
+const GROUP: usize = 4;
+/// Axes scored in one pass: the two of each candidate in a group.
+const AXES: usize = 2 * GROUP;
 
 /// One generated candidate plane, before scoring.
 struct Candidate {
@@ -99,23 +107,31 @@ pub fn recommend(session: &EdaSession, req: &SuggestRequest) -> Result<SuggestRe
     let candidates = generate_candidates(session, &whitened, req.seed, req.batch)?;
 
     let n = whitened.rows();
-    // Fan the batch over the session pool; each candidate projects the
-    // whitened rows serially, so the only dispatch level is the batch
-    // itself (`par_map` is placement-deterministic and order-preserving).
+    // Fan the batch over the session pool by groups of `GROUP` candidates;
+    // each group projects the whitened rows serially, so the only dispatch
+    // level is the batch itself (`par_map` is placement-deterministic and
+    // order-preserving).
     let pool = session
         .pool()
         .gated(candidates.len().saturating_mul(n * 2 * d));
-    let scored: Vec<(f64, [f64; 2])> = pool.par_map(&candidates, |c| {
-        let mut p = [0.0f64; 2];
-        let mut sums = [0.0f64; 2];
-        for i in 0..n {
-            c.axes.matvec_into(whitened.row(i), &mut p);
-            sums[0] += p[0] * p[0];
-            sums[1] += p[1] * p[1];
+    let groups: Vec<&[Candidate]> = candidates.chunks(GROUP).collect();
+    let sums: Vec<[f64; AXES]> = pool.par_map(&groups, |group| {
+        // d × AXES: row j holds coordinate j of each candidate's two axes,
+        // then zeros for the candidates a last group lacks.
+        let mut axes_t = vec![0.0; d * AXES];
+        for (c, cand) in group.iter().enumerate() {
+            for (a, axis) in [cand.axes.row(0), cand.axes.row(1)].into_iter().enumerate() {
+                for (j, &x) in axis.iter().enumerate() {
+                    axes_t[j * AXES + 2 * c + a] = x;
+                }
+            }
         }
+        square_sums(&whitened, &axes_t)
+    });
+    let scored = sums.iter().flat_map(|s| s.chunks_exact(2)).map(|s| {
         let gains = [
-            display_score(sums[0] / n as f64),
-            display_score(sums[1] / n as f64),
+            display_score(s[0] / n as f64),
+            display_score(s[1] / n as f64),
         ];
         (gains[0] + gains[1], gains)
     });
@@ -149,6 +165,54 @@ pub fn recommend(session: &EdaSession, req: &SuggestRequest) -> Result<SuggestRe
         k: req.k,
         suggestions,
     })
+}
+
+sider_linalg::avx2_dispatch! {
+    /// Per axis of `axes_t` (`d × AXES`, one axis per column), the sum over
+    /// the rows of `y` of the squared projection: the body
+    /// [`square_sums_body`] in its AVX2 build when the CPU has it.
+    fn square_sums(y: &Matrix, axes_t: &[f64]) -> [f64; AXES] => square_sums_body
+}
+
+/// [`square_sums`], two rows at a time: one pass over the axes gives both
+/// rows' `AXES` projections as lanes, each a dot from `-0.0` over
+/// ascending `j` with `axes[a][j] · y_ij`, exactly as
+/// [`Matrix::matvec_into`] projects a row onto a `2 × d` plane. Each
+/// square is added in ascending row order from `+0.0`.
+#[inline(always)]
+fn square_sums_body(y: &Matrix, axes_t: &[f64]) -> [f64; AXES] {
+    let d = y.cols();
+    let mut sums = [0.0; AXES];
+    let mut pairs = y.as_slice().chunks_exact(2 * d);
+    for rows in &mut pairs {
+        add_square_sums::<2>(rows, axes_t, &mut sums);
+    }
+    for row in pairs.remainder().chunks_exact(d) {
+        add_square_sums::<1>(row, axes_t, &mut sums);
+    }
+    sums
+}
+
+/// Projects the `M` rows of `y` onto every axis of `axes_t` and adds the
+/// squares into `sums`, row by row.
+#[inline(always)]
+fn add_square_sums<const M: usize>(y: &[f64], axes_t: &[f64], sums: &mut [f64; AXES]) {
+    let d = y.len() / M;
+    let y: [&[f64]; M] = std::array::from_fn(|m| &y[m * d..][..d]);
+    let mut p = [[-0.0; AXES]; M];
+    for (j, aj) in axes_t.chunks_exact(AXES).enumerate() {
+        for (p, ym) in p.iter_mut().zip(y) {
+            let ymj = ym[j];
+            for (p, &aij) in p.iter_mut().zip(aj) {
+                *p += aij * ymj;
+            }
+        }
+    }
+    for p in &p {
+        for (s, &p) in sums.iter_mut().zip(p) {
+            *s += p * p;
+        }
+    }
 }
 
 /// Build the deterministic candidate batch: PCA pairs, ICA pairs,
@@ -487,6 +551,49 @@ mod tests {
         }
     }
 
+    /// Bits of every entry, with every NaN read as one value: the two
+    /// builds may carry different NaN payloads.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    #[test]
+    fn square_sums_match_row_projections_in_both_builds() {
+        // Odd row counts leave one row after the pairs; d = 2 is the
+        // narrowest plane, d = 100 BNC's width. A NaN in one axis must
+        // stay in its own lane.
+        for (n, d) in [(2311, 19), (1335, 100), (7, 2), (1, 3)] {
+            let mut rng = Rng::seed_from_u64((n * 7 + d) as u64);
+            let y = rng.standard_normal_matrix(n, d);
+            let mut planes: Vec<Matrix> = (0..GROUP).map(|_| random_plane(d, &mut rng)).collect();
+            planes[1][(1, d - 1)] = f64::NAN;
+            let mut axes_t = vec![0.0; d * AXES];
+            for (c, plane) in planes.iter().enumerate() {
+                for j in 0..d {
+                    axes_t[j * AXES + 2 * c] = plane[(0, j)];
+                    axes_t[j * AXES + 2 * c + 1] = plane[(1, j)];
+                }
+            }
+            let mut expected = Vec::new();
+            for plane in &planes {
+                let mut p = [0.0f64; 2];
+                let mut sums = [0.0f64; 2];
+                for i in 0..n {
+                    plane.matvec_into(y.row(i), &mut p);
+                    sums[0] += p[0] * p[0];
+                    sums[1] += p[1] * p[1];
+                }
+                expected.extend(sums);
+            }
+            assert_eq!(expected.iter().filter(|s| s.is_nan()).count(), 1);
+            let expected = bits(&expected);
+            assert_eq!(bits(&square_sums(&y, &axes_t)), expected, "({n}, {d})");
+            assert_eq!(bits(&square_sums_body(&y, &axes_t)), expected, "({n}, {d})");
+        }
+    }
+
     /// A session fitted with margins and the first label class as one
     /// cluster statement.
     fn fitted(ds: Dataset) -> EdaSession {
@@ -514,24 +621,26 @@ mod tests {
             5,
         );
         // 280×19: 28 PCA + 6 ICA + 66 attribute pairs, then random planes;
-        // rank 19 is above ICA_COMPONENTS, so FastICA runs capped.
+        // rank 19 is above ICA_COMPONENTS, so FastICA runs capped. Batches
+        // of 1, 5 and 103 leave a last scoring group part empty.
         // 300×24: the 28 PCA pairs fill the batch.
+        let (segmentation, runtime) =
+            (fitted(segmentation), fitted(runtime_dataset(300, 24, 3, 7)));
+        let every_family = vec!["pca", "ica", "attr", "random"];
         let cases = [
-            (
-                fitted(segmentation),
-                104,
-                vec!["pca", "ica", "attr", "random"],
-            ),
-            (fitted(runtime_dataset(300, 24, 3, 7)), 28, vec!["pca"]),
+            (&segmentation, 104, every_family.clone()),
+            (&segmentation, 103, every_family),
+            (&segmentation, 5, vec!["pca"]),
+            (&segmentation, 1, vec!["pca"]),
+            (&runtime, 28, vec!["pca"]),
         ];
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (session, batch, families) in cases {
             let req = SuggestRequest {
                 seed: 17,
                 batch,
                 k: batch,
             };
-            let resp = recommend(&session, &req).unwrap();
+            let resp = recommend(session, &req).unwrap();
             assert_eq!(resp.suggestions.len(), batch);
             let (data, bg, pool) = (session.data(), session.background(), session.pool());
             let n = data.rows();
