@@ -18,7 +18,8 @@
 /// Defines `fn $name` as the `#[inline(always)]` function `$body`,
 /// compiled twice: the AVX2 build runs when the CPU has AVX2 (checked
 /// with `std::is_x86_feature_detected!`, which caches its answer), the
-/// baseline build otherwise and on every host that is not `x86_64`.
+/// baseline build otherwise and on every host that is not `x86_64`. The
+/// return type may be left out, as for any function returning `()`.
 ///
 /// ```
 /// #[inline(always)]
@@ -35,14 +36,14 @@
 macro_rules! avx2_dispatch {
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty => $body:path
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? => $body:path
     ) => {
         $(#[$attr])*
-        $vis fn $name($($arg: $ty),*) -> $ret {
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx2")]
-                fn avx2($($arg: $ty),*) -> $ret {
+                fn avx2($($arg: $ty),*) $(-> $ret)? {
                     $body($($arg),*)
                 }
                 if ::std::is_x86_feature_detected!("avx2") {

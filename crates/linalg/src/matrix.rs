@@ -1,14 +1,24 @@
 //! Row-major dense matrix of `f64`.
 //!
-//! Matrix–vector products come in two forms with the same bits. The row
-//! form ([`Matrix::matvec_into`], [`Matrix::quad_form`]) takes each output
-//! as a dot of one row with `x`. The column form
-//! ([`Matrix::sym_matvec_into`], [`Matrix::sym_quad_form`]) adds
-//! `row_k·x_k` over rows `k` into 16 outputs at once, which vectorizes
-//! across outputs. It reads row `k` where the row form reads column `k`,
-//! so it has a precondition: the matrix is exactly symmetric, every
-//! `(i, k)` entry with the bits of its `(k, i)` twin. The MaxEnt solver's
-//! covariances hold that by construction (`woodbury` module docs).
+//! Matrix–vector products come in two forms. The row form
+//! ([`Matrix::matvec`], [`Matrix::quad_form`]) takes each output as a dot
+//! of one row with `x`. The column form ([`Matrix::t_matvec_into`],
+//! [`Matrix::t_quad_form`]) computes `Aᵀx`: it adds `row_k·x_k` over rows
+//! `k` into 16 outputs at once, which vectorizes across outputs. Each of
+//! its outputs is the dot of one *column* with `x`, with the products and
+//! the order of [`vector::dot`], so it equals the row form of the
+//! transpose bit for bit. Callers use it two ways:
+//!
+//! - on an exactly symmetric matrix, every `(i, k)` entry with the bits of
+//!   its `(k, i)` twin, where `Aᵀx` is `Ax` (the MaxEnt solver's
+//!   covariances hold that by construction, see the `woodbury` module);
+//! - on a map stored transposed, as the background distribution stores
+//!   its whitening maps and eigenvectors, where it is the row form of the
+//!   map itself.
+//!
+//! The column form is one `#[inline(always)]` body built for the baseline
+//! target and for AVX2 ([`avx2_dispatch!`](crate::avx2_dispatch)), with
+//! the same bits in both.
 
 use crate::error::LinalgError;
 use crate::vector;
@@ -20,9 +30,10 @@ use std::ops::{Index, IndexMut};
 /// than one tile run exactly the untiled i-k-j loop.
 const MATMUL_J_TILE: usize = 256;
 
-/// Outputs per pass of [`Matrix::sym_matvec_into`]: 16 accumulators take
-/// 8 of the 16 SSE2 registers of baseline x86-64, leaving room for loads.
-const SYM_MATVEC_BLOCK: usize = 16;
+/// Outputs per pass of [`Matrix::t_matvec_into`]: 16 accumulators take
+/// 8 of the 16 SSE2 registers of baseline x86-64, or 4 of the 16 AVX2
+/// ones, leaving room for loads.
+const T_MATVEC_BLOCK: usize = 16;
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -340,27 +351,15 @@ impl Matrix {
 
     /// Matrix–vector product `self * x`.
     ///
-    /// Runs the four-row interleaved kernel of [`Matrix::matvec_into`], so
-    /// every entry equals `vector::dot(self.row(i), x)` bit for bit.
+    /// Four rows share one pass over `x`, each in its own accumulator
+    /// lane that starts at `-0.0` and adds in ascending column order, so
+    /// every entry equals `vector::dot(self.row(i), x)` bit for bit. The
+    /// one to three rows left over take that per-row `dot` directly.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec: length mismatch");
         let mut out = vec![0.0; self.rows];
         self.for_each_row_dot(x, |i, v| out[i] = v);
         out
-    }
-
-    /// Matrix–vector product `self * x` written into a caller-provided
-    /// buffer — the allocation-free kernel behind per-row sampling and
-    /// whitening.
-    ///
-    /// Four rows share one pass over `x`, each in its own accumulator
-    /// lane that starts at `-0.0` and adds in ascending column order, so
-    /// every entry equals `vector::dot(self.row(i), x)` bit for bit. The
-    /// one to three rows left over take that per-row `dot` directly.
-    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "matvec_into: x length mismatch");
-        assert_eq!(out.len(), self.rows, "matvec_into: out length mismatch");
-        self.for_each_row_dot(x, |i, v| out[i] = v);
     }
 
     /// Calls `f(i, row_i · x)` for every row in ascending `i`: four rows
@@ -393,58 +392,32 @@ impl Matrix {
         }
     }
 
-    /// Matrix–vector product `self * x` of an exactly symmetric matrix,
-    /// in column form: `out_i = Σ_k self_ki·x_k`, added in ascending `k`
-    /// from `-0.0`.
+    /// The column-form product `out = selfᵀ·x`: `out_i = Σ_k self_ki·x_k`,
+    /// added in ascending `k` from `-0.0`.
     ///
-    /// Precondition: `self[(k, i)]` and `self[(i, k)]` have the same bits
-    /// for every `i, k`. Then each entry equals `vector::dot(self.row(i),
-    /// x)` (and so [`Matrix::matvec_into`]) bit for bit: the terms are the
-    /// same products, added in the same order. Reading row `k` for every
-    /// output instead of row `i` lets one pass over the matrix update 16
-    /// outputs at once from contiguous memory.
+    /// Each entry is `vector::dot` of column `i` with `x`: the same
+    /// products, added in the same order, so it equals
+    /// `self.transpose().matvec(x)` bit for bit. On an exactly symmetric
+    /// matrix it is therefore `self.matvec(x)` bit for bit, and on a map
+    /// stored transposed it is the map's own row form. One pass over the
+    /// rows updates 16 outputs at once from contiguous memory; the body
+    /// runs in its AVX2 build when the CPU has it.
     ///
     /// # Panics
-    /// Panics if the matrix is not square or a length differs.
-    pub fn sym_matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        assert!(self.is_square(), "sym_matvec_into: matrix not square");
-        assert_eq!(x.len(), self.cols, "sym_matvec_into: x length mismatch");
-        assert_eq!(out.len(), self.rows, "sym_matvec_into: out length mismatch");
-        let whole = self.cols / SYM_MATVEC_BLOCK * SYM_MATVEC_BLOCK;
-        for j0 in (0..whole).step_by(SYM_MATVEC_BLOCK) {
-            self.sym_matvec_block(x, j0, &mut out[j0..j0 + SYM_MATVEC_BLOCK]);
-        }
-        if whole < self.cols {
-            self.sym_matvec_block(x, whole, &mut out[whole..]);
-        }
+    /// Panics if `x` does not have one entry per row or `out` one per
+    /// column.
+    pub fn t_matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.rows, "t_matvec_into: x length mismatch");
+        assert_eq!(out.len(), self.cols, "t_matvec_into: out length mismatch");
+        t_matvec(&self.data, x, out);
     }
 
-    /// Outputs `j0..j0 + out.len()` of [`Matrix::sym_matvec_into`]: one
-    /// accumulator per output, held in registers while `k` runs over the
-    /// rows. Inlined into both call sites, so the whole-block one runs
-    /// with a constant width.
-    #[inline(always)]
-    fn sym_matvec_block(&self, x: &[f64], j0: usize, out: &mut [f64]) {
-        let width = out.len();
-        let mut acc = [-0.0; SYM_MATVEC_BLOCK];
-        let acc = &mut acc[..width];
-        for (k, &xk) in x.iter().enumerate() {
-            let start = k * self.cols + j0;
-            for (a, &s) in acc.iter_mut().zip(&self.data[start..start + width]) {
-                *a += s * xk;
-            }
-        }
-        out.copy_from_slice(acc);
-    }
-
-    /// Quadratic form `xᵀ self x` of an exactly symmetric matrix, from
-    /// [`Matrix::sym_matvec_into`] written into `scratch`.
-    ///
-    /// `x_i·(self x)_i` is added to a `+0.0` accumulator in ascending `i`,
-    /// so under the precondition of [`Matrix::sym_matvec_into`] the result
-    /// equals [`Matrix::quad_form`] bit for bit.
-    pub fn sym_quad_form(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        self.sym_matvec_into(x, scratch);
+    /// Quadratic form `xᵀ selfᵀ x` from [`Matrix::t_matvec_into`] written
+    /// into `scratch`: `x_i·(selfᵀx)_i` is added to a `+0.0` accumulator
+    /// in ascending `i`. On an exactly symmetric matrix it equals
+    /// [`Matrix::quad_form`] bit for bit.
+    pub fn t_quad_form(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
+        self.t_matvec_into(x, scratch);
         x.iter()
             .zip(&*scratch)
             .fold(0.0, |acc, (&xi, &gi)| acc + xi * gi)
@@ -516,7 +489,7 @@ impl Matrix {
     /// Quadratic form `xᵀ self x` for a square matrix.
     ///
     /// The row dots come from the four-row interleaved kernel of
-    /// [`Matrix::matvec_into`]; `x[i]·(row_i·x)` is then added to a `+0.0`
+    /// [`Matrix::matvec`]; `x[i]·(row_i·x)` is then added to a `+0.0`
     /// accumulator in ascending `i`, so the result is bit-identical to
     /// summing per-row `vector::dot`s.
     pub fn quad_form(&self, x: &[f64]) -> f64 {
@@ -645,6 +618,60 @@ impl Matrix {
             .zip(&other.data)
             .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()))
     }
+}
+
+crate::avx2_dispatch! {
+    /// `out = Aᵀx` for the row-major `A` with `out.len()` columns and
+    /// `x.len()` rows: the body [`t_matvec_body`] in its AVX2 build when
+    /// the CPU has it.
+    fn t_matvec(a: &[f64], x: &[f64], out: &mut [f64]) => t_matvec_body
+}
+
+/// [`t_matvec`] in blocks of a constant width: [`T_MATVEC_BLOCK`]
+/// outputs, or the widest power of two that fits a narrower matrix.
+#[inline(always)]
+pub(crate) fn t_matvec_body(a: &[f64], x: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(a.len(), x.len() * out.len());
+    match out.len() {
+        0 => {}
+        1 => t_matvec_blocks::<1>(a, x, out),
+        2..=3 => t_matvec_blocks::<2>(a, x, out),
+        4..=7 => t_matvec_blocks::<4>(a, x, out),
+        8..=15 => t_matvec_blocks::<8>(a, x, out),
+        _ => t_matvec_blocks::<T_MATVEC_BLOCK>(a, x, out),
+    }
+}
+
+/// Every output of [`t_matvec_body`], `W ≤ out.len()` at a time: blocks
+/// from column 0 on and, when `W` does not divide the width, one more
+/// block that ends at the last column. That block computes some outputs
+/// of the one before it again, with the same bits, so no block runs
+/// narrower than `W`.
+#[inline(always)]
+fn t_matvec_blocks<const W: usize>(a: &[f64], x: &[f64], out: &mut [f64]) {
+    let cols = out.len();
+    let mut j0 = 0;
+    while j0 + W <= cols {
+        t_matvec_block::<W>(a, cols, x, j0, out);
+        j0 += W;
+    }
+    if j0 < cols {
+        t_matvec_block::<W>(a, cols, x, cols - W, out);
+    }
+}
+
+/// Outputs `j0..j0 + W` of [`t_matvec_body`]: one accumulator per output,
+/// each starting at `-0.0` and held in registers while `k` runs over the
+/// rows in ascending order.
+#[inline(always)]
+fn t_matvec_block<const W: usize>(a: &[f64], cols: usize, x: &[f64], j0: usize, out: &mut [f64]) {
+    let mut acc = [-0.0; W];
+    for (row, &xk) in a.chunks_exact(cols).zip(x) {
+        for (s, &akj) in acc.iter_mut().zip(&row[j0..j0 + W]) {
+            *s += akj * xk;
+        }
+    }
+    out[j0..j0 + W].copy_from_slice(&acc);
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -872,9 +899,6 @@ mod tests {
                 for x in &xs {
                     let expected = bits(&matvec_reference(&m, x));
                     assert_eq!(bits(&m.matvec(x)), expected, "matvec {rows}x{cols}");
-                    let mut out = vec![f64::NAN; rows];
-                    m.matvec_into(x, &mut out);
-                    assert_eq!(bits(&out), expected, "matvec_into {rows}x{cols}");
                 }
             }
             let sq = awkward_matrix(rows, rows, rows as u64);
@@ -889,13 +913,45 @@ mod tests {
         }
     }
 
+    /// Bits of every entry, with every NaN read as one value: the two
+    /// builds may carry different NaN payloads.
+    fn nan_bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// The column form on matrices with no symmetry, through the
+    /// dispatched kernel and the body as built for the baseline target:
+    /// each output is the per-row `dot` of the transpose, at every block
+    /// width, with and without an overlapping last block, and a NaN entry
+    /// spoils only its own column's output.
     #[test]
-    fn matvec_into_matches_matvec() {
-        let m = sample();
-        let x = [1.5, -2.0];
-        let mut out = [0.0; 3];
-        m.matvec_into(&x, &mut out);
-        assert_eq!(out.to_vec(), m.matvec(&x));
+    fn column_form_product_matches_per_column_dot_in_both_builds() {
+        for rows in [1usize, 2, 3, 5, 19, 100] {
+            for cols in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 19, 33, 100] {
+                let mut m = awkward_matrix(rows, cols, (rows * 1000 + cols) as u64 ^ 0xc0);
+                let poisoned = (cols / 2 + 1).min(cols - 1);
+                m[(rows / 2, poisoned)] = f64::NAN;
+                let x = awkward_matrix(1, rows, rows as u64 ^ 0x7eed)
+                    .row(0)
+                    .to_vec();
+                for x in [x, vec![1.0; rows], vec![-0.0; rows]] {
+                    let expected = matvec_reference(&m.transpose(), &x);
+                    assert!(expected[poisoned].is_nan(), "{rows}x{cols}");
+                    let mut got = vec![f64::NAN; cols];
+                    m.t_matvec_into(&x, &mut got);
+                    assert_eq!(
+                        nan_bits(&got),
+                        nan_bits(&expected),
+                        "dispatched {rows}x{cols}"
+                    );
+                    let mut got = vec![f64::NAN; cols];
+                    t_matvec_body(m.as_slice(), &x, &mut got);
+                    assert_eq!(nan_bits(&got), nan_bits(&expected), "body {rows}x{cols}");
+                }
+            }
+        }
     }
 
     #[test]

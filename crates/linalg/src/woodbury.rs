@@ -9,9 +9,9 @@
 //!
 //! does it in `O(d²)` — the paper's headline speed-up.
 //!
-//! Every update here writes its rank-1 term row by row through one
-//! private row kernel, `0.5·((s_ij + a_i·u_j) + (s_ij + a_j·u_i))` with
-//! `a = α·u`, which keeps the matrix exactly symmetric. On a full matrix
+//! Every update here writes each entry of its rank-1 term with one row
+//! formula, `0.5·((s_ij + a_i·u_j) + (s_ij + a_j·u_i))` with `a = α·u`,
+//! which keeps the matrix exactly symmetric. On a full matrix
 //! ([`apply`], [`precision_update`]) that pass equals `add_outer`
 //! followed by `symmetrize` bit for bit when the input is exactly
 //! symmetric, finite and free of `-0.0` entries, and no doubled sum
@@ -27,11 +27,18 @@
 //!   and adds `h_k·row_k` into the mean `m`, so `m = Σh` comes out of the
 //!   same pass over `Σ` instead of a second one. The new `Σ` is exactly
 //!   symmetric, so this column-form sum equals `Σ.matvec(h)` bit for bit.
+//!   It takes four rows of `Σ` per pass over the columns, so each `m_j`,
+//!   `g_j` and `a_j` is loaded once for four rows.
 //! - [`precision_update_upper`] writes only the upper triangle of `P`.
 //!   Inside a sweep nothing reads `P`, so its lower triangle is stale
 //!   there; the solver mirrors the upper triangle down
 //!   (`Matrix::mirror_upper`) before a sweep returns, which equals the
 //!   full [`precision_update`] bit for bit.
+//!
+//! Both are `#[inline(always)]` bodies built for the baseline target and
+//! for AVX2 ([`avx2_dispatch!`](crate::avx2_dispatch)), with the same bits
+//! in both: neither build fuses a multiply into an add, and each entry
+//! keeps its operands and its order of summation.
 
 use crate::matrix::Matrix;
 use crate::vector;
@@ -92,7 +99,8 @@ pub fn apply(sigma: &mut Matrix, r: &Rank1, lambda: f64) {
 /// is then added into `m`, which starts at `-0.0`. The new `Σ` is exactly
 /// symmetric, so `m_i = Σ_k Σ_ki·h_k` in ascending `k` equals
 /// `Σ.matvec(h)` bit for bit: under the precondition of [`apply`], the
-/// result equals [`apply`] followed by `matvec_into(h, m)`.
+/// result equals [`apply`] followed by `m = Σ.matvec(h)`. With `λ = 0`,
+/// `Σ` stays as it is and `m` is its column-form product with `h`.
 ///
 /// # Panics
 /// Panics if `Σ` is not square or a length differs, and (in debug
@@ -117,18 +125,68 @@ pub fn apply_with_mean(
         "sherman-morrison: 1 + λc = {denom} not positive"
     );
     if lambda == 0.0 {
-        sigma.sym_matvec_into(h, m);
+        sigma.t_matvec_into(h, m);
         return;
     }
     let alpha = -lambda / denom;
     for (ak, &gk) in a.iter_mut().zip(g) {
         *ak = alpha * gk;
     }
+    rank1_rows_with_mean(sigma.as_mut_slice(), g, a, h, m);
+}
+
+crate::avx2_dispatch! {
+    /// The pass of [`apply_with_mean`] over the row-major `d × d` `s`,
+    /// with `a = α·g` already written: the body
+    /// [`rank1_rows_with_mean_body`] in its AVX2 build when the CPU has it.
+    fn rank1_rows_with_mean(s: &mut [f64], g: &[f64], a: &[f64], h: &[f64], m: &mut [f64])
+        => rank1_rows_with_mean_body
+}
+
+/// [`rank1_rows_with_mean`], four rows per pass over the columns: for
+/// each column `j`, the four rows' new entries come from the shared row
+/// formula of [`rank1_row`], and their `h_k·s'_kj` terms are then added
+/// into `m_j` in ascending `k`, so `m_j`, `g_j` and `a_j` stay in
+/// registers for the whole block. The `d mod 4` rows left over take
+/// [`rank1_row`] and [`vector::axpy`] one row at a time. Every entry of `s`
+/// and `m` gets the same operations in the same order as row-by-row
+/// updates from an `m` of `-0.0`s.
+#[inline(always)]
+pub(crate) fn rank1_rows_with_mean_body(
+    s: &mut [f64],
+    g: &[f64],
+    a: &[f64],
+    h: &[f64],
+    m: &mut [f64],
+) {
+    let d = g.len();
     m.fill(-0.0);
-    for (k, ((&gk, &hk), &ak)) in g.iter().zip(h).zip(&*a).enumerate() {
-        let row = sigma.row_mut(k);
-        rank1_row(row, ak, gk, g, a);
-        vector::axpy(hk, row, m);
+    if d == 0 {
+        return;
+    }
+    let mut quads = s.chunks_exact_mut(4 * d);
+    let mut k = 0;
+    for block in &mut quads {
+        let (r0, rest) = block.split_at_mut(d);
+        let (r1, rest) = rest.split_at_mut(d);
+        let (r2, r3) = rest.split_at_mut(d);
+        let (a0, a1, a2, a3) = (a[k], a[k + 1], a[k + 2], a[k + 3]);
+        let (g0, g1, g2, g3) = (g[k], g[k + 1], g[k + 2], g[k + 3]);
+        let (h0, h1, h2, h3) = (h[k], h[k + 1], h[k + 2], h[k + 3]);
+        let rows = r0.iter_mut().zip(r1.iter_mut()).zip(r2.iter_mut()).zip(r3);
+        for ((((((s0, s1), s2), s3), mj), &gj), &aj) in rows.zip(m.iter_mut()).zip(g).zip(a) {
+            *s0 = 0.5 * ((*s0 + a0 * gj) + (*s0 + aj * g0));
+            *s1 = 0.5 * ((*s1 + a1 * gj) + (*s1 + aj * g1));
+            *s2 = 0.5 * ((*s2 + a2 * gj) + (*s2 + aj * g2));
+            *s3 = 0.5 * ((*s3 + a3 * gj) + (*s3 + aj * g3));
+            *mj = (((*mj + h0 * *s0) + h1 * *s1) + h2 * *s2) + h3 * *s3;
+        }
+        k += 4;
+    }
+    for row in quads.into_remainder().chunks_exact_mut(d) {
+        rank1_row(row, a[k], g[k], g, a);
+        vector::axpy(h[k], row, m);
+        k += 1;
     }
 }
 
@@ -156,8 +214,22 @@ pub fn precision_update_upper(prec: &mut Matrix, w: &[f64], lambda: f64, a: &mut
     for (ak, &wk) in a.iter_mut().zip(w) {
         *ak = lambda * wk;
     }
+    rank1_upper_rows(prec.as_mut_slice(), w, a);
+}
+
+crate::avx2_dispatch! {
+    /// The row loop of [`precision_update_upper`] over the row-major
+    /// `d × d` `p`, with `a = λ·w` already written: the body
+    /// [`rank1_upper_rows_body`] in its AVX2 build when the CPU has it.
+    fn rank1_upper_rows(p: &mut [f64], w: &[f64], a: &[f64]) => rank1_upper_rows_body
+}
+
+/// [`rank1_upper_rows`]: [`rank1_row`] on each row from its diagonal on.
+#[inline(always)]
+pub(crate) fn rank1_upper_rows_body(p: &mut [f64], w: &[f64], a: &[f64]) {
+    let d = w.len();
     for (i, &wi) in w.iter().enumerate() {
-        rank1_row(&mut prec.row_mut(i)[i..], a[i], wi, &w[i..], &a[i..]);
+        rank1_row(&mut p[i * d + i..(i + 1) * d], a[i], wi, &w[i..], &a[i..]);
     }
 }
 
@@ -373,27 +445,48 @@ mod tests {
         });
     }
 
-    /// The dimensions of the column-form pins: whole 16-output blocks, a
-    /// partial block alone, and both together.
-    const COLUMN_FORM_DS: [usize; 8] = [1, 2, 3, 15, 16, 17, 19, 100];
+    /// The dimensions of the kernel pins: every `d mod 4` row tail of the
+    /// four-row pass, and every block width of the column form, with and
+    /// without an overlapping last block.
+    const KERNEL_DS: [usize; 10] = [1, 2, 3, 4, 5, 15, 16, 17, 19, 100];
+
+    /// Bits of every entry, with every NaN read as one value: the two
+    /// builds may carry different NaN payloads.
+    fn nan_bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// A copy of `m` with a NaN at `(p, q)` and `(q, p)`, which keeps it
+    /// symmetric in the sense the pins need: the row and column forms of
+    /// the poisoned matrix read the same NaN lanes.
+    fn poisoned(m: &Matrix, p: usize, q: usize) -> Matrix {
+        let mut m = m.clone();
+        m[(p, q)] = f64::NAN;
+        m[(q, p)] = f64::NAN;
+        m
+    }
 
     #[test]
     fn column_form_product_matches_row_form_bit_for_bit() {
-        let vbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut uniform = lcg(0x5eed);
-        woodbury_walk(&COLUMN_FORM_DS, |d, step, sigma, prec, w, _| {
+        woodbury_walk(&KERNEL_DS, |d, step, sigma, prec, w, _| {
             let x: Vec<f64> = (0..d).map(|_| uniform()).collect();
-            for (name, m) in [("Σ", sigma), ("P", prec)] {
+            let nan = poisoned(sigma, d / 2, d - 1);
+            for (name, m) in [("Σ", sigma), ("P", prec), ("NaN Σ", &nan)] {
                 for x in [w, &x[..]] {
-                    let mut want = vec![f64::NAN; d];
-                    m.matvec_into(x, &mut want);
+                    let want = nan_bits(&m.matvec(x));
                     let mut got = vec![f64::NAN; d];
-                    m.sym_matvec_into(x, &mut got);
-                    assert_eq!(vbits(&got), vbits(&want), "{name}x, d = {d}, step {step}");
+                    m.t_matvec_into(x, &mut got);
+                    assert_eq!(nan_bits(&got), want, "{name}x, d = {d}, step {step}");
+                    let mut got = vec![f64::NAN; d];
+                    crate::matrix::t_matvec_body(m.as_slice(), x, &mut got);
+                    assert_eq!(nan_bits(&got), want, "body {name}x, d = {d}, step {step}");
                     let mut scratch = vec![f64::NAN; d];
                     assert_eq!(
-                        m.sym_quad_form(x, &mut scratch).to_bits(),
-                        m.quad_form(x).to_bits(),
+                        nan_bits(&[m.t_quad_form(x, &mut scratch)]),
+                        nan_bits(&[m.quad_form(x)]),
                         "xᵀ{name}x, d = {d}, step {step}"
                     );
                 }
@@ -403,50 +496,63 @@ mod tests {
 
     #[test]
     fn fused_pass_matches_apply_then_matvec_bit_for_bit() {
-        let vbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut uniform = lcg(0xfeed);
-        woodbury_walk(&COLUMN_FORM_DS, |d, step, sigma, _, w, lambda| {
+        woodbury_walk(&KERNEL_DS, |d, step, sigma, _, w, lambda| {
             let mut h: Vec<f64> = (0..d).map(|_| uniform()).collect();
             h.iter_mut().step_by(4).for_each(|x| *x = 0.0);
             let r = prepare(sigma, w);
-            let mut want = sigma.clone();
-            apply(&mut want, &r, lambda);
-            let mut want_m = vec![f64::NAN; d];
-            want.matvec_into(&h, &mut want_m);
-            let mut got = sigma.clone();
-            let mut got_m = vec![f64::NAN; d];
-            apply_with_mean(
-                &mut got,
-                &r.g,
-                r.c,
-                lambda,
-                &h,
-                &mut got_m,
-                &mut vec![0.0; d],
-            );
-            assert_eq!(bits(&got), bits(&want), "Σ, d = {d}, step {step}");
-            assert_eq!(vbits(&got_m), vbits(&want_m), "m, d = {d}, step {step}");
+            let alpha = -lambda / (1.0 + lambda * r.c);
+            let nan = poisoned(sigma, d - 1, d / 3);
+            for (name, sigma) in [("Σ", sigma), ("NaN Σ", &nan)] {
+                let mut want = sigma.clone();
+                apply(&mut want, &r, lambda);
+                let want_m = nan_bits(&want.matvec(&h));
+                let want = nan_bits(want.as_slice());
+                let at = format!("{name}, d = {d}, step {step}");
+                let mut got = sigma.clone();
+                let mut got_m = vec![f64::NAN; d];
+                let mut a = vec![0.0; d];
+                apply_with_mean(&mut got, &r.g, r.c, lambda, &h, &mut got_m, &mut a);
+                assert_eq!(nan_bits(got.as_slice()), want, "Σ' {at}");
+                assert_eq!(nan_bits(&got_m), want_m, "m {at}");
+                let mut got = sigma.clone();
+                let mut got_m = vec![f64::NAN; d];
+                let a: Vec<f64> = r.g.iter().map(|&gk| alpha * gk).collect();
+                rank1_rows_with_mean_body(got.as_mut_slice(), &r.g, &a, &h, &mut got_m);
+                assert_eq!(nan_bits(got.as_slice()), want, "body Σ' {at}");
+                assert_eq!(nan_bits(&got_m), want_m, "body m {at}");
+            }
         });
     }
 
     #[test]
     fn upper_triangle_update_then_mirror_matches_precision_update_bit_for_bit() {
-        woodbury_walk(&COLUMN_FORM_DS, |d, step, _, prec, w, lambda| {
-            let mut want = prec.clone();
-            precision_update(&mut want, w, lambda);
-            let mut got = prec.clone();
-            precision_update_upper(&mut got, w, lambda, &mut vec![0.0; d]);
-            for i in 0..d {
-                for j in 0..i {
-                    assert_eq!(
-                        got[(i, j)].to_bits(),
-                        prec[(i, j)].to_bits(),
-                        "lower triangle moved at ({i}, {j}), d = {d}, step {step}"
-                    );
+        woodbury_walk(&KERNEL_DS, |d, step, _, prec, w, lambda| {
+            let nan = poisoned(prec, d / 2, d - 1);
+            for (name, prec) in [("P", prec), ("NaN P", &nan)] {
+                let mut want = prec.clone();
+                precision_update(&mut want, w, lambda);
+                let want = nan_bits(want.as_slice());
+                let at = format!("{name}, d = {d}, step {step}");
+                let mut got = prec.clone();
+                precision_update_upper(&mut got, w, lambda, &mut vec![0.0; d]);
+                let mut body = prec.clone();
+                let a: Vec<f64> = w.iter().map(|&wk| lambda * wk).collect();
+                rank1_upper_rows_body(body.as_mut_slice(), w, &a);
+                for got in [&mut got, &mut body] {
+                    for i in 0..d {
+                        for j in 0..i {
+                            assert_eq!(
+                                nan_bits(&[got[(i, j)]]),
+                                nan_bits(&[prec[(i, j)]]),
+                                "lower triangle moved at ({i}, {j}), {at}"
+                            );
+                        }
+                    }
+                    got.mirror_upper();
+                    assert_eq!(nan_bits(got.as_slice()), want, "{at}");
                 }
             }
-            got.mirror_upper();
-            assert_eq!(bits(&got), bits(&want), "P, d = {d}, step {step}");
         });
     }
 

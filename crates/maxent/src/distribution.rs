@@ -11,6 +11,14 @@
 //!   distribution, the whitened data would be spherical unit Gaussian, so
 //!   any structure that projection pursuit finds in `Y` is exactly a
 //!   data-vs-belief difference.
+//!
+//! Each class stores its whitening map and its eigenvectors transposed,
+//! so every per-row product is the column form
+//! [`Matrix::t_matvec_into`]: each output is the same products, added in
+//! the same order, as `vector::dot` of one row of the map with the row
+//! vector, and one pass updates 16 outputs, in the AVX2 build when the
+//! CPU has it. The whitened moment's Gram update is one body built the
+//! same two ways ([`sider_linalg::avx2_dispatch!`]).
 
 use crate::params::ClassParams;
 use crate::Result;
@@ -30,10 +38,11 @@ const ROW_CHUNK: usize = 256;
 #[derive(Debug, Clone)]
 struct ClassModel {
     m: Vec<f64>,
-    /// `U·D^{1/2}·Uᵀ` of the precision — the whitening map.
-    whiten: Matrix,
-    /// Eigenvectors of the precision (columns).
-    u: Matrix,
+    /// The whitening map `U·D^{1/2}·Uᵀ` of the precision, transposed: its
+    /// column form is the map's row form.
+    whiten_t: Matrix,
+    /// Eigenvectors of the precision, one per row (`Uᵀ`).
+    u_t: Matrix,
     /// `D^{-1/2}` of the precision — per-eigendirection sampling scale.
     sample_scale: Vec<f64>,
     /// Eigenvalues of the precision (descending), for entropy accounting.
@@ -98,8 +107,8 @@ impl ClassModel {
         }
         ClassModel {
             m: p.m.clone(),
-            whiten,
-            u: eig.vectors,
+            whiten_t: whiten.transpose(),
+            u_t: eig.vectors.transpose(),
             sample_scale,
             prec_evals: eig.values,
         }
@@ -263,6 +272,17 @@ impl BackgroundDistribution {
         &self.classes[self.class_of_row(row)].m
     }
 
+    /// Row `i` of `data` whitened into `out` (paper Eq. 14), with
+    /// `centered` (a `d`-vector) as scratch for `x_i − m_i`.
+    #[inline]
+    fn whiten_row_into(&self, data: &Matrix, i: usize, centered: &mut [f64], out: &mut [f64]) {
+        let class = &self.classes[self.class_of_row(i)];
+        for ((c, &x), &m) in centered.iter_mut().zip(data.row(i)).zip(&class.m) {
+            *c = x - m;
+        }
+        class.whiten_t.t_matvec_into(centered, out);
+    }
+
     /// Whiten a dataset against this distribution (paper Eq. 14). The input
     /// must have the same shape the distribution was fitted on.
     pub fn whiten(&self, data: &Matrix) -> Result<Matrix> {
@@ -292,11 +312,7 @@ impl BackgroundDistribution {
                 let mut centered = vec![0.0; d];
                 for (off, out_row) in rows.chunks_mut(d).enumerate() {
                     let i = chunk_idx * ROW_CHUNK + off;
-                    let class = &self.classes[self.class_of_row(i)];
-                    for ((c, &x), &m) in centered.iter_mut().zip(data.row(i)).zip(&class.m) {
-                        *c = x - m;
-                    }
-                    class.whiten.matvec_into(&centered, out_row);
+                    self.whiten_row_into(data, i, &mut centered, out_row);
                 }
             },
         );
@@ -312,11 +328,13 @@ impl BackgroundDistribution {
     /// Bit-identical to
     /// `second_moment_with(&self.whiten_with(data, pool)?, pool)`: the
     /// whitened row values come from the same centered-scratch
-    /// [`Matrix::matvec_into`] kernel as [`BackgroundDistribution::whiten_with`],
+    /// [`Matrix::t_matvec_into`] kernel as [`BackgroundDistribution::whiten_with`],
     /// and the Gram reduction replicates the fixed
     /// [`MOMENT_ROW_CHUNK`]-chunked summation tree of
     /// `sider_stats::descriptive::second_moment_with` exactly — so it is
-    /// also bit-identical at any pool size.
+    /// also bit-identical at any pool size. Within a chunk the Gram update
+    /// takes the whitened rows two at a time (`gram_upper_rows`), every
+    /// entry still adding its rows in ascending order.
     pub fn whitened_second_moment_with(&self, data: &Matrix, pool: &ThreadPool) -> Result<Matrix> {
         let (n, d) = data.shape();
         if n != self.n() || d != self.d {
@@ -336,23 +354,17 @@ impl BackgroundDistribution {
                 |range| {
                     let mut partial = Matrix::zeros(d, d);
                     let mut centered = vec![0.0; d];
-                    let mut y = vec![0.0; d];
-                    for i in range {
-                        let class = &self.classes[self.class_of_row(i)];
-                        for ((c, &x), &m) in centered.iter_mut().zip(data.row(i)).zip(&class.m) {
-                            *c = x - m;
-                        }
-                        class.whiten.matvec_into(&centered, &mut y);
-                        for a in 0..d {
-                            let ra = y[a];
-                            if ra == 0.0 {
-                                continue;
-                            }
-                            let dst = &mut partial.row_mut(a)[a..];
-                            for (acc, &rb) in dst.iter_mut().zip(&y[a..]) {
-                                *acc += ra * rb;
-                            }
-                        }
+                    let (mut y0, mut y1) = (vec![0.0; d], vec![0.0; d]);
+                    let end = range.end;
+                    for i in range.step_by(2) {
+                        self.whiten_row_into(data, i, &mut centered, &mut y0);
+                        let second = if i + 1 < end {
+                            self.whiten_row_into(data, i + 1, &mut centered, &mut y1);
+                            Some(&y1[..])
+                        } else {
+                            None
+                        };
+                        gram_upper_rows(partial.as_mut_slice(), &y0, second);
                     }
                     partial
                 },
@@ -400,6 +412,8 @@ impl BackgroundDistribution {
             });
         }
         let k = axes.rows();
+        // Stored transposed, the axes' column form is their row form.
+        let axes_t = axes.transpose();
         let mut out = Matrix::zeros(n, k);
         // d² (whiten) + k·d (project) multiply-adds per row; tiny
         // datasets run inline.
@@ -412,12 +426,8 @@ impl BackgroundDistribution {
                 let mut y = vec![0.0; d];
                 for (off, out_row) in rows.chunks_mut(k).enumerate() {
                     let i = chunk_idx * ROW_CHUNK + off;
-                    let class = &self.classes[self.class_of_row(i)];
-                    for ((c, &x), &m) in centered.iter_mut().zip(data.row(i)).zip(&class.m) {
-                        *c = x - m;
-                    }
-                    class.whiten.matvec_into(&centered, &mut y);
-                    axes.matvec_into(&y, out_row);
+                    self.whiten_row_into(data, i, &mut centered, &mut y);
+                    axes_t.t_matvec_into(&y, out_row);
                 }
             },
         );
@@ -487,8 +497,8 @@ impl BackgroundDistribution {
     /// [`BackgroundDistribution::sample`] with row chunks distributed over
     /// `pool`. Per-row substreams make parallel draws deterministic and
     /// bit-identical at any pool size; chunk-local `z` scratch buffers and
-    /// [`Matrix::matvec_into`] straight into the output row slice keep the
-    /// whole loop allocation-free per row.
+    /// [`Matrix::t_matvec_into`] straight into the output row slice keep
+    /// the whole loop allocation-free per row.
     ///
     /// Box–Muller produces normals in pairs, so an odd `d` would waste
     /// the second output of each row's final pair. The chunk scratch
@@ -531,12 +541,48 @@ impl BackgroundDistribution {
                         *zk = row_rng.standard_normal() * s;
                     }
                     carried = row_rng.take_spare_normal();
-                    class.u.matvec_into(&z, out_row);
+                    class.u_t.t_matvec_into(&z, out_row);
                     vector::axpy(1.0, &class.m, out_row);
                 }
             },
         );
         out
+    }
+}
+
+sider_linalg::avx2_dispatch! {
+    /// Adds `y_a·y_b` for `b ≥ a` into the upper triangle of the row-major
+    /// `d × d` Gram matrix `g`, for `y0` and then `y1` when given: the body
+    /// [`gram_upper_rows_body`] in its AVX2 build when the CPU has it.
+    fn gram_upper_rows(g: &mut [f64], y0: &[f64], y1: Option<&[f64]>) => gram_upper_rows_body
+}
+
+/// [`gram_upper_rows`], both rows in one pass over `g`'s upper triangle:
+/// each entry becomes `(g_ab + y0_a·y0_b) + y1_a·y1_b`, the rows' updates
+/// in row order, with one read and one write of `g_ab`. As in
+/// `sider_stats::descriptive::second_moment_with`, a row whose `y_a` is
+/// zero adds nothing to row `a` of `g`.
+#[inline(always)]
+fn gram_upper_rows_body(g: &mut [f64], y0: &[f64], y1: Option<&[f64]>) {
+    let d = y0.len();
+    let add = |dst: &mut [f64], ra: f64, y: &[f64]| {
+        for (acc, &rb) in dst.iter_mut().zip(y) {
+            *acc += ra * rb;
+        }
+    };
+    for a in 0..d {
+        let dst = &mut g[a * d + a..(a + 1) * d];
+        let (r0, y0) = (y0[a], &y0[a..]);
+        match y1.map(|y1| (y1[a], &y1[a..])) {
+            Some((r1, y1)) if r0 != 0.0 && r1 != 0.0 => {
+                for ((acc, &b0), &b1) in dst.iter_mut().zip(y0).zip(y1) {
+                    *acc = (*acc + r0 * b0) + r1 * b1;
+                }
+            }
+            Some((r1, y1)) if r1 != 0.0 => add(dst, r1, y1),
+            _ if r0 != 0.0 => add(dst, r0, y0),
+            _ => {}
+        }
     }
 }
 
@@ -745,16 +791,77 @@ mod tests {
         }
     }
 
+    /// One class's whitening map `U·D^{1/2}·Uᵀ` (untransposed), its
+    /// eigenvectors `U` (columns) and its sampling scales, rebuilt from the
+    /// class precision by the rules of `ClassModel::compute`.
+    struct ReferenceClass {
+        whiten: Matrix,
+        u: Matrix,
+        scale: Vec<f64>,
+    }
+
+    fn reference_class(p: &ClassParams) -> ReferenceClass {
+        let eig = SymEigen::decompose(&p.prec).unwrap();
+        let d = eig.values.len();
+        let mut whiten = Matrix::zeros(d, d);
+        let mut scale = Vec::with_capacity(d);
+        for k in 0..d {
+            let ev = eig.values[k].max(0.0);
+            if ev >= EVAL_COLLAPSED {
+                scale.push(0.0);
+                continue;
+            }
+            let col = eig.vectors.col(k);
+            whiten.add_outer(ev.sqrt(), &col, &col);
+            scale.push(if ev > EVAL_FLOOR {
+                1.0 / ev.sqrt()
+            } else {
+                1.0
+            });
+        }
+        ReferenceClass {
+            whiten,
+            u: eig.vectors,
+            scale,
+        }
+    }
+
+    /// `m·x` one output at a time, each a `vector::dot` of a row of `m`.
+    fn per_output_dot(m: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..m.rows()).map(|i| vector::dot(m.row(i), x)).collect()
+    }
+
+    /// Whitening with per-row allocations and per-output dots against the
+    /// untransposed maps of [`reference_class`].
+    fn whiten_reference(
+        bg: &BackgroundDistribution,
+        params: &[ClassParams],
+        data: &Matrix,
+    ) -> Matrix {
+        let classes: Vec<ReferenceClass> = params.iter().map(reference_class).collect();
+        let mut out = Matrix::zeros(data.rows(), data.cols());
+        for i in 0..data.rows() {
+            let centered = vector::sub(data.row(i), bg.mean(i));
+            out.set_row(
+                i,
+                &per_output_dot(&classes[bg.class_of_row(i)].whiten, &centered),
+            );
+        }
+        out
+    }
+
     /// Allocation-per-row reference sampler: same per-row substreams and
     /// the same chunk-local Box–Muller spare carry, but the
-    /// straightforward `matvec` + `set_row` formulation with per-row
-    /// allocations. The scratch-buffer kernel must reproduce it bit for
-    /// bit — reusing buffers is a pure optimization.
+    /// straightforward formulation with per-row allocations and
+    /// per-output dots against the untransposed eigenvectors of
+    /// [`reference_class`]. The scratch-buffer kernel must reproduce it
+    /// bit for bit — reusing buffers is a pure optimization.
     fn sample_reference(
         bg: &BackgroundDistribution,
         params: &[ClassParams],
         rng: &mut Rng,
     ) -> Matrix {
+        let classes: Vec<ReferenceClass> = params.iter().map(reference_class).collect();
         let master = rng.next_u64();
         let n = bg.n();
         let d = bg.d();
@@ -766,7 +873,6 @@ mod tests {
             if i % ROW_CHUNK == 0 {
                 carried = None;
             }
-            let class_mean = bg.mean(i).to_vec();
             let mut row_rng = Rng::substream(master, i as u64);
             let mut z = vec![0.0; d];
             for (k, zk) in z.iter_mut().enumerate() {
@@ -776,24 +882,11 @@ mod tests {
                 };
             }
             carried = row_rng.take_spare_normal();
-            // Rebuild the scaled spectral draw from the fitted parameters:
-            // x = m + U·(z ⊙ scale). The test helper recomputes U and the
-            // scales from the precision like ClassModel does.
-            let eig = SymEigen::decompose(&params[bg.class_of_row(i)].prec).unwrap();
-            let mut scaled = vec![0.0; d];
-            for k in 0..d {
-                let ev = eig.values[k].max(0.0);
-                let s = if ev >= EVAL_COLLAPSED {
-                    0.0
-                } else if ev > EVAL_FLOOR {
-                    1.0 / ev.sqrt()
-                } else {
-                    1.0
-                };
-                scaled[k] = z[k] * s;
-            }
-            let mut x = eig.vectors.matvec(&scaled);
-            vector::axpy(1.0, &class_mean, &mut x);
+            // x = m + U·(z ⊙ scale).
+            let class = &classes[bg.class_of_row(i)];
+            let scaled: Vec<f64> = z.iter().zip(&class.scale).map(|(z, s)| z * s).collect();
+            let mut x = per_output_dot(&class.u, &scaled);
+            vector::axpy(1.0, bg.mean(i), &mut x);
             out.set_row(i, &x);
         }
         out
@@ -820,6 +913,98 @@ mod tests {
         );
         // The caller's generator advanced identically on both paths.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    }
+
+    /// Whiten, the fused whitened moment and sample at d ∈ {3, 17, 19,
+    /// 100} against references that share none of their kernels: the maps
+    /// rebuilt from each class precision, untransposed, applied one output
+    /// at a time by `vector::dot`. Three classes, one with a collapsed
+    /// direction; n = 601 spans three sampling chunks and ends the second
+    /// moment chunk on an unpaired row.
+    #[test]
+    fn views_match_an_independent_per_output_reference() {
+        let n = 601;
+        for d in [3usize, 17, 19, 100] {
+            let mut rng = Rng::seed_from_u64(104 + d as u64);
+            let params: Vec<ClassParams> = (0..3)
+                .map(|c| {
+                    let r = rng.standard_normal_matrix(d, d);
+                    let mut prec = r.gram().scale(0.5 / d as f64);
+                    prec.add_assign_scaled(1.0, &Matrix::identity(d));
+                    if c == 1 {
+                        prec[(0, 0)] += 1e11;
+                    }
+                    let mut p = ClassParams::prior(d, 4);
+                    p.m = (0..d)
+                        .map(|j| (c as f64 - 1.0) * 0.3 + j as f64 * 0.01)
+                        .collect();
+                    p.prec = prec;
+                    p
+                })
+                .collect();
+            let class_of_row: Vec<u32> = (0..n).map(|i| ((i * 7) % 3) as u32).collect();
+            let data = Matrix::from_fn(n, d, |i, j| {
+                rng.normal((i % 3) as f64 - 1.0, 1.0 + (j % 5) as f64 * 0.2)
+            });
+            let bg = BackgroundDistribution::from_class_params(d, class_of_row, &params);
+            let whitened = whiten_reference(&bg, &params, &data);
+            let serial = ThreadPool::serial();
+            let moment = sider_stats::descriptive::second_moment_with(&whitened, &serial);
+            let sampled = sample_reference(&bg, &params, &mut Rng::seed_from_u64(d as u64));
+            for threads in [1usize, 2] {
+                let pool = ThreadPool::new(threads);
+                let at = format!("d = {d}, {threads} threads");
+                let got = bg.whiten_with(&data, &pool).unwrap();
+                assert_eq!(got.as_slice(), whitened.as_slice(), "whiten, {at}");
+                let got = bg.whitened_second_moment_with(&data, &pool).unwrap();
+                assert_eq!(got.as_slice(), moment.as_slice(), "moment, {at}");
+                let got = bg.sample_with(&mut Rng::seed_from_u64(d as u64), &pool);
+                assert_eq!(got.as_slice(), sampled.as_slice(), "sample, {at}");
+            }
+        }
+    }
+
+    /// The Gram update in both builds against one row at a time, on rows
+    /// with zeros in one, the other and both, and a NaN that must stay in
+    /// its lanes: in the one-at-a-time reference, a zero `y_a` adds nothing
+    /// to row `a`, so the NaN reaches only the entries that multiply it by
+    /// a non-zero.
+    #[test]
+    fn paired_gram_update_matches_one_row_at_a_time_in_both_builds() {
+        let bits = |v: &[f64]| {
+            v.iter()
+                .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+                .collect::<Vec<_>>()
+        };
+        let mut rng = Rng::seed_from_u64(105);
+        for d in [1usize, 2, 3, 17, 100] {
+            let mut y0: Vec<f64> = (0..d).map(|_| rng.standard_normal()).collect();
+            let mut y1: Vec<f64> = (0..d).map(|_| rng.standard_normal()).collect();
+            y0.iter_mut().step_by(3).for_each(|v| *v = 0.0);
+            y1.iter_mut().step_by(2).for_each(|v| *v = 0.0);
+            y1[d - 1] = f64::NAN;
+            let start: Vec<f64> = (0..d * d).map(|_| rng.standard_normal()).collect();
+            let mut want = start.clone();
+            for y in [&y0, &y1] {
+                for a in 0..d {
+                    if y[a] != 0.0 {
+                        for b in a..d {
+                            want[a * d + b] += y[a] * y[b];
+                        }
+                    }
+                }
+            }
+            let mut got = start.clone();
+            gram_upper_rows(&mut got, &y0, Some(&y1));
+            assert_eq!(bits(&got), bits(&want), "pair, d = {d}");
+            let mut got = start.clone();
+            gram_upper_rows_body(&mut got, &y0, Some(&y1));
+            assert_eq!(bits(&got), bits(&want), "pair body, d = {d}");
+            let mut got = start.clone();
+            gram_upper_rows(&mut got, &y0, None);
+            gram_upper_rows_body(&mut got, &y1, None);
+            assert_eq!(bits(&got), bits(&want), "single rows, d = {d}");
+        }
     }
 
     #[test]

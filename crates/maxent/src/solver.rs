@@ -15,14 +15,15 @@
 //! Passes over a covered class's `d×d` state, per update:
 //!
 //! - *linear*: one read of `Σ` for `Σw` (column form,
-//!   `Matrix::sym_matvec_into`); `h` and `m` move by `O(d)` steps.
+//!   `Matrix::t_matvec_into`: `Σ` is exactly symmetric, so `Σᵀw` is
+//!   `Σw`); `h` and `m` move by `O(d)` steps.
 //! - *quadratic*: one read of `Σ` for `Σw`, skipped when the linear
 //!   partner was the update just before; one read-write pass over `Σ`
 //!   that writes the Sherman–Morrison step and accumulates `m = Σh`
 //!   (`woodbury::apply_with_mean`, after `h += λδw`); and one pass over
 //!   the upper triangle of `P` (`woodbury::precision_update_upper`).
 //! - *convergence pass* (once per sweep and active quadratic
-//!   constraint): one read of `Σ` for `wᵀΣw` (`Matrix::sym_quad_form`).
+//!   constraint): one read of `Σ` for `wᵀΣw` (`Matrix::t_quad_form`).
 //!
 //! A constraint's *linear partner* is the constraint just before it when
 //! that one is linear, it is quadratic, and both hold the same direction
@@ -153,6 +154,11 @@ pub struct Solver {
     /// activates everything (cold fit); `append_constraints` narrows this
     /// to the appended constraints and their neighborhood.
     active: Vec<bool>,
+    /// Per class: every constraint covering it is active. Set when an
+    /// update first touches the class (or by `Solver::new`, which
+    /// activates everything) and cleared only where `active` narrows, so a
+    /// later touch of the class has nothing left to activate.
+    covering_active: Vec<bool>,
     /// Whether the last `fit` call met a convergence criterion. While
     /// false, `append_constraints` keeps the current active set (the
     /// unfinished residuals) instead of narrowing to the appended
@@ -227,11 +233,11 @@ fn add_along(v: &mut [f64], alpha: f64, w: &[f64], axis: Option<usize>) {
 }
 
 /// `out = Σw` for the exactly symmetric `Σ`: row `j` when `w = e_j`, the
-/// column-form product otherwise.
+/// column-form product `Σᵀw` otherwise.
 fn sigma_times_into(sigma: &Matrix, w: &[f64], axis: Option<usize>, out: &mut [f64]) {
     match axis {
         Some(j) => out.copy_from_slice(sigma.row(j)),
-        None => sigma.sym_matvec_into(w, out),
+        None => sigma.t_matvec_into(w, out),
     }
 }
 
@@ -327,6 +333,7 @@ impl Solver {
             prev_moments: vec![0.0; k],
             sweeps_done: 0,
             active: vec![true; k],
+            covering_active: vec![true; n_classes],
             last_fit_converged: false,
             mean_dirty: vec![false; n_classes],
             cov_dirty: vec![false; n_classes],
@@ -356,7 +363,7 @@ impl Solver {
             // to do (empty active set); if it was truncated by a budget,
             // keep its active set so the next fit resumes it.
             if self.last_fit_converged {
-                self.active.iter_mut().for_each(|a| *a = false);
+                self.narrow_active_set();
             }
             self.parent_of_class = (0..self.partition.n_classes() as u32).collect();
             return Ok(Refinement {
@@ -430,9 +437,10 @@ impl Solver {
         // fit was truncated before converging, its active set is kept (the
         // union is solved), so unfinished residuals are never abandoned.
         if self.last_fit_converged {
-            self.active.iter_mut().for_each(|a| *a = false);
+            self.narrow_active_set();
         }
         self.active.resize(k, false);
+        self.covering_active.resize(n_classes, false);
         for t in first_new..k {
             self.active[t] = true;
             for &(class, _) in &self.partition.classes_of_constraint[t] {
@@ -449,6 +457,13 @@ impl Solver {
             self.prev_moments.push(self.moment(t));
         }
         Ok(refinement)
+    }
+
+    /// Deactivate every constraint, and with them every class's
+    /// `covering_active` flag.
+    fn narrow_active_set(&mut self) {
+        self.active.iter_mut().for_each(|a| *a = false);
+        self.covering_active.iter_mut().for_each(|a| *a = false);
     }
 
     fn moment(&self, t: usize) -> f64 {
@@ -488,7 +503,7 @@ impl Solver {
                 ConstraintKind::Quadratic => {
                     let cvar = match axis {
                         Some(j) => p.sigma[(j, j)],
-                        None => p.sigma.sym_quad_form(w, x),
+                        None => p.sigma.t_quad_form(w, x),
                     };
                     let dev = along(&p.m, w, axis) - c.delta;
                     v += count as f64 * (cvar + dev * dev);
@@ -575,6 +590,9 @@ impl Solver {
     /// Record that constraint `t`'s update moved its classes: flag them
     /// dirty (covariance only for quadratic updates — linear updates touch
     /// `h`/`m` but never `Σ`) and activate every constraint covering them.
+    /// Nothing deactivates a constraint inside a sweep, so a class whose
+    /// covering constraints are already active (`covering_active`) skips
+    /// that loop, and `active` ends as if every touch had run it.
     fn mark_touched(&mut self, t: usize) {
         let quadratic = self.constraints[t].kind == ConstraintKind::Quadratic;
         for &(class, _) in &self.partition.classes_of_constraint[t] {
@@ -583,8 +601,10 @@ impl Solver {
             if quadratic {
                 self.cov_dirty[class] = true;
             }
-            for &u in &self.constraints_of_class[class] {
-                self.active[u as usize] = true;
+            if !std::mem::replace(&mut self.covering_active[class], true) {
+                for &u in &self.constraints_of_class[class] {
+                    self.active[u as usize] = true;
+                }
             }
         }
     }
@@ -1257,8 +1277,26 @@ mod tests {
         lambda
     }
 
-    /// [`Solver::sweep`] on the plain kernels, with no `Σw` reuse: the
-    /// reference the solver's sweep must match bit for bit.
+    /// [`Solver::mark_touched`] without the `covering_active` shortcut:
+    /// every touch flags the classes dirty and activates every constraint
+    /// covering them.
+    fn reference_mark_touched(s: &mut Solver, t: usize) {
+        let quadratic = s.constraints[t].kind == ConstraintKind::Quadratic;
+        for &(class, _) in &s.partition.classes_of_constraint[t] {
+            let class = class as usize;
+            s.mean_dirty[class] = true;
+            if quadratic {
+                s.cov_dirty[class] = true;
+            }
+            for &u in &s.constraints_of_class[class] {
+                s.active[u as usize] = true;
+            }
+        }
+    }
+
+    /// [`Solver::sweep`] on the plain kernels, with no `Σw` reuse and
+    /// [`reference_mark_touched`]: the reference the solver's sweep must
+    /// match bit for bit.
     fn reference_sweep(s: &mut Solver, lambda_max: f64) -> SweepInfo {
         let mut max_dl = 0.0_f64;
         for t in 0..s.constraints.len() {
@@ -1272,7 +1310,7 @@ mod tests {
             s.lambdas[t] += dl;
             max_dl = max_keep_nan(max_dl, dl.abs());
             if dl != 0.0 {
-                s.mark_touched(t);
+                reference_mark_touched(s, t);
             }
         }
         s.sweeps_done += 1;
@@ -1314,6 +1352,9 @@ mod tests {
                 "{at}"
             );
             assert_same_state(fast, reference, &at);
+            assert_eq!(fast.active, reference.active, "active {at}");
+            assert_eq!(fast.mean_dirty, reference.mean_dirty, "mean_dirty {at}");
+            assert_eq!(fast.cov_dirty, reference.cov_dirty, "cov_dirty {at}");
             if report.converged {
                 return;
             }

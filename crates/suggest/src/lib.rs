@@ -42,8 +42,8 @@
 //! view uses), FastICA (seeded substream, fixed-order fixed-point step) and
 //! every candidate's score. Candidates are scored in groups of four: one
 //! pass over a whitened row gives its projections onto the group's eight
-//! axes as lanes, each lane the same dot that `matvec_into` computes (the
-//! kernel `whiten_project_with` runs after its own whitening pass), and
+//! axes as lanes, each lane the same dot that `Matrix::matvec` computes
+//! (and that `whiten_project_with` takes after its own whitening pass), and
 //! each square is summed in row order. So a grouped score has the bits of
 //! a candidate scored alone, in either build of the kernel (baseline or
 //! AVX2, [`sider_linalg::avx2_dispatch!`]). The batch fans over the
@@ -177,7 +177,7 @@ sider_linalg::avx2_dispatch! {
 /// [`square_sums`], two rows at a time: one pass over the axes gives both
 /// rows' `AXES` projections as lanes, each a dot from `-0.0` over
 /// ascending `j` with `axes[a][j] · y_ij`, exactly as
-/// [`Matrix::matvec_into`] projects a row onto a `2 × d` plane. Each
+/// [`Matrix::matvec`] projects a row onto a `2 × d` plane. Each
 /// square is added in ascending row order from `+0.0`.
 #[inline(always)]
 fn square_sums_body(y: &Matrix, axes_t: &[f64]) -> [f64; AXES] {
@@ -578,10 +578,9 @@ mod tests {
             }
             let mut expected = Vec::new();
             for plane in &planes {
-                let mut p = [0.0f64; 2];
                 let mut sums = [0.0f64; 2];
                 for i in 0..n {
-                    plane.matvec_into(y.row(i), &mut p);
+                    let p = plane.matvec(y.row(i));
                     sums[0] += p[0] * p[0];
                     sums[1] += p[1] * p[1];
                 }
